@@ -7,8 +7,9 @@ commutes with the composite conserved quantities (input representation on the
 way in, output representation on the way out). For every admissible scenario
 there exists a unitary V on the system alone that performs the same state
 transition and intertwines the two system representations; `find_intertwiner`
-constructs one through the trace-fingerprint machinery in
-:mod:`covcat.words`.
+reduces the scenario to system-side matrix tuples and hands them to the exact
+solver in :mod:`covcat.words`, which returns the unitary, a conclusive
+negative, or an inconclusive verdict when its rank decision is ambiguous.
 
 The module also ships the finite-group constructions showing why
 connectedness of the symmetry group matters (a pointer-state catalyst on the
@@ -218,14 +219,15 @@ class IntertwinerResult:
     """Constructed unitary V with its residuals, never suppressed.
 
     ``state_residual`` is ``||V rho V^dag - rho'||_max`` and
-    ``intertwining_residual`` is ``max_i ||V X_i - Y_i V||_max``. For an
-    admissible scenario a failure is a solver diagnostic, not a valid
-    outcome; the offending scenario is attached for reproduction.
+    ``intertwining_residual`` is ``max_i ||V X_i - Y_i V||_max``, both None
+    when the solver returned no unitary. For an admissible scenario a failure
+    is a solver diagnostic, not a valid outcome; the offending scenario is
+    attached for reproduction.
     """
 
     unitary: np.ndarray | None
-    state_residual: float
-    intertwining_residual: float
+    state_residual: float | None
+    intertwining_residual: float | None
     solver: UnitaryMatchResult
     success: bool
     diagnostic: dict | None = None
@@ -243,17 +245,15 @@ class IntertwinerResult:
         return out
 
 
-def find_intertwiner(sc: CatalysisScenario, seed: int = 0,
-                     restarts: int = 10) -> IntertwinerResult:
+def find_intertwiner(sc: CatalysisScenario, seed: int = 0) -> IntertwinerResult:
     """Construct V on the system with ``V rho V^dag = rho'`` and
-    ``V X_i = Y_i V``, via the simultaneous-unitary solver on the reduced
-    system tuples."""
+    ``V X_i = Y_i V``, via the exact simultaneous-unitary solver on the
+    reduced system tuples."""
     reduced = reduce_to_tuples(sc)
     match = find_simultaneous_unitary(reduced.system_a, reduced.system_b,
-                                      seed=seed, restarts=restarts,
-                                      tol=min(sc.intertwiner_tol, 1e-8))
+                                      seed=seed, tol=min(sc.intertwiner_tol, 1e-8))
     if match.unitary is None:
-        return IntertwinerResult(None, np.inf, np.inf, match, False, sc.to_json())
+        return IntertwinerResult(None, None, None, match, False, sc.to_json())
     v = match.unitary
     state_res = max_norm(v @ sc.rho_s @ v.conj().T - sc.rho_s_out)
     inter_res = 0.0

@@ -32,7 +32,7 @@ from .catalysis import (
     verify_scenario,
 )
 from .channels import Channel, is_covariant
-from .linalg import DimensionError, DomainError, max_norm, tensor
+from .linalg import DimensionError, DomainError, max_norm, random_density, tensor
 from .refframe import (
     FrameScenario,
     catalytic_channel,
@@ -50,6 +50,7 @@ from .serialize import (
     matrix_from_json,
     rep_from_json,
     write_json_atomic,
+    write_text_atomic,
 )
 from .symmetry import FiniteGroup, FiniteGroupRep, left_regular_representation, tensor_rep
 from .words import (
@@ -104,7 +105,8 @@ def _cmd_wiegmann_equiv(args) -> tuple[dict, bool, bool]:
         tol=cfg_obj.get("tol", args.tol),
     )
     verdict = wiegmann_equivalent(tuple_a, tuple_b, config)
-    return verdict.to_json(), True, True  # either verdict is a successful run
+    conclusive = verdict.verdict != "inconclusive"  # a non-finite trace decides nothing
+    return verdict.to_json(), conclusive, conclusive
 
 
 def _cmd_find_intertwiner(args) -> tuple[dict, bool, bool]:
@@ -169,7 +171,7 @@ def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
     rows = degradation_sweep(n_values, args.theta, samples=args.samples, seed=args.seed)
     csv_text = sweep_to_csv(rows)
     if args.output:
-        _write_text_atomic(args.output, csv_text)
+        write_text_atomic(args.output, csv_text)
     payload = {"rows": [r.to_csv_row() for r in rows], "csv": csv_text,
                "output": args.output}
     passed = all(r.status != "FAILED" for r in rows)
@@ -192,7 +194,7 @@ def _cmd_demo_appendix(args) -> tuple[dict, bool, bool]:
         tb = [fx.b[i] for i in idx]
         res = find_simultaneous_unitary(ta, tb, seed=args.seed)
         pair_results[name] = {"success": res.success, "residual": res.residual,
-                              "stage": res.stage}
+                              "verdict": res.verdict}
         pairs_ok = pairs_ok and res.success and res.residual < 1e-6
     big = find_simultaneous_unitary(list(fx.tensored_a()), list(fx.tensored_b()),
                                     seed=args.seed)
@@ -204,7 +206,7 @@ def _cmd_demo_appendix(args) -> tuple[dict, bool, bool]:
         "triple_verdict": verdict.to_json(),
         "pairwise": pair_results,
         "tensored_9x9": {"success": big.success, "residual": big.residual,
-                         "stage": big.stage},
+                         "verdict": big.verdict},
     }
     print(f"trace gap |Tr[b1 b2 b3] - Tr[a1 a2 a3]| = {fx.gap:.10f} "
           f"(expected {expected_gap:.10f})")
@@ -238,7 +240,7 @@ def _cmd_demo_finite_group(args) -> tuple[dict, bool, bool]:
         target = Channel([q[:d], q[d:]])
         lifted = regular_rep_channel(group, rep_s, target)
         cov = is_covariant(lifted, comp, comp)
-        rho = _random_density(d, rng)
+        rho = random_density(d, rng)
         pointer = np.zeros((group.order, group.order), dtype=complex)
         pointer[group.identity, group.identity] = 1.0
         action_defect = max_norm(lifted.apply(tensor(rho, pointer))
@@ -283,27 +285,6 @@ def _standard_s3_images(group: FiniteGroup):
             perm_matrix[p[j], j] = 1.0
         images.append((plane.T @ perm_matrix @ plane).astype(complex))
     return images
-
-
-def _random_density(d: int, rng) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _write_text_atomic(path: str, text: str) -> None:
-    import os
-    import tempfile
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 TOL_UNSET = -1.0

@@ -85,14 +85,6 @@ def require_density(a: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
     return m
 
 
-def require_psd(a: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
-    m = require_hermitian(a, tol)
-    ev = np.linalg.eigvalsh(m)
-    if ev[0] < -tol:
-        raise DomainError(f"matrix has eigenvalue {ev[0]:.3e} below -{tol}, not PSD")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # tensor-product plumbing
 # ---------------------------------------------------------------------------

@@ -67,10 +67,6 @@ def matrices_from_json(items: Any, where: str = "matrices") -> list[np.ndarray]:
     return [matrix_from_json(it, where=f"{where}[{i}]") for i, it in enumerate(items)]
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def group_to_json(group) -> dict:
     out = {"order": int(group.order), "table": [[int(x) for x in row] for row in group.table]}
     if group.labels is not None:
@@ -175,9 +171,8 @@ def dump_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def write_json_atomic(path: str, payload: Any) -> None:
-    """Write JSON via a temp file in the same directory, then rename."""
-    text = dump_json(payload)
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -188,6 +183,10 @@ def write_json_atomic(path: str, payload: Any) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, payload: Any) -> None:
+    write_text_atomic(path, dump_json(payload))
 
 
 def load_json(path: str) -> Any:

@@ -170,8 +170,11 @@ class FiniteGroup:
                 break
         if identity is None:
             raise DomainError("multiplication table has no identity element")
-        for x, y, z in itertools.product(range(n), repeat=3):
-            if table[table[x, y], z] != table[x, table[y, z]]:
+        for x in range(n):
+            # (x*y)*z against x*(y*z) for every y, z at once, O(n^2) memory
+            bad = np.argwhere(table[table[x]] != table[x][table])
+            if bad.size:
+                y, z = bad[0]
                 raise DomainError(f"multiplication table is not associative at ({x},{y},{z})")
         inverse = np.full(n, -1, dtype=int)
         for x in range(n):

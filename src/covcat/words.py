@@ -12,12 +12,17 @@ tuples, words in the entries themselves suffice because each entry equals its
 adjoint). Enumerating all words is impossible, so `wiegmann_equivalent`
 checks a bounded family plus random long words: a trace mismatch refutes
 equivalence conclusively, while agreement is reported as evidence
-("equivalent up to the bound"), not proof. Fractional and zeroth powers
-additionally require positive semi-definite entries.
+("equivalent up to the bound"), not proof, and a non-finite trace makes the
+verdict inconclusive. Fractional and zeroth powers additionally require
+positive semi-definite entries.
+
+For Hermitian tuples `find_simultaneous_unitary` instead decides equivalence
+exactly, by linear algebra under a stated rank threshold.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -30,7 +35,6 @@ from .linalg import (
     hermitian_power,
     max_norm,
     require_hermitian,
-    random_unitary,
     support_projector,
 )
 
@@ -232,10 +236,11 @@ class EquivalenceVerdict:
 
     ``distinguished`` verdicts are conclusive non-equivalence; the
     ``equivalent-up-to-bound`` verdict is evidence at the configured
-    enumeration depth, not a proof.
+    enumeration depth, not a proof; ``inconclusive`` means that the trace of
+    the witness word is not finite.
     """
 
-    equivalent_up_to_bound: bool
+    verdict: str
     witness: Word | None
     trace_a: complex | None
     trace_b: complex | None
@@ -243,17 +248,28 @@ class EquivalenceVerdict:
     config: EquivalenceConfig
 
     @property
-    def verdict(self) -> str:
-        return "equivalent-up-to-bound" if self.equivalent_up_to_bound else "distinguished"
+    def equivalent_up_to_bound(self) -> bool:
+        return self.verdict == "equivalent-up-to-bound"
 
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "words_checked": self.words_checked,
                "config": self.config.to_json()}
         if self.witness is not None:
             out["word"] = str(self.witness)
+        if self.trace_a is not None:
             out["trace_a"] = [self.trace_a.real, self.trace_a.imag]
             out["trace_b"] = [self.trace_b.real, self.trace_b.imag]
         return out
+
+
+def _hermitian_pair(tuple_a, tuple_b) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    if len(tuple_a) != len(tuple_b) or not tuple_a:
+        raise DimensionError("tuples must be non-empty and of equal length")
+    mats_a = [require_hermitian(m) for m in tuple_a]
+    mats_b = [require_hermitian(m) for m in tuple_b]
+    if any(m.shape != mats_a[0].shape for m in mats_a + mats_b):
+        raise DimensionError("all matrices must share one dimension")
+    return mats_a, mats_b
 
 
 def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndarray],
@@ -264,79 +280,70 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
     exponents up to ``config.max_exponent`` and then samples
     ``config.num_random_words`` longer words (lengths up to ``2 d^2``). The
     first word whose traces differ by more than ``config.tol`` (scaled by the
-    trace magnitude) is returned as a witness.
+    trace magnitude) is returned as a witness; a word with a non-finite trace
+    ends the search with an inconclusive verdict.
     """
-    if len(tuple_a) != len(tuple_b):
-        raise DimensionError("tuples must have equal length")
-    n_vars = len(tuple_a)
-    mats_a = [require_hermitian(m) for m in tuple_a]
-    mats_b = [require_hermitian(m) for m in tuple_b]
-    d = mats_a[0].shape[0]
-    if any(m.shape[0] != d for m in mats_a + mats_b):
-        raise DimensionError("all matrices must share one dimension")
-
-    # integer powers reused across words
-    pow_a = [{1: m} for m in mats_a]
-    pow_b = [{1: m} for m in mats_b]
-
-    def power(cache, mats, var, exp):
-        if exp not in cache[var]:
-            if exp == 0:
-                cache[var][0] = support_projector(mats[var])
-            else:
-                cache[var][exp] = cache[var][exp - 1] @ mats[var] if exp - 1 in cache[var] \
-                    else np.linalg.matrix_power(mats[var], exp)
-        return cache[var][exp]
-
-    def traces(word: Word) -> tuple[complex, complex]:
-        acc_a = np.eye(d, dtype=complex)
-        acc_b = np.eye(d, dtype=complex)
-        for var, exp in word.letters:
-            acc_a = acc_a @ power(pow_a, mats_a, var, exp)
-            acc_b = acc_b @ power(pow_b, mats_b, var, exp)
-        return complex(np.trace(acc_a)), complex(np.trace(acc_b))
-
-    checked = 0
-
-    def check(word: Word) -> EquivalenceVerdict | None:
-        nonlocal checked
-        checked += 1
-        ta, tb = traces(word)
-        scale = max(1.0, abs(ta), abs(tb))
-        if abs(ta - tb) > config.tol * scale:
-            return EquivalenceVerdict(False, word, ta, tb, checked, config)
-        return None
-
-    for word in enumerate_words(n_vars, config.max_length, config.max_exponent):
-        hit = check(word)
-        if hit is not None:
-            return hit
+    mats_a, mats_b = _hermitian_pair(tuple_a, tuple_b)
+    n_vars, d = len(mats_a), mats_a[0].shape[0]
     rng = np.random.default_rng(config.seed)
     max_len = max(config.max_length + 1, 2 * d * d)
-    for _ in range(config.num_random_words):
-        length = int(rng.integers(config.max_length + 1, max_len + 1))
-        hit = check(random_word(n_vars, length, config.max_exponent, rng))
-        if hit is not None:
-            return hit
-    return EquivalenceVerdict(True, None, None, None, checked, config)
+    random_words = (random_word(n_vars, int(rng.integers(config.max_length + 1, max_len + 1)),
+                                config.max_exponent, rng) for _ in range(config.num_random_words))
+    words = itertools.chain(enumerate_words(n_vars, config.max_length, config.max_exponent),
+                            random_words)
+    powers: dict = {}  # (var, exp) -> that power of both tuples, reused across words
+    checked = 0
+    for checked, word in enumerate(words, start=1):
+        acc_a = acc_b = np.eye(d, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for var, exp in word.letters:
+                if (var, exp) not in powers:
+                    powers[var, exp] = (np.linalg.matrix_power(mats_a[var], exp),
+                                        np.linalg.matrix_power(mats_b[var], exp))
+                acc_a, acc_b = acc_a @ powers[var, exp][0], acc_b @ powers[var, exp][1]
+            ta, tb = complex(np.trace(acc_a)), complex(np.trace(acc_b))
+        if not (np.isfinite(ta) and np.isfinite(tb)):
+            return EquivalenceVerdict("inconclusive", word, None, None, checked, config)
+        if abs(ta - tb) > config.tol * max(1.0, abs(ta), abs(tb)):
+            return EquivalenceVerdict("distinguished", word, ta, tb, checked, config)
+    return EquivalenceVerdict("equivalent-up-to-bound", None, None, None, checked, config)
 
 
 # ---------------------------------------------------------------------------
-# constructive simultaneous unitary equivalence
+# exact simultaneous unitary equivalence
 # ---------------------------------------------------------------------------
+
+# Thresholds relative to d * max_i ||A_i||_2 over both tuples. A singular value
+# of the constraint matrix at most RANK_TOL counts as zero. Eigenvalues closer
+# than CLUSTER_TOL share a block, and only a defect above CLUSTER_TOL refutes
+# equivalence: a singular value between the two makes the verdict inconclusive.
+RANK_TOL = 1e-9
+CLUSTER_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class UnitaryMatchResult:
-    success: bool
+    """``verdict``: "equivalent" (``unitary`` has max-norm ``residual <= tol``),
+    "inequivalent" (conclusive) or "inconclusive". ``nullity`` is the dimension
+    of the intertwiner space; ``gap`` is (largest singular value counted as
+    zero, smallest counted as non-zero) relative to the scale above, None
+    where that side is empty. ``unitary`` is the polar factor of the generic
+    intertwiner, None when the space is empty."""
+
+    verdict: str
     unitary: np.ndarray | None
-    residual: float
-    stage: str  # "spectral" | "descent" | "none"
-    restarts_used: int
+    residual: float | None
+    nullity: int
+    gap: tuple[float | None, float | None]
+
+    @property
+    def success(self) -> bool:
+        return self.verdict == "equivalent"
 
     def to_json(self) -> dict:
         from .serialize import matrix_to_json
-        out = {"success": self.success, "residual": self.residual,
-               "stage": self.stage, "restarts_used": self.restarts_used}
+        out = {"success": self.success, "verdict": self.verdict, "residual": self.residual,
+               "nullity": self.nullity, "gap": list(self.gap)}
         if self.unitary is not None:
             out["unitary"] = matrix_to_json(self.unitary)
         return out
@@ -346,132 +353,65 @@ def conjugation_residual(u: np.ndarray, tuple_a, tuple_b) -> float:
     return max(max_norm(u @ a @ u.conj().T - b) for a, b in zip(tuple_a, tuple_b))
 
 
-def _spectral_match(mats_a, mats_b, rng, redraws: int = 20,
-                    gap_tol: float = 1e-8, edge_tol: float = 1e-8):
-    """Stage 1: diagonalize a random linear combination of each tuple, match
-    eigenvectors by eigenvalue order and fix the residual diagonal phases from
-    off-diagonal entries of the tuple elements in the matched bases."""
-    d = mats_a[0].shape[0]
-    for _ in range(redraws):
-        coeff = rng.standard_normal(len(mats_a))
-        wa, qa = np.linalg.eigh(sum(c * m for c, m in zip(coeff, mats_a)))
-        wb, qb = np.linalg.eigh(sum(c * m for c, m in zip(coeff, mats_b)))
-        if np.abs(wa - wb).max() > 1e-6 * max(1.0, np.abs(wa).max()):
-            continue  # spectra differ for this combination; let later stages decide
-        if d > 1 and np.min(np.diff(wa)) < gap_tol:
-            continue  # degenerate combination, redraw
-        rep_a = [qa.conj().T @ m @ qa for m in mats_a]
-        rep_b = [qb.conj().T @ m @ qb for m in mats_b]
-        # order elements by off-diagonal mass; the heaviest fixes most phases,
-        # later ones only resolve components the earlier ones left unconstrained
-        mass = [np.abs(m - np.diag(np.diag(m))).sum() for m in rep_a]
-        order = np.argsort(mass)[::-1]
-        phase = np.full(d, np.nan)
-        phase[0] = 0.0
-        def propagate():
-            moved = True
-            while moved:
-                moved = False
-                for t in order:
-                    mat_a, mat_b = rep_a[t], rep_b[t]
-                    weight = np.minimum(np.abs(mat_a), np.abs(mat_b))
-                    np.fill_diagonal(weight, 0.0)
-                    for jj in range(d):
-                        if np.isnan(phase[jj]):
-                            continue
-                        for kk in range(d):
-                            if not np.isnan(phase[kk]) or weight[jj, kk] <= edge_tol:
-                                continue
-                            phase[kk] = phase[jj] - np.angle(mat_b[jj, kk] / mat_a[jj, kk])
-                            moved = True
-        propagate()
-        while np.isnan(phase).any():
-            # disconnected phase graph: anchor the next component at zero
-            phase[np.flatnonzero(np.isnan(phase))[0]] = 0.0
-            propagate()
-        return qb @ (np.exp(1j * phase)[:, None] * qa.conj().T)
-    return None
-
-
-def _polar(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
-def _descent(mats_a, mats_b, u0: np.ndarray, max_iter: int = 2000,
-             target: float = 1e-22) -> np.ndarray:
-    """Stage 2: minimize sum ||U A - B U||_F^2 over the unitary group by
-    gradient descent with tangent-space projection, polar retraction and
-    Armijo backtracking."""
-    u = u0.copy()
-
-    def cost(mat):
-        return sum(np.linalg.norm(mat @ a - b @ mat) ** 2 for a, b in zip(mats_a, mats_b))
-
-    val = cost(u)
-    step = 0.1
-    for _ in range(max_iter):
-        grad = sum(2 * ((u @ a - b @ u) @ a - b @ (u @ a - b @ u))
-                   for a, b in zip(mats_a, mats_b))
-        tangent = grad - u @ grad.conj().T @ u
-        slope = np.linalg.norm(tangent) ** 2
-        if slope < 1e-30:
-            break
-        while step > 1e-16:
-            candidate = _polar(u - step * tangent)
-            cand_val = cost(candidate)
-            if cand_val < val - 0.25 * step * slope:
-                break
-            step *= 0.5
-        if step <= 1e-16:
-            break
-        u, val = candidate, cand_val
-        step = min(step * 1.3, 1.0)
-        if val < target:
-            break
-    return u
-
-
 def find_simultaneous_unitary(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndarray],
-                              seed: int = 0, restarts: int = 10,
-                              tol: float = 1e-8) -> UnitaryMatchResult:
-    """Search for a unitary U with ``U A_i U^dag = B_i`` for Hermitian tuples.
+                              seed: int = 0, tol: float = 1e-8) -> UnitaryMatchResult:
+    """Decide whether a unitary U with ``U A_i U^dag = B_i`` exists for
+    Hermitian tuples, and construct one when it does.
 
-    Two stages: spectral matching of a random linear combination (exact up to
-    round-off whenever the combination has simple spectrum), then Riemannian
-    gradient descent from the spectral candidate and from random restarts.
-    Failure is not a certificate of non-equivalence; use
-    `wiegmann_equivalent` for refutation.
+    They are equivalent exactly when {X : X A_i = B_i X for all i} holds an
+    invertible element. A generic element then is one, and its polar factor
+    intertwines exactly because X^dag X commutes with every A_i. Diagonalising
+    one seeded random combination of each tuple confines X to blocks between
+    equal-eigenvalue clusters, and one SVD of the stacked block constraints
+    gives the nullspace; an empty one or a singular generic element is a
+    conclusive inequivalence. Generic tuples leave d unknowns; the worst case,
+    a combination that is a multiple of the identity, leaves all d^2.
     """
-    if len(tuple_a) != len(tuple_b) or not tuple_a:
-        raise DimensionError("tuples must be non-empty and of equal length")
-    mats_a = [require_hermitian(m) for m in tuple_a]
-    mats_b = [require_hermitian(m) for m in tuple_b]
-    d = mats_a[0].shape[0]
-    if any(m.shape[0] != d for m in mats_a + mats_b):
-        raise DimensionError("all matrices must share one dimension")
+    mats_a, mats_b = map(np.array, _hermitian_pair(tuple_a, tuple_b))
+    d = mats_a.shape[1]
+    unit = d * max(np.linalg.norm(m, 2) for m in (*mats_a, *mats_b)) or 1.0
     rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(len(mats_a))
+    coeff /= np.abs(coeff).sum()
+    (wa, qa), (wb, qb) = (np.linalg.eigh(np.tensordot(coeff, m, axes=1)) for m in (mats_a, mats_b))
+    # cluster both spectra together, cutting only at clear gaps: merging two
+    # clusters is always safe, splitting a true one is not. X may map an
+    # eigenvector of A only onto eigenvectors of B in the same cluster, so
+    # differing spectra leave every generic X singular.
+    w = np.concatenate([wa, wb])
+    order = np.argsort(w)
+    label = np.cumsum(np.r_[0, np.diff(w[order]) > CLUSTER_TOL * unit])[np.argsort(order)]
+    rows, cols = np.nonzero(label[d:, None] == label[:d])  # the unknown entries of X
+    n = len(rows)
+    if not n:  # no eigenvalue of the combination for A matches one for B
+        return UnitaryMatchResult("inequivalent", None, None, 0, (None, None))
+    rep_a, rep_b = qa.conj().T @ mats_a @ qa, qb.conj().T @ mats_b @ qb
+    # Column j of the constraint matrix stacks E A'_i - B'_i E over i, for E
+    # the unit matrix at (rows[j], cols[j]). Its rows are folded, about n at a
+    # time, into the triangular factor of a QR, which has the same singular
+    # values and right singular vectors: memory stays O(n^2), not O(k d^2 n).
+    e_rows, e_cols, a_rows = np.eye(d)[:, rows], np.eye(d)[:, cols], rep_a[:, cols]
+    r = np.zeros((0, n), dtype=complex)
+    step = max(1, n // d)
+    for lo in range(0, d, step):
+        block = (np.einsum("an,inb->iabn", e_rows[lo:lo + step], a_rows)
+                 - np.einsum("ian,bn->iabn", rep_b[:, lo:lo + step][..., rows], e_cols))
+        r = np.linalg.qr(np.vstack([r, block.reshape(-1, n)]), mode="r")
+    _, sv, vh = np.linalg.svd(r)
+    sv /= unit
+    nullity = int(np.count_nonzero(sv <= RANK_TOL))
+    gap = (float(sv[-1]) if nullity else None,
+           float(sv[-nullity - 1]) if nullity < len(sv) else None)
+    clear = gap[1] is None or gap[1] > CLUSTER_TOL
+    if nullity == 0:
+        return UnitaryMatchResult("inequivalent" if clear else "inconclusive", None, None, 0, gap)
 
-    best_u, best_res, best_stage = None, np.inf, "none"
-
-    candidate = _spectral_match(mats_a, mats_b, rng)
-    if candidate is not None:
-        res = conjugation_residual(candidate, mats_a, mats_b)
-        best_u, best_res, best_stage = candidate, res, "spectral"
-        if res <= tol:
-            return UnitaryMatchResult(True, candidate, res, "spectral", 0)
-
-    starts: list[np.ndarray] = []
-    if best_u is not None:
-        starts.append(best_u)
-    starts.append(np.eye(d, dtype=complex))
-    while len(starts) < restarts:
-        starts.append(random_unitary(d, rng))
-    for used, start in enumerate(starts, start=1):
-        refined = _descent(mats_a, mats_b, start)
-        res = conjugation_residual(refined, mats_a, mats_b)
-        if res < best_res:
-            best_u, best_res, best_stage = refined, res, "descent"
-        if best_res <= tol:
-            return UnitaryMatchResult(True, best_u, best_res, best_stage, used)
-    return UnitaryMatchResult(False, best_u, best_res, best_stage, len(starts))
+    weights = rng.standard_normal(nullity) + 1j * rng.standard_normal(nullity)
+    x = np.zeros((d, d), dtype=complex)
+    x[rows, cols] = weights @ vh[-nullity:].conj()
+    left, sx, right = np.linalg.svd(x)
+    u = qb @ left @ right @ qa.conj().T
+    res = conjugation_residual(u, mats_a, mats_b)
+    singular = clear and sx[-1] <= RANK_TOL * d * sx[0]
+    verdict = "equivalent" if res <= tol else "inequivalent" if singular else "inconclusive"
+    return UnitaryMatchResult(verdict, u, res, nullity, gap)

@@ -168,6 +168,24 @@ def test_intertwiner_with_singular_states():
     assert result.success
 
 
+@pytest.mark.parametrize("d_s", [8, 12, 16])
+def test_intertwiner_with_degenerate_state_spectrum(d_s):
+    # m = 0 and a two-fold degenerate rho_S: every combination of the reduced
+    # tuple is degenerate, so the intertwiner lives in 2x2 eigenvalue blocks
+    rng = np.random.default_rng(d_s)
+    basis, planted = la.random_unitary(d_s, rng), la.random_unitary(d_s, rng)
+    p = np.repeat(rng.uniform(0.05, 1.0, d_s // 2), 2)
+    rho = basis @ np.diag(p / p.sum()) @ basis.conj().T
+    sc = CatalysisScenario(
+        unitary=la.tensor(planted, np.eye(2)), rho_s=rho,
+        rho_s_out=planted @ rho @ planted.conj().T, sigma_c=np.diag([0.6, 0.4]),
+        gens_s_in=[], gens_s_out=[], gens_c=[])
+    result = find_intertwiner(sc, seed=1)
+    assert result.success, result.solver.to_json()
+    assert result.state_residual <= 1e-12
+    assert result.solver.nullity == 2 * d_s  # d_s / 2 blocks of size 2
+
+
 def test_intertwiner_failure_carries_diagnostic(rng):
     # force failure by corrupting the output state of an otherwise good scenario
     sc = product_scenario(rng, m=0)
@@ -179,8 +197,9 @@ def test_intertwiner_failure_carries_diagnostic(rng):
     hacked = CatalysisScenario(
         unitary=sc.unitary, rho_s=sc.rho_s, rho_s_out=out_state, sigma_c=sc.sigma_c,
         gens_s_in=[], gens_s_out=[], gens_c=[], admissibility_tol=10.0)
-    result = find_intertwiner(hacked, restarts=3)
+    result = find_intertwiner(hacked)
     assert not result.success
+    assert result.solver.verdict == "inequivalent"
     assert result.diagnostic is not None
     assert "rho_s" in result.diagnostic
 

@@ -135,6 +135,21 @@ def test_solver_failure_exit_code(tmp_path, rng):
     assert "diagnostic_scenario" in report["result"]["intertwiner"]
 
 
+def test_wiegmann_equiv_overflow_exits_inconclusive(tmp_path):
+    from covcat.catalysis import rank_condition_counterexample
+    fx = rank_condition_counterexample()
+    problem = {"tuple_a": [ser.matrix_to_json(1e110 * m) for m in fx.a],
+               "tuple_b": [ser.matrix_to_json(1e110 * m) for m in fx.b],
+               "config": {"max_length": 3, "num_random_words": 0}}
+    inp = tmp_path / "huge.json"
+    inp.write_text(json.dumps(problem))
+    out = str(tmp_path / "r.json")
+    assert run_cli(["wiegmann-equiv", "--input", str(inp), "--output", out]) == 3
+    report = read_report(out)
+    assert report["result"]["verdict"] == "inconclusive"
+    assert not report["passed"]
+
+
 def test_recovery_verify_builtin(tmp_path):
     out = str(tmp_path / "rec.json")
     code = run_cli(["recovery-verify", "--N", "4", "--samples", "15", "--output", out])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,18 @@ def test_group_table_validation():
     # easier: valid tables pass, tampered entries out of range fail
     with pytest.raises(la.DomainError):
         sym.FiniteGroup(np.array([[0, 1], [1, 2]]))
+
+
+def test_non_associative_table_names_first_failing_triple():
+    # order-5 Latin square with identity 0 whose elements all square to 0:
+    # no group of order 5 has that, so associativity must fail
+    table = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                      [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    first = next((x, y, z) for x, y, z in itertools.product(range(5), repeat=3)
+                 if table[table[x, y], z] != table[x, table[y, z]])
+    expected = rf"not associative at \({first[0]},{first[1]},{first[2]}\)"
+    with pytest.raises(la.DomainError, match=expected):
+        sym.FiniteGroup(table)
 
 
 def test_projective_rep_rejected():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from covcat import linalg as la
 from covcat.catalysis import rank_condition_counterexample
 from covcat.words import (
+    RANK_TOL,
     EquivalenceConfig,
     Word,
     WordSyntaxError,
@@ -260,11 +261,91 @@ def test_factor_level_planted_instances(rng):
 
 def test_failure_reported_for_inequivalent_tuples():
     fx = rank_condition_counterexample()
-    match = find_simultaneous_unitary(list(fx.a), list(fx.b), restarts=4)
+    match = find_simultaneous_unitary(list(fx.a), list(fx.b))
     assert not match.success
-    assert np.isfinite(match.residual) and match.residual > 1e-4
-    # refutation comes from the fingerprints, not the solver
+    assert match.verdict == "inequivalent"
+    # the fingerprints refute it too
     assert not wiegmann_equivalent(list(fx.a), list(fx.b)).equivalent_up_to_bound
+
+
+def _dense_commutant_decision(tuple_a, tuple_b, rng):
+    """Oracle: nullity of the unrestricted stacked (1 (x) A_i^T - B_i (x) 1)
+    on row-major vec(X), at the solver's rank threshold, and whether a
+    generic element of that nullspace is invertible."""
+    d = tuple_a[0].shape[0]
+    stacked = np.concatenate([np.kron(np.eye(d), a.T) - np.kron(b, np.eye(d))
+                              for a, b in zip(tuple_a, tuple_b)])
+    unit = d * max(np.linalg.norm(m, 2) for m in (*tuple_a, *tuple_b))
+    _, sv, vh = np.linalg.svd(stacked)
+    null = vh[sv / unit <= RANK_TOL]
+    if not len(null):
+        return 0, False
+    weights = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
+    sx = np.linalg.svd((weights @ null.conj()).reshape(d, d), compute_uv=False)
+    return len(null), sx[-1] > 1e-6 * sx[0]
+
+
+def _oracle_cases(rng):
+    cases = []
+    for d in range(2, 7):
+        k = 1 + d % 3
+        a = [la.random_hermitian(d, rng) for _ in range(k)]
+        u = la.random_unitary(d, rng)
+        b = [u @ x @ u.conj().T for x in a]
+        cases.append((f"planted-{d}", a, b))
+        kicked = list(b)
+        kicked[0] = kicked[0] + 1e-3 * la.random_hermitian(d, rng)
+        cases.append((f"perturbed-{d}", a, kicked))
+    for d_half in (2, 3):  # every combination has two-fold degenerate spectrum
+        a = [la.tensor(la.random_hermitian(d_half, rng), np.eye(2)) for _ in range(2)]
+        u = la.random_unitary(2 * d_half, rng)
+        cases.append((f"degenerate-{2 * d_half}", a, [u @ x @ u.conj().T for x in a]))
+        other = [la.tensor(la.random_hermitian(d_half, rng), np.eye(2)) for _ in range(2)]
+        cases.append((f"degenerate-mismatch-{2 * d_half}", a, other))
+    single = np.diag([0.1, 0.1, 0.3, 0.5, 0.5]).astype(complex)
+    u = la.random_unitary(5, rng)
+    cases.append(("degenerate-single", [single], [u @ single @ u.conj().T]))
+    cases.append(("spectra-differ", [np.diag([1.0, 2.0, 3.0])], [np.diag([1.0, 2.0, 4.0])]))
+    scalars = [2.0 * np.eye(4), -0.5 * np.eye(4)]
+    cases.append(("scalar", scalars, scalars))
+    cases.append(("scalar-mismatch", scalars, [2.0 * np.eye(4), 0.5 * np.eye(4)]))
+    fx = rank_condition_counterexample()
+    cases.append(("counterexample-triple", list(fx.a), list(fx.b)))
+    return cases
+
+
+def test_solver_agrees_with_dense_commutant_oracle():
+    rng = np.random.default_rng(5)
+    for name, a, b in _oracle_cases(rng):
+        nullity, invertible = _dense_commutant_decision(a, b, rng)
+        match = find_simultaneous_unitary(a, b, seed=3)
+        assert match.nullity == nullity, (name, match.nullity, nullity)
+        assert match.verdict == ("equivalent" if invertible else "inequivalent"), name
+        if match.success:
+            assert match.residual <= 1e-12, name
+
+
+def test_counterexample_triple_has_empty_nullspace():
+    fx = rank_condition_counterexample()
+    match = find_simultaneous_unitary(list(fx.a), list(fx.b))
+    assert match.verdict == "inequivalent" and match.nullity == 0
+    assert match.unitary is None
+    assert match.gap[0] is None and match.gap[1] > 1e-2  # far above the threshold
+    assert match.to_json()["gap"] == [None, match.gap[1]]
+
+
+def test_scaled_counterexample_overflow_is_inconclusive():
+    # at scale 1e110 the traces of three-letter words overflow to inf and
+    # their difference to NaN, which must not count as agreement
+    fx = rank_condition_counterexample()
+    big_a = [1e110 * m for m in fx.a]
+    big_b = [1e110 * m for m in fx.b]
+    verdict = wiegmann_equivalent(big_a, big_b, EquivalenceConfig(max_length=3,
+                                                                  num_random_words=0))
+    assert verdict.verdict == "inconclusive"
+    assert not verdict.equivalent_up_to_bound
+    payload = verdict.to_json()
+    assert payload["verdict"] == "inconclusive" and "trace_a" not in payload
 
 
 def test_solver_is_deterministic_for_fixed_seed(rng):
