@@ -31,6 +31,7 @@ from .symmetry import (
     gibbs_state,
     is_symmetric_state,
     left_regular_representation,
+    standard_representation,
 )
 from .channels import (
     Channel,

@@ -123,12 +123,14 @@ class CatalysisScenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CatalysisScenario":
-        from .serialize import check_keys, matrices_from_json, matrix_from_json
+        from .serialize import (check_keys, int_from_json, matrices_from_json, matrix_from_json,
+                                tolerance_from_json)
         check_keys(obj, ["unitary", "rho_s", "rho_s_out", "sigma_c",
                          "gens_s_in", "gens_s_out", "gens_c"],
                    optional=["tolerances", "seed"], where="scenario")
         tols = obj.get("tolerances", {})
         check_keys(tols, [], optional=["admissibility", "intertwiner"], where="scenario.tolerances")
+        tols = {k: tolerance_from_json(v, f"scenario.tolerances.{k}") for k, v in tols.items()}
         def gens(key):
             if not isinstance(obj[key], list):
                 raise DomainError(f"scenario.{key} must be a list")
@@ -141,7 +143,7 @@ class CatalysisScenario:
             gens_s_in=gens("gens_s_in"), gens_s_out=gens("gens_s_out"), gens_c=gens("gens_c"),
             admissibility_tol=tols.get("admissibility", ADMISSIBILITY_TOL),
             intertwiner_tol=tols.get("intertwiner", INTERTWINER_TOL),
-            seed=obj.get("seed"),
+            seed=None if obj.get("seed") is None else int_from_json(obj["seed"], "seed", 0),
         )
 
 

@@ -6,8 +6,8 @@ Conventions
 * The Choi matrix is unnormalized and ordered output-first:
   ``J(T) = sum_ij T(E_ij) (x) E_ij``. The identity channel on dimension d has
   Choi ``d |Omega><Omega|``.
-* Superoperators use row-major vectorization, ``vec(K rho K^dag) =
-  (K (x) conj(K)) vec(rho)``.
+* Vectorization is row-major, ``vec(A K B) = (A (x) B^T) vec(K)``; the Choi
+  matrix is ``V V^dag`` with one column ``vec(K)`` of V per Kraus operator.
 * Composite systems are ordered system-first: a channel "on SC" acts on
   ``d_S * d_C`` with S owning the outer indices. Dilation unitaries place the
   environment last, ``U`` on S (x) E, unless noted otherwise.
@@ -97,10 +97,6 @@ class Channel:
             self._choi = j
         return self._choi
 
-    def superoperator(self) -> np.ndarray:
-        """Matrix acting on row-major vectorized operators."""
-        return sum(np.kron(k, k.conj()) for k in self.kraus)
-
     def __repr__(self):
         return f"Channel(d_in={self.d_in}, d_out={self.d_out}, kraus={len(self.kraus)})"
 
@@ -124,11 +120,6 @@ class Channel:
                 k[i, j] = 1.0 / np.sqrt(d)
                 ks.append(k)
         return cls(ks)
-
-    @classmethod
-    def from_choi(cls, j: np.ndarray, d_in: int, d_out: int,
-                  atol: float = CHANNEL_TOL) -> "Channel":
-        return kraus_from_choi(j, d_in, d_out, atol=atol)
 
 
 def kraus_from_choi(j: np.ndarray, d_in: int, d_out: int,
@@ -158,19 +149,21 @@ def kraus_from_choi(j: np.ndarray, d_in: int, d_out: int,
     return Channel(ks, atol=atol)
 
 
+def _compressed(ks: np.ndarray) -> np.ndarray:
+    """Kraus stack ``(r, d_out, d_in)`` cut to at most d_out d_in operators:
+    a thin QR V^dag = Q R gives J = R^dag R, so conj(R) holds Kraus rows."""
+    r, d_out, d_in = ks.shape
+    if r <= d_out * d_in:
+        return ks
+    return np.linalg.qr(ks.reshape(r, -1).conj(), mode="r").conj().reshape(-1, d_out, d_in)
+
+
 def compose(outer: Channel, inner: Channel) -> Channel:
     """Channel composition outer after inner."""
     if inner.d_out != outer.d_in:
         raise DimensionError(f"cannot compose: {inner.d_out} -> {outer.d_in}")
-    ks = [a @ b for a in outer.kraus for b in inner.kraus]
-    if len(ks) > inner.d_out * outer.d_out * 2:
-        # re-extract a minimal Kraus set to keep products from piling up
-        j = np.zeros((outer.d_out * inner.d_in,) * 2, dtype=complex)
-        for k in ks:
-            v = k.reshape(-1)
-            j += np.outer(v, v.conj())
-        return kraus_from_choi(j, inner.d_in, outer.d_out)
-    return Channel(ks)
+    ks = np.stack([a @ b for a in outer.kraus for b in inner.kraus])
+    return Channel(list(_compressed(ks)))
 
 
 def tensor_channels(a: Channel, b: Channel) -> Channel:
@@ -187,27 +180,25 @@ class CovarianceReport:
     worst_violation: float
 
 
-def _adjoint_superop(u: np.ndarray) -> np.ndarray:
-    return np.kron(u, u.conj())
-
-
-def _commutator_superop(x: np.ndarray) -> np.ndarray:
-    d = x.shape[0]
-    eye = np.eye(d)
-    return np.kron(x, eye) - np.kron(eye, x.T)
+def _folded_r(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks [A | B] of the R factor of a thin QR of [vec(first) | vec(second)];
+    Q is an isometry, so ``A B^dag`` keeps the Frobenius norm of ``first second^dag``."""
+    r = len(first)
+    rf = np.linalg.qr(np.concatenate([first, second]).reshape(2 * r, -1).T, mode="r")
+    return rf[:, :r], rf[:, r:]
 
 
 def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> CovarianceReport:
-    """Test the conjugation-commutation identity on a full operator basis.
+    """Test covariance on the Choi matrix J = V V^dag without forming J.
 
-    For finite-group representations this checks, for every group element g,
-    ``T[W_in(g) . W_in(g)^dag] = W_out(g) T[.] W_out(g)^dag`` at the
-    superoperator level (equivalent to checking all d^2 matrix units). For
-    Lie-type symmetries, ``rep_in`` and ``rep_out`` are generator lists and
-    the check is the exact generator-level identity
-    ``T[[X, .]] = [X', T[.]]``.
+    The defect is the largest ``||[J, W_out(g) (x) conj(W_in(g))]||_F`` over
+    group elements g, zero iff ``T[W_in(g) . W_in(g)^dag] = W_out(g) T[.] W_out(g)^dag``,
+    or, for generator lists, the largest ``||[J, X' (x) 1 - 1 (x) X^T]||_F``,
+    zero iff ``T[[X, .]] = [X', T[.]]``. It equals the Frobenius norm of the
+    superoperator commutator (realignment moves entries), so it is never below
+    that commutator's max-norm. Memory is O(d_in d_out r), r <= d_in d_out.
     """
-    s = t.superoperator()
+    ks = _compressed(np.stack(t.kraus))
     worst = 0.0
     if isinstance(rep_in, FiniteGroupRep) or isinstance(rep_out, FiniteGroupRep):
         if not (isinstance(rep_in, FiniteGroupRep) and isinstance(rep_out, FiniteGroupRep)):
@@ -215,9 +206,9 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
         if rep_in.dim != t.d_in or rep_out.dim != t.d_out:
             raise DimensionError("representation dims do not match channel dims")
         for w_in, w_out in zip(rep_in.images, rep_out.images):
-            lhs = s @ _adjoint_superop(w_in)
-            rhs = _adjoint_superop(w_out) @ s
-            worst = max(worst, max_norm(lhs - rhs))
+            # U J U^dag - J = [UV | V] diag(1, -1) [UV | V]^dag, U unitary
+            a, b = _folded_r(w_out @ ks @ w_in.conj().T, ks)
+            worst = max(worst, float(np.linalg.norm(a @ a.conj().T - b @ b.conj().T)))
     else:
         gens_in = [require_hermitian(g) for g in rep_in]
         gens_out = [require_hermitian(g) for g in rep_out]
@@ -226,9 +217,10 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
         for x_in, x_out in zip(gens_in, gens_out):
             if x_in.shape[0] != t.d_in or x_out.shape[0] != t.d_out:
                 raise DimensionError("generator dims do not match channel dims")
-            lhs = s @ _commutator_superop(x_in)
-            rhs = _commutator_superop(x_out) @ s
-            worst = max(worst, max_norm(lhs - rhs))
+            # [G, J] = (GV) V^dag - V (GV)^dag, G Hermitian
+            a, b = _folded_r(x_out @ ks - ks @ x_in, ks)
+            m = a @ b.conj().T
+            worst = max(worst, float(np.linalg.norm(m - m.conj().T)))
     return CovarianceReport(covariant=worst <= tol, worst_violation=worst)
 
 

@@ -45,14 +45,17 @@ from .serialize import (
     channel_from_json,
     check_keys,
     dump_json,
+    int_from_json,
     load_json,
     matrices_from_json,
     matrix_from_json,
     rep_from_json,
+    tolerance_from_json,
     write_json_atomic,
     write_text_atomic,
 )
-from .symmetry import FiniteGroup, FiniteGroupRep, left_regular_representation, tensor_rep
+from .symmetry import (FiniteGroup, FiniteGroupRep, left_regular_representation,
+                       standard_representation, tensor_rep)
 from .words import (
     EquivalenceConfig,
     find_simultaneous_unitary,
@@ -98,11 +101,12 @@ def _cmd_wiegmann_equiv(args) -> tuple[dict, bool, bool]:
     check_keys(cfg_obj, [], optional=["max_length", "max_exponent", "num_random_words",
                                      "seed", "tol"], where="config")
     config = EquivalenceConfig(
-        max_length=cfg_obj.get("max_length", 6),
-        max_exponent=cfg_obj.get("max_exponent", 3),
-        num_random_words=cfg_obj.get("num_random_words", 1000),
-        seed=cfg_obj.get("seed", args.seed),
-        tol=cfg_obj.get("tol", args.tol),
+        max_length=int_from_json(cfg_obj.get("max_length", 6), "config.max_length", 0),
+        max_exponent=int_from_json(cfg_obj.get("max_exponent", 3), "config.max_exponent"),
+        num_random_words=int_from_json(cfg_obj.get("num_random_words", 1000),
+                                       "config.num_random_words", 0),
+        seed=int_from_json(cfg_obj.get("seed", args.seed), "config.seed", 0),
+        tol=tolerance_from_json(cfg_obj.get("tol", args.tol), "config.tol"),
     )
     verdict = wiegmann_equivalent(tuple_a, tuple_b, config)
     conclusive = verdict.verdict != "inconclusive"  # a non-finite trace decides nothing
@@ -165,10 +169,9 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
 
 
 def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
-    n_values = [int(tok) for tok in args.levels_list.split(",") if tok]
-    if not n_values:
+    if not args.levels_list:
         raise FormatError("--Ns must list at least one ladder size")
-    rows = degradation_sweep(n_values, args.theta, samples=args.samples, seed=args.seed)
+    rows = degradation_sweep(args.levels_list, args.theta, samples=args.samples, seed=args.seed)
     csv_text = sweep_to_csv(rows)
     if args.output:
         write_text_atomic(args.output, csv_text)
@@ -223,14 +226,11 @@ def _cmd_demo_finite_group(args) -> tuple[dict, bool, bool]:
     rng = np.random.default_rng(args.seed)
     payload = {}
     passed = True
-    for label, group, images in (
-        ("Z2", FiniteGroup.cyclic(2),
-         [np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)]),
-        ("S3", FiniteGroup.symmetric(3), None),
+    for label, rep_s in (
+        ("Z2", FiniteGroupRep(FiniteGroup.cyclic(2), [np.eye(2), np.diag([1.0, -1.0])])),
+        ("S3", standard_representation(3)),
     ):
-        if images is None:
-            images = _standard_s3_images(group)
-        rep_s = FiniteGroupRep(group, images)
+        group = rep_s.group
         reg = left_regular_representation(group)
         comp = tensor_rep(rep_s, reg)
         # random target channel via Haar isometry
@@ -269,25 +269,14 @@ def _cmd_demo_finite_group(args) -> tuple[dict, bool, bool]:
     return payload, passed, True
 
 
-def _standard_s3_images(group: FiniteGroup):
-    """Two-dimensional images of S3: permutation matrices restricted to the
-    plane orthogonal to (1, 1, 1), which is invariant under every
-    permutation, so the restriction is an exact homomorphism."""
-    import itertools
-    perms = list(itertools.permutations(range(3)))
-    ones = np.ones((3, 1)) / np.sqrt(3)
-    q, _ = np.linalg.qr(np.concatenate([ones, np.eye(3)[:, :2]], axis=1))
-    plane = q[:, 1:3]
-    images = []
-    for p in perms:
-        perm_matrix = np.zeros((3, 3))
-        for j in range(3):
-            perm_matrix[p[j], j] = 1.0
-        images.append((plane.T @ perm_matrix @ plane).astype(complex))
-    return images
+def _int_at_least(minimum: int):
+    """Argparse type for integers no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        if int(text) < minimum:  # argparse also reports the ValueError of int()
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
-
-TOL_UNSET = -1.0
 
 HANDLERS = {
     "check-covariance": _cmd_check_covariance,
@@ -313,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=needs_input, default=None,
                        help="input problem JSON")
         p.add_argument("--output", default=None, help="report destination")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=TOL_UNSET,
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
+        p.add_argument("--tol", type=float, default=1e-9,
                        help="tolerance override where applicable")
 
     p = sub.add_parser("check-covariance", help="test a channel against representations")
@@ -327,16 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_input=True)
     p = sub.add_parser("recovery-verify", help="back-action bound verification")
     common(p)
-    p.add_argument("--N", dest="levels", type=int, default=8,
+    p.add_argument("--N", dest="levels", type=_int_at_least(1), default=8,
                    help="ladder size for the built-in phase-reference scenario")
     p.add_argument("--theta", type=float, default=np.pi / 2)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
     p = sub.add_parser("refframe-sweep", help="degradation sweep over ladder sizes")
     common(p)
     p.add_argument("--Ns", dest="levels_list", default="2,4,8,16",
+                   type=lambda text: [_int_at_least(1)(tok) for tok in text.split(",") if tok],
                    help="comma-separated ladder sizes")
     p.add_argument("--theta", type=float, default=np.pi / 2)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
     p = sub.add_parser("demo-appendix", help="run the bundled counterexample fixture")
     common(p)
     p = sub.add_parser("demo-finite-group", help="regular-representation constructions")
@@ -347,12 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol == TOL_UNSET:
-        args.tol = 1e-9
     handler = HANDLERS[args.command]
     try:
         result, passed, solver_ok = handler(args)
-    except (FormatError, DomainError, DimensionError, FileNotFoundError) as exc:
+    except (FormatError, DomainError, DimensionError, OSError) as exc:
         report = {"command": args.command, "error": str(exc), "passed": False}
         sys.stderr.write(f"error: {exc}\n")
         if args.output and args.command != "refframe-sweep":

@@ -1,15 +1,17 @@
 """JSON wire formats shared by the library and the CLI.
 
-Matrix payload: ``{"dim": n, "data": [[re, im], ...]}`` with exactly n**2
-entries in row-major order. Readers reject non-square payloads, NaN/Inf
-values and unknown keys (strict parsing catches schema drift early).
+Matrix payload: ``{"dim": n, "data": [[re, im], ...]}`` with n**2 row-major
+entries, or ``{"rows", "cols", "data"}`` when rectangular. The one reader rejects
+strings, booleans, NaN/Inf, wrong counts and unknown keys (strict parsing
+catches schema drift early); callers that need a square matrix check its shape.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import os
+import sys
 import tempfile
 from typing import Any, Mapping, Sequence
 
@@ -36,29 +38,55 @@ def check_keys(obj: Mapping[str, Any], required: Sequence[str],
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise FormatError(f"matrix payloads must be square, got shape {m.shape}")
+    if m.ndim != 2:
+        raise FormatError(f"matrix payloads must be two-dimensional, got shape {m.shape}")
     data = [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
-    return {"dim": int(m.shape[0]), "data": data}
+    if m.shape[0] == m.shape[1]:
+        return {"dim": int(m.shape[0]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+
+
+def int_from_json(value: Any, where: str, minimum: int = 1) -> int:
+    """A JSON integer no smaller than ``minimum``; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise FormatError(f"{where}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def tolerance_from_json(value: Any, where: str) -> float:
+    """A finite, non-negative JSON number; booleans are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= sys.float_info.max):
+        raise FormatError(f"{where}: expected a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def matrix_from_json(obj: Mapping[str, Any], where: str = "matrix") -> np.ndarray:
-    check_keys(obj, ["dim", "data"], where=where)
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim <= 0:
-        raise FormatError(f"{where}: dim must be a positive integer, got {dim!r}")
+    """Read ``{"dim", "data"}`` or, for a rectangular matrix, ``{"rows", "cols", "data"}``."""
+    if isinstance(obj, Mapping) and "rows" in obj:
+        check_keys(obj, ["rows", "cols", "data"], where=where)
+        rows = int_from_json(obj["rows"], f"{where}.rows")
+        cols = int_from_json(obj["cols"], f"{where}.cols")
+    else:
+        check_keys(obj, ["dim", "data"], where=where)
+        rows = cols = int_from_json(obj["dim"], f"{where}.dim")
     data = obj["data"]
-    if not isinstance(data, list) or len(data) != dim * dim:
-        raise FormatError(f"{where}: expected {dim * dim} entries, got {len(data) if isinstance(data, list) else data!r}")
-    out = np.empty(dim * dim, dtype=complex)
-    for i, entry in enumerate(data):
-        if (not isinstance(entry, list)) or len(entry) != 2:
-            raise FormatError(f"{where}: entry {i} is not a [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise FormatError(f"{where}: entry {i} is not finite")
-        out[i] = complex(re, im)
-    return out.reshape(dim, dim)
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise FormatError(f"{where}: expected {rows * cols} entries, got "
+                          f"{len(data) if isinstance(data, list) else data!r}")
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        raise FormatError(f"{where}: entries must be [re, im] pairs")
+    flat = list(itertools.chain.from_iterable(data))
+    # JSON numbers arrive as exactly int or float; bool (an int subclass) is rejected
+    if not set(map(type, flat)) <= {int, float}:
+        raise FormatError(f"{where}: entries must be numbers")
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:  # integer literal beyond the float range
+        values = np.array([np.inf])
+    if not np.isfinite(values).all():
+        raise FormatError(f"{where}: entries must be finite")
+    return values.view(complex).reshape(rows, cols)
 
 
 def matrices_from_json(items: Any, where: str = "matrices") -> list[np.ndarray]:
@@ -77,12 +105,12 @@ def group_to_json(group) -> dict:
 def group_from_json(obj: Mapping[str, Any]):
     from .symmetry import FiniteGroup
     check_keys(obj, ["order", "table"], optional=["labels"], where="group")
-    order = obj["order"]
-    if not isinstance(order, int) or order <= 0:
-        raise FormatError(f"group: order must be a positive integer, got {order!r}")
-    table = np.asarray(obj["table"], dtype=int)
-    if table.shape != (order, order):
-        raise FormatError(f"group: table shape {table.shape} does not match order {order}")
+    order = int_from_json(obj["order"], "group.order")
+    table = obj["table"]
+    if not (isinstance(table, list) and len(table) == order and all(
+            isinstance(row, list) and len(row) == order
+            and all(int_from_json(x, "group.table", 0) < order for x in row) for row in table)):
+        raise FormatError(f"group: table must be {order} rows of {order} element indices")
     labels = obj.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != order):
         raise FormatError("group: labels must list one name per element")
@@ -130,31 +158,7 @@ def lie_symmetry_from_json(obj: Mapping[str, Any]):
 
 def channel_to_json(t) -> dict:
     return {"d_in": int(t.d_in), "d_out": int(t.d_out),
-            "kraus": [matrix_to_json_rect(k) for k in t.kraus]}
-
-
-def matrix_to_json_rect(m: np.ndarray) -> dict:
-    """Kraus operators may be rectangular; serialize with explicit rows/cols."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] == m.shape[1]:
-        return matrix_to_json(m)
-    data = [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
-
-
-def matrix_from_json_rect(obj: Mapping[str, Any], where: str = "matrix") -> np.ndarray:
-    if isinstance(obj, Mapping) and "rows" in obj:
-        check_keys(obj, ["rows", "cols", "data"], where=where)
-        rows, cols = obj["rows"], obj["cols"]
-        flat = np.empty(rows * cols, dtype=complex)
-        if not isinstance(obj["data"], list) or len(obj["data"]) != rows * cols:
-            raise FormatError(f"{where}: expected {rows * cols} entries")
-        for i, entry in enumerate(obj["data"]):
-            flat[i] = complex(float(entry[0]), float(entry[1]))
-        if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
-            raise FormatError(f"{where}: non-finite entry")
-        return flat.reshape(rows, cols)
-    return matrix_from_json(obj, where=where)
+            "kraus": [matrix_to_json(k) for k in t.kraus]}
 
 
 def channel_from_json(obj: Mapping[str, Any]):
@@ -162,8 +166,9 @@ def channel_from_json(obj: Mapping[str, Any]):
     check_keys(obj, ["d_in", "d_out", "kraus"], where="channel")
     if not isinstance(obj["kraus"], list) or not obj["kraus"]:
         raise FormatError("channel: kraus must be a non-empty list")
-    ks = [matrix_from_json_rect(k, where=f"channel.kraus[{i}]") for i, k in enumerate(obj["kraus"])]
-    return Channel(ks, d_in=obj["d_in"], d_out=obj["d_out"])
+    ks = [matrix_from_json(k, f"channel.kraus[{i}]") for i, k in enumerate(obj["kraus"])]
+    return Channel(ks, d_in=int_from_json(obj["d_in"], "channel.d_in"),
+                   d_out=int_from_json(obj["d_out"], "channel.d_out"))
 
 
 def dump_json(payload: Any) -> str:
@@ -193,5 +198,5 @@ def load_json(path: str) -> Any:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc

@@ -263,6 +263,17 @@ def left_regular_representation(group: FiniteGroup) -> FiniteGroupRep:
     return FiniteGroupRep(group, images)
 
 
+def standard_representation(n: int) -> FiniteGroupRep:
+    """``FiniteGroup.symmetric(n)`` on the plane orthogonal to (1, ..., 1), which
+    every permutation matrix leaves invariant (an exact homomorphism)."""
+    ones = np.ones((n, 1)) / np.sqrt(n)
+    q, _ = np.linalg.qr(np.concatenate([ones, np.eye(n)[:, :n - 1]], axis=1))
+    plane = q[:, 1:]
+    images = [(plane.T @ np.eye(n)[:, list(p)] @ plane).astype(complex)
+              for p in itertools.permutations(range(n))]
+    return FiniteGroupRep(FiniteGroup.symmetric(n), images)
+
+
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> FiniteGroupRep:
     return FiniteGroupRep(group, [np.eye(dim, dtype=complex)] * group.order)
 

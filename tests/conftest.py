@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covcat.channels import Channel
+from covcat.symmetry import standard_representation
 
 
 @pytest.fixture
@@ -18,15 +19,4 @@ def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> Channel
 
 def s3_standard_images():
     """S3 as permutation matrices restricted to the plane orthogonal to (1,1,1)."""
-    import itertools
-    perms = list(itertools.permutations(range(3)))
-    ones = np.ones((3, 1)) / np.sqrt(3)
-    q, _ = np.linalg.qr(np.concatenate([ones, np.eye(3)[:, :2]], axis=1))
-    plane = q[:, 1:3]
-    images = []
-    for p in perms:
-        pm = np.zeros((3, 3))
-        for j in range(3):
-            pm[p[j], j] = 1.0
-        images.append((plane.T @ pm @ plane).astype(complex))
-    return images
+    return list(standard_representation(3).images)

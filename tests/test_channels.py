@@ -113,6 +113,103 @@ def test_covariance_closed_under_compose_and_tensor(rng):
     assert is_covariant(both, rep2, rep2).covariant
 
 
+def _dense_choi_commutator(t, rep_in, rep_out):
+    """Oracle: largest Frobenius norm of [J, G] with J and G built densely,
+    plus the largest max-norm of the superoperator commutator."""
+    v = np.stack([k.reshape(-1) for k in t.kraus], axis=1)
+    j = v @ v.conj().T
+    sup = sum(np.kron(k, k.conj()) for k in t.kraus)
+    frob = supmax = scale = 0.0
+    if isinstance(rep_in, sym.FiniteGroupRep):
+        pairs = [(np.kron(w_out, w_in.conj()), np.kron(w_out, w_out.conj()) @ sup
+                  - sup @ np.kron(w_in, w_in.conj()))
+                 for w_in, w_out in zip(rep_in.images, rep_out.images)]
+    else:
+        def ad(x):
+            return np.kron(x, np.eye(len(x))) - np.kron(np.eye(len(x)), x.T)
+        pairs = [(np.kron(x_out, np.eye(t.d_in)) - np.kron(np.eye(t.d_out), x_in.T),
+                  ad(x_out) @ sup - sup @ ad(x_in))
+                 for x_in, x_out in zip(rep_in, rep_out)]
+    for g, sup_comm in pairs:
+        frob = max(frob, np.linalg.norm(g @ j - j @ g))
+        supmax = max(supmax, la.max_norm(sup_comm))
+        scale = max(scale, 2 * np.linalg.norm(j) * np.linalg.norm(g))
+    return frob, supmax, scale
+
+
+def _mix(t, other, eps):
+    """Kraus form of (1 - eps) t + eps other."""
+    return Channel([np.sqrt(1 - eps) * k for k in t.kraus]
+                   + [np.sqrt(eps) * k for k in other.kraus])
+
+
+def _u1_covariant_channel(d, rng):
+    """Twirl over Z_(2d-1) generated by exp(2 pi i n / (2d-1)): no two charge
+    differences of a d-level ladder agree modulo 2d-1, so the result is
+    covariant under the number operator n itself."""
+    n = 2 * d - 1
+    charges = np.arange(d)
+    rep = sym.FiniteGroupRep(sym.FiniteGroup.cyclic(n),
+                             [np.diag(np.exp(2j * np.pi * g * charges / n)) for g in range(n)])
+    return twirl(random_channel(d, 2, rng), rep, rep), np.diag(charges.astype(float))
+
+
+def _check_against_oracle(t, rep_in, rep_out):
+    fast = is_covariant(t, rep_in, rep_out).worst_violation
+    frob, supmax, scale = _dense_choi_commutator(t, rep_in, rep_out)
+    assert abs(fast - frob) <= 1e-12 * scale
+    assert fast >= supmax - 1e-12 * scale  # never below the old max-norm defect
+    return fast
+
+
+@pytest.mark.parametrize("d, rank", [(2, 6), (3, 3), (5, 3), (8, 3), (16, 3)])
+def test_generator_covariance_matches_dense_oracle(d, rank, rng):
+    t = random_channel(d, rank, rng)  # rank 6 > d^2 takes the compression path
+    x_in, x_out = la.random_hermitian(d, rng), la.random_hermitian(d, rng)
+    assert _check_against_oracle(t, [x_in, x_out], [x_out, x_in]) > 1e-3
+    cov, number = _u1_covariant_channel(d, rng)
+    assert _check_against_oracle(cov, [number], [number]) <= 1e-12 * d ** 2
+    assert is_covariant(cov, [number], [number], tol=1e-9).covariant
+    perturbed = _mix(cov, random_channel(d, 2, rng), 1e-6)
+    fast = _check_against_oracle(perturbed, [number], [number])
+    assert fast >= 1e-7
+    assert not is_covariant(perturbed, [number], [number], tol=1e-9).covariant
+
+
+def test_rectangular_generator_covariance_matches_dense_oracle(rng):
+    g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    q, _ = np.linalg.qr(g)
+    t = Channel([q[:3], q[3:]])  # 2 -> 3
+    _check_against_oracle(t, [la.random_hermitian(2, rng)], [la.random_hermitian(3, rng)])
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_group_covariance_matches_dense_oracle(order, rng):
+    rep = sym.left_regular_representation(sym.FiniteGroup.cyclic(order))
+    raw = random_channel(order, 3, rng)
+    assert _check_against_oracle(raw, rep, rep) > 1e-3
+    cov = twirl(raw, rep, rep)
+    assert _check_against_oracle(cov, rep, rep) <= 1e-12 * order
+    perturbed = _mix(cov, random_channel(order, 2, rng), 1e-6)
+    assert _check_against_oracle(perturbed, rep, rep) >= 1e-7
+    assert not is_covariant(perturbed, rep, rep, tol=1e-9).covariant
+
+
+def test_s3_twirl_with_more_kraus_than_choi_dim_matches_oracle(rng):
+    from conftest import s3_standard_images
+    rep = sym.FiniteGroupRep(sym.FiniteGroup.symmetric(3), s3_standard_images())
+    raw = random_channel(2, 2, rng)
+    assert _check_against_oracle(raw, rep, rep) > 1e-3
+    cov = twirl(raw, rep, rep)
+    assert len(cov.kraus) > 4  # compressed to d_in d_out columns first
+    assert _check_against_oracle(cov, rep, rep) <= 1e-13
+    for eps in (1e-6, 1e-3):
+        perturbed = _mix(cov, random_channel(2, 3, rng), eps)
+        assert len(perturbed.kraus) > 4
+        assert _check_against_oracle(perturbed, rep, rep) >= 0.1 * eps
+        assert not is_covariant(perturbed, rep, rep, tol=1e-9).covariant
+
+
 def test_hs_dual_unitary_is_inverse(rng):
     u = la.random_unitary(3, rng)
     dual = hs_dual(Channel.from_unitary(u))

@@ -160,6 +160,14 @@ def test_recovery_verify_builtin(tmp_path):
     assert res["worst_distance"] <= res["bound"] + 1e-5
 
 
+def test_recovery_verify_large_ladder(tmp_path):
+    # d = 128 on S (x) C: a dense superoperator would hold 128^4 entries
+    out = str(tmp_path / "rec64.json")
+    assert run_cli(["recovery-verify", "--N", "64", "--output", out]) == 0
+    res = read_report(out)["result"]["report"]
+    assert res["passed"] and res["covariance_defect"] <= 1e-9
+
+
 def test_refframe_sweep_csv(tmp_path):
     out = str(tmp_path / "sweep.csv")
     code = run_cli(["refframe-sweep", "--Ns", "2,4", "--theta", "1.5707963",

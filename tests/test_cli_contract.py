@@ -1,0 +1,189 @@
+"""Exit-code contract of the CLI: any input file exits 0, 1, 2 or 3 and never
+escapes with an exception (which would print a traceback)."""
+
+import json
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from covcat import serialize as ser
+from covcat.catalysis import generate_admissible_scenario
+from covcat.cli import main
+from covcat.refframe import phase_reference_scenario
+
+SZ = np.diag([1.0, -1.0])
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+FRAME = phase_reference_scenario(2, np.pi / 2)
+
+# One well-formed problem per command; the fuzz replaces one subtree of it.
+TEMPLATES = {
+    "check-covariance": {
+        # trace channel 2 -> 1 with rectangular Kraus rows, covariant
+        "channel": {"d_in": 2, "d_out": 1,
+                    "kraus": [ser.matrix_to_json(np.array([[1.0, 0.0]])),
+                              ser.matrix_to_json(np.array([[0.0, 1.0]]))]},
+        "rep_in": {"type": "lie", "generators": [ser.matrix_to_json(SZ)]},
+        "rep_out": {"type": "lie", "generators": [ser.matrix_to_json(np.zeros((1, 1)))]},
+    },
+    "check-covariance-finite": {
+        "channel": {"d_in": 2, "d_out": 2, "kraus": [ser.matrix_to_json(SZ)]},
+        "rep_in": {"type": "finite", "group": {"order": 2, "table": [[0, 1], [1, 0]]},
+                   "images": [ser.matrix_to_json(np.eye(2)), ser.matrix_to_json(SZ)]},
+        "rep_out": {"type": "finite", "group": {"order": 2, "table": [[0, 1], [1, 0]]},
+                    "images": [ser.matrix_to_json(np.eye(2)), ser.matrix_to_json(SZ)]},
+    },
+    "catalysis-verify": generate_admissible_scenario(2, 2, 1, seed=3).to_json(),
+    "recovery-verify": {
+        "unitary": ser.matrix_to_json(FRAME.unitary),
+        "sigma_c": ser.matrix_to_json(FRAME.sigma_c),
+        "target": ser.matrix_to_json(FRAME.target),
+        "gens_s": [ser.matrix_to_json(g) for g in FRAME.gens_s],
+        "gens_c": [ser.matrix_to_json(g) for g in FRAME.gens_c],
+    },
+    # The two tuples differ in Tr(x0), the first word, so a mutated config of
+    # any size still decides at once.
+    "wiegmann-equiv": {
+        "tuple_a": [ser.matrix_to_json(SZ), ser.matrix_to_json(SX)],
+        "tuple_b": [ser.matrix_to_json(SZ + np.eye(2)), ser.matrix_to_json(SX)],
+        "config": {"max_length": 2, "max_exponent": 2, "num_random_words": 3,
+                   "seed": 0, "tol": 1e-9},
+    },
+}
+COMMANDS = ["check-covariance", "catalysis-verify", "wiegmann-equiv", "recovery-verify"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(node))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def _run(command, text, capsys):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    with os.fdopen(fd, "w") as fh:
+        fh.write(text)
+    try:
+        code = main([command, "--input", path, "--output", path + ".out"]
+                    + (["--samples", "2"] if command == "recovery-verify" else []))
+    finally:
+        for p in (path, path + ".out"):
+            if os.path.exists(p):
+                os.unlink(p)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    return code
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_templates_are_well_formed(name, capsys):
+    command = name.replace("-finite", "")
+    assert _run(command, json.dumps(TEMPLATES[name]), capsys) in (0, 1)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(COMMANDS), payload=json_values)
+def test_arbitrary_json_keeps_exit_contract(command, payload, capsys):
+    _run(command, json.dumps(payload), capsys)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), value=json_values)
+def test_mutated_problem_keeps_exit_contract(data, value, capsys):
+    name = data.draw(st.sampled_from(sorted(TEMPLATES)))
+    template = TEMPLATES[name]
+    path = data.draw(st.sampled_from(list(_paths(template))))
+    _run(name.replace("-finite", ""), json.dumps(_replace(template, path, value)), capsys)
+
+
+# first matrix payload of each command's template
+MATRIX_SLOTS = {"check-covariance": ("channel", "kraus", 0),
+                "catalysis-verify": ("unitary",),
+                "recovery-verify": ("target",),
+                "wiegmann-equiv": ("tuple_a", 0)}
+MALFORMED_MATRICES = {
+    "string-entry": {"dim": 1, "data": [["a", 0]]},
+    "bool-dim": {"dim": True, "data": [[1.0, 0.0]]},
+    "bool-entry": {"dim": 1, "data": [[True, 0.0]]},
+    "huge-int-entry": {"dim": 1, "data": [[10 ** 400, 0.0]]},
+    "rect-short-entry": {"rows": 1, "cols": 2, "data": [[1], [0]]},
+    "rect-string-rows": {"rows": "3", "cols": 1, "data": [[1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", sorted(MALFORMED_MATRICES))
+def test_malformed_matrix_exits_2(command, name, capsys):
+    problem = _replace(TEMPLATES[command], MATRIX_SLOTS[command], MALFORMED_MATRICES[name])
+    assert _run(command, json.dumps(problem), capsys) == 2
+
+
+@pytest.mark.parametrize("command", ["catalysis-verify", "recovery-verify", "wiegmann-equiv"])
+def test_rectangular_matrix_in_square_slot_exits_2(command, capsys):
+    rect = ser.matrix_to_json(np.ones((2, 3)))
+    problem = _replace(TEMPLATES[command], MATRIX_SLOTS[command], rect)
+    assert _run(command, json.dumps(problem), capsys) == 2
+
+
+def test_directory_input_exits_2(tmp_path, capsys):
+    for command in COMMANDS:
+        assert main([command, "--input", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["recovery-verify", "--samples", "0"],
+    ["recovery-verify", "--N", "0"],
+    ["refframe-sweep", "--samples", "-3"],
+    ["recovery-verify", "--seed", "-1"],
+])
+def test_numeric_arguments_rejected_by_parser(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_non_integer_argument_rejected_by_parser():
+    with pytest.raises(SystemExit) as info:
+        main(["recovery-verify", "--N", "two"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("levels", ["2,x", "0", "4,-2"])
+def test_bad_ladder_list_rejected_by_parser(levels):
+    with pytest.raises(SystemExit) as info:
+        main(["refframe-sweep", "--Ns", levels, "--samples", "2"])
+    assert info.value.code == 2
+
+
+def test_empty_ladder_list_exits_2(capsys):
+    assert main(["refframe-sweep", "--Ns", ",", "--samples", "2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -32,6 +32,42 @@ def test_matrix_rejects_bad_payloads():
         ser.matrix_from_json({"dim": 1, "data": [[float("inf"), 0.0]]})
 
 
+@pytest.mark.parametrize("payload", [
+    {"dim": 1, "data": [["a", 0]]},          # string entry
+    {"dim": 1, "data": [["1.0", 0]]},        # numeric-looking string
+    {"dim": 1, "data": [[True, 0]]},         # boolean entry
+    {"dim": True, "data": [[1.0, 0.0]]},     # boolean dim
+    {"dim": 1.0, "data": [[1.0, 0.0]]},      # float dim
+    {"dim": 1, "data": [[10 ** 400, 0]]},    # beyond the float range
+    {"dim": 1, "data": [[1.0, None]]},
+])
+def test_matrix_rejects_non_numeric_and_boolean_values(payload):
+    with pytest.raises(ser.FormatError):
+        ser.matrix_from_json(payload)
+    with pytest.raises(ser.FormatError):
+        ser.matrix_from_json(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"rows": 1, "cols": 2, "data": [[1], [0]]},            # short entries
+    {"rows": "1", "cols": 2, "data": [[1, 0], [0, 0]]},    # string rows
+    {"rows": 1, "cols": True, "data": [[1, 0]]},           # boolean cols
+    {"rows": 1, "cols": 2, "data": [[1, 0]]},              # wrong count
+    {"rows": 1, "cols": 2, "data": [[1, 0], ["x", 0]]},
+    {"rows": 1, "data": [[1, 0]]},                         # missing cols
+])
+def test_rectangular_matrix_rejects_bad_payloads(payload):
+    with pytest.raises(ser.FormatError):
+        ser.matrix_from_json(payload)
+
+
+def test_rectangular_matrix_round_trip(rng):
+    m = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    payload = ser.matrix_to_json(m)
+    assert set(payload) == {"rows", "cols", "data"}
+    np.testing.assert_array_equal(ser.matrix_from_json(payload), m)
+
+
 def test_group_and_rep_round_trip():
     g = sym.FiniteGroup.symmetric(3)
     back = ser.group_from_json(ser.group_to_json(g))
