@@ -24,9 +24,7 @@ from .linalg import (
 from .symmetry import (
     FiniteGroup,
     FiniteGroupRep,
-    LieSymmetry,
     asymmetry_profile,
-    compose_generators,
     gibbs_operator,
     gibbs_state,
     is_symmetric_state,

@@ -346,20 +346,9 @@ class DilationSpec:
         return permute_factors(self.unitary, [self.d_s, self.d_e], [1, 0])
 
 
-def dilation_to_channel(spec: DilationSpec, atol: float = CHANNEL_TOL) -> Channel:
+def dilation_to_channel(spec: DilationSpec) -> Channel:
     """Kraus form of a dilation: K_{k,j} = sqrt(w_j) (1 (x) <e_k|) U (1 (x) |f_j>)."""
-    u = spec.unitary_env_last()
-    w, v = np.linalg.eigh(spec.omega_e)
-    ub = u.reshape(spec.d_s, spec.d_e, spec.d_s, spec.d_e)
-    ks = []
-    for j in range(spec.d_e):
-        if w[j] <= 1e-15:
-            continue
-        amp = np.sqrt(w[j])
-        block = np.einsum("albn,n->lab", ub, v[:, j])
-        for k_idx in range(spec.d_e):
-            ks.append(amp * block[k_idx])
-    return Channel(ks, atol=atol)
+    return induced_channel(Channel([spec.unitary_env_last()]), spec.omega_e, spec.d_s, spec.d_e)
 
 
 @dataclass(frozen=True)

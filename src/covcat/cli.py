@@ -341,28 +341,31 @@ def main(argv=None) -> int:
     try:
         result, passed, solver_ok = handler(args)
     except (FormatError, DomainError, DimensionError, OSError) as exc:
-        report = {"command": args.command, "error": str(exc), "passed": False}
         sys.stderr.write(f"error: {exc}\n")
+        report = {"command": args.command, "error": str(exc), "passed": False}
+        status = EXIT_MALFORMED_INPUT
+    else:
+        report = {
+            "command": args.command,
+            "config": {"input": args.input, "seed": args.seed, "tol": args.tol},
+            "result": result,
+            "passed": passed,
+            "metadata": {"timestamp_utc": datetime.now(timezone.utc).isoformat(),
+                         "version": __version__},
+        }
+        if not solver_ok:
+            status = EXIT_SOLVER  # bounded/uncertified result is still emitted
+        else:
+            status = EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+    try:
         if args.output and args.command != "refframe-sweep":
             write_json_atomic(args.output, report)
+        elif not args.output and status != EXIT_MALFORMED_INPUT:
+            sys.stdout.write(dump_json(report))
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_MALFORMED_INPUT
-    report = {
-        "command": args.command,
-        "config": {"input": args.input, "seed": args.seed, "tol": args.tol},
-        "result": result,
-        "passed": passed,
-        "metadata": {"timestamp_utc": datetime.now(timezone.utc).isoformat(),
-                     "version": __version__},
-    }
-    if args.output and args.command != "refframe-sweep":
-        write_json_atomic(args.output, report)
-    elif not args.output:
-        sys.stdout.write(dump_json(report))
-    if not solver_ok:
-        return EXIT_SOLVER  # bounded/uncertified result was still emitted
-    if not passed:
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK
+    return status
 
 
 if __name__ == "__main__":

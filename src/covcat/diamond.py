@@ -21,6 +21,18 @@ cones. Progress is certified from the iterates themselves:
 so the reported value is always bracketed by a certified interval. If the
 iteration cap is reached before the bracket closes, the result carries status
 ``"bounds"`` instead of a silently inaccurate number.
+
+Each Hermitian block X of the iterate is stored as the real matrix
+``R(X) = Re X + Im X``: its symmetric part is Re X, its antisymmetric part
+Im X. R maps the Hermitian n x n matrices onto all real n x n matrices and
+preserves the Frobenius inner product, ``<R(X), R(Y)> = Tr(XY)``. It commutes
+with ``1 (x) .``, with ``Tr_1`` and with the trace, so the constraint matrix A
+is real and built directly from identities, the embedding ``r -> 1 (x) r`` and
+its transpose, the partial trace. Any other orthonormal real coordinates of
+the Hermitian matrices differ from these by an orthogonal change of basis,
+which the affine projection ``x - A^T (A A^T)^-1 (A x - b)`` and the PSD
+projection both commute with; the iterates are the same in either. The
+inverse Gram matrix is formed once per program.
 """
 
 from __future__ import annotations
@@ -52,34 +64,16 @@ class DiamondResult:
                 "upper": self.upper, "iterations": self.iterations}
 
 
-# -- real parameterization of Hermitian matrices ----------------------------
+# -- real storage of Hermitian blocks ---------------------------------------
 
-def _herm_to_vec(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([
-        np.real(np.diag(m)),
-        np.sqrt(2.0) * np.real(m[iu]),
-        np.sqrt(2.0) * np.imag(m[iu]),
-    ])
+def _real(m: np.ndarray) -> np.ndarray:
+    """R(X) = Re X + Im X: symmetric part Re X, antisymmetric part Im X."""
+    return m.real + m.imag
 
 
-def _vec_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    k = n * (n - 1) // 2
-    m = np.zeros((n, n), dtype=complex)
-    m[np.diag_indices(n)] = v[:n]
-    m[iu] = (v[n:n + k] + 1j * v[n + k:n + 2 * k]) / np.sqrt(2.0)
-    return m + np.triu(m, 1).conj().T
-
-
-def _linear_map_matrix(fun, n_in: int, n_out: int) -> np.ndarray:
-    cols = []
-    for i in range(n_in * n_in):
-        e = np.zeros(n_in * n_in)
-        e[i] = 1.0
-        cols.append(_herm_to_vec(fun(_vec_to_herm(e, n_in))))
-    return np.array(cols).T
+def _herm(r: np.ndarray) -> np.ndarray:
+    """The Hermitian X with R(X) = r, for any real square r."""
+    return (r + r.T) / 2 + 0.5j * (r - r.T)
 
 
 def _psd_part(m: np.ndarray) -> np.ndarray:
@@ -99,71 +93,64 @@ class _DiamondProgram:
         self.j = j
         self.d = d
         dd = d * d
-        n_big, n_small = dd * dd, d * d
-        # variable layout: W | Q | rho | Zp | Z0 | S | lam
-        self.off = {
-            "W": 0, "Q": n_big, "rho": 2 * n_big,
-            "Zp": 2 * n_big + n_small, "Z0": 3 * n_big + n_small,
-            "S": 4 * n_big + n_small, "lam": 4 * n_big + 2 * n_small,
-        }
-        self.cones = (("W", dd), ("Q", dd), ("rho", d), ("Zp", dd), ("Z0", dd), ("S", d))
-        nv = 4 * n_big + 2 * n_small + 1
-        k_embed = _linear_map_matrix(lambda r: np.kron(np.eye(d), r), d, dd)
-        k_trace = _linear_map_matrix(lambda z: _trace_out_first(z, d), dd, d)
-        vj = _herm_to_vec(j)
-        vid = _herm_to_vec(np.eye(d))
-        rows = n_big + 1 + n_big + n_small + 1
-        a = np.zeros((rows, nv))
-        b = np.zeros(rows)
-        r = 0
+        n_big = dd * dd
+        # variable layout: W | Q | rho | Zp | Z0 | S | lam, block X stored as vec R(X)
+        self.dims = {"W": dd, "Q": dd, "rho": d, "Zp": dd, "Z0": dd, "S": d}
+        self.slices, start = {}, 0
+        for name, n in self.dims.items():
+            self.slices[name] = slice(start, start + n * n)
+            start += n * n
+        lam = start
+        self.nv = lam + 1
+        s = self.slices
+        eye = np.eye(d)
+        # vec(1 (x) r) = embed @ vec(r); its transpose is the partial trace Tr_1
+        embed = np.einsum("ab,ik,jl->aibjkl", eye, eye, eye).reshape(n_big, dd)
+        vj = _real(j).ravel()
+        primal, dual = slice(0, n_big), slice(n_big + 1, 2 * n_big + 1)
+        marginal = slice(2 * n_big + 1, 2 * n_big + 1 + dd)
+        a = np.zeros((2 * n_big + dd + 2, self.nv))
+        b = np.zeros(a.shape[0])
         # primal feasibility: W + Q = 1 (x) rho, Tr rho = 1
-        a[r:r + n_big, self.off["W"]:self.off["W"] + n_big] = np.eye(n_big)
-        a[r:r + n_big, self.off["Q"]:self.off["Q"] + n_big] = np.eye(n_big)
-        a[r:r + n_big, self.off["rho"]:self.off["rho"] + n_small] = -k_embed
-        r += n_big
-        a[r, self.off["rho"]:self.off["rho"] + d] = 1.0
-        b[r] = 1.0
-        r += 1
+        a[primal, s["W"]] = np.eye(n_big)
+        a[primal, s["Q"]] = np.eye(n_big)
+        a[primal, s["rho"]] = -embed
+        a[n_big, s["rho"]] = eye.ravel()
+        b[n_big] = 1.0
         # dual feasibility: Z0 - Zp = 2J  (Z0 >= 0 and Z0 >= 2J), Tr_out Z0 + S = lam 1
-        a[r:r + n_big, self.off["Z0"]:self.off["Z0"] + n_big] = np.eye(n_big)
-        a[r:r + n_big, self.off["Zp"]:self.off["Zp"] + n_big] = -np.eye(n_big)
-        b[r:r + n_big] = 2.0 * vj
-        r += n_big
-        a[r:r + n_small, self.off["Z0"]:self.off["Z0"] + n_big] = k_trace
-        a[r:r + n_small, self.off["S"]:self.off["S"] + n_small] = np.eye(n_small)
-        a[r:r + n_small, self.off["lam"]] = -vid
-        r += n_small
+        a[dual, s["Z0"]] = np.eye(n_big)
+        a[dual, s["Zp"]] = -np.eye(n_big)
+        b[dual] = 2.0 * vj
+        a[marginal, s["Z0"]] = embed.T
+        a[marginal, s["S"]] = np.eye(dd)
+        a[marginal, lam] = -eye.ravel()
         # zero duality gap: 2 <J, W> = lam
-        a[r, self.off["W"]:self.off["W"] + n_big] = 2.0 * vj
-        a[r, self.off["lam"]] = -1.0
+        a[-1, s["W"]] = 2.0 * vj
+        a[-1, lam] = -1.0
         self.a = a
         self.b = b
-        self.nv = nv
         gram = a @ a.T
-        self._chol = np.linalg.cholesky(gram + 1e-13 * np.eye(rows))
+        gram[np.diag_indices_from(gram)] += 1e-13
+        self._gram_inv = np.linalg.inv(gram)
 
     def project_affine(self, x: np.ndarray) -> np.ndarray:
-        resid = self.a @ x - self.b
-        y = np.linalg.solve(self._chol, resid)
-        return x - self.a.T @ np.linalg.solve(self._chol.T, y)
+        return x - (self._gram_inv @ (self.a @ x - self.b)) @ self.a
 
     def project_cones(self, x: np.ndarray) -> np.ndarray:
         out = x.copy()
-        for name, n in self.cones:
-            o = self.off[name]
-            out[o:o + n * n] = _herm_to_vec(_psd_part(_vec_to_herm(x[o:o + n * n], n)))
+        for name in self.dims:
+            out[self.slices[name]] = _real(_psd_part(self.block(x, name))).ravel()
         return out
 
-    def block(self, x: np.ndarray, name: str, n: int) -> np.ndarray:
-        o = self.off[name]
-        return _vec_to_herm(x[o:o + n * n], n)
+    def block(self, x: np.ndarray, name: str) -> np.ndarray:
+        n = self.dims[name]
+        return _herm(x[self.slices[name]].reshape(n, n))
 
     def initial_point(self) -> np.ndarray:
         x = np.zeros(self.nv)
-        d = self.d
-        rho = np.eye(d) / d
-        x[self.off["rho"]:self.off["rho"] + d * d] = _herm_to_vec(rho)
-        x[self.off["Q"]:self.off["Q"] + (d * d) ** 2] = _herm_to_vec(np.kron(np.eye(d), rho))
+        rho = np.eye(self.d) / self.d
+        x[self.slices["rho"]] = rho.ravel()
+        x[self.slices["Q"]] = np.kron(np.eye(self.d), rho).ravel()
         return x
 
     # -- certified bracket ---------------------------------------------------
@@ -188,8 +175,7 @@ class _DiamondProgram:
 
 
 def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_GAP_TOL,
-                               max_iter: int = DEFAULT_MAX_ITER,
-                               over_relaxation: float = OVER_RELAXATION) -> DiamondResult:
+                               max_iter: int = DEFAULT_MAX_ITER) -> DiamondResult:
     """Diamond norm of a Hermitian-preserving difference of channels on dim d.
 
     ``j`` is the Choi difference; it must be Hermitian with vanishing output
@@ -214,12 +200,12 @@ def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_G
     while it < max_iter:
         x = prog.project_cones(z)
         y = prog.project_affine(2.0 * x - z)
-        z = z + over_relaxation * (y - x)
+        z = z + OVER_RELAXATION * (y - x)
         it += 1
         if it >= next_check or it == max_iter:
             next_check = it + min(250, max(25, it // 2))
-            best_low = max(best_low, prog.primal_value(prog.block(x, "rho", d)))
-            best_up = min(best_up, prog.dual_value(prog.block(x, "Zp", d * d)))
+            best_low = max(best_low, prog.primal_value(prog.block(x, "rho")))
+            best_up = min(best_up, prog.dual_value(prog.block(x, "Zp")))
             if best_up - best_low <= gap_tol:
                 return DiamondResult(value=(best_up + best_low) / 2, status="converged",
                                      lower=best_low, upper=best_up, iterations=it)

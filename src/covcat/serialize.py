@@ -132,30 +132,6 @@ def rep_from_json(obj: Mapping[str, Any]):
     return FiniteGroupRep(group, images)
 
 
-def lie_symmetry_to_json(sym) -> dict:
-    systems = {}
-    for label, gens in sym.systems.items():
-        systems[label] = {"dim": int(gens[0].shape[0]),
-                          "generators": [matrix_to_json(g) for g in gens]}
-    return {"systems": systems}
-
-
-def lie_symmetry_from_json(obj: Mapping[str, Any]):
-    from .symmetry import LieSymmetry
-    check_keys(obj, ["systems"], where="lie symmetry")
-    if not isinstance(obj["systems"], Mapping) or not obj["systems"]:
-        raise FormatError("lie symmetry: systems must be a non-empty object")
-    systems = {}
-    for label, sysobj in obj["systems"].items():
-        check_keys(sysobj, ["dim", "generators"], where=f"system {label!r}")
-        gens = matrices_from_json(sysobj["generators"], where=f"system {label!r} generators")
-        for g in gens:
-            if g.shape[0] != sysobj["dim"]:
-                raise FormatError(f"system {label!r}: generator dim {g.shape[0]} != declared {sysobj['dim']}")
-        systems[label] = gens
-    return LieSymmetry(systems)
-
-
 def channel_to_json(t) -> dict:
     return {"d_in": int(t.d_in), "d_out": int(t.d_out),
             "kraus": [matrix_to_json(k) for k in t.kraus]}

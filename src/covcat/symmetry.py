@@ -3,8 +3,9 @@
 Two kinds of symmetry data appear throughout the package:
 
 * Lie-type symmetries, handled operationally as a finite list of Hermitian
-  generators per system. Covariance and symmetric-state checks then reduce to
-  finitely many commutator conditions, which is exact.
+  generators per system, passed as plain sequences. Covariance and
+  symmetric-state checks then reduce to finitely many commutator conditions,
+  which is exact.
 * Finite groups, supplied as multiplication tables together with a unitary
   image per element. Only genuine (non-projective) representations are
   accepted; cocycle phases raise an error instead of guessing a convention.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,66 +32,6 @@ from .linalg import (
     tensor,
     trace_distance,
 )
-
-
-# ---------------------------------------------------------------------------
-# Lie-type symmetries: generator lists per system
-# ---------------------------------------------------------------------------
-
-class LieSymmetry:
-    """Hermitian generator basis, one list per registered system label."""
-
-    def __init__(self, systems: Mapping[str, Sequence[np.ndarray]]):
-        cleaned = {}
-        counts = set()
-        for label, gens in systems.items():
-            gens = tuple(require_hermitian(g) for g in gens)
-            dims = {g.shape[0] for g in gens}
-            if len(dims) > 1:
-                raise DimensionError(f"system {label!r}: generators have mixed dims {sorted(dims)}")
-            counts.add(len(gens))
-            cleaned[label] = gens
-        if len(counts) > 1:
-            raise DimensionError(f"generator count differs across systems: {sorted(counts)}")
-        if not cleaned:
-            raise ValueError("LieSymmetry needs at least one system")
-        self.systems = cleaned
-
-    def __repr__(self):
-        return f"LieSymmetry(systems={sorted(self.systems)}, m={self.num_generators})"
-
-    @property
-    def num_generators(self) -> int:
-        return len(next(iter(self.systems.values())))
-
-    def dim(self, label: str) -> int:
-        return self.generators(label)[0].shape[0] if self.generators(label) else 0
-
-    def generators(self, label: str) -> tuple:
-        if label not in self.systems:
-            raise KeyError(f"unknown system label {label!r}; have {sorted(self.systems)}")
-        return self.systems[label]
-
-
-def compose_generators(sym: LieSymmetry, labels: Sequence[str]) -> list[np.ndarray]:
-    """Kronecker-sum generators of a composite system, in the given factor order.
-
-    For each abstract generator the composite representative is
-    ``X_1 (x) 1 (x) ... + 1 (x) X_2 (x) ... + ...``.
-    """
-    if not labels:
-        raise ValueError("need at least one system label")
-    gens_per_system = [sym.generators(lab) for lab in labels]
-    dims = [g[0].shape[0] if g else 1 for g in gens_per_system]
-    total = []
-    for i in range(sym.num_generators):
-        acc = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-        for pos in range(len(labels)):
-            factors = [np.eye(dims[k], dtype=complex) for k in range(len(labels))]
-            factors[pos] = gens_per_system[pos][i]
-            acc += tensor(*factors)
-        total.append(acc)
-    return total
 
 
 def is_symmetric_state(rho: np.ndarray, symmetry, tol: float = STRUCT_TOL) -> tuple[bool, float]:

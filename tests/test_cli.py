@@ -95,6 +95,17 @@ def test_malformed_input_exit_code(tmp_path):
     assert run_cli(["wiegmann-equiv", "--input", str(tmp_path / "missing.json")]) == 2
 
 
+def test_output_into_missing_directory_exits_malformed(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "r.json")
+    assert run_cli(["demo-appendix", "--output", out]) == 2  # success report
+    assert capsys.readouterr().err.startswith("error: ")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert run_cli(["wiegmann-equiv", "--input", str(bad), "--output", out]) == 2  # error report
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert not (tmp_path / "missing").exists()
+
+
 def test_find_intertwiner_and_catalysis_verify(tmp_path):
     sc = generate_admissible_scenario(2, 2, 1, seed=3)
     inp = tmp_path / "scenario.json"

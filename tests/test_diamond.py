@@ -4,6 +4,10 @@ import pytest
 from covcat import linalg as la
 from covcat.channels import Channel, tensor_channels
 from covcat.diamond import (
+    _DiamondProgram,
+    _herm,
+    _real,
+    _trace_out_first,
     diamond_distance,
     diamond_norm_of_difference,
     unitary_diamond_distance,
@@ -44,13 +48,35 @@ def test_identity_vs_depolarizing_qubit(rng):
 
 
 def test_agrees_with_unitary_hull_oracle(rng):
-    for d in (2, 3):
+    for d in (2, 3, 4):
         for _ in range(4):
             u, v = la.random_unitary(d, rng), la.random_unitary(d, rng)
             res = diamond_distance(Channel.from_unitary(u), Channel.from_unitary(v))
             oracle = unitary_diamond_distance(u, v)
             assert res.status == "converged"
             assert abs(res.value - oracle) <= 5e-6
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_real_storage_of_hermitian_blocks(d, rng):
+    r = rng.standard_normal((d * d, d * d))
+    np.testing.assert_allclose(_real(_herm(r)), r, atol=1e-14)
+    x, y = la.random_hermitian(d, rng), la.random_hermitian(d, rng)
+    np.testing.assert_allclose(np.vdot(_real(x), _real(y)), np.trace(x @ y).real, atol=1e-12)
+    np.testing.assert_allclose(_real(np.kron(np.eye(d), x)), np.kron(np.eye(d), _real(x)),
+                               atol=0)
+    z = la.random_hermitian(d * d, rng)
+    np.testing.assert_allclose(_trace_out_first(_real(z), d), _real(_trace_out_first(z, d)),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_projection_is_a_projection(d, rng):
+    t1, t2 = random_channel(d, 2, rng), random_channel(d, 2, rng)
+    prog = _DiamondProgram(t1.choi() - t2.choi(), d)
+    p = prog.project_affine(rng.standard_normal(prog.nv))
+    assert np.abs(prog.a @ p - prog.b).max() <= 1e-10
+    np.testing.assert_allclose(prog.project_affine(p), p, atol=1e-10)
 
 
 def test_unitary_oracle_special_cases():

@@ -232,11 +232,18 @@ def _dilated_scenario(theta=np.pi / 2, n=4, d_e=2, mix=0.6):
         omega_e=omega)
 
 
-def test_dilated_dynamics_pipeline():
+def test_dilated_dynamics_pipeline(rng):
     sc = _dilated_scenario()
     t_prime, report = catalytic_channel(sc, samples=20, seed=3)
     assert report.passed, report.failures
     assert t_prime.d_in == 8  # acts on S (x) C only, environment traced out
+    # apply oracle: T'[x] = Tr_E sum_R (1 (x) R) U (x (x) omega_E) U^dag (1 (x) R)^dag
+    lifted = [la.tensor(np.eye(2), k) for k in recovery_channel(sc).kraus]
+    for x in (la.tensor(la.random_density(2, rng), sc.sigma_c), la.random_density(8, rng)):
+        big = sc.unitary @ la.tensor(x, sc.omega_e) @ sc.unitary.conj().T
+        recovered = sum(k @ big @ k.conj().T for k in lifted)
+        oracle = la.partial_trace(recovered, [8, 2], keep=[0])
+        np.testing.assert_allclose(t_prime.apply(x), oracle, atol=1e-12)
 
 
 def test_purifier_left_untouched(rng):

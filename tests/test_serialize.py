@@ -85,13 +85,6 @@ def test_group_rejects_inconsistent_payload():
         ser.group_from_json({"order": 2, "table": [[0, 1], [1, 0]], "bogus": 1})
 
 
-def test_lie_symmetry_round_trip(rng):
-    lie = sym.LieSymmetry({"S": [la.random_hermitian(2, rng)],
-                           "C": [la.random_hermitian(3, rng)]})
-    back = ser.lie_symmetry_from_json(ser.lie_symmetry_to_json(lie))
-    np.testing.assert_allclose(back.generators("S")[0], lie.generators("S")[0], atol=0)
-
-
 def test_channel_round_trip(rng):
     t = random_channel(3, 2, rng)
     back = ser.channel_from_json(ser.channel_to_json(t))

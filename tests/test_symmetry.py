@@ -13,51 +13,6 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
-# Lie symmetries
-# ---------------------------------------------------------------------------
-
-def test_compose_single_system():
-    lie = sym.LieSymmetry({"S": [SZ]})
-    out = sym.compose_generators(lie, ["S"])
-    np.testing.assert_allclose(out[0], SZ, atol=0)
-
-
-def test_compose_two_qubits_additive_spin():
-    half = SZ / 2
-    lie = sym.LieSymmetry({"A": [half], "B": [half]})
-    out = sym.compose_generators(lie, ["A", "B"])
-    np.testing.assert_allclose(out[0], np.diag([1.0, 0.0, 0.0, -1.0]), atol=1e-15)
-
-
-def test_compose_three_systems_kronecker_sum_oracle(rng):
-    gens = {lab: [la.random_hermitian(d, rng)] for lab, d in (("A", 2), ("B", 3), ("C", 2))}
-    lie = sym.LieSymmetry(gens)
-    out = sym.compose_generators(lie, ["A", "B", "C"])[0]
-    a, b, c = gens["A"][0], gens["B"][0], gens["C"][0]
-    oracle = np.zeros((12, 12), dtype=complex)
-    for i in range(12):
-        for j in range(12):
-            ia, rem_i = divmod(i, 6)
-            ib, ic = divmod(rem_i, 2)
-            ja, rem_j = divmod(j, 6)
-            jb, jc = divmod(rem_j, 2)
-            if ib == jb and ic == jc:
-                oracle[i, j] += a[ia, ja]
-            if ia == ja and ic == jc:
-                oracle[i, j] += b[ib, jb]
-            if ia == ja and ib == jb:
-                oracle[i, j] += c[ic, jc]
-    np.testing.assert_allclose(out, oracle, atol=1e-12)
-
-
-def test_lie_symmetry_validation():
-    with pytest.raises(la.DimensionError):
-        sym.LieSymmetry({"S": [SZ, np.eye(3)]})
-    with pytest.raises(la.DimensionError):
-        sym.LieSymmetry({"S": [SZ], "C": [np.eye(3), np.eye(3)]})
-
-
-# ---------------------------------------------------------------------------
 # symmetric states and Gibbs objects
 # ---------------------------------------------------------------------------
 
