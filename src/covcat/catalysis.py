@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, DilationSpec
+from .channels import Channel, DilationSpec, induced_channel
 from .linalg import (
     DimensionError,
     DomainError,
@@ -428,24 +428,14 @@ def regular_rep_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
     if rep_s.group.order != group.order or not np.array_equal(rep_s.group.table, group.table):
         raise DomainError("rep_s must represent the supplied group")
     n = group.order
-    d_s, d_e = target.d_s, target.d_e
-    v_env_first = target.unitary_env_first()
-    w_env, v_env = np.linalg.eigh(target.omega_e)
     kraus = []
     for y in range(n):
-        w_y = rep_s.images[y]
-        rot = tensor(np.eye(d_e), w_y)
-        v_y = rot @ v_env_first @ rot.conj().T
-        vb = v_y.reshape(d_e, d_s, d_e, d_s)
+        rot = tensor(rep_s.images[y], np.eye(target.d_e))
+        turned = Channel([rot @ target.unitary @ rot.conj().T])
         pointer = np.zeros((n, n), dtype=complex)
         pointer[y, y] = 1.0
-        for k_idx in range(d_e):
-            if w_env[k_idx] <= 1e-15:
-                continue
-            amp = np.sqrt(w_env[k_idx])
-            block = np.einsum("lanb,n->lab", vb, v_env[:, k_idx])
-            for l in range(d_e):
-                kraus.append(tensor(amp * block[l], pointer))
+        kraus += [tensor(k, pointer) for k in
+                  induced_channel(turned, target.omega_e, target.d_s, target.d_e).kraus]
     return Channel(kraus)
 
 

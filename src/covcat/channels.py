@@ -315,15 +315,13 @@ def env_channel(u: np.ndarray, rho_s: np.ndarray, d_s: int, d_c: int) -> Channel
 class DilationSpec:
     """Unitary dilation data: ``T[rho] = Tr_E[U (rho (x) omega_E) U^dag]``.
 
-    ``unitary`` acts on S (x) E with the environment as the trailing factor
-    unless ``env_first`` is set, in which case it acts on E (x) S.
+    ``unitary`` acts on S (x) E with the environment as the trailing factor.
     """
 
     omega_e: np.ndarray
     unitary: np.ndarray
     d_s: int
     d_e: int
-    env_first: bool = False
 
     def __post_init__(self):
         require_density(self.omega_e)
@@ -333,22 +331,10 @@ class DilationSpec:
         if self.unitary.shape[0] != self.d_s * self.d_e:
             raise DimensionError("dilation unitary dim != d_S * d_E")
 
-    def unitary_env_last(self) -> np.ndarray:
-        from .linalg import permute_factors
-        if not self.env_first:
-            return self.unitary
-        return permute_factors(self.unitary, [self.d_e, self.d_s], [1, 0])
-
-    def unitary_env_first(self) -> np.ndarray:
-        from .linalg import permute_factors
-        if self.env_first:
-            return self.unitary
-        return permute_factors(self.unitary, [self.d_s, self.d_e], [1, 0])
-
 
 def dilation_to_channel(spec: DilationSpec) -> Channel:
     """Kraus form of a dilation: K_{k,j} = sqrt(w_j) (1 (x) <e_k|) U (1 (x) |f_j>)."""
-    return induced_channel(Channel([spec.unitary_env_last()]), spec.omega_e, spec.d_s, spec.d_e)
+    return induced_channel(Channel([spec.unitary]), spec.omega_e, spec.d_s, spec.d_e)
 
 
 @dataclass(frozen=True)
@@ -371,7 +357,7 @@ def verify_covariant_dilation(spec: DilationSpec, gens_s: Sequence[np.ndarray],
     the environment state is symmetric; together these certify covariance of
     the dilated channel."""
     from .symmetry import is_symmetric_state
-    u = spec.unitary_env_last()
+    u = spec.unitary
     worst_u = 0.0
     for xs, xe in zip(gens_s, gens_e):
         total = tensor(require_hermitian(xs), np.eye(spec.d_e)) + \

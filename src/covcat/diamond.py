@@ -22,17 +22,16 @@ so the reported value is always bracketed by a certified interval. If the
 iteration cap is reached before the bracket closes, the result carries status
 ``"bounds"`` instead of a silently inaccurate number.
 
-Each Hermitian block X of the iterate is stored as the real matrix
-``R(X) = Re X + Im X``: its symmetric part is Re X, its antisymmetric part
-Im X. R maps the Hermitian n x n matrices onto all real n x n matrices and
-preserves the Frobenius inner product, ``<R(X), R(Y)> = Tr(XY)``. It commutes
-with ``1 (x) .``, with ``Tr_1`` and with the trace, so the constraint matrix A
-is real and built directly from identities, the embedding ``r -> 1 (x) r`` and
-its transpose, the partial trace. Any other orthonormal real coordinates of
-the Hermitian matrices differ from these by an orthogonal change of basis,
-which the affine projection ``x - A^T (A A^T)^-1 (A x - b)`` and the PSD
-projection both commute with; the iterates are the same in either. The
-inverse Gram matrix is formed once per program.
+The iterate keeps its Hermitian blocks as they are: the four d^2 x d^2 blocks
+``W, Q, Zp, Z0`` in one stack, ``rho`` and ``S`` in another, ``lambda`` as a
+float, so the PSD projection is one batched ``eigh`` per stack. The affine
+projection ``x - A* (A A*)^-1 (A x - b)`` needs no matrix: every block of A is
+an identity, the embedding ``r -> 1 (x) r`` or its adjoint ``Tr_1``, so every
+block of A A* combines the identity, ``Pi = (1/d) 1 (x) Tr_1`` (the orthogonal
+projection onto the matrices ``1 (x) r``) and the rank-one map
+``X -> J <J, X>``. Because ``Tr_out J = 0`` (checked on entry), ``Pi J = 0``,
+and the multipliers follow from a few partial traces and scalars (see
+``_DiamondProgram.project_affine``). Memory is the O(d^4) iterate.
 """
 
 from __future__ import annotations
@@ -64,22 +63,11 @@ class DiamondResult:
                 "upper": self.upper, "iterations": self.iterations}
 
 
-# -- real storage of Hermitian blocks ---------------------------------------
-
-def _real(m: np.ndarray) -> np.ndarray:
-    """R(X) = Re X + Im X: symmetric part Re X, antisymmetric part Im X."""
-    return m.real + m.imag
-
-
-def _herm(r: np.ndarray) -> np.ndarray:
-    """The Hermitian X with R(X) = r, for any real square r."""
-    return (r + r.T) / 2 + 0.5j * (r - r.T)
-
-
 def _psd_part(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    """PSD part of a Hermitian matrix, or of each matrix in a stack."""
+    w, v = np.linalg.eigh((m + np.swapaxes(m, -1, -2).conj()) / 2)
     w = np.maximum(w, 0.0)
-    return (v * w) @ v.conj().T
+    return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def _trace_out_first(m: np.ndarray, d: int) -> np.ndarray:
@@ -87,71 +75,57 @@ def _trace_out_first(m: np.ndarray, d: int) -> np.ndarray:
 
 
 class _DiamondProgram:
-    """Assembled constraint data for one Choi difference."""
+    """Constraint data for one Choi difference: J, its norm and the embedding."""
 
     def __init__(self, j: np.ndarray, d: int):
         self.j = j
         self.d = d
-        dd = d * d
-        n_big = dd * dd
-        # variable layout: W | Q | rho | Zp | Z0 | S | lam, block X stored as vec R(X)
-        self.dims = {"W": dd, "Q": dd, "rho": d, "Zp": dd, "Z0": dd, "S": d}
-        self.slices, start = {}, 0
-        for name, n in self.dims.items():
-            self.slices[name] = slice(start, start + n * n)
-            start += n * n
-        lam = start
-        self.nv = lam + 1
-        s = self.slices
-        eye = np.eye(d)
-        # vec(1 (x) r) = embed @ vec(r); its transpose is the partial trace Tr_1
-        embed = np.einsum("ab,ik,jl->aibjkl", eye, eye, eye).reshape(n_big, dd)
-        vj = _real(j).ravel()
-        primal, dual = slice(0, n_big), slice(n_big + 1, 2 * n_big + 1)
-        marginal = slice(2 * n_big + 1, 2 * n_big + 1 + dd)
-        a = np.zeros((2 * n_big + dd + 2, self.nv))
-        b = np.zeros(a.shape[0])
-        # primal feasibility: W + Q = 1 (x) rho, Tr rho = 1
-        a[primal, s["W"]] = np.eye(n_big)
-        a[primal, s["Q"]] = np.eye(n_big)
-        a[primal, s["rho"]] = -embed
-        a[n_big, s["rho"]] = eye.ravel()
-        b[n_big] = 1.0
-        # dual feasibility: Z0 - Zp = 2J  (Z0 >= 0 and Z0 >= 2J), Tr_out Z0 + S = lam 1
-        a[dual, s["Z0"]] = np.eye(n_big)
-        a[dual, s["Zp"]] = -np.eye(n_big)
-        b[dual] = 2.0 * vj
-        a[marginal, s["Z0"]] = embed.T
-        a[marginal, s["S"]] = np.eye(dd)
-        a[marginal, lam] = -eye.ravel()
-        # zero duality gap: 2 <J, W> = lam
-        a[-1, s["W"]] = 2.0 * vj
-        a[-1, lam] = -1.0
-        self.a = a
-        self.b = b
-        gram = a @ a.T
-        gram[np.diag_indices_from(gram)] += 1e-13
-        self._gram_inv = np.linalg.inv(gram)
+        self.eye = np.eye(d)
+        self.j_sq = np.vdot(j, j).real
 
-    def project_affine(self, x: np.ndarray) -> np.ndarray:
-        return x - (self._gram_inv @ (self.a @ x - self.b)) @ self.a
+    def embed(self, r: np.ndarray) -> np.ndarray:
+        """1 (x) r, by broadcasting."""
+        d = self.d
+        return (self.eye[:, None, :, None] * r[None, :, None, :]).reshape(d * d, d * d)
 
-    def project_cones(self, x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        for name in self.dims:
-            out[self.slices[name]] = _real(_psd_part(self.block(x, name))).ravel()
-        return out
+    def project_affine(self, big: np.ndarray, small: np.ndarray,
+                       lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Orthogonal projection onto the constraints, in place on the stacks.
 
-    def block(self, x: np.ndarray, name: str) -> np.ndarray:
-        n = self.dims[name]
-        return _herm(x[self.slices[name]].reshape(n, n))
-
-    def initial_point(self) -> np.ndarray:
-        x = np.zeros(self.nv)
-        rho = np.eye(self.d) / self.d
-        x[self.slices["rho"]] = rho.ravel()
-        x[self.slices["Q"]] = np.kron(np.eye(self.d), rho).ravel()
-        return x
+        ``big = [W, Q, Zp, Z0]``, ``small = [rho, S]``. The constraints are
+        ``W + Q = 1 (x) rho``, ``Tr rho = 1``, ``Z0 - Zp = 2J``,
+        ``Tr_1 Z0 + S = lam 1`` and ``2 <J, W> = lam``; the multipliers of
+        ``(A A*)^-1 (A x - b)`` are written out in closed form.
+        """
+        d, j, eye = self.d, self.j, self.eye
+        w, q, zp, z0 = big
+        rho, s = small
+        r1 = w + q - self.embed(rho)
+        r2 = np.trace(rho).real - 1.0
+        r3 = z0 - zp - 2.0 * j
+        r4 = _trace_out_first(z0, d) + s - lam * eye
+        r5 = 2.0 * np.vdot(j, w).real - lam
+        c = 1.5 * d + 1.0
+        g = r4 - 0.5 * _trace_out_first(r3, d)
+        tr_g = np.trace(g).real
+        nu = ((r5 - np.vdot(j, r1).real - tr_g / c)
+              / (2.0 * self.j_sq + (d + 2.0) / (3.0 * d + 2.0)))
+        t = (tr_g - d * nu) / c
+        k = (g - (t + nu) * eye) / (d / 2.0 + 1.0)
+        one_k = self.embed(k)
+        n = (r3 - one_k) / 2.0
+        mu = ((d + 2.0) * r2 + np.trace(r1).real) / (2.0 * d)
+        # M = ((1 - Pi) r1 - 2 nu J) / 2 + 1 (x) a with Pi r1 = 1 (x) p, so Tr_1 M = d a
+        p = _trace_out_first(r1, d) / d
+        a = (p + mu * eye) / (d + 2.0)
+        m = 0.5 * r1 - nu * j + self.embed(a - 0.5 * p)
+        w -= m + 2.0 * nu * j
+        q -= m
+        rho += d * a - mu * eye
+        zp += n
+        z0 -= n + one_k
+        s -= k
+        return big, small, lam + t + nu
 
     # -- certified bracket ---------------------------------------------------
 
@@ -187,7 +161,11 @@ def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_G
     if max_norm(partial_trace(j, [d, d], keep=[1])) > 1e-8:
         raise DomainError("Choi difference does not trace to zero; not a difference of channels")
     prog = _DiamondProgram(j, d)
-    z = prog.initial_point()
+    big = np.zeros((4, d * d, d * d), dtype=complex)  # W, Q, Zp, Z0
+    small = np.zeros((2, d, d), dtype=complex)  # rho, S
+    small[0] = np.eye(d) / d
+    big[1] = np.eye(d * d) / d  # Q = 1 (x) rho
+    lam = 0.0
     # a priori bracket: the stabilized trace norm at the maximally entangled
     # input bounds the value from below, d times it (capped at 2) from above
     best_low = prog.primal_value(np.eye(d) / d)
@@ -198,14 +176,16 @@ def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_G
     it = 0
     next_check = 25
     while it < max_iter:
-        x = prog.project_cones(z)
-        y = prog.project_affine(2.0 * x - z)
-        z = z + OVER_RELAXATION * (y - x)
+        x_big, x_small = _psd_part(big), _psd_part(small)
+        y_big, y_small, y_lam = prog.project_affine(2.0 * x_big - big, 2.0 * x_small - small, lam)
+        big += OVER_RELAXATION * (y_big - x_big)
+        small += OVER_RELAXATION * (y_small - x_small)
+        lam += OVER_RELAXATION * (y_lam - lam)
         it += 1
         if it >= next_check or it == max_iter:
             next_check = it + min(250, max(25, it // 2))
-            best_low = max(best_low, prog.primal_value(prog.block(x, "rho")))
-            best_up = min(best_up, prog.dual_value(prog.block(x, "Zp")))
+            best_low = max(best_low, prog.primal_value(x_small[0]))
+            best_up = min(best_up, prog.dual_value(x_big[2]))
             if best_up - best_low <= gap_tol:
                 return DiamondResult(value=(best_up + best_low) / 2, status="converged",
                                      lower=best_low, upper=best_up, iterations=it)

@@ -180,6 +180,11 @@ def fractional_word_trace(word: Word, exponents: Sequence[float],
 # bounded word enumeration
 # ---------------------------------------------------------------------------
 
+# Largest word family `wiegmann_equivalent` accepts (enumerated plus random
+# words). The default 3-tuple family is 84 979 words.
+MAX_WORDS = 1_000_000
+
+
 def enumerate_words(num_variables: int, max_length: int, max_exponent: int) -> Iterator[Word]:
     """All canonical words up to the given length with exponents in 1..max_exponent,
     ordered by length so that short distinguishers are found first."""
@@ -198,6 +203,21 @@ def enumerate_words(num_variables: int, max_length: int, max_exponent: int) -> I
     for length in range(1, max_length + 1):
         for letters in of_length([], length, -1):
             yield Word(letters, num_variables)
+
+
+def _enumerated_count(num_variables: int, max_length: int, max_exponent: int) -> int:
+    """Number of words `enumerate_words` yields, counted only until it passes MAX_WORDS.
+
+    Length L contributes ``m E ((m - 1) E)^(L - 1)`` words for m variables
+    and exponents up to E.
+    """
+    total, term = 0, num_variables * max_exponent
+    for _ in range(max_length):
+        total += term
+        term *= (num_variables - 1) * max_exponent
+        if total > MAX_WORDS or term == 0:
+            break
+    return total
 
 
 def random_word(num_variables: int, length: int, max_exponent: int,
@@ -278,13 +298,20 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
 
     Enumerates every canonical word up to ``config.max_length`` with
     exponents up to ``config.max_exponent`` and then samples
-    ``config.num_random_words`` longer words (lengths up to ``2 d^2``). The
+    ``config.num_random_words`` longer words (lengths up to ``2 d^2``); a
+    family of more than ``MAX_WORDS`` words raises `DomainError`. The
     first word whose traces differ by more than ``config.tol`` (scaled by the
     trace magnitude) is returned as a witness; a word with a non-finite trace
     ends the search with an inconclusive verdict.
     """
     mats_a, mats_b = _hermitian_pair(tuple_a, tuple_b)
     n_vars, d = len(mats_a), mats_a[0].shape[0]
+    family = (_enumerated_count(n_vars, config.max_length, config.max_exponent)
+              + config.num_random_words)
+    if family > MAX_WORDS:
+        raise DomainError(f"word family has at least {family} words (max_length "
+                          f"{config.max_length}, max_exponent {config.max_exponent}, "
+                          f"{config.num_random_words} random); at most {MAX_WORDS} are checked")
     rng = np.random.default_rng(config.seed)
     max_len = max(config.max_length + 1, 2 * d * d)
     random_words = (random_word(n_vars, int(rng.integers(config.max_length + 1, max_len + 1)),

@@ -15,7 +15,7 @@ from covcat.catalysis import (
     stinespring_dilation,
     verify_scenario,
 )
-from covcat.channels import Channel, dilation_to_channel, is_covariant
+from covcat.channels import Channel, DilationSpec, dilation_to_channel, is_covariant
 from covcat.words import find_simultaneous_unitary
 
 from conftest import random_channel, s3_standard_images
@@ -294,6 +294,31 @@ def test_s3_regular_rep_channel(rng):
         pointer[g.identity, g.identity] = 1.0
         out = lifted.apply(la.tensor(rho, pointer))
         np.testing.assert_allclose(out, la.tensor(target.apply(rho), pointer), atol=1e-9)
+
+
+def test_regular_rep_channel_matches_hand_written_kraus(rng):
+    g = sym.FiniteGroup.symmetric(3)
+    rep_s = sym.FiniteGroupRep(g, s3_standard_images())
+    d_s, d_e, n = 2, 3, g.order
+    spec = DilationSpec(omega_e=la.random_density(d_e, rng),
+                        unitary=la.random_unitary(d_s * d_e, rng), d_s=d_s, d_e=d_e)
+    # reference: rotate the environment-first unitary, contract with the
+    # eigenvectors of omega_E, read off one Kraus operator per output E index
+    v_env_first = la.permute_factors(spec.unitary, [d_s, d_e], [1, 0])
+    w_env, v_env = np.linalg.eigh(spec.omega_e)
+    expected = []
+    for y in range(n):
+        rot = la.tensor(np.eye(d_e), rep_s.images[y])
+        vb = (rot @ v_env_first @ rot.conj().T).reshape(d_e, d_s, d_e, d_s)
+        pointer = np.zeros((n, n), dtype=complex)
+        pointer[y, y] = 1.0
+        for k in range(d_e):
+            block = np.einsum("lanb,n->lab", vb, v_env[:, k])
+            expected += [la.tensor(np.sqrt(w_env[k]) * block[l], pointer) for l in range(d_e)]
+    lifted = regular_rep_channel(g, rep_s, spec)
+    assert len(lifted.kraus) == len(expected)
+    for got, want in zip(lifted.kraus, expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_state_swap_channel_properties(rng):

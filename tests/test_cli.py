@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 
@@ -55,6 +56,20 @@ def test_wiegmann_equiv_identical_tuples(tmp_path, rng):
     assert run_cli(["wiegmann-equiv", "--input", str(inp), "--output", out]) == 0
     report = read_report(out)
     assert report["result"]["verdict"] == "equivalent-up-to-bound"
+
+
+def test_wiegmann_equiv_rejects_oversized_word_family(tmp_path, capsys, rng):
+    mats = [la.random_hermitian(3, rng) for _ in range(2)]
+    problem = {"tuple_a": [ser.matrix_to_json(m) for m in mats],
+               "tuple_b": [ser.matrix_to_json(m) for m in mats],
+               "config": {"max_length": 14}}
+    inp = tmp_path / "problem.json"
+    inp.write_text(json.dumps(problem))
+    start = time.monotonic()
+    assert run_cli(["wiegmann-equiv", "--input", str(inp)]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: word family has at least") and "Traceback" not in err
 
 
 def test_check_covariance_lie(tmp_path, rng):

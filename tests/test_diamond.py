@@ -5,9 +5,6 @@ from covcat import linalg as la
 from covcat.channels import Channel, tensor_channels
 from covcat.diamond import (
     _DiamondProgram,
-    _herm,
-    _real,
-    _trace_out_first,
     diamond_distance,
     diamond_norm_of_difference,
     unitary_diamond_distance,
@@ -57,26 +54,71 @@ def test_agrees_with_unitary_hull_oracle(rng):
             assert abs(res.value - oracle) <= 5e-6
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_real_storage_of_hermitian_blocks(d, rng):
-    r = rng.standard_normal((d * d, d * d))
-    np.testing.assert_allclose(_real(_herm(r)), r, atol=1e-14)
-    x, y = la.random_hermitian(d, rng), la.random_hermitian(d, rng)
-    np.testing.assert_allclose(np.vdot(_real(x), _real(y)), np.trace(x @ y).real, atol=1e-12)
-    np.testing.assert_allclose(_real(np.kron(np.eye(d), x)), np.kron(np.eye(d), _real(x)),
-                               atol=0)
-    z = la.random_hermitian(d * d, rng)
-    np.testing.assert_allclose(_trace_out_first(_real(z), d), _real(_trace_out_first(z, d)),
-                               atol=1e-12)
+def test_certifies_unitary_pair_at_d8(rng):
+    u, v = la.random_unitary(8, rng), la.random_unitary(8, rng)
+    res = diamond_distance(Channel.from_unitary(u), Channel.from_unitary(v))
+    assert res.status == "converged"
+    assert abs(res.value - unitary_diamond_distance(u, v)) <= 5e-6
+
+
+def _hermitian_basis(n):
+    """Orthonormal basis of the n x n Hermitian matrices (trace inner product)."""
+    basis = []
+    for i in range(n):
+        for k in range(i, n):
+            e = np.zeros((n, n), dtype=complex)
+            if i == k:
+                e[i, i] = 1.0
+                basis.append(e)
+                continue
+            e[i, k] = e[k, i] = 1.0 / np.sqrt(2.0)
+            basis.append(e)
+            f = np.zeros((n, n), dtype=complex)
+            f[i, k], f[k, i] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
+            basis.append(f)
+    return np.array(basis)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_affine_projection_is_a_projection(d, rng):
     t1, t2 = random_channel(d, 2, rng), random_channel(d, 2, rng)
-    prog = _DiamondProgram(t1.choi() - t2.choi(), d)
-    p = prog.project_affine(rng.standard_normal(prog.nv))
-    assert np.abs(prog.a @ p - prog.b).max() <= 1e-10
-    np.testing.assert_allclose(prog.project_affine(p), p, atol=1e-10)
+    j = t1.choi() - t2.choi()
+    prog = _DiamondProgram(j, d)
+    big_basis, small_basis = _hermitian_basis(d * d), _hermitian_basis(d)
+    n_big, n_small = len(big_basis), len(small_basis)
+
+    def coords(m, basis):
+        return np.tensordot(basis.conj(), m, axes=([1, 2], [0, 1])).real
+
+    def to_vec(big, small, lam):
+        return np.concatenate([coords(m, big_basis) for m in big]
+                              + [coords(m, small_basis) for m in small] + [[lam]])
+
+    def from_vec(x):
+        big = np.tensordot(x[:4 * n_big].reshape(4, n_big), big_basis, axes=1)
+        small = np.tensordot(x[4 * n_big:-1].reshape(2, n_small), small_basis, axes=1)
+        return big, small, x[-1]
+
+    def residual(x):
+        """A x - b, written directly from the constraints of the program."""
+        (w, q, zp, z0), (rho, s), lam = from_vec(x)
+        return np.concatenate([
+            coords(w + q - np.kron(np.eye(d), rho), big_basis),
+            [np.trace(rho).real - 1.0],
+            coords(z0 - zp - 2.0 * j, big_basis),
+            coords(la.partial_trace(z0, [d, d], keep=[1]) + s - lam * np.eye(d), small_basis),
+            [2.0 * np.trace(j @ w).real - lam],
+        ])
+
+    nv = 4 * n_big + 2 * n_small + 1
+    offset = residual(np.zeros(nv))
+    a = np.array([residual(e) - offset for e in np.eye(nv)]).T
+    x = rng.standard_normal(nv)
+    oracle = x - a.T @ np.linalg.lstsq(a @ a.T, residual(x), rcond=None)[0]
+    p = to_vec(*prog.project_affine(*from_vec(x)))
+    np.testing.assert_allclose(p, oracle, atol=1e-10)
+    assert np.abs(residual(p)).max() <= 1e-10
+    np.testing.assert_allclose(to_vec(*prog.project_affine(*from_vec(p))), p, atol=1e-10)
 
 
 def test_unitary_oracle_special_cases():

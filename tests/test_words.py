@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from covcat.words import (
     EquivalenceConfig,
     Word,
     WordSyntaxError,
+    _enumerated_count,
     conjugation_residual,
     enumerate_words,
     find_simultaneous_unitary,
@@ -87,6 +90,8 @@ def test_enumeration_counts():
     expected = sum(2 * 1 ** (length - 1) * 3 ** length for length in range(1, 7))
     assert len(words) == expected
     assert len(set(map(str, words))) == len(words)
+    for m, length, exp in itertools.product((1, 2, 3), (0, 1, 4), (1, 2)):
+        assert _enumerated_count(m, length, exp) == len(list(enumerate_words(m, length, exp)))
 
 
 # ---------------------------------------------------------------------------
