@@ -100,10 +100,6 @@ class CatalysisScenario:
     def d_c(self) -> int:
         return self.sigma_c.shape[0]
 
-    @property
-    def num_generators(self) -> int:
-        return len(self.gens_s_in)
-
     def to_json(self) -> dict:
         from .serialize import matrix_to_json
         out = {

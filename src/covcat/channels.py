@@ -26,7 +26,6 @@ from .linalg import (
     STRUCT_TOL,
     as_square,
     max_norm,
-    partial_trace,
     require_density,
     require_hermitian,
     require_unitary,
@@ -34,8 +33,7 @@ from .linalg import (
 )
 from .symmetry import FiniteGroupRep, gibbs_state
 
-CHANNEL_TOL = 1e-9  # trace preservation / Choi positivity tolerance
-CHOI_EIG_CUTOFF = 1e-12  # eigenvalue cutoff for Kraus extraction
+CHANNEL_TOL = 1e-9  # trace preservation tolerance
 
 
 class Channel:
@@ -120,33 +118,6 @@ class Channel:
                 k[i, j] = 1.0 / np.sqrt(d)
                 ks.append(k)
         return cls(ks)
-
-
-def kraus_from_choi(j: np.ndarray, d_in: int, d_out: int,
-                    atol: float = CHANNEL_TOL,
-                    cutoff: float = CHOI_EIG_CUTOFF) -> Channel:
-    """Extract Kraus operators from a Choi matrix via eigendecomposition.
-
-    Requires J PSD within ``atol`` and the output partial trace equal to the
-    identity within ``atol``. The Kraus rank equals the number of Choi
-    eigenvalues above ``cutoff``.
-    """
-    j = require_hermitian(as_square(j), tol=max(atol, STRUCT_TOL))
-    if j.shape[0] != d_in * d_out:
-        raise DimensionError(f"Choi dim {j.shape[0]} != d_out*d_in = {d_out * d_in}")
-    w, v = np.linalg.eigh(j)
-    if w[0] < -atol:
-        raise DomainError(f"Choi matrix has eigenvalue {w[0]:.3e}, not PSD within {atol}")
-    marg = partial_trace(j, [d_out, d_in], keep=[1])
-    if max_norm(marg - np.eye(d_in)) > atol:
-        raise DomainError("Choi matrix is not trace preserving (Tr_out J != identity)")
-    ks = []
-    for lam, vec in zip(w, v.T):
-        if lam > cutoff:
-            ks.append(np.sqrt(lam) * vec.reshape(d_out, d_in))
-    if not ks:
-        raise DomainError("Choi matrix is numerically zero")
-    return Channel(ks, atol=atol)
 
 
 def _compressed(ks: np.ndarray) -> np.ndarray:

@@ -92,24 +92,26 @@ def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
     return result, report.covariant, True
 
 
+# Config keys of the former bounded word enumeration, with their least values.
+OBSOLETE_WORD_KEYS = {"max_length": 0, "max_exponent": 1, "num_random_words": 0}
+
+
 def _cmd_wiegmann_equiv(args) -> tuple[dict, bool, bool]:
     obj = load_json(args.input)
     check_keys(obj, ["tuple_a", "tuple_b"], optional=["config"], where="input")
     tuple_a = matrices_from_json(obj["tuple_a"], "tuple_a")
     tuple_b = matrices_from_json(obj["tuple_b"], "tuple_b")
     cfg_obj = obj.get("config", {})
-    check_keys(cfg_obj, [], optional=["max_length", "max_exponent", "num_random_words",
-                                     "seed", "tol"], where="config")
+    check_keys(cfg_obj, [], optional=[*OBSOLETE_WORD_KEYS, "seed", "tol"], where="config")
+    for key, minimum in OBSOLETE_WORD_KEYS.items():  # still type-checked, values ignored
+        if key in cfg_obj:
+            int_from_json(cfg_obj[key], f"config.{key}", minimum)
     config = EquivalenceConfig(
-        max_length=int_from_json(cfg_obj.get("max_length", 6), "config.max_length", 0),
-        max_exponent=int_from_json(cfg_obj.get("max_exponent", 3), "config.max_exponent"),
-        num_random_words=int_from_json(cfg_obj.get("num_random_words", 1000),
-                                       "config.num_random_words", 0),
         seed=int_from_json(cfg_obj.get("seed", args.seed), "config.seed", 0),
         tol=tolerance_from_json(cfg_obj.get("tol", args.tol), "config.tol"),
     )
     verdict = wiegmann_equivalent(tuple_a, tuple_b, config)
-    conclusive = verdict.verdict != "inconclusive"  # a non-finite trace decides nothing
+    conclusive = verdict.verdict != "inconclusive"
     return verdict.to_json(), conclusive, conclusive
 
 
@@ -186,10 +188,8 @@ def _cmd_demo_appendix(args) -> tuple[dict, bool, bool]:
     fx = rank_condition_counterexample()
     expected_gap = 2.0 * np.sqrt(3.0)
     gap_ok = abs(fx.gap - expected_gap) <= 1e-9
-    verdict = wiegmann_equivalent(list(fx.a), list(fx.b),
-                                  EquivalenceConfig(num_random_words=0, seed=args.seed))
-    triple_distinguished = (not verdict.equivalent_up_to_bound
-                            and str(verdict.witness) == "x0 x1 x2")
+    verdict = wiegmann_equivalent(list(fx.a), list(fx.b))
+    triple_distinguished = verdict.verdict == "distinguished" and str(verdict.witness) == "x0 x1 x2"
     pair_results = {}
     pairs_ok = True
     for name, idx in (("pair_12", (0, 1)), ("pair_23", (1, 2)), ("pair_31", (2, 0))):

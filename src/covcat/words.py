@@ -6,26 +6,27 @@ index by adding exponents; letters with exponent zero are kept, because under
 the 0**0 = 0 functional-calculus convention ``A^0`` is the support projector
 of A, not the identity, so ``x^0`` carries information for singular matrices.
 
-Two tuples of matrices are simultaneously unitarily equivalent exactly when
-all word traces agree (the Specht/Wiegmann trace criterion; for Hermitian
-tuples, words in the entries themselves suffice because each entry equals its
-adjoint). Enumerating all words is impossible, so `wiegmann_equivalent`
-checks a bounded family plus random long words: a trace mismatch refutes
-equivalence conclusively, while agreement is reported as evidence
-("equivalent up to the bound"), not proof, and a non-finite trace makes the
-verdict inconclusive. Fractional and zeroth powers additionally require
-positive semi-definite entries.
+Two Hermitian tuples are simultaneously unitarily equivalent exactly when
+all word traces agree (Specht's criterion; Wiegmann for tuples): each entry
+equals its adjoint, so words in the entries themselves suffice. Traces are
+linear, so only words that enlarge the span of the word pairs
+(W(A), W(B)) in C^(2 d^2) need checking, and that span has at most 2 d^2
+dimensions. `wiegmann_equivalent` walks exactly those words on the tuples
+normalised to norm 1: a trace mismatch is a conclusive witness, and an
+exhausted walk is ``equivalent``, certified by the unitary of
+`find_simultaneous_unitary`. Fractional and zeroth powers additionally
+require positive semi-definite entries.
 
-For Hermitian tuples `find_simultaneous_unitary` instead decides equivalence
-exactly, by linear algebra under a stated rank threshold.
+`find_simultaneous_unitary` decides the same question by linear algebra,
+under a stated rank threshold, and constructs the unitary.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -177,87 +178,36 @@ def fractional_word_trace(word: Word, exponents: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# bounded word enumeration
+# exact trace-fingerprint decision
 # ---------------------------------------------------------------------------
 
-# Largest word family `wiegmann_equivalent` accepts (enumerated plus random
-# words). The default 3-tuple family is 84 979 words.
-MAX_WORDS = 1_000_000
-
-
-def enumerate_words(num_variables: int, max_length: int, max_exponent: int) -> Iterator[Word]:
-    """All canonical words up to the given length with exponents in 1..max_exponent,
-    ordered by length so that short distinguishers are found first."""
-    def of_length(prefix: list[tuple[int, int]], remaining: int, last_var: int) -> Iterator[tuple]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for var in range(num_variables):
-            if var == last_var:
-                continue
-            for exp in range(1, max_exponent + 1):
-                prefix.append((var, exp))
-                yield from of_length(prefix, remaining - 1, var)
-                prefix.pop()
-
-    for length in range(1, max_length + 1):
-        for letters in of_length([], length, -1):
-            yield Word(letters, num_variables)
-
-
-def _enumerated_count(num_variables: int, max_length: int, max_exponent: int) -> int:
-    """Number of words `enumerate_words` yields, counted only until it passes MAX_WORDS.
-
-    Length L contributes ``m E ((m - 1) E)^(L - 1)`` words for m variables
-    and exponents up to E.
-    """
-    total, term = 0, num_variables * max_exponent
-    for _ in range(max_length):
-        total += term
-        term *= (num_variables - 1) * max_exponent
-        if total > MAX_WORDS or term == 0:
-            break
-    return total
-
-
-def random_word(num_variables: int, length: int, max_exponent: int,
-                rng: np.random.Generator) -> Word:
-    letters = []
-    last = -1
-    for _ in range(length):
-        if last < 0 or num_variables == 1:
-            var = int(rng.integers(num_variables))
-        else:
-            var = int(rng.integers(num_variables - 1))
-            if var >= last:
-                var += 1
-        letters.append((var, int(rng.integers(1, max_exponent + 1))))
-        last = var
-    return Word.from_letters(letters, num_variables)
+# A word's stacked pair [vec W(A), vec W(B)] enlarges the span when its part
+# orthogonal to the basis has Frobenius norm above SPAN_TOL. The tuples are
+# normalised first, so every word pair has Frobenius norm at most sqrt(2 d)
+# and the threshold needs no further scale.
+SPAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class EquivalenceConfig:
-    max_length: int = 6
-    max_exponent: int = 3
-    num_random_words: int = 1000
     seed: int = 0
     tol: float = 1e-9
 
     def to_json(self) -> dict:
-        return {"max_length": self.max_length, "max_exponent": self.max_exponent,
-                "num_random_words": self.num_random_words, "seed": self.seed,
-                "tol": self.tol}
+        return {"seed": self.seed, "tol": self.tol}
 
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    """Outcome of the bounded trace-fingerprint comparison.
+    """Outcome of the span walk over word traces.
 
-    ``distinguished`` verdicts are conclusive non-equivalence; the
-    ``equivalent-up-to-bound`` verdict is evidence at the configured
-    enumeration depth, not a proof; ``inconclusive`` means that the trace of
-    the witness word is not finite.
+    ``distinguished`` (conclusive) names the first word, in length-lex order,
+    whose traces differ; ``trace_a`` and ``trace_b`` are those of the
+    normalised tuples, so the raw traces are these times the product of
+    ``scale[var] ** exp`` over the word's letters. ``equivalent`` carries the
+    unitary of `find_simultaneous_unitary` as ``certificate``.
+    ``inconclusive`` means a non-finite scale or trace, or a certificate the
+    solver could not give. ``span`` is the number of basis words.
     """
 
     verdict: str
@@ -265,20 +215,23 @@ class EquivalenceVerdict:
     trace_a: complex | None
     trace_b: complex | None
     words_checked: int
+    span: int
+    scale: tuple[float, ...]
+    certificate: UnitaryMatchResult | None
     config: EquivalenceConfig
-
-    @property
-    def equivalent_up_to_bound(self) -> bool:
-        return self.verdict == "equivalent-up-to-bound"
 
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "words_checked": self.words_checked,
+               "span": self.span,
+               "scale": [s if np.isfinite(s) else None for s in self.scale],
                "config": self.config.to_json()}
         if self.witness is not None:
             out["word"] = str(self.witness)
         if self.trace_a is not None:
             out["trace_a"] = [self.trace_a.real, self.trace_a.imag]
             out["trace_b"] = [self.trace_b.real, self.trace_b.imag]
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_json()
         return out
 
 
@@ -292,48 +245,69 @@ def _hermitian_pair(tuple_a, tuple_b) -> tuple[list[np.ndarray], list[np.ndarray
     return mats_a, mats_b
 
 
+def _spectral_norm(m: np.ndarray) -> float:
+    return float(np.linalg.norm(m, 2)) if np.isfinite(m).all() else np.inf
+
+
 def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndarray],
                         config: EquivalenceConfig = EquivalenceConfig()) -> EquivalenceVerdict:
-    """Compare trace fingerprints of two PSD tuples over a bounded word family.
+    """Decide whether two Hermitian tuples have the same trace for every word.
 
-    Enumerates every canonical word up to ``config.max_length`` with
-    exponents up to ``config.max_exponent`` and then samples
-    ``config.num_random_words`` longer words (lengths up to ``2 d^2``); a
-    family of more than ``MAX_WORDS`` words raises `DomainError`. The
-    first word whose traces differ by more than ``config.tol`` (scaled by the
-    trace magnitude) is returned as a witness; a word with a non-finite trace
-    ends the search with an inconclusive verdict.
+    Variable i of both tuples is divided by ``s_i = max(||A_i||_2, ||B_i||_2)``
+    (1 for two zero matrices). That preserves equivalence and bounds every
+    word by norm 1, so no trace overflows and ``config.tol * d`` is an
+    absolute tolerance on the traces. Words in single letters are walked
+    breadth-first in length-lex order from the empty word, which starts the
+    basis of the span of word pairs in C^(2 d^2). Each extension's traces are
+    compared; the first pair differing by more than the tolerance is the
+    ``distinguished`` witness, and it is also the first mismatch of the full
+    length-lex enumeration, because a word in the span of earlier words has a
+    trace difference combined from theirs. Only words that enlarge the span
+    (by more than `SPAN_TOL`) are extended, so the walk ends after at most
+    ``2 d^2`` basis words. Exhausting it proves equal traces for all words,
+    hence unitary equivalence (Specht's criterion); the verdict is then
+    ``equivalent`` if `find_simultaneous_unitary` on the normalised tuples
+    supplies the unitary, and ``inconclusive`` otherwise. A non-finite
+    ``s_i`` or trace is ``inconclusive`` as well.
     """
-    mats_a, mats_b = _hermitian_pair(tuple_a, tuple_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give a non-finite scale
+        mats_a, mats_b = _hermitian_pair(tuple_a, tuple_b)
+        scale = tuple(max(_spectral_norm(a), _spectral_norm(b)) or 1.0
+                      for a, b in zip(mats_a, mats_b))
     n_vars, d = len(mats_a), mats_a[0].shape[0]
-    family = (_enumerated_count(n_vars, config.max_length, config.max_exponent)
-              + config.num_random_words)
-    if family > MAX_WORDS:
-        raise DomainError(f"word family has at least {family} words (max_length "
-                          f"{config.max_length}, max_exponent {config.max_exponent}, "
-                          f"{config.num_random_words} random); at most {MAX_WORDS} are checked")
-    rng = np.random.default_rng(config.seed)
-    max_len = max(config.max_length + 1, 2 * d * d)
-    random_words = (random_word(n_vars, int(rng.integers(config.max_length + 1, max_len + 1)),
-                                config.max_exponent, rng) for _ in range(config.num_random_words))
-    words = itertools.chain(enumerate_words(n_vars, config.max_length, config.max_exponent),
-                            random_words)
-    powers: dict = {}  # (var, exp) -> that power of both tuples, reused across words
+    if not np.isfinite(scale).all():
+        return EquivalenceVerdict("inconclusive", None, None, None, 0, 0, scale, None, config)
+    gens = np.array([(a / s, b / s) for a, b, s in zip(mats_a, mats_b, scale)])
+    empty = np.array([np.eye(d, dtype=complex)] * 2)
+    basis = empty.reshape(1, -1) / np.sqrt(2 * d)
+    queue = deque([((), empty)])
     checked = 0
-    for checked, word in enumerate(words, start=1):
-        acc_a = acc_b = np.eye(d, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for var, exp in word.letters:
-                if (var, exp) not in powers:
-                    powers[var, exp] = (np.linalg.matrix_power(mats_a[var], exp),
-                                        np.linalg.matrix_power(mats_b[var], exp))
-                acc_a, acc_b = acc_a @ powers[var, exp][0], acc_b @ powers[var, exp][1]
-            ta, tb = complex(np.trace(acc_a)), complex(np.trace(acc_b))
-        if not (np.isfinite(ta) and np.isfinite(tb)):
-            return EquivalenceVerdict("inconclusive", word, None, None, checked, config)
-        if abs(ta - tb) > config.tol * max(1.0, abs(ta), abs(tb)):
-            return EquivalenceVerdict("distinguished", word, ta, tb, checked, config)
-    return EquivalenceVerdict("equivalent-up-to-bound", None, None, None, checked, config)
+
+    def verdict(kind, letters=None, traces=(None, None), certificate=None):
+        witness = None if letters is None else Word.from_letters(
+            [(var, 1) for var in letters], n_vars)
+        return EquivalenceVerdict(kind, witness, *traces, checked, len(basis), scale,
+                                  certificate, config)
+
+    while queue:
+        letters, pair = queue.popleft()
+        for var in range(n_vars):
+            word, ext = letters + (var,), pair @ gens[var]
+            checked += 1
+            ta, tb = (complex(t) for t in np.trace(ext, axis1=1, axis2=2))
+            if not (np.isfinite(ta) and np.isfinite(tb)):
+                return verdict("inconclusive", word)
+            if abs(ta - tb) > config.tol * d:
+                return verdict("distinguished", word, (ta, tb))
+            r = ext.reshape(-1)
+            for _ in range(2):
+                r = r - (basis @ r.conj()).conj() @ basis
+            norm = np.linalg.norm(r)
+            if norm > SPAN_TOL:
+                basis = np.vstack([basis, r / norm])
+                queue.append((word, ext))
+    match = find_simultaneous_unitary(list(gens[:, 0]), list(gens[:, 1]), seed=config.seed)
+    return verdict("equivalent" if match.success else "inconclusive", certificate=match)
 
 
 # ---------------------------------------------------------------------------

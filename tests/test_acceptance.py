@@ -52,7 +52,7 @@ def test_criterion_1_counterexample_fixture():
     ok = abs(fx.gap - 2 * np.sqrt(3)) <= 1e-9
 
     verdict = wiegmann_equivalent(list(fx.a), list(fx.b))
-    ok &= (not verdict.equivalent_up_to_bound) and str(verdict.witness) == "x0 x1 x2"
+    ok &= verdict.verdict == "distinguished" and str(verdict.witness) == "x0 x1 x2"
 
     for i, j in ((0, 1), (1, 2), (2, 0)):
         match = find_simultaneous_unitary([fx.a[i], fx.a[j]], [fx.b[i], fx.b[j]])

@@ -13,7 +13,6 @@ from covcat.channels import (
     induced_channel,
     is_covariant,
     is_doubly_stochastic,
-    kraus_from_choi,
     tensor_channels,
     thermal_operation,
     twirl,
@@ -58,21 +57,6 @@ def test_choi_identity_and_depolarizing():
     # completely depolarizing: J = sum_ij (1/d) (x) E_ii = 1/d (x) 1
     np.testing.assert_allclose(Channel.depolarizing(d).choi(),
                                la.tensor(np.eye(d) / d, np.eye(d)), atol=1e-12)
-
-
-def test_choi_kraus_round_trip(rng):
-    t = random_channel(3, 2, rng)
-    t2 = kraus_from_choi(t.choi(), 3, 3)
-    np.testing.assert_allclose(t2.choi(), t.choi(), atol=1e-8)
-    assert len(t2.kraus) == 2  # Kraus rank equals Choi rank
-
-
-def test_kraus_from_choi_rejects_bad_inputs(rng):
-    with pytest.raises(la.DomainError):
-        kraus_from_choi(-np.eye(4), 2, 2)  # not PSD
-    j = Channel.identity(2).choi() * 1.5  # PSD but not trace preserving
-    with pytest.raises(la.DomainError):
-        kraus_from_choi(j, 2, 2)
 
 
 def test_channel_validation():

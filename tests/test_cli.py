@@ -55,21 +55,30 @@ def test_wiegmann_equiv_identical_tuples(tmp_path, rng):
     out = str(tmp_path / "report.json")
     assert run_cli(["wiegmann-equiv", "--input", str(inp), "--output", out]) == 0
     report = read_report(out)
-    assert report["result"]["verdict"] == "equivalent-up-to-bound"
+    result = report["result"]
+    assert result["verdict"] == "equivalent"
+    assert result["certificate"]["verdict"] == "equivalent"
+    assert result["words_checked"] == 2 * result["span"]
+    assert result["config"] == {"seed": 0, "tol": 1e-9}
 
 
-def test_wiegmann_equiv_rejects_oversized_word_family(tmp_path, capsys, rng):
+def test_wiegmann_equiv_obsolete_config_keys(tmp_path, capsys, rng):
+    # the keys of the former word enumeration are type-checked, then ignored
     mats = [la.random_hermitian(3, rng) for _ in range(2)]
     problem = {"tuple_a": [ser.matrix_to_json(m) for m in mats],
                "tuple_b": [ser.matrix_to_json(m) for m in mats],
-               "config": {"max_length": 14}}
+               "config": {"max_length": 14, "max_exponent": 9, "num_random_words": 10 ** 9}}
     inp = tmp_path / "problem.json"
     inp.write_text(json.dumps(problem))
     start = time.monotonic()
-    assert run_cli(["wiegmann-equiv", "--input", str(inp)]) == 2
+    assert run_cli(["wiegmann-equiv", "--input", str(inp)]) == 0
     assert time.monotonic() - start < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: word family has at least") and "Traceback" not in err
+    for key, bad in (("max_length", -1), ("max_exponent", 0), ("num_random_words", "3")):
+        problem["config"] = {key: bad}
+        inp.write_text(json.dumps(problem))
+        assert run_cli(["wiegmann-equiv", "--input", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config.{key}") and "Traceback" not in err
 
 
 def test_check_covariance_lie(tmp_path, rng):
@@ -164,12 +173,17 @@ def test_solver_failure_exit_code(tmp_path, rng):
 def test_wiegmann_equiv_overflow_exits_inconclusive(tmp_path):
     from covcat.catalysis import rank_condition_counterexample
     fx = rank_condition_counterexample()
-    problem = {"tuple_a": [ser.matrix_to_json(1e110 * m) for m in fx.a],
-               "tuple_b": [ser.matrix_to_json(1e110 * m) for m in fx.b],
-               "config": {"max_length": 3, "num_random_words": 0}}
-    inp = tmp_path / "huge.json"
-    inp.write_text(json.dumps(problem))
-    out = str(tmp_path / "r.json")
+    inp, out = tmp_path / "scaled.json", str(tmp_path / "r.json")
+    # at 1e+-110 the normalised walk finds the appendix witness
+    for scale in (1e110, 1e-110):
+        inp.write_text(json.dumps({"tuple_a": [ser.matrix_to_json(scale * m) for m in fx.a],
+                                   "tuple_b": [ser.matrix_to_json(scale * m) for m in fx.b]}))
+        assert run_cli(["wiegmann-equiv", "--input", str(inp), "--output", out]) == 0
+        result = read_report(out)["result"]
+        assert result["verdict"] == "distinguished" and result["word"] == "x0 x1 x2"
+    # at 1e308 the entries are finite but the norm of x2 is not
+    inp.write_text(json.dumps({"tuple_a": [ser.matrix_to_json(1e308 * m) for m in fx.a],
+                               "tuple_b": [ser.matrix_to_json(1e308 * m) for m in fx.b]}))
     assert run_cli(["wiegmann-equiv", "--input", str(inp), "--output", out]) == 3
     report = read_report(out)
     assert report["result"]["verdict"] == "inconclusive"

@@ -43,8 +43,8 @@ TEMPLATES = {
         "gens_s": [ser.matrix_to_json(g) for g in FRAME.gens_s],
         "gens_c": [ser.matrix_to_json(g) for g in FRAME.gens_c],
     },
-    # The two tuples differ in Tr(x0), the first word, so a mutated config of
-    # any size still decides at once.
+    # The former word-enumeration keys stay in the template: they are still
+    # type-checked, so their mutations must exit 2 or be ignored.
     "wiegmann-equiv": {
         "tuple_a": [ser.matrix_to_json(SZ), ser.matrix_to_json(SX)],
         "tuple_b": [ser.matrix_to_json(SZ + np.eye(2)), ser.matrix_to_json(SX)],

@@ -11,9 +11,7 @@ from covcat.words import (
     EquivalenceConfig,
     Word,
     WordSyntaxError,
-    _enumerated_count,
     conjugation_residual,
-    enumerate_words,
     find_simultaneous_unitary,
     fractional_word_trace,
     parse_word,
@@ -82,16 +80,6 @@ def canonical_words(draw):
 @settings(max_examples=200, deadline=None)
 def test_parse_print_round_trip(word):
     assert parse_word(str(word), word.num_variables) == word
-
-
-def test_enumeration_counts():
-    # m+1 starting variables, then m choices per following letter, 3 exponents each
-    words = list(enumerate_words(2, 6, 3))
-    expected = sum(2 * 1 ** (length - 1) * 3 ** length for length in range(1, 7))
-    assert len(words) == expected
-    assert len(set(map(str, words))) == len(words)
-    for m, length, exp in itertools.product((1, 2, 3), (0, 1, 4), (1, 2)):
-        assert _enumerated_count(m, length, exp) == len(list(enumerate_words(m, length, exp)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +186,114 @@ def test_conjugated_tuples_pass(rng):
     mats = [random_psd(3, rng) for _ in range(2)]
     u = la.random_unitary(3, rng)
     rotated = [u @ m @ u.conj().T for m in mats]
-    verdict = wiegmann_equivalent(mats, rotated, EquivalenceConfig(num_random_words=100))
-    assert verdict.equivalent_up_to_bound
+    verdict = wiegmann_equivalent(mats, rotated)
+    assert verdict.verdict == "equivalent"
     assert verdict.witness is None
+    assert verdict.span <= 9 and verdict.words_checked == 2 * verdict.span
+    assert verdict.certificate.residual <= 1e-8
+    # the certificate, found on the normalised tuples, conjugates the raw ones
+    assert conjugation_residual(verdict.certificate.unitary, mats, rotated) <= 1e-8 * max(
+        verdict.scale)
+
+
+def _raw_trace(verdict, trace, unit=1.0):
+    """A reported trace of the normalised tuples, multiplied back by the
+    scales, for the input tuples divided by ``unit``."""
+    return trace * np.prod([(verdict.scale[var] / unit) ** exp
+                            for var, exp in verdict.witness.letters])
 
 
 def test_counterexample_triple_distinguished():
     fx = rank_condition_counterexample()
     verdict = wiegmann_equivalent(list(fx.a), list(fx.b))
-    assert not verdict.equivalent_up_to_bound
+    assert verdict.verdict == "distinguished"
     assert str(verdict.witness) == "x0 x1 x2"
-    assert abs(abs(verdict.trace_a - verdict.trace_b) - 2 * np.sqrt(3)) < 1e-9
+    gap = abs(_raw_trace(verdict, verdict.trace_a) - _raw_trace(verdict, verdict.trace_b))
+    assert abs(gap - 2 * np.sqrt(3)) < 1e-9
     payload = verdict.to_json()
     assert payload["verdict"] == "distinguished"
     assert payload["word"] == "x0 x1 x2"
+    assert payload["scale"] == list(verdict.scale) and "certificate" not in payload
 
 
 def test_counterexample_pairs_equivalent():
     fx = rank_condition_counterexample()
-    cfg = EquivalenceConfig(num_random_words=50)
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        verdict = wiegmann_equivalent([fx.a[i], fx.a[j]], [fx.b[i], fx.b[j]], cfg)
-        assert verdict.equivalent_up_to_bound
+        verdict = wiegmann_equivalent([fx.a[i], fx.a[j]], [fx.b[i], fx.b[j]])
+        assert verdict.verdict == "equivalent"
         match = find_simultaneous_unitary([fx.a[i], fx.a[j]], [fx.b[i], fx.b[j]])
         assert match.success and match.residual < 1e-6
+
+
+def _normalised(tuple_a, tuple_b):
+    scale = [max(np.linalg.norm(a, 2), np.linalg.norm(b, 2)) or 1.0
+             for a, b in zip(tuple_a, tuple_b)]
+    return ([a / s for a, s in zip(tuple_a, scale)], [b / s for b, s in zip(tuple_b, scale)])
+
+
+def _first_mismatch_by_enumeration(tuple_a, tuple_b, tol=1e-9, max_length=6):
+    """Oracle: every word in single letters up to ``max_length``, in length-lex
+    order, on the normalised tuples; the first whose traces differ by more than
+    ``tol * d``, as text, or None."""
+    norm_a, norm_b = _normalised(tuple_a, tuple_b)
+    d = norm_a[0].shape[0]
+    for length in range(1, max_length + 1):
+        for letters in itertools.product(range(len(norm_a)), repeat=length):
+            acc_a, acc_b = np.eye(d), np.eye(d)
+            for var in letters:
+                acc_a, acc_b = acc_a @ norm_a[var], acc_b @ norm_b[var]
+            if abs(np.trace(acc_a) - np.trace(acc_b)) > tol * d:
+                return str(Word.from_letters([(var, 1) for var in letters], len(norm_a)))
+    return None
+
+
+def _span_oracle_cases(rng):
+    # exactly Hermitian, so that the 1e100 multiples stay Hermitian within the
+    # absolute tolerance of the tuple check
+    def herm(x):
+        return (x + x.conj().T) / 2
+
+    cases = []
+    for d, m in itertools.product((2, 3, 4), (1, 2, 3)):
+        a = [herm(la.random_hermitian(d, rng)) for _ in range(m)]
+        u = la.random_unitary(d, rng)
+        b = [herm(u @ x @ u.conj().T) for x in a]
+        cases.append((f"planted-d{d}-m{m}", a, b))
+        kick = la.random_hermitian(d, rng)
+        kick -= np.trace(kick) / d * np.eye(d)
+        cases.append((f"kicked-d{d}-m{m}", a, [herm(b[0] + 1e-3 * kick)] + b[1:]))
+        if m > 1:  # the last variable keeps its spectrum: only mixed words can differ
+            w = la.random_unitary(d, rng)
+            cases.append((f"rotated-d{d}-m{m}", a, b[:-1] + [herm(w @ b[-1] @ w.conj().T)]))
+    for d in (3, 4):  # spectra with equal power sums up to d - 1: the witness is x0^d
+        coeff = np.poly(np.arange(1.0, d + 1))
+        coeff[-1] -= 0.05
+        u, w = la.random_unitary(d, rng), la.random_unitary(d, rng)
+        a0 = herm(u @ np.diag(np.arange(1.0, d + 1)) @ u.conj().T)
+        b0 = herm(w @ np.diag(np.roots(coeff).real) @ w.conj().T)
+        cases.append((f"moments-d{d}", [a0], [b0]))
+        # a scalar second variable makes every mixed word dependent on powers of x0
+        cases.append((f"moments-scalar-d{d}", [a0, 2 * np.eye(d)], [b0, 2 * np.eye(d)]))
+    fx = rank_condition_counterexample()
+    cases.append(("counterexample-triple", list(fx.a), list(fx.b)))
+    return cases
+
+
+def test_span_walk_agrees_with_enumeration_and_nullspace_solver():
+    rng = np.random.default_rng(17)
+    for name, a, b in _span_oracle_cases(rng):
+        expected = _first_mismatch_by_enumeration(a, b)
+        exact = find_simultaneous_unitary(*_normalised(a, b), seed=1).verdict
+        assert exact == ("inequivalent" if expected else "equivalent"), name
+        for scale in (1.0, 1e100, 1e-100):
+            verdict = wiegmann_equivalent([scale * x for x in a], [scale * x for x in b])
+            if expected is None:
+                assert verdict.verdict == "equivalent", (name, scale)
+                assert verdict.certificate.residual <= 1e-8, (name, scale)
+            else:
+                assert verdict.verdict == "distinguished", (name, scale)
+                assert str(verdict.witness) == expected, (name, scale, str(verdict.witness))
+            assert verdict.words_checked <= len(a) * 2 * a[0].shape[0] ** 2, name
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +342,7 @@ def test_failure_reported_for_inequivalent_tuples():
     assert not match.success
     assert match.verdict == "inequivalent"
     # the fingerprints refute it too
-    assert not wiegmann_equivalent(list(fx.a), list(fx.b)).equivalent_up_to_bound
+    assert wiegmann_equivalent(list(fx.a), list(fx.b)).verdict == "distinguished"
 
 
 def _dense_commutant_decision(tuple_a, tuple_b, rng):
@@ -340,17 +412,24 @@ def test_counterexample_triple_has_empty_nullspace():
 
 
 def test_scaled_counterexample_overflow_is_inconclusive():
-    # at scale 1e110 the traces of three-letter words overflow to inf and
-    # their difference to NaN, which must not count as agreement
+    # Normalising each variable keeps every word at norm <= 1, so nothing
+    # overflows and the appendix witness is found again. Unnormalised at 1e100,
+    # the traces of x2^3 (exactly 0) round to +-2.4e284 i: a false mismatch.
     fx = rank_condition_counterexample()
-    big_a = [1e110 * m for m in fx.a]
-    big_b = [1e110 * m for m in fx.b]
-    verdict = wiegmann_equivalent(big_a, big_b, EquivalenceConfig(max_length=3,
-                                                                  num_random_words=0))
+    for scale in (1e100, 1e110, 1e-110):
+        verdict = wiegmann_equivalent([scale * m for m in fx.a], [scale * m for m in fx.b])
+        assert verdict.verdict == "distinguished" and str(verdict.witness) == "x0 x1 x2"
+        gap = abs(_raw_trace(verdict, verdict.trace_a, scale)
+                  - _raw_trace(verdict, verdict.trace_b, scale))
+        assert abs(gap - 2 * np.sqrt(3)) < 1e-9
+    # At 1e308 every entry is finite but the norm of x2 is not, and a division
+    # by that scale would zero the tuple and make every trace agree.
+    verdict = wiegmann_equivalent([1e308 * m for m in fx.a], [1e308 * m for m in fx.b])
     assert verdict.verdict == "inconclusive"
-    assert not verdict.equivalent_up_to_bound
+    assert verdict.words_checked == 0 and verdict.certificate is None
     payload = verdict.to_json()
     assert payload["verdict"] == "inconclusive" and "trace_a" not in payload
+    assert None in payload["scale"]
 
 
 def test_solver_is_deterministic_for_fixed_seed(rng):
@@ -369,5 +448,4 @@ def test_solver_success_implies_fingerprint_agreement(rng):
     rotated = [u @ m @ u.conj().T for m in mats]
     match = find_simultaneous_unitary(mats, rotated)
     assert match.success
-    cfg = EquivalenceConfig(max_length=4, num_random_words=50)
-    assert wiegmann_equivalent(mats, rotated, cfg).equivalent_up_to_bound
+    assert wiegmann_equivalent(mats, rotated, EquivalenceConfig(seed=3)).verdict == "equivalent"
