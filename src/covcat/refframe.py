@@ -15,8 +15,14 @@ constructed (top eigenvector of the average frame output), the fidelity
 ``F(frame output, W sigma W^dag) >= 1 - eps`` and its trace-distance
 consequences are checked numerically, and the final bound is sampled over
 Haar-random pure and Hilbert-Schmidt-random mixed system inputs. Mixed frame
-states and non-unitary dynamics are handled by purifying the frame and
-dilating the dynamics; the recovery acts on the physical frame factors only.
+states and non-unitary dynamics are handled by purifying the frame on a copy
+of the support of sigma_C and dilating the dynamics; the recovery acts on the
+physical frame factors only.
+
+Every frame output sampled is linear in the system input rho, so each map is
+tabulated once on the d_s^2 matrix units ``|b><c|`` of S and every sample is a
+d_s^2-term sum. Memory is O(d_s^2 d_f^2) for frame dimension d_f; no global
+``U (rho (x) sigma) U^dag`` is formed per sample.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .linalg import (
     DimensionError,
     DomainError,
     max_norm,
-    partial_trace,
     random_density,
     random_pure_state,
     require_density,
@@ -47,7 +52,6 @@ from .linalg import (
     require_unitary,
     tensor,
     trace_distance,
-    fidelity,
 )
 from .symmetry import is_symmetric_state
 
@@ -145,7 +149,8 @@ class _PureFrameView:
 
     ``unitary`` acts on S (x) D but never touches the purifier C', which is
     present only so the drift/fidelity chain can be verified on a pure frame
-    state. ``d_cp = 0`` marks a frame that was already pure (D = C (x) E).
+    state. C' is a copy of the support of sigma_C, so ``d_cp = rank sigma_C``;
+    ``d_cp = 0`` marks a frame that was already pure (D = C (x) E).
     """
 
     unitary: np.ndarray
@@ -159,11 +164,17 @@ class _PureFrameView:
     def d_frame(self) -> int:
         return self.d_c * self.d_e * max(self.d_cp, 1)
 
+    def isometry(self) -> np.ndarray:
+        """``M = U(. (x) phi)`` as ``m[a, f, b]``: output S index a, frame
+        index f, input S index b."""
+        d_s, d_f = self.d_s, self.d_frame
+        return (self.unitary.reshape(d_s * d_f, d_s, d_f) @ self.phi).reshape(d_s, d_f, d_s)
+
 
 def _pure_frame_view(sc: FrameScenario) -> _PureFrameView:
     w, v = np.linalg.eigh(sc.sigma_c)
-    w = np.maximum(w, 0.0)
-    rank = int(np.sum(w > 1e-14))
+    support = w > 1e-14
+    rank = int(np.sum(support))
     if sc.omega_e is not None:
         we, ve = np.linalg.eigh(sc.omega_e)
         if we[-1] < 1.0 - 1e-9:
@@ -177,15 +188,11 @@ def _pure_frame_view(sc: FrameScenario) -> _PureFrameView:
     if rank == 1:
         phi = np.kron(v[:, -1].astype(complex), chi)
         return _PureFrameView(sc.unitary, phi, sc.d_s, sc.d_c, sc.d_e, 0)
-    # eigendecomposition purification of sigma_C on a copy C'
-    d_cp = sc.d_c
-    phi = np.zeros(sc.d_c * sc.d_e * d_cp, dtype=complex)
-    for i in range(sc.d_c):
-        if w[i] <= 0.0:
-            continue
-        phi += np.sqrt(w[i]) * np.kron(np.kron(v[:, i], chi), np.eye(d_cp)[i])
-    big = tensor(sc.unitary, np.eye(d_cp))
-    return _PureFrameView(big, phi, sc.d_s, sc.d_c, sc.d_e, d_cp)
+    # eigendecomposition purification of sigma_C on a copy C' of its support
+    amps = v[:, support] * np.sqrt(w[support])
+    phi = np.einsum("ci,e->cei", amps, chi).reshape(-1)
+    big = tensor(sc.unitary, np.eye(rank))
+    return _PureFrameView(big, phi, sc.d_s, sc.d_c, sc.d_e, rank)
 
 
 def _unitary_sending(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -218,36 +225,30 @@ class DriftResult:
     degenerate: bool
 
 
-def _drift_for_view(view: _PureFrameView, target: np.ndarray,
+def _drift_for_view(view: _PureFrameView, m: np.ndarray, target: np.ndarray,
                     num_probe: int = 64, seed: int = 1) -> DriftResult:
-    d_f = view.d_frame
-    frame_rho = np.outer(view.phi, view.phi.conj())
-    avg = env_channel(view.unitary, np.eye(view.d_s) / view.d_s,
-                      view.d_s, d_f).apply(frame_rho)
-    ev, vec = np.linalg.eigh(avg)
+    """Drift unitary from the isometry ``m = view.isometry()``."""
+    d_s, d_f = view.d_s, view.d_frame
+    # average frame output Tr_S M (1/d_s) M^dag
+    flat = m.transpose(1, 0, 2).reshape(d_f, d_s * d_s)
+    ev, vec = np.linalg.eigh(flat @ flat.conj().T / d_s)
     top = vec[:, -1]
     gap = float(ev[-1] - ev[-2]) if d_f > 1 else float(ev[-1])
-    # phase from the image of a fixed reference input
-    psi0 = np.zeros(view.d_s, dtype=complex)
-    psi0[0] = 1.0
-    image = view.unitary @ np.kron(psi0, view.phi)
-    overlap = np.vdot(np.kron(target @ psi0, top), image)
+    # phase from the image M|0> of a fixed reference input
+    overlap = np.vdot(np.kron(target[:, 0], top), m[:, :, 0].reshape(-1))
     if abs(overlap) > 1e-12:
         top = top * (overlap / abs(overlap))
     w_unitary = _unitary_sending(view.phi, top)
-    rng = np.random.default_rng(seed)
-    sup2 = 0.0
-    wphi = w_unitary @ view.phi
-    for k in range(num_probe):
-        if k < view.d_s:
-            psi = np.eye(view.d_s, dtype=complex)[:, k]
-        else:
-            psi = rng.standard_normal(view.d_s) + 1j * rng.standard_normal(view.d_s)
-            psi /= np.linalg.norm(psi)
-        dev = np.linalg.norm(view.unitary @ np.kron(psi, view.phi)
-                             - np.kron(target @ psi, wphi)) ** 2
-        sup2 = max(sup2, float(dev))
-    return DriftResult(unitary=w_unitary, sup_deviation_sq=sup2,
+    # probes: the basis of S, then seeded random unit vectors, one per column
+    probes = np.eye(d_s, num_probe, dtype=complex)
+    if num_probe > d_s:
+        z = np.random.default_rng(seed).standard_normal((num_probe - d_s, 2, d_s))
+        psi = z[:, 0] + 1j * z[:, 1]
+        probes[:, d_s:] = (psi / np.linalg.norm(psi, axis=1, keepdims=True)).T
+    # || (M - V (x) W phi) psi ||^2 for every probe at once
+    delta = m.reshape(d_s * d_f, d_s) - np.kron(target, (w_unitary @ view.phi)[:, None])
+    dev = np.sum(np.abs(delta @ probes) ** 2, axis=0)
+    return DriftResult(unitary=w_unitary, sup_deviation_sq=float(dev.max(initial=0.0)),
                        top_eigenvalue_gap=gap, degenerate=gap < 1e-10)
 
 
@@ -257,7 +258,7 @@ def drift_unitary(sc: FrameScenario, num_probe: int = 64, seed: int = 1) -> Drif
     if view.d_cp:
         raise DomainError("drift_unitary needs a pure frame state; "
                           "the catalytic pipeline handles mixed frames via purification")
-    return _drift_for_view(view, sc.target, num_probe=num_probe, seed=seed)
+    return _drift_for_view(view, view.isometry(), sc.target, num_probe=num_probe, seed=seed)
 
 
 def recovery_channel(sc: FrameScenario) -> Channel:
@@ -370,39 +371,49 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     if not cov.covariant:
         failures.append(f"recovered dynamics not covariant (defect {cov.worst_violation:.3e})")
 
-    # (c) inequality chain on the purified frame
+    # (c) inequality chain on the purified frame. Every frame output is linear
+    # in the system input rho, so it is tabulated once on the matrix units
+    # |b><c| of S: Tr_S M rho M^dag = sum_bc rho_bc out_units[b, c].
     view = _pure_frame_view(sc)
-    drift = _drift_for_view(view, sc.target, seed=seed + 1)
+    d_v = view.d_frame
+    m = view.isometry()
+    drift = _drift_for_view(view, m, sc.target, seed=seed + 1)
+    wphi = drift.unitary @ view.phi
+    w_rho = np.outer(wphi, wphi.conj())
     phi_rho = np.outer(view.phi, view.phi.conj())
-    w_phi = drift.unitary @ phi_rho @ drift.unitary.conj().T
-    frame_dyn_pure = env_channel(view.unitary, np.eye(d_s) / d_s, d_s, view.d_frame)
-    recovery_pure = hs_dual(frame_dyn_pure)
-    pullback = recovery_pure.apply(w_phi)
-    recovery_pullback_distance = trace_distance(phi_rho, pullback)
+    # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s
+    z = np.tensordot(wphi, view.unitary.reshape(d_s, d_v, d_s, d_v).conj(), axes=(0, 1))
+    z = z.reshape(d_s * d_s, d_v)
+    recovery_pullback_distance = trace_distance(phi_rho, z.T @ z.conj() / d_s)
     if recovery_pullback_distance > np.sqrt(2 * eps) + METRIC_SLACK:
         failures.append("recovery pullback distance exceeds sqrt(2 eps)")
 
+    flat = m.transpose(2, 1, 0).reshape(d_s * d_v, d_s)
+    out_units = (flat @ flat.conj().T).reshape(d_s, d_v, d_s, d_v).transpose(0, 2, 1, 3)
+    overlaps = (out_units @ wphi) @ wphi.conj()  # <W phi| out_units[b, c] |W phi>
     min_fid = 1.0
     worst_drift_dist = 0.0
-    probe_states = _sample_system_states(d_s, min(24, samples), seed + 2)
-    for rho in probe_states:
-        out = env_channel(view.unitary, rho, d_s, view.d_frame).apply(phi_rho)
-        min_fid = min(min_fid, fidelity(out, w_phi))
-        worst_drift_dist = max(worst_drift_dist, trace_distance(out, w_phi))
+    for rho in _sample_system_states(d_s, min(24, samples), seed + 2):
+        # fidelity with the pure state W phi is sqrt(<W phi| out |W phi>)
+        min_fid = min(min_fid, float(np.sqrt(max(np.sum(rho * overlaps).real, 0.0))))
+        out = np.tensordot(rho, out_units, 2)
+        worst_drift_dist = max(worst_drift_dist, trace_distance(out, w_rho))
     if min_fid < 1.0 - eps - METRIC_SLACK:
         failures.append(f"drift fidelity {min_fid:.6f} below 1 - eps")
     if worst_drift_dist > np.sqrt(2 * eps) + METRIC_SLACK:
         failures.append("output drift distance exceeds sqrt(2 eps)")
 
-    # (c') sampled final-state distances on the physical frame C
-    frame_in = sc.frame_state
-    dists = []
-    for rho in _sample_system_states(d_s, samples, seed):
-        big = sc.unitary @ tensor(rho, frame_in) @ sc.unitary.conj().T
-        frame_out = partial_trace(big, [d_s, d_f], keep=[1])
-        recovered = recovery.apply(frame_out)
-        final_c = partial_trace(recovered, [d_c, d_e], keep=[0]) if d_e > 1 else recovered
-        dists.append(trace_distance(final_c, sc.sigma_c))
+    # (c') sampled final-state distances on the physical frame C, from
+    # Tr_E R[Tr_S U(|b><c| (x) frame_state)U^dag] tabulated on the matrix units
+    u4 = sc.unitary.reshape(d_s, d_f, d_s, d_f)
+    left = (u4 @ sc.frame_state).transpose(2, 1, 0, 3).reshape(d_s * d_f, -1)
+    right = u4.transpose(2, 1, 0, 3).reshape(d_s * d_f, -1)
+    units = (left @ right.conj().T).reshape(d_s, d_f, d_s, d_f).transpose(0, 2, 1, 3)
+    units = sum(k @ units @ k.conj().T for k in recovery.kraus)
+    if d_e > 1:
+        units = np.einsum("bcieje->bcij", units.reshape(d_s, d_s, d_c, d_e, d_c, d_e))
+    dists = [trace_distance(np.tensordot(rho, units, 2), sc.sigma_c)
+             for rho in _sample_system_states(d_s, samples, seed)]
     worst = float(max(dists))
     mean = float(np.mean(dists))
     if worst > bound + DIAMOND_SLACK:

@@ -173,17 +173,20 @@ class FiniteGroupRep:
         d = images[0].shape[0]
         if any(w.shape[0] != d for w in images):
             raise DimensionError("representation images have mixed dimensions")
+        stack = np.array(images)
         for x in range(group.order):
-            for y in range(group.order):
-                lhs = images[x] @ images[y]
-                rhs = images[group.mul(x, y)]
-                if max_norm(lhs - rhs) > tol:
-                    phase = np.trace(rhs.conj().T @ lhs) / d
-                    if abs(abs(phase) - 1.0) < 1e-6 and max_norm(lhs - phase * rhs) < tol:
-                        raise DomainError(
-                            f"images form a projective representation (cocycle phase at "
-                            f"({x},{y})); projective finite-group representations are unsupported")
-                    raise DomainError(f"images violate the homomorphism law at ({x},{y})")
+            # W(x) W(y) against W(x*y) for every y at once, O(n d^2) memory
+            lhs_row = images[x] @ stack
+            bad = np.flatnonzero(np.abs(lhs_row - stack[group.table[x]]).max(axis=(1, 2)) > tol)
+            if bad.size:
+                y = int(bad[0])
+                lhs, rhs = lhs_row[y], stack[group.table[x, y]]
+                phase = np.trace(rhs.conj().T @ lhs) / d
+                if abs(abs(phase) - 1.0) < 1e-6 and max_norm(lhs - phase * rhs) < tol:
+                    raise DomainError(
+                        f"images form a projective representation (cocycle phase at "
+                        f"({x},{y})); projective finite-group representations are unsupported")
+                raise DomainError(f"images violate the homomorphism law at ({x},{y})")
         self.group = group
         self.images = images
         self.dim = d

@@ -190,6 +190,19 @@ def test_wiegmann_equiv_overflow_exits_inconclusive(tmp_path):
     assert not report["passed"]
 
 
+def test_wiegmann_equiv_rounded_scaled_tuple_is_accepted(tmp_path, rng):
+    # conjugation leaves each matrix Hermitian only up to rounding, which at
+    # scale 1e100 is far above an absolute 1e-10
+    mats = [la.random_hermitian(3, rng) for _ in range(2)]
+    q = la.random_unitary(3, rng)
+    inp, out = tmp_path / "scaled.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps({
+        "tuple_a": [ser.matrix_to_json(1e100 * m) for m in mats],
+        "tuple_b": [ser.matrix_to_json(1e100 * (q @ m @ q.conj().T)) for m in mats]}))
+    assert run_cli(["wiegmann-equiv", "--input", str(inp), "--output", out]) == 0
+    assert read_report(out)["result"]["verdict"] == "equivalent"
+
+
 def test_recovery_verify_builtin(tmp_path):
     out = str(tmp_path / "rec.json")
     code = run_cli(["recovery-verify", "--N", "4", "--samples", "15", "--output", out])

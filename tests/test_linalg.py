@@ -223,3 +223,24 @@ def test_validators_reject_bad_inputs():
         la.require_density(np.diag([0.7, 0.7]))
     with pytest.raises(la.DomainError):
         la.require_density(np.diag([1.5, -0.5]))
+
+
+def test_require_hermitian_tolerance_scales_with_entries(rng):
+    # rounding of a conjugated Hermitian matrix is relative to its entries
+    q = la.random_unitary(3, rng)
+    m = 1e100 * (q @ la.random_hermitian(3, rng) @ q.conj().T)
+    assert la.max_norm(m - m.conj().T) > 1e-10
+    h = la.require_hermitian(m)
+    np.testing.assert_array_equal(h, h.conj().T)
+    # entries near the overflow threshold stay finite
+    for big in (np.array([[1.5e308, 1j], [-1j, 0]]),
+                np.array([[0, 1.5e308 + 1e308j], [1.5e308 - 1e308j, 1.7e308]])):
+        h = la.require_hermitian(big)
+        assert np.isfinite(h.real).all() and np.isfinite(h.imag).all()
+        np.testing.assert_array_equal(h, big)
+    # a genuinely non-Hermitian matrix is still rejected at any scale
+    for scale in (1.0, 1e100):
+        with pytest.raises(la.DomainError):
+            la.require_hermitian(scale * np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(la.DomainError):
+        la.require_hermitian(np.array([[0, 1.5e308], [-1.5e308, 0]]))

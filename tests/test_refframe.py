@@ -16,7 +16,7 @@ from covcat.refframe import (
     shifted_superposition_mixture,
     sweep_to_csv,
 )
-from covcat.refframe import _pure_frame_view
+from covcat.refframe import _pure_frame_view, _sample_system_states, _unitary_sending
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -251,13 +251,13 @@ def test_purifier_left_untouched(rng):
     sigma = shifted_superposition_mixture(4, 0.3)
     sc = phase_reference_scenario(4, np.pi / 2, sigma_c=sigma)
     view = _pure_frame_view(sc)
-    assert view.d_cp == 4
+    assert view.d_cp == 2  # the purifier copies the support of sigma_C, rank 2
     rec_pure = hs_dual(env_channel(view.unitary, np.eye(2) / 2, 2, view.d_frame))
     state = la.random_density(view.d_frame, rng)
     out = rec_pure.apply(state)
     # compare purifier marginals before and after
-    marg_in = la.partial_trace(state, [4, 4], [1])
-    marg_out = la.partial_trace(out, [4, 4], [1])
+    marg_in = la.partial_trace(state, [4, view.d_cp], [1])
+    marg_out = la.partial_trace(out, [4, view.d_cp], [1])
     np.testing.assert_allclose(marg_in, marg_out, atol=1e-10)
 
 
@@ -275,9 +275,89 @@ def test_distance_contracts_from_purified_to_physical_frame(rng):
         frame_out = la.partial_trace(big, [2, view.d_frame], [1])
         recovered = rec_pure.apply(frame_out)
         d_purified = la.trace_distance(recovered, phi_rho)
-        d_physical = la.trace_distance(la.partial_trace(recovered, [4, 4], [0]),
+        d_physical = la.trace_distance(la.partial_trace(recovered, [4, view.d_cp], [0]),
                                        sc.sigma_c)
         assert d_physical <= d_purified + 1e-10
+
+
+def _qutrit_sector_scenario(rng, n=5):
+    """Haar qutrit target applied in every full total-charge sector of qutrit (x) ladder."""
+    v = la.random_unitary(3, rng)
+    u = np.eye(3 * n, dtype=complex)
+    for q in range(2, n):
+        idx = [s * n + (q - s) for s in range(3)]
+        u[np.ix_(idx, idx)] = v
+    amp = np.ones(n, dtype=complex) / np.sqrt(n)
+    return FrameScenario(unitary=u, sigma_c=np.outer(amp, amp.conj()), target=v,
+                         gens_s=(np.diag([0.0, 1.0, 2.0]),),
+                         gens_c=(np.diag(np.arange(n, dtype=float)),))
+
+
+def _per_sample_oracle(sc, samples, seed):
+    """The chain and the sampled distances, one global product per sample.
+
+    The frame is purified on a full copy of C (every eigenvector of sigma_C),
+    and every probe builds its own environment channel.
+    """
+    d_s, d_c, d_e = sc.d_s, sc.d_c, sc.d_e
+    d_f = d_c * d_e
+    w, v = np.linalg.eigh(sc.sigma_c)
+    chi = np.ones(1) if sc.omega_e is None else np.linalg.eigh(sc.omega_e)[1][:, -1]
+    phi = sum(np.sqrt(max(w[i], 0.0)) * np.kron(np.kron(v[:, i], chi), np.eye(d_c)[i])
+              for i in range(d_c))
+    d_v = d_f * d_c
+    u = la.tensor(sc.unitary, np.eye(d_c))
+    phi_rho = np.outer(phi, phi.conj())
+    # drift unitary and its probes
+    avg = env_channel(u, np.eye(d_s) / d_s, d_s, d_v).apply(phi_rho)
+    top = np.linalg.eigh(avg)[1][:, -1]
+    overlap = np.vdot(np.kron(sc.target[:, 0], top), u @ np.kron(np.eye(d_s)[:, 0], phi))
+    top = top * overlap / abs(overlap)
+    wphi = _unitary_sending(phi, top) @ phi
+    probe_rng = np.random.default_rng(seed + 1)
+    sup2 = 0.0
+    for k in range(64):
+        if k < d_s:
+            psi = np.eye(d_s, dtype=complex)[:, k]
+        else:
+            psi = probe_rng.standard_normal(d_s) + 1j * probe_rng.standard_normal(d_s)
+            psi /= np.linalg.norm(psi)
+        dev = u @ np.kron(psi, phi) - np.kron(sc.target @ psi, wphi)
+        sup2 = max(sup2, np.linalg.norm(dev) ** 2)
+    w_rho = np.outer(wphi, wphi.conj())
+    pullback = hs_dual(env_channel(u, np.eye(d_s) / d_s, d_s, d_v)).apply(w_rho)
+    pullback_dist = la.trace_distance(phi_rho, pullback)
+    min_fid, worst_drift = 1.0, 0.0
+    for rho in _sample_system_states(d_s, min(24, samples), seed + 2):
+        out = env_channel(u, rho, d_s, d_v).apply(phi_rho)
+        min_fid = min(min_fid, la.fidelity(out, w_rho))
+        worst_drift = max(worst_drift, la.trace_distance(out, w_rho))
+    recovery = recovery_channel(sc)
+    dists = []
+    for rho in _sample_system_states(d_s, samples, seed):
+        big = sc.unitary @ la.tensor(rho, sc.frame_state) @ sc.unitary.conj().T
+        recovered = recovery.apply(la.partial_trace(big, [d_s, d_f], [1]))
+        final_c = la.partial_trace(recovered, [d_c, d_e], [0])
+        dists.append(la.trace_distance(final_c, sc.sigma_c))
+    return sup2, pullback_dist, min_fid, worst_drift, dists
+
+
+@pytest.mark.parametrize("case", ["ladder-N8", "mixed-N6", "dilated", "qutrit"])
+def test_tabulated_chain_matches_per_sample_oracle(case):
+    rng = np.random.default_rng(17)
+    sc = {"ladder-N8": lambda: phase_reference_scenario(8, np.pi / 2),
+          "mixed-N6": lambda: phase_reference_scenario(
+              6, np.pi / 2, sigma_c=shifted_superposition_mixture(6, 0.4, weight=0.3)),
+          "dilated": _dilated_scenario,
+          "qutrit": lambda: _qutrit_sector_scenario(rng)}[case]()
+    _, report = catalytic_channel(sc, samples=30, seed=4)
+    sup2, pullback_dist, min_fid, worst_drift, dists = _per_sample_oracle(sc, samples=30, seed=4)
+    assert abs(report.drift.sup_deviation_sq - sup2) <= 1e-12
+    assert abs(report.recovery_pullback_distance - pullback_dist) <= 1e-12
+    assert abs(report.min_fidelity - min_fid) <= 1e-12
+    assert abs(report.worst_output_drift_distance - worst_drift) <= 1e-12
+    np.testing.assert_allclose(report.distances, dists, rtol=0, atol=1e-12)
+    assert report.passed, report.failures
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,31 @@ def test_projective_rep_rejected():
         sym.FiniteGroupRep(g, pauli)
 
 
+def _first_homomorphism_failure(table, images, tol=la.STRUCT_TOL):
+    """Double-loop oracle: the first failing (x, y) in row-major order and
+    whether it is a cocycle phase."""
+    d = images[0].shape[0]
+    for x, y in itertools.product(range(len(images)), repeat=2):
+        lhs, rhs = images[x] @ images[y], images[table[x, y]]
+        if la.max_norm(lhs - rhs) > tol:
+            phase = np.trace(rhs.conj().T @ lhs) / d
+            return x, y, abs(abs(phase) - 1.0) < 1e-6 and la.max_norm(lhs - phase * rhs) < tol
+    return None
+
+
+@pytest.mark.parametrize("corrupt", ["random", "sign"])
+def test_corrupted_s5_image_reports_first_failing_pair(corrupt, rng):
+    good = sym.standard_representation(5)
+    images = list(good.images)
+    k = 37
+    images[k] = la.random_unitary(4, rng) if corrupt == "random" else -images[k]
+    x, y, projective = _first_homomorphism_failure(good.group.table, images)
+    assert projective == (corrupt == "sign")
+    kind = "projective representation" if projective else "violate the homomorphism law"
+    with pytest.raises(la.DomainError, match=rf"{kind}.* at \({x},{y}\)"):
+        sym.FiniteGroupRep(good.group, images)
+
+
 def test_s3_standard_rep_is_valid():
     g = sym.FiniteGroup.symmetric(3)
     rep = sym.FiniteGroupRep(g, s3_standard_images())
