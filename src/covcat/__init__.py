@@ -39,7 +39,6 @@ from .channels import (
     hs_dual,
     induced_channel,
     is_covariant,
-    is_doubly_stochastic,
     thermal_operation,
     verify_covariant_dilation,
 )

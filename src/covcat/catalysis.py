@@ -43,6 +43,7 @@ from .words import UnitaryMatchResult, find_simultaneous_unitary
 
 ADMISSIBILITY_TOL = 1e-9   # structural equalities of a scenario
 INTERTWINER_TOL = 1e-7     # accepted residual of the constructed intertwiner
+CATALYST_TOL = 1e-8        # max-norm return of the catalyst marginal
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +339,8 @@ class CorrelationReport:
                 "rank_after": self.rank_after}
 
 
-def correlation_balance(u: np.ndarray, rho_se: np.ndarray, sigma_c: np.ndarray,
-                        tol: float = 1e-8) -> CorrelationReport:
+def correlation_balance(u: np.ndarray, rho_se: np.ndarray,
+                        sigma_c: np.ndarray) -> CorrelationReport:
     """Entropy and correlation ledger of one joint unitary application.
 
     Treats the first factor as the system-plus-environment block and the
@@ -363,7 +364,7 @@ def correlation_balance(u: np.ndarray, rho_se: np.ndarray, sigma_c: np.ndarray,
     mutual = h_c + h_se - h_joint
     delta = h_se - von_neumann_entropy(rho_se)
     cat_res = max_norm(final_c - sigma_c)
-    preserved = cat_res <= tol
+    preserved = cat_res <= CATALYST_TOL
     return CorrelationReport(
         mutual_information=mutual,
         entropy_change=delta,

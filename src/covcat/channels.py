@@ -45,8 +45,7 @@ class Channel:
     """
 
     def __init__(self, kraus: Sequence[np.ndarray], d_in: int | None = None,
-                 d_out: int | None = None, require_tp: bool = True,
-                 atol: float = CHANNEL_TOL):
+                 d_out: int | None = None, require_tp: bool = True):
         ks = [np.asarray(k, dtype=complex) for k in kraus]
         if not ks:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -64,7 +63,7 @@ class Channel:
         self._choi = None
         if require_tp:
             dev = self.trace_preservation_defect()
-            if dev > atol:
+            if dev > CHANNEL_TOL:
                 raise DomainError(f"Kraus sum deviates from trace preservation by {dev:.3e}")
 
     # -- basic queries ------------------------------------------------------
@@ -220,13 +219,6 @@ def hs_dual(t: Channel) -> Channel:
     return Channel([k.conj().T for k in t.kraus], require_tp=False)
 
 
-def is_doubly_stochastic(t: Channel, tol: float = CHANNEL_TOL) -> bool:
-    """Whether the channel fixes the identity operator."""
-    if t.d_in != t.d_out:
-        raise DimensionError("doubly stochastic is only defined for equal dims")
-    return max_norm(t.apply(np.eye(t.d_in)) - np.eye(t.d_out)) <= tol
-
-
 def induced_channel(t: Channel, sigma_c: np.ndarray, d_s: int, d_c: int) -> Channel:
     """Reduced dynamics on S of a channel on SC with a fixed C input.
 
@@ -256,26 +248,15 @@ def induced_channel(t: Channel, sigma_c: np.ndarray, d_s: int, d_c: int) -> Chan
 def env_channel(u: np.ndarray, rho_s: np.ndarray, d_s: int, d_c: int) -> Channel:
     """Complementary-direction channel on C of a unitary on SC.
 
-    ``sigma -> Tr_S[U (rho_S (x) sigma) U^dag]``. Linear in rho_S.
+    ``sigma -> Tr_S[U (rho_S (x) sigma) U^dag]``. Linear in rho_S. This is
+    `induced_channel` of U with its legs swapped, so the Kraus operators are
+    ``sqrt(w_k) (<l|_S (x) 1) U (|r_k>_S (x) 1)`` over the eigenpairs
+    (w_k, r_k) of rho_S, k outer and l inner.
     """
-    u = require_unitary(u)
-    if u.shape[0] != d_s * d_c:
+    if np.shape(u) != (d_s * d_c, d_s * d_c):
         raise DimensionError("unitary does not act on the declared S (x) C split")
-    rho_s = require_density(rho_s)
-    if rho_s.shape[0] != d_s:
-        raise DimensionError(f"rho_S dim {rho_s.shape[0]} != d_S {d_s}")
-    w, v = np.linalg.eigh(rho_s)
-    ub = u.reshape(d_s, d_c, d_s, d_c)
-    ks = []
-    for k_idx in range(d_s):
-        if w[k_idx] <= 1e-15:
-            continue
-        amp = np.sqrt(w[k_idx])
-        # (<l|_S (x) 1) U (|r_k>_S (x) 1) for every output S index l
-        block = np.einsum("albn,b->aln", ub, v[:, k_idx])
-        for l in range(d_s):
-            ks.append(amp * block[l])
-    return Channel(ks)
+    swapped = np.reshape(u, (d_s, d_c, d_s, d_c)).transpose(1, 0, 3, 2).reshape(d_s * d_c, -1)
+    return induced_channel(Channel.from_unitary(swapped), rho_s, d_c, d_s)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +303,7 @@ class DilationReport:
 
 
 def verify_covariant_dilation(spec: DilationSpec, gens_s: Sequence[np.ndarray],
-                              gens_e: Sequence[np.ndarray],
-                              tol: float = STRUCT_TOL) -> DilationReport:
+                              gens_e: Sequence[np.ndarray]) -> DilationReport:
     """Check that the global unitary commutes with the composite generators and
     the environment state is symmetric; together these certify covariance of
     the dilated channel."""
@@ -334,10 +314,10 @@ def verify_covariant_dilation(spec: DilationSpec, gens_s: Sequence[np.ndarray],
         total = tensor(require_hermitian(xs), np.eye(spec.d_e)) + \
             tensor(np.eye(spec.d_s), require_hermitian(xe))
         worst_u = max(worst_u, max_norm(u @ total - total @ u))
-    sym, worst_e = is_symmetric_state(spec.omega_e, gens_e, tol)
+    sym, worst_e = is_symmetric_state(spec.omega_e, gens_e, STRUCT_TOL)
     purity = float(np.trace(spec.omega_e @ spec.omega_e).real)
     return DilationReport(
-        unitary_covariant=worst_u <= tol,
+        unitary_covariant=worst_u <= STRUCT_TOL,
         unitary_violation=worst_u,
         env_state_symmetric=sym,
         env_state_violation=worst_e,
@@ -346,7 +326,7 @@ def verify_covariant_dilation(spec: DilationSpec, gens_s: Sequence[np.ndarray],
 
 
 def thermal_operation(h_s: np.ndarray, h_e: np.ndarray, beta: float,
-                      u: np.ndarray, tol: float = STRUCT_TOL) -> Channel:
+                      u: np.ndarray) -> Channel:
     """Channel dilated by a Gibbs environment and an energy-conserving unitary.
 
     Raises if ``u`` fails to commute with the total energy
@@ -358,7 +338,7 @@ def thermal_operation(h_s: np.ndarray, h_e: np.ndarray, beta: float,
     u = require_unitary(u)
     total = tensor(h_s, np.eye(d_e)) + tensor(np.eye(d_s), h_e)
     dev = max_norm(u @ total - total @ u)
-    if dev > tol:
+    if dev > STRUCT_TOL:
         raise DomainError(f"unitary is not strictly energy conserving (violation {dev:.3e})")
     spec = DilationSpec(omega_e=gibbs_state(h_e, beta), unitary=u, d_s=d_s, d_e=d_e)
     return dilation_to_channel(spec)

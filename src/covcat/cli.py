@@ -278,6 +278,15 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """Argparse type with the rule of `tolerance_from_json`: a finite number >= 0."""
+    value = float(text)  # argparse also reports the ValueError of float()
+    try:
+        return tolerance_from_json(value, "tolerance")
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 HANDLERS = {
     "check-covariance": _cmd_check_covariance,
     "wiegmann-equiv": _cmd_wiegmann_equiv,
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input problem JSON")
         p.add_argument("--output", default=None, help="report destination")
         p.add_argument("--seed", type=_int_at_least(0), default=0)
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="tolerance override where applicable")
 
     p = sub.add_parser("check-covariance", help="test a channel against representations")

@@ -30,6 +30,9 @@ STRUCT_TOL = 1e-10
 # Relative eigenvalue cutoff below which a PSD spectrum entry counts as zero.
 ZERO_EIG_RTOL = 1e-12
 
+# Relative eigenvalue cutoff of `psd_rank`.
+RANK_RTOL = 1e-10
+
 
 class DimensionError(ValueError):
     """Operands have incompatible or invalid dimensions."""
@@ -161,40 +164,39 @@ def func_calc(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
     return (v * fw) @ v.conj().T
 
 
-def hermitian_power(a: np.ndarray, s: float, clamp_tol: float = STRUCT_TOL,
-                    zero_rtol: float = ZERO_EIG_RTOL) -> np.ndarray:
+def hermitian_power(a: np.ndarray, s: float) -> np.ndarray:
     """Real power of a PSD matrix with the 0**s = 0 convention.
 
-    Eigenvalues in [-clamp_tol, 0) are treated as round-off and clamped to
+    Eigenvalues in [-STRUCT_TOL, 0) are treated as round-off and clamped to
     zero; anything more negative raises ``DomainError``. Eigenvalues at or
-    below ``zero_rtol * max_eigenvalue`` count as zero and are mapped to zero
+    below ``ZERO_EIG_RTOL * max_eigenvalue`` count as zero and are mapped to zero
     for every exponent, so ``s = 0`` yields the support projector of a
     singular input (and the identity for a full-rank one).
     """
     m = require_hermitian(a)
     w, v = np.linalg.eigh(m)
-    if w.size and w[0] < -clamp_tol:
-        raise DomainError(f"eigenvalue {w[0]:.3e} below -{clamp_tol}: input not PSD")
+    if w.size and w[0] < -STRUCT_TOL:
+        raise DomainError(f"eigenvalue {w[0]:.3e} below -{STRUCT_TOL}: input not PSD")
     w = np.maximum(w, 0.0)
-    cutoff = zero_rtol * (w[-1] if w.size and w[-1] > 0 else 1.0)
+    cutoff = ZERO_EIG_RTOL * (w[-1] if w.size and w[-1] > 0 else 1.0)
     zero = w <= cutoff
     with np.errstate(divide="ignore"):
         pw = np.where(zero, 0.0, w ** float(s))
     return (v * pw) @ v.conj().T
 
 
-def support_projector(a: np.ndarray, zero_rtol: float = ZERO_EIG_RTOL) -> np.ndarray:
+def support_projector(a: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix."""
-    return hermitian_power(a, 0.0, zero_rtol=zero_rtol)
+    return hermitian_power(a, 0.0)
 
 
-def psd_rank(a: np.ndarray, rtol: float = 1e-10) -> int:
-    """Rank of a PSD matrix, counting eigenvalues above rtol * max eigenvalue."""
+def psd_rank(a: np.ndarray) -> int:
+    """Rank of a PSD matrix, counting eigenvalues above RANK_RTOL * max eigenvalue."""
     w = np.linalg.eigvalsh(require_hermitian(a))
     top = w[-1] if w.size else 0.0
     if top <= 0.0:
         return 0
-    return int(np.sum(w > rtol * top))
+    return int(np.sum(w > RANK_RTOL * top))
 
 
 # ---------------------------------------------------------------------------

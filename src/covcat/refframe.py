@@ -14,15 +14,16 @@ The verification chain mirrors the underlying argument: a drift unitary W is
 constructed (top eigenvector of the average frame output), the fidelity
 ``F(frame output, W sigma W^dag) >= 1 - eps`` and its trace-distance
 consequences are checked numerically, and the final bound is sampled over
-Haar-random pure and Hilbert-Schmidt-random mixed system inputs. Mixed frame
-states and non-unitary dynamics are handled by purifying the frame on a copy
-of the support of sigma_C and dilating the dynamics; the recovery acts on the
+Haar-random pure and Hilbert-Schmidt-random mixed system inputs. Every frame
+state is purified on a copy of the support of sigma_C (one dimension for a
+pure frame) and non-unitary dynamics is dilated; the recovery acts on the
 physical frame factors only.
 
-Every frame output sampled is linear in the system input rho, so each map is
-tabulated once on the d_s^2 matrix units ``|b><c|`` of S and every sample is a
-d_s^2-term sum. Memory is O(d_s^2 d_f^2) for frame dimension d_f; no global
-``U (rho (x) sigma) U^dag`` is formed per sample.
+Every frame output sampled is linear in the system input rho, so the frame
+output is tabulated once on the d_s^2 matrix units ``|b><c|`` of S, and both
+the purified chain and the physical-frame distances are read from that one
+table; every sample is a d_s^2-term sum. Memory is O(d_s^2 d_f^2) for frame
+dimension d_f; no global ``U (rho (x) sigma) U^dag`` is formed per sample.
 """
 
 from __future__ import annotations
@@ -32,14 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    env_channel,
-    hs_dual,
-    induced_channel,
-    is_covariant,
-    is_doubly_stochastic,
-)
+from .channels import Channel, induced_channel, is_covariant
 from .diamond import DiamondResult, diamond_distance
 from .linalg import (
     DimensionError,
@@ -56,6 +50,7 @@ from .linalg import (
 from .symmetry import is_symmetric_state
 
 COVARIANCE_TOL = 1e-9
+NUM_PROBES = 64        # drift probes: the basis of S, then seeded random unit vectors
 DIAMOND_SLACK = 1e-5   # slack on assertions involving the diamond-norm value
 METRIC_SLACK = 1e-6    # slack on state-metric assertions
 
@@ -78,7 +73,6 @@ class FrameScenario:
     gens_c: tuple
     gens_e: tuple = ()
     omega_e: np.ndarray | None = None
-    covariance_tol: float = COVARIANCE_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "unitary", require_unitary(self.unitary))
@@ -91,7 +85,7 @@ class FrameScenario:
             object.__setattr__(self, "omega_e", require_density(self.omega_e))
             if len(self.gens_e) != len(self.gens_s):
                 raise DimensionError("environment generators required for dilated dynamics")
-            sym, dev = is_symmetric_state(self.omega_e, self.gens_e, self.covariance_tol)
+            sym, dev = is_symmetric_state(self.omega_e, self.gens_e, COVARIANCE_TOL)
             if not sym:
                 raise DomainError(f"environment state is not symmetric (deviation {dev:.3e})")
         if len(self.gens_s) != len(self.gens_c):
@@ -99,7 +93,7 @@ class FrameScenario:
         if self.unitary.shape[0] != self.d_s * self.d_c * self.d_e:
             raise DimensionError("global unitary does not act on S (x) C (x) E")
         dev = self._covariance_defect()
-        if dev > self.covariance_tol:
+        if dev > COVARIANCE_TOL:
             raise DomainError(f"global dynamics is not covariant (defect {dev:.3e})")
 
     def _covariance_defect(self) -> float:
@@ -149,8 +143,8 @@ class _PureFrameView:
 
     ``unitary`` acts on S (x) D but never touches the purifier C', which is
     present only so the drift/fidelity chain can be verified on a pure frame
-    state. C' is a copy of the support of sigma_C, so ``d_cp = rank sigma_C``;
-    ``d_cp = 0`` marks a frame that was already pure (D = C (x) E).
+    state. C' is a copy of the support of sigma_C, so ``d_cp = rank sigma_C``,
+    which is 1 for a pure frame.
     """
 
     unitary: np.ndarray
@@ -162,7 +156,7 @@ class _PureFrameView:
 
     @property
     def d_frame(self) -> int:
-        return self.d_c * self.d_e * max(self.d_cp, 1)
+        return self.d_c * self.d_e * self.d_cp
 
     def isometry(self) -> np.ndarray:
         """``M = U(. (x) phi)`` as ``m[a, f, b]``: output S index a, frame
@@ -182,12 +176,6 @@ def _pure_frame_view(sc: FrameScenario) -> _PureFrameView:
         chi = ve[:, -1]
     else:
         chi = np.ones(1, dtype=complex)
-    if rank == 1 and sc.omega_e is None:
-        return _PureFrameView(sc.unitary, v[:, -1].astype(complex),
-                              sc.d_s, sc.d_c, 1, 0)
-    if rank == 1:
-        phi = np.kron(v[:, -1].astype(complex), chi)
-        return _PureFrameView(sc.unitary, phi, sc.d_s, sc.d_c, sc.d_e, 0)
     # eigendecomposition purification of sigma_C on a copy C' of its support
     amps = v[:, support] * np.sqrt(w[support])
     phi = np.einsum("ci,e->cei", amps, chi).reshape(-1)
@@ -226,7 +214,7 @@ class DriftResult:
 
 
 def _drift_for_view(view: _PureFrameView, m: np.ndarray, target: np.ndarray,
-                    num_probe: int = 64, seed: int = 1) -> DriftResult:
+                    seed: int = 1) -> DriftResult:
     """Drift unitary from the isometry ``m = view.isometry()``."""
     d_s, d_f = view.d_s, view.d_frame
     # average frame output Tr_S M (1/d_s) M^dag
@@ -240,9 +228,9 @@ def _drift_for_view(view: _PureFrameView, m: np.ndarray, target: np.ndarray,
         top = top * (overlap / abs(overlap))
     w_unitary = _unitary_sending(view.phi, top)
     # probes: the basis of S, then seeded random unit vectors, one per column
-    probes = np.eye(d_s, num_probe, dtype=complex)
-    if num_probe > d_s:
-        z = np.random.default_rng(seed).standard_normal((num_probe - d_s, 2, d_s))
+    probes = np.eye(d_s, NUM_PROBES, dtype=complex)
+    if NUM_PROBES > d_s:
+        z = np.random.default_rng(seed).standard_normal((NUM_PROBES - d_s, 2, d_s))
         psi = z[:, 0] + 1j * z[:, 1]
         probes[:, d_s:] = (psi / np.linalg.norm(psi, axis=1, keepdims=True)).T
     # || (M - V (x) W phi) psi ||^2 for every probe at once
@@ -252,30 +240,34 @@ def _drift_for_view(view: _PureFrameView, m: np.ndarray, target: np.ndarray,
                        top_eigenvalue_gap=gap, degenerate=gap < 1e-10)
 
 
-def drift_unitary(sc: FrameScenario, num_probe: int = 64, seed: int = 1) -> DriftResult:
+def drift_unitary(sc: FrameScenario, seed: int = 1) -> DriftResult:
     """Drift unitary for a scenario with unitary dynamics and a pure frame state."""
     view = _pure_frame_view(sc)
-    if view.d_cp:
+    if view.d_cp > 1:
         raise DomainError("drift_unitary needs a pure frame state; "
                           "the catalytic pipeline handles mixed frames via purification")
-    return _drift_for_view(view, view.isometry(), sc.target, num_probe=num_probe, seed=seed)
+    return _drift_for_view(view, view.isometry(), sc.target, seed=seed)
+
+
+def _recovery_kraus(u: np.ndarray, d_s: int) -> np.ndarray:
+    """Recovery Kraus stack ``(<a| (x) 1) U^dag (|b> (x) 1) / sqrt(d_s)``, index
+    ``a * d_s + b``: the adjoints of the Kraus operators of the frame-side
+    dynamics ``Tr_S[U (1/d_s (x) .) U^dag]``, in `env_channel`'s order."""
+    d_f = u.shape[0] // d_s
+    u_dag = u.conj().T.reshape(d_s, d_f, d_s, d_f)
+    return u_dag.transpose(0, 2, 1, 3).reshape(d_s * d_s, d_f, d_f) / np.sqrt(d_s)
 
 
 def recovery_channel(sc: FrameScenario) -> Channel:
     """Covariant recovery map on the physical frame legs C (x) E.
 
-    Dual of the frame-side dynamics at maximally mixed system input. That
-    dynamics is doubly stochastic because its dilation uses a maximally mixed
-    state, so the dual is a genuine channel; a failure of this check is a
-    hard error. Covariance follows from covariance of the dynamics and is
-    re-checked by callers through `is_covariant`.
+    Dual of the frame-side dynamics at maximally mixed system input. Its
+    trace preservation, checked by `Channel`, is the frame-side dynamics
+    fixing the identity: ``sum K^dag K = Tr_S[U (1/d_s (x) 1) U^dag] = 1``.
+    Covariance follows from covariance of the dynamics and is re-checked by
+    callers through `is_covariant`.
     """
-    d_f = sc.d_c * sc.d_e
-    frame_dyn = env_channel(sc.unitary, np.eye(sc.d_s) / sc.d_s, sc.d_s, d_f)
-    if not is_doubly_stochastic(frame_dyn, tol=1e-9):
-        raise DomainError("frame-side dynamics at maximally mixed input is not doubly "
-                          "stochastic; recovery construction does not apply")
-    return hs_dual(frame_dyn)
+    return Channel(_recovery_kraus(sc.unitary, sc.d_s))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +359,7 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     # (b) covariance of T' under the composite generators on S (x) C
     comp_in = [tensor(xs, np.eye(d_c)) + tensor(np.eye(d_s), xc)
                for xs, xc in zip(sc.gens_s, sc.gens_c)]
-    cov = is_covariant(t_prime, comp_in, comp_in, tol=sc.covariance_tol)
+    cov = is_covariant(t_prime, comp_in, comp_in, tol=COVARIANCE_TOL)
     if not cov.covariant:
         failures.append(f"recovered dynamics not covariant (defect {cov.worst_violation:.3e})")
 
@@ -382,9 +374,8 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     w_rho = np.outer(wphi, wphi.conj())
     phi_rho = np.outer(view.phi, view.phi.conj())
     # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s
-    z = np.tensordot(wphi, view.unitary.reshape(d_s, d_v, d_s, d_v).conj(), axes=(0, 1))
-    z = z.reshape(d_s * d_s, d_v)
-    recovery_pullback_distance = trace_distance(phi_rho, z.T @ z.conj() / d_s)
+    z = _recovery_kraus(view.unitary, d_s) @ wphi
+    recovery_pullback_distance = trace_distance(phi_rho, z.T @ z.conj())
     if recovery_pullback_distance > np.sqrt(2 * eps) + METRIC_SLACK:
         failures.append("recovery pullback distance exceeds sqrt(2 eps)")
 
@@ -404,11 +395,9 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
         failures.append("output drift distance exceeds sqrt(2 eps)")
 
     # (c') sampled final-state distances on the physical frame C, from
-    # Tr_E R[Tr_S U(|b><c| (x) frame_state)U^dag] tabulated on the matrix units
-    u4 = sc.unitary.reshape(d_s, d_f, d_s, d_f)
-    left = (u4 @ sc.frame_state).transpose(2, 1, 0, 3).reshape(d_s * d_f, -1)
-    right = u4.transpose(2, 1, 0, 3).reshape(d_s * d_f, -1)
-    units = (left @ right.conj().T).reshape(d_s, d_f, d_s, d_f).transpose(0, 2, 1, 3)
+    # Tr_E R[Tr_C' out_units]: the view leaves the purifier C' untouched, so
+    # Tr_C' out_units[b, c] = Tr_S U(|b><c| (x) frame_state)U^dag
+    units = np.einsum("bcfigi->bcfg", out_units.reshape(d_s, d_s, d_f, view.d_cp, d_f, view.d_cp))
     units = sum(k @ units @ k.conj().T for k in recovery.kraus)
     if d_e > 1:
         units = np.einsum("bcieje->bcij", units.reshape(d_s, d_s, d_c, d_e, d_c, d_e))

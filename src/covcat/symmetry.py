@@ -165,11 +165,10 @@ class FiniteGroupRep:
     a cocycle convention.
     """
 
-    def __init__(self, group: FiniteGroup, images: Sequence[np.ndarray],
-                 tol: float = STRUCT_TOL):
+    def __init__(self, group: FiniteGroup, images: Sequence[np.ndarray]):
         if len(images) != group.order:
             raise DimensionError(f"{len(images)} images for group of order {group.order}")
-        images = tuple(require_unitary(w, tol=max(tol, STRUCT_TOL)) for w in images)
+        images = tuple(require_unitary(w) for w in images)
         d = images[0].shape[0]
         if any(w.shape[0] != d for w in images):
             raise DimensionError("representation images have mixed dimensions")
@@ -177,12 +176,13 @@ class FiniteGroupRep:
         for x in range(group.order):
             # W(x) W(y) against W(x*y) for every y at once, O(n d^2) memory
             lhs_row = images[x] @ stack
-            bad = np.flatnonzero(np.abs(lhs_row - stack[group.table[x]]).max(axis=(1, 2)) > tol)
+            bad = np.flatnonzero(np.abs(lhs_row - stack[group.table[x]]).max(axis=(1, 2))
+                                 > STRUCT_TOL)
             if bad.size:
                 y = int(bad[0])
                 lhs, rhs = lhs_row[y], stack[group.table[x, y]]
                 phase = np.trace(rhs.conj().T @ lhs) / d
-                if abs(abs(phase) - 1.0) < 1e-6 and max_norm(lhs - phase * rhs) < tol:
+                if abs(abs(phase) - 1.0) < 1e-6 and max_norm(lhs - phase * rhs) < STRUCT_TOL:
                     raise DomainError(
                         f"images form a projective representation (cocycle phase at "
                         f"({x},{y})); projective finite-group representations are unsupported")

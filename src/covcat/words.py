@@ -118,8 +118,11 @@ def parse_word(text: str, num_variables: int) -> Word:
 # evaluation
 # ---------------------------------------------------------------------------
 
+PSD_TOL = 1e-10  # most negative eigenvalue a zeroth or real power accepts
+
+
 def _check_tuple(word: Word, matrices: Sequence[np.ndarray],
-                 psd_vars: frozenset[int], psd_tol: float) -> list[np.ndarray]:
+                 psd_vars: frozenset[int]) -> list[np.ndarray]:
     if len(matrices) != word.num_variables:
         raise DimensionError(f"word has {word.num_variables} variables, tuple has {len(matrices)}")
     mats = [require_hermitian(m) for m in matrices]
@@ -129,14 +132,14 @@ def _check_tuple(word: Word, matrices: Sequence[np.ndarray],
             raise DimensionError("tuple matrices have mixed dimensions")
         if i in psd_vars:
             low = np.linalg.eigvalsh(m)[0]
-            if low < -psd_tol:
+            if low < -PSD_TOL:
                 raise DomainError(
                     f"variable x{i} has eigenvalue {low:.3e}: real or zeroth powers "
                     "need a positive semi-definite matrix")
     return mats
 
 
-def word_trace(word: Word, matrices: Sequence[np.ndarray], psd_tol: float = 1e-10) -> complex:
+def word_trace(word: Word, matrices: Sequence[np.ndarray]) -> complex:
     """Trace of the word evaluated on a Hermitian tuple with integer powers.
 
     An exponent of zero contributes the support projector of its matrix and
@@ -144,7 +147,7 @@ def word_trace(word: Word, matrices: Sequence[np.ndarray], psd_tol: float = 1e-1
     positive exponents work for any Hermitian tuple.
     """
     psd_vars = frozenset(var for var, exp in word.letters if exp == 0)
-    mats = _check_tuple(word, matrices, psd_vars, psd_tol)
+    mats = _check_tuple(word, matrices, psd_vars)
     d = mats[0].shape[0]
     acc = np.eye(d, dtype=complex)
     for var, exp in word.letters:
@@ -156,7 +159,7 @@ def word_trace(word: Word, matrices: Sequence[np.ndarray], psd_tol: float = 1e-1
 
 
 def fractional_word_trace(word: Word, exponents: Sequence[float],
-                          matrices: Sequence[np.ndarray], psd_tol: float = 1e-10) -> complex:
+                          matrices: Sequence[np.ndarray]) -> complex:
     """Word trace with each letter's exponent replaced by a real number.
 
     Matrix powers use PSD functional calculus with 0**s = 0, so the all-zero
@@ -164,7 +167,7 @@ def fractional_word_trace(word: Word, exponents: Sequence[float],
     own integer exponents this reproduces `word_trace`. Participating
     variables must be PSD for real powers to make sense.
     """
-    mats = _check_tuple(word, matrices, word.participating, psd_tol)
+    mats = _check_tuple(word, matrices, word.participating)
     s = [float(x) for x in exponents]
     if len(s) != word.length:
         raise DimensionError(f"word length {word.length} != exponent vector length {len(s)}")

@@ -12,14 +12,13 @@ from covcat.channels import (
     hs_dual,
     induced_channel,
     is_covariant,
-    is_doubly_stochastic,
     tensor_channels,
     thermal_operation,
     twirl,
     verify_covariant_dilation,
 )
 
-from conftest import random_channel
+from conftest import env_channel_loop, random_channel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -222,16 +221,10 @@ def test_hs_dual_involution(rng):
     np.testing.assert_allclose(hs_dual(hs_dual(t)).choi(), t.choi(), atol=1e-10)
 
 
-def test_doubly_stochastic():
-    assert is_doubly_stochastic(Channel.from_unitary(la.random_unitary(3, np.random.default_rng(1))))
-    damp = Channel([np.diag([1.0, 0.5]), np.sqrt(3) / 2 * np.array([[0, 1], [0, 0]])])
-    assert not is_doubly_stochastic(damp)
-
-
-def test_env_channel_at_maximally_mixed_is_doubly_stochastic(rng):
+def test_env_channel_at_maximally_mixed_is_unital(rng):
     u = la.random_unitary(6, rng)
     frame_dyn = env_channel(u, np.eye(2) / 2, 2, 3)
-    assert is_doubly_stochastic(frame_dyn)
+    np.testing.assert_allclose(frame_dyn.apply(np.eye(3)), np.eye(3), rtol=0, atol=1e-12)
 
 
 def test_induced_channel_product_dynamics(rng):
@@ -269,6 +262,19 @@ def test_env_channel_identity_and_swap(rng):
     np.testing.assert_allclose(ident.apply(sig), sig, atol=1e-12)
     swapped = env_channel(SWAP, rho, 2, 2)
     np.testing.assert_allclose(swapped.apply(sig), rho, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_s, d_c", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("rank", ["full", "deficient"])
+def test_env_channel_matches_per_eigenvector_loop(d_s, d_c, rank, rng):
+    u = la.random_unitary(d_s * d_c, rng)
+    cols = d_s if rank == "full" else d_s - 1
+    g = rng.standard_normal((d_s, cols)) + 1j * rng.standard_normal((d_s, cols))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    got, want = env_channel(u, rho, d_s, d_c).kraus, env_channel_loop(u, rho, d_s, d_c).kraus
+    assert len(got) == len(want) == cols * d_s
+    for k_got, k_want in zip(got, want):
+        np.testing.assert_allclose(k_got, k_want, rtol=0, atol=1e-14)
 
 
 def test_env_channel_linear_in_system_state(rng):

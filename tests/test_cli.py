@@ -2,7 +2,7 @@ import json
 import time
 
 import numpy as np
-
+import pytest
 
 from covcat import linalg as la
 from covcat import serialize as ser
@@ -107,6 +107,16 @@ def test_check_covariance_failure_exit_code(tmp_path):
     inp.write_text(json.dumps(problem))
     assert run_cli(["check-covariance", "--input", str(inp),
                     "--output", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("command", ["demo-appendix", "check-covariance"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_flag_must_be_finite_and_non_negative(command, tol, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli([command, "--input", str(tmp_path / "cov.json"), "--tol", tol])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected a finite number >= 0" in err and "Traceback" not in err
 
 
 def test_malformed_input_exit_code(tmp_path):

@@ -18,6 +18,8 @@ from covcat.refframe import (
 )
 from covcat.refframe import _pure_frame_view, _sample_system_states, _unitary_sending
 
+from conftest import env_channel_loop
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -259,6 +261,13 @@ def test_purifier_left_untouched(rng):
     marg_in = la.partial_trace(state, [4, view.d_cp], [1])
     marg_out = la.partial_trace(out, [4, view.d_cp], [1])
     np.testing.assert_allclose(marg_in, marg_out, atol=1e-10)
+    # a pure frame is purified on a one-dimensional copy: the view is the scenario
+    pure = phase_reference_scenario(4, np.pi / 2)
+    view = _pure_frame_view(pure)
+    assert view.d_cp == 1
+    np.testing.assert_array_equal(view.unitary, pure.unitary)
+    top = np.linalg.eigh(pure.sigma_c)[1][:, -1]
+    np.testing.assert_allclose(view.phi, top, rtol=0, atol=1e-14)
 
 
 def test_distance_contracts_from_purified_to_physical_frame(rng):
@@ -342,14 +351,18 @@ def _per_sample_oracle(sc, samples, seed):
     return sup2, pullback_dist, min_fid, worst_drift, dists
 
 
-@pytest.mark.parametrize("case", ["ladder-N8", "mixed-N6", "dilated", "qutrit"])
+CHAIN_CASES = {
+    "ladder-N8": lambda: phase_reference_scenario(8, np.pi / 2),
+    "mixed-N6": lambda: phase_reference_scenario(
+        6, np.pi / 2, sigma_c=shifted_superposition_mixture(6, 0.4, weight=0.3)),
+    "dilated": _dilated_scenario,
+    "qutrit": lambda: _qutrit_sector_scenario(np.random.default_rng(17)),
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
 def test_tabulated_chain_matches_per_sample_oracle(case):
-    rng = np.random.default_rng(17)
-    sc = {"ladder-N8": lambda: phase_reference_scenario(8, np.pi / 2),
-          "mixed-N6": lambda: phase_reference_scenario(
-              6, np.pi / 2, sigma_c=shifted_superposition_mixture(6, 0.4, weight=0.3)),
-          "dilated": _dilated_scenario,
-          "qutrit": lambda: _qutrit_sector_scenario(rng)}[case]()
+    sc = CHAIN_CASES[case]()
     _, report = catalytic_channel(sc, samples=30, seed=4)
     sup2, pullback_dist, min_fid, worst_drift, dists = _per_sample_oracle(sc, samples=30, seed=4)
     assert abs(report.drift.sup_deviation_sq - sup2) <= 1e-12
@@ -358,6 +371,17 @@ def test_tabulated_chain_matches_per_sample_oracle(case):
     assert abs(report.worst_output_drift_distance - worst_drift) <= 1e-12
     np.testing.assert_allclose(report.distances, dists, rtol=0, atol=1e-12)
     assert report.passed, report.failures
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_recovery_kraus_match_dual_of_per_eigenvector_loop(case):
+    sc = CHAIN_CASES[case]()
+    d_s = sc.d_s
+    want = hs_dual(env_channel_loop(sc.unitary, np.eye(d_s) / d_s, d_s, sc.d_c * sc.d_e)).kraus
+    got = recovery_channel(sc).kraus
+    assert len(got) == len(want) == d_s * d_s
+    for k_got, k_want in zip(got, want):
+        np.testing.assert_allclose(k_got, k_want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
