@@ -27,6 +27,7 @@ from .channels import Channel, DilationSpec, induced_channel
 from .linalg import (
     DimensionError,
     DomainError,
+    SUPPORT_TOL,
     func_calc,
     max_norm,
     partial_trace,
@@ -38,7 +39,7 @@ from .linalg import (
     tensor,
     von_neumann_entropy,
 )
-from .symmetry import FiniteGroup, FiniteGroupRep
+from .symmetry import FiniteGroup, FiniteGroupRep, conservation_residuals
 from .words import UnitaryMatchResult, find_simultaneous_unitary
 
 ADMISSIBILITY_TOL = 1e-9   # structural equalities of a scenario
@@ -167,12 +168,7 @@ def verify_scenario(sc: CatalysisScenario) -> ScenarioReport:
     joint_in = tensor(sc.rho_s, sc.sigma_c)
     joint_out = tensor(sc.rho_s_out, sc.sigma_c)
     state_res = max_norm(u @ joint_in @ u.conj().T - joint_out)
-    gen_res = []
-    eye_s, eye_c = np.eye(sc.d_s), np.eye(sc.d_c)
-    for x_in, x_out, x_c in zip(sc.gens_s_in, sc.gens_s_out, sc.gens_c):
-        total_in = tensor(x_in, eye_c) + tensor(eye_s, x_c)
-        total_out = tensor(x_out, eye_c) + tensor(eye_s, x_c)
-        gen_res.append(max_norm(u @ total_in - total_out @ u))
+    gen_res = conservation_residuals(u, [sc.gens_s_in, sc.gens_c], [sc.gens_s_out, sc.gens_c])
     worst = max([state_res] + gen_res)
     return ScenarioReport(state_residual=state_res,
                           generator_residuals=tuple(gen_res),
@@ -390,22 +386,23 @@ def stinespring_dilation(t: Channel) -> DilationSpec:
     if t.d_in != t.d_out:
         raise DimensionError("dilation helper expects equal input/output dims")
     d, r = t.d_in, len(t.kraus)
-    iso = np.zeros((d * r, d), dtype=complex)
-    for e, k in enumerate(t.kraus):
-        iso[e::r, :] = k  # row (s, e) of S (x) E is s*r + e
+    iso = t.kraus.transpose(1, 0, 2).reshape(d * r, d)  # row (s, e) of S (x) E is s*r + e
     q, _ = np.linalg.qr(np.concatenate([iso, np.eye(d * r, dtype=complex)], axis=1))
-    complement = q[:, d:]
-    full = np.zeros((d * r, d * r), dtype=complex)
-    fill = 0
-    for s in range(d):
-        full[:, s * r] = iso[:, s]  # |s> (x) |0> goes through the isometry
-    for col in range(d * r):
-        if col % r != 0:
-            full[:, col] = complement[:, fill]
-            fill += 1
+    through = np.arange(d * r) % r == 0  # |s> (x) |0> goes through the isometry
+    full = np.empty((d * r, d * r), dtype=complex)
+    full[:, through] = iso
+    full[:, ~through] = q[:, d:]  # its orthogonal complement, in column order
     omega = np.zeros((r, r), dtype=complex)
     omega[0, 0] = 1.0
     return DilationSpec(omega_e=omega, unitary=full, d_s=d, d_e=r)
+
+
+def _at_pointer(ks: np.ndarray, y: int, n: int) -> np.ndarray:
+    """Kraus stack ``K (x) |y><y|`` on system (x) an n-dimensional pointer."""
+    r, d_out, d_in = ks.shape
+    out = np.zeros((r, d_out, n, d_in, n), dtype=complex)
+    out[:, :, y, :, y] = ks
+    return out.reshape(r, d_out * n, d_in * n)
 
 
 def regular_rep_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
@@ -425,15 +422,13 @@ def regular_rep_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
     if rep_s.group.order != group.order or not np.array_equal(rep_s.group.table, group.table):
         raise DomainError("rep_s must represent the supplied group")
     n = group.order
-    kraus = []
+    stacks = []
     for y in range(n):
         rot = tensor(rep_s.images[y], np.eye(target.d_e))
         turned = Channel([rot @ target.unitary @ rot.conj().T])
-        pointer = np.zeros((n, n), dtype=complex)
-        pointer[y, y] = 1.0
-        kraus += [tensor(k, pointer) for k in
-                  induced_channel(turned, target.omega_e, target.d_s, target.d_e).kraus]
-    return Channel(kraus)
+        ks = induced_channel(turned, target.omega_e, target.d_s, target.d_e).kraus
+        stacks.append(_at_pointer(ks, y, n))
+    return Channel(np.concatenate(stacks))
 
 
 def state_swap_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
@@ -452,21 +447,16 @@ def state_swap_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
     if not (0 <= x < group.order):
         raise DomainError(f"pointer element {x} outside group of order {group.order}")
     n, d_s = group.order, rep_s.dim
-    kraus = []
+    stacks = []
     for y in range(n):
-        g = group.mul(y, group.inv(x))
-        w = rep_s.images[g]
-        tau = w @ sigma @ w.conj().T
-        t_eigs, t_vecs = np.linalg.eigh(tau)
-        pointer = np.zeros((n, n), dtype=complex)
-        pointer[y, y] = 1.0
-        for a in range(d_s):
-            if t_eigs[a] <= 1e-15:
-                continue
-            for b in range(d_s):
-                k = np.sqrt(max(t_eigs[a], 0.0)) * np.outer(t_vecs[:, a], np.eye(d_s)[b])
-                kraus.append(tensor(k, pointer))
-    return Channel(kraus)
+        w = rep_s.images[group.mul(y, group.inv(x))]
+        t_eigs, t_vecs = np.linalg.eigh(w @ sigma @ w.conj().T)
+        keep = t_eigs > SUPPORT_TOL
+        amps = t_vecs[:, keep] * np.sqrt(t_eigs[keep])
+        # sqrt(t_a) |t_a><b| at index (a, b), a outer
+        ks = amps.T[:, None, :, None] * np.eye(d_s)[None, :, None, :]
+        stacks.append(_at_pointer(ks.reshape(-1, d_s, d_s), y, n))
+    return Channel(np.concatenate(stacks))
 
 
 # ---------------------------------------------------------------------------

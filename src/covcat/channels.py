@@ -2,7 +2,8 @@
 
 Conventions
 -----------
-* Kraus operators are ``d_out x d_in``; a channel acts as ``sum K rho K^dag``.
+* A channel's Kraus operators are one complex stack ``kraus[r, d_out, d_in]``,
+  validated once by `Channel`; it acts as ``sum_r K_r rho K_r^dag``.
 * The Choi matrix is unnormalized and ordered output-first:
   ``J(T) = sum_ij T(E_ij) (x) E_ij``. The identity channel on dimension d has
   Choi ``d |Omega><Omega|``.
@@ -24,14 +25,14 @@ from .linalg import (
     DimensionError,
     DomainError,
     STRUCT_TOL,
+    SUPPORT_TOL,
     as_square,
     max_norm,
     require_density,
     require_hermitian,
     require_unitary,
-    tensor,
 )
-from .symmetry import FiniteGroupRep, gibbs_state
+from .symmetry import FiniteGroupRep, conservation_residuals, gibbs_state, is_symmetric_state
 
 CHANNEL_TOL = 1e-9  # trace preservation tolerance
 
@@ -39,25 +40,27 @@ CHANNEL_TOL = 1e-9  # trace preservation tolerance
 class Channel:
     """Completely positive map given by Kraus operators.
 
-    By default the constructor enforces trace preservation within
+    ``kraus`` is one complex ``(r, d_out, d_in)`` array, built from a list, a
+    tuple or an array of equal-shape operators. By default the constructor enforces trace preservation within
     ``CHANNEL_TOL``; pass ``require_tp=False`` for merely CP maps such as
     Hilbert-Schmidt duals of non-unital channels.
     """
 
-    def __init__(self, kraus: Sequence[np.ndarray], d_in: int | None = None,
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, d_in: int | None = None,
                  d_out: int | None = None, require_tp: bool = True):
-        ks = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ks:
-            raise ValueError("a channel needs at least one Kraus operator")
-        rows, cols = ks[0].shape
-        for k in ks:
-            if k.shape != (rows, cols):
-                raise DimensionError("Kraus operators have mixed shapes")
+        try:
+            ks = np.asarray(kraus, dtype=complex)
+        except ValueError as exc:  # a ragged list has no stack
+            raise DimensionError("Kraus operators have mixed shapes") from exc
+        if ks.ndim != 3 or not ks.shape[0]:
+            raise DimensionError(f"expected a non-empty (r, d_out, d_in) Kraus stack, "
+                                 f"got shape {ks.shape}")
+        rows, cols = ks.shape[1:]
         if d_in is not None and d_in != cols:
             raise DimensionError(f"declared d_in={d_in} but Kraus operators have {cols} columns")
         if d_out is not None and d_out != rows:
             raise DimensionError(f"declared d_out={d_out} but Kraus operators have {rows} rows")
-        self.kraus = tuple(ks)
+        self.kraus = ks
         self.d_in = cols
         self.d_out = rows
         self._choi = None
@@ -69,8 +72,8 @@ class Channel:
     # -- basic queries ------------------------------------------------------
 
     def trace_preservation_defect(self) -> float:
-        acc = sum(k.conj().T @ k for k in self.kraus)
-        return max_norm(acc - np.eye(self.d_in))
+        flat = self.kraus.reshape(-1, self.d_in)
+        return max_norm(flat.conj().T @ flat - np.eye(self.d_in))
 
     def is_trace_preserving(self, tol: float = CHANNEL_TOL) -> bool:
         return self.trace_preservation_defect() <= tol
@@ -82,16 +85,13 @@ class Channel:
         rho = as_square(rho)
         if rho.shape[0] != self.d_in:
             raise DimensionError(f"state dim {rho.shape[0]} != channel input dim {self.d_in}")
-        return sum(k @ rho @ k.conj().T for k in self.kraus)
+        return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
     def choi(self) -> np.ndarray:
         """Unnormalized Choi matrix, output factor first."""
         if self._choi is None:
-            j = np.zeros((self.d_out * self.d_in,) * 2, dtype=complex)
-            for k in self.kraus:
-                v = k.reshape(-1)  # row-major: vec of K = sum_i (K e_i) (x) e_i
-                j += np.outer(v, v.conj())
-            self._choi = j
+            v = self.kraus.reshape(len(self.kraus), -1)  # rows vec(K) = sum_i (K e_i) (x) e_i
+            self._choi = v.T @ v.conj()
         return self._choi
 
     def __repr__(self):
@@ -110,13 +110,7 @@ class Channel:
     @classmethod
     def depolarizing(cls, d: int) -> "Channel":
         """Completely depolarizing channel rho -> 1/d."""
-        ks = []
-        for i in range(d):
-            for j in range(d):
-                k = np.zeros((d, d), dtype=complex)
-                k[i, j] = 1.0 / np.sqrt(d)
-                ks.append(k)
-        return cls(ks)
+        return cls(np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))  # |i><j|, index i d + j
 
 
 def _compressed(ks: np.ndarray) -> np.ndarray:
@@ -132,12 +126,14 @@ def compose(outer: Channel, inner: Channel) -> Channel:
     """Channel composition outer after inner."""
     if inner.d_out != outer.d_in:
         raise DimensionError(f"cannot compose: {inner.d_out} -> {outer.d_in}")
-    ks = np.stack([a @ b for a in outer.kraus for b in inner.kraus])
-    return Channel(list(_compressed(ks)))
+    ks = outer.kraus[:, None] @ inner.kraus[None]  # index (a, b), a outer
+    return Channel(_compressed(ks.reshape(-1, outer.d_out, inner.d_in)))
 
 
 def tensor_channels(a: Channel, b: Channel) -> Channel:
-    return Channel([tensor(ka, kb) for ka in a.kraus for kb in b.kraus])
+    """Kraus operators ``K_a (x) L_b``, index (a, b) with a outer."""
+    ka, kb = a.kraus[:, None, :, None, :, None], b.kraus[None, :, None, :, None, :]
+    return Channel((ka * kb).reshape(-1, a.d_out * b.d_out, a.d_in * b.d_in))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
     superoperator commutator (realignment moves entries), so it is never below
     that commutator's max-norm. Memory is O(d_in d_out r), r <= d_in d_out.
     """
-    ks = _compressed(np.stack(t.kraus))
+    ks = _compressed(t.kraus)
     worst = 0.0
     if isinstance(rep_in, FiniteGroupRep) or isinstance(rep_out, FiniteGroupRep):
         if not (isinstance(rep_in, FiniteGroupRep) and isinstance(rep_out, FiniteGroupRep)):
@@ -198,12 +194,9 @@ def twirl(t: Channel, rep_in: FiniteGroupRep, rep_out: FiniteGroupRep) -> Channe
     """Group average of a channel; the result is covariant by construction."""
     if rep_in.dim != t.d_in or rep_out.dim != t.d_out:
         raise DimensionError("representation dims do not match channel dims")
-    n = rep_in.group.order
-    ks = []
-    for w_in, w_out in zip(rep_in.images, rep_out.images):
-        for k in t.kraus:
-            ks.append(w_out.conj().T @ k @ w_in / np.sqrt(n))
-    return Channel(ks)
+    w_in, w_out = np.array(rep_in.images)[:, None], np.array(rep_out.images)[:, None]
+    ks = w_out.conj().swapaxes(-1, -2) @ t.kraus[None] @ w_in / np.sqrt(rep_in.group.order)
+    return Channel(ks.reshape(-1, t.d_out, t.d_in))  # index (g, k), g outer
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +209,7 @@ def hs_dual(t: Channel) -> Channel:
     The dual of a doubly stochastic channel is again trace preserving; in
     general the result is only completely positive and unital.
     """
-    return Channel([k.conj().T for k in t.kraus], require_tp=False)
+    return Channel(t.kraus.conj().swapaxes(-1, -2), require_tp=False)
 
 
 def induced_channel(t: Channel, sigma_c: np.ndarray, d_s: int, d_c: int) -> Channel:
@@ -231,18 +224,11 @@ def induced_channel(t: Channel, sigma_c: np.ndarray, d_s: int, d_c: int) -> Chan
     if sigma_c.shape[0] != d_c:
         raise DimensionError(f"sigma_C dim {sigma_c.shape[0]} != d_C {d_c}")
     w, v = np.linalg.eigh(sigma_c)
-    ks = []
-    for big in t.kraus:
-        kb = big.reshape(d_s, d_c, d_s, d_c)
-        for k_idx in range(d_c):
-            if w[k_idx] <= 1e-15:
-                continue
-            amp = np.sqrt(w[k_idx])
-            # (1_S (x) <l|) K (1_S (x) |v_k>) for every output index l
-            block = np.einsum("albn,n->lab", kb, v[:, k_idx])
-            for l in range(d_c):
-                ks.append(amp * block[l])
-    return Channel(ks)
+    keep = w > SUPPORT_TOL
+    amps = v[:, keep] * np.sqrt(w[keep])
+    # sqrt(w_k) (1_S (x) <l|) K (1_S (x) |v_k>) at [K, a, l, b, k]
+    ks = (t.kraus.reshape(-1, d_c) @ amps).reshape(-1, d_s, d_c, d_s, amps.shape[1])
+    return Channel(ks.transpose(0, 4, 2, 1, 3).reshape(-1, d_s, d_s))  # index (K, k, l)
 
 
 def env_channel(u: np.ndarray, rho_s: np.ndarray, d_s: int, d_c: int) -> Channel:
@@ -307,13 +293,8 @@ def verify_covariant_dilation(spec: DilationSpec, gens_s: Sequence[np.ndarray],
     """Check that the global unitary commutes with the composite generators and
     the environment state is symmetric; together these certify covariance of
     the dilated channel."""
-    from .symmetry import is_symmetric_state
-    u = spec.unitary
-    worst_u = 0.0
-    for xs, xe in zip(gens_s, gens_e):
-        total = tensor(require_hermitian(xs), np.eye(spec.d_e)) + \
-            tensor(np.eye(spec.d_s), require_hermitian(xe))
-        worst_u = max(worst_u, max_norm(u @ total - total @ u))
+    legs = [[require_hermitian(g) for g in gens] for gens in (gens_s, gens_e)]
+    worst_u = max(conservation_residuals(spec.unitary, legs), default=0.0)
     sym, worst_e = is_symmetric_state(spec.omega_e, gens_e, STRUCT_TOL)
     purity = float(np.trace(spec.omega_e @ spec.omega_e).real)
     return DilationReport(
@@ -336,8 +317,7 @@ def thermal_operation(h_s: np.ndarray, h_e: np.ndarray, beta: float,
     h_s, h_e = require_hermitian(h_s), require_hermitian(h_e)
     d_s, d_e = h_s.shape[0], h_e.shape[0]
     u = require_unitary(u)
-    total = tensor(h_s, np.eye(d_e)) + tensor(np.eye(d_s), h_e)
-    dev = max_norm(u @ total - total @ u)
+    dev, = conservation_residuals(u, [[h_s], [h_e]])
     if dev > STRUCT_TOL:
         raise DomainError(f"unitary is not strictly energy conserving (violation {dev:.3e})")
     spec = DilationSpec(omega_e=gibbs_state(h_e, beta), unitary=u, d_s=d_s, d_e=d_e)

@@ -33,6 +33,10 @@ ZERO_EIG_RTOL = 1e-12
 # Relative eigenvalue cutoff of `psd_rank`.
 RANK_RTOL = 1e-10
 
+# Absolute eigenvalue cutoff of the support of a density matrix that is split
+# into Kraus operators or purified on a copy of its support.
+SUPPORT_TOL = 1e-14
+
 
 class DimensionError(ValueError):
     """Operands have incompatible or invalid dimensions."""

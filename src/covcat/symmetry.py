@@ -53,6 +53,32 @@ def is_symmetric_state(rho: np.ndarray, symmetry, tol: float = STRUCT_TOL) -> tu
     return worst <= tol, worst
 
 
+def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]],
+                           legs_out: Sequence[Sequence[np.ndarray]] | None = None) -> list[float]:
+    """``||U X_i - Y_i U||_max`` for every conserved quantity i.
+
+    ``legs_in`` holds one generator list per tensor leg of U, in leg order;
+    ``X_i = sum_leg 1 (x) ... (x) x_leg[i] (x) ... (x) 1``, and ``Y_i`` is
+    built the same way from ``legs_out`` (default: ``legs_in``). Raises
+    ``DimensionError`` when the legs hold different numbers of generators or
+    their dimensions do not multiply to U's.
+    """
+    legs_out = legs_in if legs_out is None else legs_out
+    if len({len(leg) for leg in [*legs_in, *legs_out]}) > 1:
+        raise DimensionError("legs hold different numbers of generators")
+
+    def total(gens):
+        dims = [g.shape[0] for g in gens]
+        if int(np.prod(dims)) != u.shape[0]:
+            raise DimensionError(f"generator dims {dims} do not split the dimension {u.shape[0]}")
+        return sum(tensor(*[g if j == leg else np.eye(d) for j, d in enumerate(dims)])
+                   for leg, g in enumerate(gens))
+
+    totals_in = [total(gens) for gens in zip(*legs_in)]
+    totals_out = totals_in if legs_out is legs_in else [total(gens) for gens in zip(*legs_out)]
+    return [max_norm(u @ x - y @ u) for x, y in zip(totals_in, totals_out)]
+
+
 # ---------------------------------------------------------------------------
 # Gibbs objects
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covcat import linalg as la
 from covcat.channels import Channel
 from covcat.symmetry import standard_representation
 
@@ -10,11 +11,14 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_channel(d: int, kraus_rank: int, rng: np.random.Generator) -> Channel:
-    """Random channel from a Haar isometry split into Kraus blocks."""
-    g = rng.standard_normal((kraus_rank * d, d)) + 1j * rng.standard_normal((kraus_rank * d, d))
-    q, _ = np.linalg.qr(g)
-    return Channel([q[k * d:(k + 1) * d, :] for k in range(kraus_rank)])
+def random_channel(d: int, kraus_rank: int, rng: np.random.Generator,
+                   d_out: int | None = None, container=list) -> Channel:
+    """Random channel d -> d_out (default d) from a Haar isometry split into
+    Kraus blocks, handed to `Channel` in ``container``."""
+    d_out = d if d_out is None else d_out
+    shape = (kraus_rank * d_out, d)
+    q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return Channel(container([q[k * d_out:(k + 1) * d_out, :] for k in range(kraus_rank)]))
 
 
 def env_channel_loop(u: np.ndarray, rho_s: np.ndarray, d_s: int, d_c: int) -> Channel:
@@ -35,3 +39,50 @@ def env_channel_loop(u: np.ndarray, rho_s: np.ndarray, d_s: int, d_c: int) -> Ch
 def s3_standard_images():
     """S3 as permutation matrices restricted to the plane orthogonal to (1,1,1)."""
     return list(standard_representation(3).images)
+
+
+# Per-operator reference constructions, one Kraus operator (or column) at a
+# time, in the order the stacked constructions must keep.
+
+def compose_loop(outer: Channel, inner: Channel) -> list:
+    return [a @ b for a in outer.kraus for b in inner.kraus]
+
+
+def tensor_channels_loop(a: Channel, b: Channel) -> list:
+    return [la.tensor(ka, kb) for ka in a.kraus for kb in b.kraus]
+
+
+def twirl_loop(t: Channel, rep_in, rep_out) -> list:
+    n = rep_in.group.order
+    return [w_out.conj().T @ k @ w_in / np.sqrt(n)
+            for w_in, w_out in zip(rep_in.images, rep_out.images) for k in t.kraus]
+
+
+def depolarizing_loop(d: int) -> list:
+    ks = []
+    for i in range(d):
+        for j in range(d):
+            k = np.zeros((d, d), dtype=complex)
+            k[i, j] = 1.0 / np.sqrt(d)
+            ks.append(k)
+    return ks
+
+
+def stinespring_unitary_loop(t: Channel) -> np.ndarray:
+    """Dilation unitary on S (x) E: column (s, 0) is the isometry's column s,
+    the other columns are the QR complement in column order."""
+    d, r = t.d_in, len(t.kraus)
+    iso = np.zeros((d * r, d), dtype=complex)
+    for e, k in enumerate(t.kraus):
+        iso[e::r, :] = k  # row (s, e) of S (x) E is s*r + e
+    q, _ = np.linalg.qr(np.concatenate([iso, np.eye(d * r, dtype=complex)], axis=1))
+    complement = q[:, d:]
+    full = np.zeros((d * r, d * r), dtype=complex)
+    fill = 0
+    for s in range(d):
+        full[:, s * r] = iso[:, s]
+    for col in range(d * r):
+        if col % r != 0:
+            full[:, col] = complement[:, fill]
+            fill += 1
+    return full

@@ -18,7 +18,17 @@ from covcat.channels import (
     verify_covariant_dilation,
 )
 
-from conftest import env_channel_loop, random_channel
+from covcat.catalysis import stinespring_dilation
+
+from conftest import (
+    compose_loop,
+    depolarizing_loop,
+    env_channel_loop,
+    random_channel,
+    stinespring_unitary_loop,
+    tensor_channels_loop,
+    twirl_loop,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -62,6 +72,51 @@ def test_channel_validation():
     with pytest.raises(la.DomainError):
         Channel([np.eye(2) * 0.5])
     Channel([np.eye(2) * 0.5], require_tp=False)  # allowed when asked
+
+
+def _compose_case(container, rng):
+    outer = random_channel(3, 2, rng, d_out=2, container=container)
+    inner = random_channel(2, 2, rng, d_out=3, container=container)
+    return compose(outer, inner).kraus, compose_loop(outer, inner)  # 4 <= 2 * 2: not compressed
+
+
+def _tensor_case(container, rng):
+    a = random_channel(2, 2, rng, container=container)
+    b = random_channel(3, 3, rng, container=container)
+    return tensor_channels(a, b).kraus, tensor_channels_loop(a, b)
+
+
+def _twirl_case(container, rng):
+    rep = sym.left_regular_representation(sym.FiniteGroup.cyclic(3))
+    t = random_channel(3, 2, rng, container=container)
+    return twirl(t, rep, rep).kraus, twirl_loop(t, rep, rep)
+
+
+def _depolarizing_case(container, rng):
+    return Channel.depolarizing(3).kraus, depolarizing_loop(3)
+
+
+def _stinespring_case(container, rng):
+    t = random_channel(3, 2, rng, container=container)
+    return stinespring_dilation(t).unitary[None], [stinespring_unitary_loop(t)]
+
+
+KRAUS_CASES = {"compose": _compose_case, "tensor_channels": _tensor_case, "twirl": _twirl_case,
+               "depolarizing": _depolarizing_case, "stinespring_dilation": _stinespring_case}
+
+
+@pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
+@pytest.mark.parametrize("name", sorted(KRAUS_CASES))
+def test_kraus_stack_matches_per_operator_loop(name, container, rng):
+    got, want = KRAUS_CASES[name](container, rng)
+    assert isinstance(got, np.ndarray) and got.dtype == complex
+    assert got.shape == (len(want),) + want[0].shape
+    for k_got, k_want in zip(got, want):
+        np.testing.assert_allclose(k_got, k_want, rtol=0, atol=1e-14)
+    if name != "stinespring_dilation":  # the oracle's operators, handed over in the container
+        rebuilt = Channel(container(want)).kraus
+        assert isinstance(rebuilt, np.ndarray) and rebuilt.dtype == complex
+        np.testing.assert_array_equal(rebuilt, np.array(want))
 
 
 def test_covariance_identity_channel():
@@ -322,6 +377,15 @@ def test_covariant_dilation_yields_covariant_channel(rng):
     assert report.certifies_covariance and not report.env_state_pure
     t = dilation_to_channel(spec)
     assert is_covariant(t, [h_s], [h_s]).covariant
+
+
+def test_covariant_dilation_needs_one_generator_per_leg():
+    # U commutes with diag(0, 1) on both legs but not with SX (x) 1; a missing
+    # environment partner for SX must not drop SX from the check
+    spec = DilationSpec(omega_e=np.eye(2) / 2, unitary=np.diag([1, 1j, -1, 1]).astype(complex),
+                        d_s=2, d_e=2)
+    with pytest.raises(la.DimensionError):
+        verify_covariant_dilation(spec, [np.diag([0.0, 1.0]), SX], [np.diag([0.0, 1.0])])
 
 
 def test_thermal_operation_fixes_gibbs_state():

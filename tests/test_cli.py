@@ -109,6 +109,26 @@ def test_check_covariance_failure_exit_code(tmp_path):
                     "--output", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("kraus, d_in, d_out", [
+    ([np.array([[1.0, 0.0]]), np.eye(2)], 2, 2),  # a 1x2 operator next to a 2x2 one
+    ([np.eye(2)], 3, 2),
+    ([np.eye(2)], 2, 3),
+], ids=["mixed-shapes", "declared-d_in", "declared-d_out"])
+def test_check_covariance_kraus_shape_errors_exit_2(kraus, d_in, d_out, tmp_path, capsys):
+    sz = ser.matrix_to_json(np.diag([1.0, -1.0]))
+    problem = {
+        "channel": {"d_in": d_in, "d_out": d_out, "kraus": [ser.matrix_to_json(k) for k in kraus]},
+        "rep_in": {"type": "lie", "generators": [sz]},
+        "rep_out": {"type": "lie", "generators": [sz]},
+    }
+    inp = tmp_path / "cov.json"
+    inp.write_text(json.dumps(problem))
+    assert run_cli(["check-covariance", "--input", str(inp),
+                    "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["demo-appendix", "check-covariance"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_tolerance_flag_must_be_finite_and_non_negative(command, tol, tmp_path, capsys):

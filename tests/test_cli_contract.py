@@ -152,6 +152,19 @@ def test_rectangular_matrix_in_square_slot_exits_2(command, capsys):
     assert _run(command, json.dumps(problem), capsys) == 2
 
 
+QUTRIT = ser.matrix_to_json(np.diag([0.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("gens_s", 0), QUTRIT),
+    (("gens_e",), [QUTRIT]),
+    (("gens_c",), TEMPLATES["recovery-verify"]["gens_c"] * 2),
+], ids=["gens_s-dim", "gens_e-dim", "gens_c-count"])
+def test_frame_generators_that_do_not_fit_exit_2(path, value, capsys):
+    problem = _replace(TEMPLATES["recovery-verify"], path, value)
+    assert _run("recovery-verify", json.dumps(problem), capsys) == 2
+
+
 def test_directory_input_exits_2(tmp_path, capsys):
     for command in COMMANDS:
         assert main([command, "--input", str(tmp_path)]) == 2
