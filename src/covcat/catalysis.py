@@ -6,10 +6,13 @@ product state to a product state with the catalyst factor unchanged and
 commutes with the composite conserved quantities (input representation on the
 way in, output representation on the way out). For every admissible scenario
 there exists a unitary V on the system alone that performs the same state
-transition and intertwines the two system representations; `find_intertwiner`
-reduces the scenario to system-side matrix tuples and hands them to the exact
-solver in :mod:`covcat.words`, which returns the unitary, a conclusive
-negative, or an inconclusive verdict when its rank decision is ambiguous.
+transition and intertwines the two system representations. `find_intertwiner`
+hands exactly those equations, the pairs ``(rho, X_i)`` and ``(rho', Y_i)``,
+to the exact solver in :mod:`covcat.words`, which returns the unitary, a
+conclusive negative, or an inconclusive verdict when its rank decision is
+ambiguous. `reduce_to_tuples` keeps the reduction of the argument, the
+positive tuples ``(rho, exp(-X_i))`` on the system and catalyst; it is not
+on the solving path, so no exponential of a generator can overflow there.
 
 The module also ships the finite-group constructions showing why
 connectedness of the symmetry group matters (a pointer-state catalyst on the
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, DilationSpec, induced_channel
+from .channels import Channel, DilationSpec, dilation_to_channel
 from .linalg import (
     DimensionError,
     DomainError,
@@ -177,7 +180,7 @@ def verify_scenario(sc: CatalysisScenario) -> ScenarioReport:
 
 @dataclass(frozen=True, eq=False)
 class ReducedTuples:
-    """System-side tuples for the intertwiner search, plus catalyst factors.
+    """System-side tuples of the reduction, plus catalyst factors.
 
     Index 0 carries the state pair (possibly singular); indices 1..m carry
     the strictly positive exp(-X) factors of the conserved quantities.
@@ -189,11 +192,14 @@ class ReducedTuples:
 
 
 def reduce_to_tuples(sc: CatalysisScenario) -> ReducedTuples:
-    """Turn an admissible scenario into matrix tuples for the unitary search.
+    """The reduction of an admissible scenario to positive matrix tuples.
 
-    Raises ``DomainError`` for non-admissible scenarios. The catalyst factors
-    with index >= 1 are checked to be strictly positive definite, which is
-    what makes trace fingerprints on the system factors conclusive.
+    U conjugates each tensored pair ``A_i (x) C_i`` onto ``B_i (x) C_i``, with
+    ``A_0 = rho``, ``C_0 = sigma`` and ``A_i = exp(-X_i)``, ``C_i = exp(-Xc_i)``
+    for i >= 1; the catalyst factors with index >= 1 are checked to be
+    strictly positive definite, which is what makes trace fingerprints on the
+    system factors conclusive. Raises ``DomainError`` for non-admissible
+    scenarios. `find_intertwiner` does not go through the exponentials.
     """
     report = verify_scenario(sc)
     if not report.admissible:
@@ -242,10 +248,15 @@ class IntertwinerResult:
 
 def find_intertwiner(sc: CatalysisScenario, seed: int = 0) -> IntertwinerResult:
     """Construct V on the system with ``V rho V^dag = rho'`` and
-    ``V X_i = Y_i V``, via the exact simultaneous-unitary solver on the
-    reduced system tuples."""
-    reduced = reduce_to_tuples(sc)
-    match = find_simultaneous_unitary(reduced.system_a, reduced.system_b,
+    ``V X_i = Y_i V``: the exact simultaneous-unitary solver runs on exactly
+    these equations, the pairs ``(rho, X_i)`` and ``(rho', Y_i)``.
+
+    Raises ``DomainError`` for non-admissible scenarios.
+    """
+    report = verify_scenario(sc)
+    if not report.admissible:
+        raise DomainError(f"scenario is not admissible: {report}")
+    match = find_simultaneous_unitary([sc.rho_s, *sc.gens_s_in], [sc.rho_s_out, *sc.gens_s_out],
                                       seed=seed, tol=min(sc.intertwiner_tol, 1e-8))
     if match.unitary is None:
         return IntertwinerResult(None, None, None, match, False, sc.to_json())
@@ -376,27 +387,6 @@ def correlation_balance(u: np.ndarray, rho_se: np.ndarray,
 # finite-group constructions
 # ---------------------------------------------------------------------------
 
-def stinespring_dilation(t: Channel) -> DilationSpec:
-    """Canonical dilation of a channel with a pure environment state.
-
-    The environment dimension equals the number of Kraus operators; the
-    isometry ``|psi> -> sum_j K_j |psi> (x) |j>`` is completed to a unitary
-    on system (x) environment by QR against its orthogonal complement.
-    """
-    if t.d_in != t.d_out:
-        raise DimensionError("dilation helper expects equal input/output dims")
-    d, r = t.d_in, len(t.kraus)
-    iso = t.kraus.transpose(1, 0, 2).reshape(d * r, d)  # row (s, e) of S (x) E is s*r + e
-    q, _ = np.linalg.qr(np.concatenate([iso, np.eye(d * r, dtype=complex)], axis=1))
-    through = np.arange(d * r) % r == 0  # |s> (x) |0> goes through the isometry
-    full = np.empty((d * r, d * r), dtype=complex)
-    full[:, through] = iso
-    full[:, ~through] = q[:, d:]  # its orthogonal complement, in column order
-    omega = np.zeros((r, r), dtype=complex)
-    omega[0, 0] = 1.0
-    return DilationSpec(omega_e=omega, unitary=full, d_s=d, d_e=r)
-
-
 def _at_pointer(ks: np.ndarray, y: int, n: int) -> np.ndarray:
     """Kraus stack ``K (x) |y><y|`` on system (x) an n-dimensional pointer."""
     r, d_out, d_in = ks.shape
@@ -412,23 +402,20 @@ def regular_rep_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
     The pointer carries the left regular representation of the group; feeding
     it the identity-element basis state makes the output channel act as the
     (generally non-covariant) target on the system:
-    ``E[rho (x) |1><1|] = T[rho] (x) |1><1|``. Kraus operators are built from
-    the group-translated dilation unitaries of the target.
+    ``E[rho (x) |1><1|] = T[rho] (x) |1><1|``. The Kraus operators are the
+    target's, translated by the group, ``W(y) K W(y)^dag (x) |y><y|``, index
+    (y, K) with y outer.
     """
-    if isinstance(target, Channel):
-        target = stinespring_dilation(target)
-    if target.d_s != rep_s.dim:
+    if isinstance(target, DilationSpec):
+        target = dilation_to_channel(target)
+    if target.d_in != rep_s.dim or target.d_out != rep_s.dim:
         raise DimensionError("system representation does not match the target dims")
     if rep_s.group.order != group.order or not np.array_equal(rep_s.group.table, group.table):
         raise DomainError("rep_s must represent the supplied group")
     n = group.order
-    stacks = []
-    for y in range(n):
-        rot = tensor(rep_s.images[y], np.eye(target.d_e))
-        turned = Channel([rot @ target.unitary @ rot.conj().T])
-        ks = induced_channel(turned, target.omega_e, target.d_s, target.d_e).kraus
-        stacks.append(_at_pointer(ks, y, n))
-    return Channel(np.concatenate(stacks))
+    w = np.array(rep_s.images)[:, None]
+    turned = w @ target.kraus[None] @ w.conj().swapaxes(-1, -2)
+    return Channel(np.concatenate([_at_pointer(turned[y], y, n) for y in range(n)]))
 
 
 def state_swap_channel(group: FiniteGroup, rep_s: FiniteGroupRep,

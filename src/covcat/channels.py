@@ -46,8 +46,7 @@ class Channel:
     Hilbert-Schmidt duals of non-unital channels.
     """
 
-    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, d_in: int | None = None,
-                 d_out: int | None = None, require_tp: bool = True):
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, require_tp: bool = True):
         try:
             ks = np.asarray(kraus, dtype=complex)
         except ValueError as exc:  # a ragged list has no stack
@@ -55,14 +54,8 @@ class Channel:
         if ks.ndim != 3 or not ks.shape[0]:
             raise DimensionError(f"expected a non-empty (r, d_out, d_in) Kraus stack, "
                                  f"got shape {ks.shape}")
-        rows, cols = ks.shape[1:]
-        if d_in is not None and d_in != cols:
-            raise DimensionError(f"declared d_in={d_in} but Kraus operators have {cols} columns")
-        if d_out is not None and d_out != rows:
-            raise DimensionError(f"declared d_out={d_out} but Kraus operators have {rows} rows")
         self.kraus = ks
-        self.d_in = cols
-        self.d_out = rows
+        self.d_out, self.d_in = ks.shape[1:]
         self._choi = None
         if require_tp:
             dev = self.trace_preservation_defect()
@@ -75,8 +68,8 @@ class Channel:
         flat = self.kraus.reshape(-1, self.d_in)
         return max_norm(flat.conj().T @ flat - np.eye(self.d_in))
 
-    def is_trace_preserving(self, tol: float = CHANNEL_TOL) -> bool:
-        return self.trace_preservation_defect() <= tol
+    def is_trace_preserving(self) -> bool:
+        return self.trace_preservation_defect() <= CHANNEL_TOL
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return self.apply(rho)

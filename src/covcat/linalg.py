@@ -81,22 +81,22 @@ def require_hermitian(a: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
     return m / 2 + m.conj().T / 2
 
 
-def require_unitary(a: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
+def require_unitary(a: np.ndarray) -> np.ndarray:
     m = as_square(a)
     dev = max_norm(m.conj().T @ m - np.eye(m.shape[0]))
-    if dev > tol:
-        raise DomainError(f"matrix is not unitary within {tol} (deviation {dev:.3e})")
+    if dev > STRUCT_TOL:
+        raise DomainError(f"matrix is not unitary within {STRUCT_TOL} (deviation {dev:.3e})")
     return m
 
 
-def require_density(a: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
-    m = require_hermitian(a, tol)
+def require_density(a: np.ndarray) -> np.ndarray:
+    m = require_hermitian(a)
     ev = np.linalg.eigvalsh(m)
-    if ev[0] < -tol:
-        raise DomainError(f"density matrix has eigenvalue {ev[0]:.3e} below -{tol}")
+    if ev[0] < -STRUCT_TOL:
+        raise DomainError(f"density matrix has eigenvalue {ev[0]:.3e} below -{STRUCT_TOL}")
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol:
-        raise DomainError(f"density matrix trace {tr} deviates from 1 beyond {tol}")
+    if abs(tr - 1.0) > STRUCT_TOL:
+        raise DomainError(f"density matrix trace {tr} deviates from 1 beyond {STRUCT_TOL}")
     return m
 
 
@@ -159,10 +159,9 @@ def permute_factors(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> 
 # functional calculus
 # ---------------------------------------------------------------------------
 
-def func_calc(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-              tol: float = STRUCT_TOL) -> np.ndarray:
+def func_calc(a: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function eigenvalue-wise in the eigenbasis of a Hermitian matrix."""
-    m = require_hermitian(a, tol)
+    m = require_hermitian(a)
     w, v = np.linalg.eigh(m)
     fw = np.asarray(f(w), dtype=float)
     return (v * fw) @ v.conj().T

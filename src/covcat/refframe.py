@@ -14,10 +14,12 @@ The verification chain mirrors the underlying argument: a drift unitary W is
 constructed (top eigenvector of the average frame output), the fidelity
 ``F(frame output, W sigma W^dag) >= 1 - eps`` and its trace-distance
 consequences are checked numerically, and the final bound is sampled over
-Haar-random pure and Hilbert-Schmidt-random mixed system inputs. Every frame
-state is purified on a copy of the support of sigma_C (one dimension for a
-pure frame) and non-unitary dynamics is dilated; the recovery acts on the
-physical frame factors only.
+Haar-random pure and Hilbert-Schmidt-random mixed system inputs. The chain
+runs on a pure frame: the frame state sigma_C (x) omega_E, mixed or pure, is
+purified on a copy C' of its support (one dimension for a pure frame), and
+the dynamics ``U (x) 1_C'`` enters only as the isometry ``U(. (x) phi)``. By
+data processing the bound on C (x) E (x) C' gives the bound on the physical
+legs C (x) E, on which the recovery acts.
 
 Every frame output sampled is linear in the system input rho, so the frame
 output is tabulated once on the d_s^2 matrix units ``|b><c|`` of S, and both
@@ -127,53 +129,25 @@ def implementation_error(sc: FrameScenario) -> DiamondResult:
 
 
 # ---------------------------------------------------------------------------
-# pure-frame view (purification + dilation)
+# the purified frame
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _PureFrameView:
-    """The scenario rewritten with a pure frame on D = C (x) E (x) C'.
+def _frame_isometry(sc: FrameScenario) -> tuple[np.ndarray, np.ndarray]:
+    """The dynamics on a pure frame, as ``(m, phi)``.
 
-    ``unitary`` acts on S (x) D but never touches the purifier C', which is
-    present only so the drift/fidelity chain can be verified on a pure frame
-    state. C' is a copy of the support of sigma_C, so ``d_cp = rank sigma_C``,
-    which is 1 for a pure frame.
+    The frame state sigma_C (x) omega_E is purified on a copy C' of its
+    support by one eigendecomposition, ``phi = sum_i sqrt(p_i) |v_i> (x) |i>``
+    on F (x) C' with F = C (x) E, so ``d_cp = rank``, which is 1 for a pure
+    frame. The dynamics ``U (x) 1_C'`` never touches C'; it enters only
+    through the isometry ``M = (U (x) 1_C')(. (x) phi)``, returned as
+    ``m[a, (f, i), b]``: output S index a, frame index (f, i), input S index b.
     """
-
-    unitary: np.ndarray
-    phi: np.ndarray  # pure frame vector on D
-    d_s: int
-    d_c: int
-    d_e: int
-    d_cp: int
-
-    @property
-    def d_frame(self) -> int:
-        return self.d_c * self.d_e * self.d_cp
-
-    def isometry(self) -> np.ndarray:
-        """``M = U(. (x) phi)`` as ``m[a, f, b]``: output S index a, frame
-        index f, input S index b."""
-        d_s, d_f = self.d_s, self.d_frame
-        return (self.unitary.reshape(d_s * d_f, d_s, d_f) @ self.phi).reshape(d_s, d_f, d_s)
-
-
-def _pure_frame_view(sc: FrameScenario) -> _PureFrameView:
-    w, v = np.linalg.eigh(sc.sigma_c)
-    support = w > SUPPORT_TOL
-    rank = int(np.sum(support))
-    if sc.omega_e is not None:
-        we, ve = np.linalg.eigh(sc.omega_e)
-        if we[-1] < 1.0 - 1e-9:
-            raise DomainError("dilated dynamics needs a pure environment state")
-        chi = ve[:, -1]
-    else:
-        chi = np.ones(1, dtype=complex)
-    # eigendecomposition purification of sigma_C on a copy C' of its support
-    amps = v[:, support] * np.sqrt(w[support])
-    phi = np.einsum("ci,e->cei", amps, chi).reshape(-1)
-    big = tensor(sc.unitary, np.eye(rank))
-    return _PureFrameView(big, phi, sc.d_s, sc.d_c, sc.d_e, rank)
+    w, v = np.linalg.eigh(sc.frame_state)
+    keep = w > SUPPORT_TOL
+    amps = v[:, keep] * np.sqrt(w[keep])  # phi as a (d_f, d_cp) matrix
+    d_s, d_f, d_cp = sc.d_s, len(amps), amps.shape[1]
+    m = (sc.unitary.reshape(d_s * d_f, d_s, d_f) @ amps).reshape(d_s, d_f, d_s, d_cp)
+    return m.transpose(0, 1, 3, 2).reshape(d_s, d_f * d_cp, d_s), amps.reshape(-1)
 
 
 def _unitary_sending(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -204,18 +178,18 @@ class DriftResult:
     sup_deviation_sq: float
 
 
-def _drift_for_view(view: _PureFrameView, m: np.ndarray, target: np.ndarray,
-                    seed: int = 1) -> DriftResult:
-    """Drift unitary from the isometry ``m = view.isometry()``."""
-    d_s, d_f = view.d_s, view.d_frame
+def _drift(m: np.ndarray, phi: np.ndarray, target: np.ndarray, seed: int) -> DriftResult:
+    """Drift unitary from the isometry ``m`` and purified frame ``phi`` of
+    `_frame_isometry`."""
+    d_s, d_v = m.shape[:2]
     # average frame output Tr_S M (1/d_s) M^dag
-    flat = m.transpose(1, 0, 2).reshape(d_f, d_s * d_s)
+    flat = m.transpose(1, 0, 2).reshape(d_v, d_s * d_s)
     top = np.linalg.eigh(flat @ flat.conj().T / d_s)[1][:, -1]
     # phase from the image M|0> of a fixed reference input
     overlap = np.vdot(np.kron(target[:, 0], top), m[:, :, 0].reshape(-1))
     if abs(overlap) > 1e-12:
         top = top * (overlap / abs(overlap))
-    w_unitary = _unitary_sending(view.phi, top)
+    w_unitary = _unitary_sending(phi, top)
     # probes: the basis of S, then seeded random unit vectors, one per column
     probes = np.eye(d_s, NUM_PROBES, dtype=complex)
     if NUM_PROBES > d_s:
@@ -223,39 +197,34 @@ def _drift_for_view(view: _PureFrameView, m: np.ndarray, target: np.ndarray,
         psi = z[:, 0] + 1j * z[:, 1]
         probes[:, d_s:] = (psi / np.linalg.norm(psi, axis=1, keepdims=True)).T
     # || (M - V (x) W phi) psi ||^2 for every probe at once
-    delta = m.reshape(d_s * d_f, d_s) - np.kron(target, (w_unitary @ view.phi)[:, None])
+    delta = m.reshape(d_s * d_v, d_s) - np.kron(target, (w_unitary @ phi)[:, None])
     dev = np.sum(np.abs(delta @ probes) ** 2, axis=0)
     return DriftResult(unitary=w_unitary, sup_deviation_sq=float(dev.max(initial=0.0)))
 
 
 def drift_unitary(sc: FrameScenario, seed: int = 1) -> DriftResult:
     """Drift unitary for a scenario with unitary dynamics and a pure frame state."""
-    view = _pure_frame_view(sc)
-    if view.d_cp > 1:
+    m, phi = _frame_isometry(sc)
+    if len(phi) > sc.d_c * sc.d_e:
         raise DomainError("drift_unitary needs a pure frame state; "
                           "the catalytic pipeline handles mixed frames via purification")
-    return _drift_for_view(view, view.isometry(), sc.target, seed=seed)
-
-
-def _recovery_kraus(u: np.ndarray, d_s: int) -> np.ndarray:
-    """Recovery Kraus stack ``(<a| (x) 1) U^dag (|b> (x) 1) / sqrt(d_s)``, index
-    ``a * d_s + b``: the adjoints of the Kraus operators of the frame-side
-    dynamics ``Tr_S[U (1/d_s (x) .) U^dag]``, in `env_channel`'s order."""
-    d_f = u.shape[0] // d_s
-    u_dag = u.conj().T.reshape(d_s, d_f, d_s, d_f)
-    return u_dag.transpose(0, 2, 1, 3).reshape(d_s * d_s, d_f, d_f) / np.sqrt(d_s)
+    return _drift(m, phi, sc.target, seed)
 
 
 def recovery_channel(sc: FrameScenario) -> Channel:
     """Covariant recovery map on the physical frame legs C (x) E.
 
-    Dual of the frame-side dynamics at maximally mixed system input. Its
-    trace preservation, checked by `Channel`, is the frame-side dynamics
-    fixing the identity: ``sum K^dag K = Tr_S[U (1/d_s (x) 1) U^dag] = 1``.
-    Covariance follows from covariance of the dynamics and is re-checked by
-    callers through `is_covariant`.
+    Dual of the frame-side dynamics ``Tr_S[U (1/d_s (x) .) U^dag]``: Kraus
+    operators ``(<a| (x) 1) U^dag (|b> (x) 1) / sqrt(d_s)``, index
+    ``a * d_s + b`` as in `env_channel`. Its trace preservation, checked by
+    `Channel`, is the frame-side dynamics fixing the identity. Covariance
+    follows from covariance of the dynamics and is re-checked by callers
+    through `is_covariant`.
     """
-    return Channel(_recovery_kraus(sc.unitary, sc.d_s))
+    d_s = sc.d_s
+    d_f = sc.unitary.shape[0] // d_s
+    u_dag = sc.unitary.conj().T.reshape(d_s, d_f, d_s, d_f)
+    return Channel(u_dag.transpose(0, 2, 1, 3).reshape(d_s * d_s, d_f, d_f) / np.sqrt(d_s))
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +321,20 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     if not cov.covariant:
         failures.append(f"recovered dynamics not covariant (defect {cov.worst_violation:.3e})")
 
-    # (c) inequality chain on the purified frame. Every frame output is linear
-    # in the system input rho, so it is tabulated once on the matrix units
-    # |b><c| of S: Tr_S M rho M^dag = sum_bc rho_bc out_units[b, c].
-    view = _pure_frame_view(sc)
-    d_v = view.d_frame
-    m = view.isometry()
-    drift = _drift_for_view(view, m, sc.target, seed=seed + 1)
-    wphi = drift.unitary @ view.phi
+    # (c) inequality chain on the purified frame C (x) E (x) C'; by data
+    # processing its bound gives the bound on C (x) E. Every frame output is
+    # linear in the system input rho, so it is tabulated once on the matrix
+    # units |b><c| of S: Tr_S M rho M^dag = sum_bc rho_bc out_units[b, c].
+    m, phi = _frame_isometry(sc)
+    d_v = len(phi)
+    d_cp = d_v // d_f
+    drift = _drift(m, phi, sc.target, seed + 1)
+    wphi = drift.unitary @ phi
     w_rho = np.outer(wphi, wphi.conj())
-    phi_rho = np.outer(view.phi, view.phi.conj())
-    # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s
-    z = _recovery_kraus(view.unitary, d_s) @ wphi
+    phi_rho = np.outer(phi, phi.conj())
+    # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s, the
+    # recovery acting on C (x) E and leaving C' alone
+    z = (recovery.kraus @ wphi.reshape(d_f, d_cp)).reshape(-1, d_v)
     recovery_pullback_distance = trace_distance(phi_rho, z.T @ z.conj())
     if recovery_pullback_distance > np.sqrt(2 * eps) + METRIC_SLACK:
         failures.append("recovery pullback distance exceeds sqrt(2 eps)")
@@ -384,9 +355,9 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
         failures.append("output drift distance exceeds sqrt(2 eps)")
 
     # (c') sampled final-state distances on the physical frame C, from
-    # Tr_E R[Tr_C' out_units]: the view leaves the purifier C' untouched, so
-    # Tr_C' out_units[b, c] = Tr_S U(|b><c| (x) frame_state)U^dag
-    units = np.einsum("bcfigi->bcfg", out_units.reshape(d_s, d_s, d_f, view.d_cp, d_f, view.d_cp))
+    # Tr_E R[Tr_C' out_units]: the dynamics leaves the purifier C' untouched,
+    # so Tr_C' out_units[b, c] = Tr_S U(|b><c| (x) frame_state)U^dag
+    units = np.einsum("bcfigi->bcfg", out_units.reshape(d_s, d_s, d_f, d_cp, d_f, d_cp))
     ks = recovery.kraus[:, None, None]
     units = (ks @ units @ ks.conj().swapaxes(-1, -2)).sum(axis=0)
     if d_e > 1:

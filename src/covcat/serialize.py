@@ -143,8 +143,13 @@ def channel_from_json(obj: Mapping[str, Any]):
     if not isinstance(obj["kraus"], list) or not obj["kraus"]:
         raise FormatError("channel: kraus must be a non-empty list")
     ks = [matrix_from_json(k, f"channel.kraus[{i}]") for i, k in enumerate(obj["kraus"])]
-    return Channel(ks, d_in=int_from_json(obj["d_in"], "channel.d_in"),
-                   d_out=int_from_json(obj["d_out"], "channel.d_out"))
+    d_in = int_from_json(obj["d_in"], "channel.d_in")
+    d_out = int_from_json(obj["d_out"], "channel.d_out")
+    channel = Channel(ks)
+    if (channel.d_in, channel.d_out) != (d_in, d_out):
+        raise FormatError(f"channel: declared d_in={d_in}, d_out={d_out} but the Kraus "
+                          f"operators are {channel.d_out}x{channel.d_in}")
+    return channel
 
 
 def dump_json(payload: Any) -> str:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from covcat import linalg as la
+from covcat.catalysis import CatalysisScenario
 from covcat.channels import Channel
+from covcat.refframe import FrameScenario, phase_ladder_unitary
 from covcat.symmetry import standard_representation
 
 
@@ -34,6 +36,40 @@ def env_channel_loop(u: np.ndarray, rho_s: np.ndarray, d_s: int, d_c: int) -> Ch
         block = np.einsum("albn,b->aln", ub, v[:, k_idx])
         ks += [np.sqrt(w[k_idx]) * block[l] for l in range(d_s)]
     return Channel(ks)
+
+
+def dilated_frame_scenario(theta=np.pi / 2, n=4, d_e=2, mix=0.6, omega=None) -> FrameScenario:
+    """Phase ladder on S (x) C followed by a charge-conserving frame/environment
+    interaction; the environment state defaults to the pure ``|0><0|``."""
+    u_sc = phase_ladder_unitary(n, theta)
+    u_ce = np.eye(n * d_e, dtype=complex)
+    for c in range(n - 1):
+        i, j = c * d_e + 1, (c + 1) * d_e
+        u_ce[i, i] = u_ce[j, j] = np.cos(mix)
+        u_ce[i, j] = -np.sin(mix)
+        u_ce[j, i] = np.sin(mix)
+    u = la.tensor(np.eye(2), u_ce) @ la.tensor(u_sc, np.eye(d_e))
+    amp = np.ones(n, dtype=complex) / np.sqrt(n)
+    if omega is None:
+        omega = np.zeros((d_e, d_e), dtype=complex)
+        omega[0, 0] = 1.0
+    target = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * np.array([[0, 1], [1, 0]])
+    return FrameScenario(
+        unitary=u, sigma_c=np.outer(amp, amp.conj()), target=target,
+        gens_s=(np.diag([0.0, 1.0]),),
+        gens_c=(np.diag(np.arange(n, dtype=float)),),
+        gens_e=(np.diag(np.arange(d_e, dtype=float)),),
+        omega_e=omega)
+
+
+def scale_generators(sc: CatalysisScenario, scale: float) -> CatalysisScenario:
+    """The same scenario with every conserved quantity multiplied by ``scale``;
+    admissibility and the intertwiner are unchanged."""
+    return CatalysisScenario(
+        unitary=sc.unitary, rho_s=sc.rho_s, rho_s_out=sc.rho_s_out, sigma_c=sc.sigma_c,
+        gens_s_in=[scale * g for g in sc.gens_s_in],
+        gens_s_out=[scale * g for g in sc.gens_s_out],
+        gens_c=[scale * g for g in sc.gens_c])
 
 
 def s3_standard_images():

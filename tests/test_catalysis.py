@@ -12,13 +12,12 @@ from covcat.catalysis import (
     reduce_to_tuples,
     regular_rep_channel,
     state_swap_channel,
-    stinespring_dilation,
     verify_scenario,
 )
-from covcat.channels import Channel, DilationSpec, dilation_to_channel, is_covariant
+from covcat.channels import Channel, DilationSpec, induced_channel, is_covariant
 from covcat.words import find_simultaneous_unitary
 
-from conftest import random_channel, s3_standard_images
+from conftest import random_channel, s3_standard_images, scale_generators, stinespring_unitary_loop
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -186,6 +185,30 @@ def test_intertwiner_with_degenerate_state_spectrum(d_s):
     assert result.solver.nullity == 2 * d_s  # d_s / 2 blocks of size 2
 
 
+SCALED = [(3, 2, 2, 4)] + [(4, 2, 2, seed) for seed in range(4)]
+
+
+@pytest.mark.parametrize("scale", [20, 30, 60, 1000])
+@pytest.mark.parametrize("d_s, d_c, m, seed", SCALED)
+def test_intertwiner_on_scaled_generators(d_s, d_c, m, seed, scale):
+    # exp(-X) of the scaled generators is near-singular or overflows, so the
+    # reduced tuples could not decide; the solver runs on the generators
+    sc = scale_generators(generate_admissible_scenario(d_s, d_c, m, seed=seed), scale)
+    assert verify_scenario(sc).admissible
+    result = find_intertwiner(sc)
+    assert result.success, result.solver.to_json()
+    assert result.state_residual <= 1e-14 * scale
+    assert result.intertwining_residual <= 1e-14 * scale
+
+
+def test_intertwiner_rejects_inadmissible(rng):
+    rho, sigma = la.random_density(2, rng), la.random_density(2, rng)
+    sc = CatalysisScenario(unitary=SWAP, rho_s=rho, rho_s_out=rho, sigma_c=sigma,
+                           gens_s_in=[], gens_s_out=[], gens_c=[])
+    with pytest.raises(la.DomainError, match="not admissible"):
+        find_intertwiner(sc)
+
+
 def test_intertwiner_failure_carries_diagnostic(rng):
     # force failure by corrupting the output state of an otherwise good scenario
     sc = product_scenario(rng, m=0)
@@ -286,7 +309,7 @@ def test_s3_regular_rep_channel(rng):
     for _ in range(3):
         target = random_channel(2, 2, rng)
         lifted = regular_rep_channel(g, rep_s, target)
-        assert lifted.is_trace_preserving(1e-9)
+        assert lifted.is_trace_preserving()
         report = is_covariant(lifted, comp, comp)
         assert report.covariant, report
         rho = la.random_density(2, rng)
@@ -321,6 +344,53 @@ def test_regular_rep_channel_matches_hand_written_kraus(rng):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def _stinespring_route(group, rep_s, unitary, omega, d_e):
+    """Regular-representation lift through a dilation: rotate the unitary on
+    S (x) E by W(y) (x) 1, reduce it with `induced_channel`, place it at |y><y|."""
+    n, d_s = group.order, rep_s.dim
+    ks = []
+    for y in range(n):
+        rot = la.tensor(rep_s.images[y], np.eye(d_e))
+        turned = induced_channel(Channel([rot @ unitary @ rot.conj().T]), omega, d_s, d_e)
+        pointer = np.zeros((n, n), dtype=complex)
+        pointer[y, y] = 1.0
+        ks += [la.tensor(k, pointer) for k in turned.kraus]
+    return Channel(ks)
+
+
+@pytest.mark.parametrize("kind", ["channel", "dilation-mixed-env"])
+@pytest.mark.parametrize("group", ["Z2", "S3"])
+def test_regular_rep_channel_matches_stinespring_route(group, kind, rng):
+    if group == "Z2":
+        g = sym.FiniteGroup.cyclic(2)
+        rep_s = sym.FiniteGroupRep(g, [np.eye(2), np.diag([1.0, -1.0])])
+    else:
+        g = sym.FiniteGroup.symmetric(3)
+        rep_s = sym.FiniteGroupRep(g, s3_standard_images())
+    d_e = 3
+    if kind == "channel":
+        target = random_channel(2, d_e, rng)
+        unitary = stinespring_unitary_loop(target)
+        omega = np.zeros((d_e, d_e), dtype=complex)
+        omega[0, 0] = 1.0
+    else:
+        omega, unitary = la.random_density(d_e, rng), la.random_unitary(2 * d_e, rng)
+        target = DilationSpec(omega_e=omega, unitary=unitary, d_s=2, d_e=d_e)
+    want = _stinespring_route(g, rep_s, unitary, omega, d_e)
+    got = regular_rep_channel(g, rep_s, target)
+    assert len(got.kraus) == len(want.kraus)
+    assert la.max_norm(got.choi() - want.choi()) <= 1e-12
+
+
+def test_regular_rep_channel_rejects_mismatched_target(rng):
+    g = sym.FiniteGroup.cyclic(2)
+    rep_s = sym.FiniteGroupRep(g, [np.eye(2), np.diag([1.0, -1.0])])
+    with pytest.raises(la.DimensionError):
+        regular_rep_channel(g, rep_s, random_channel(3, 2, rng))
+    with pytest.raises(la.DimensionError):  # 2 -> 3 on a two-dimensional representation
+        regular_rep_channel(g, rep_s, random_channel(2, 2, rng, d_out=3))
+
+
 def test_state_swap_channel_properties(rng):
     g = sym.FiniteGroup.cyclic(2)
     rep_s = sym.FiniteGroupRep(g, [np.eye(2), np.diag([1.0, -1.0])])
@@ -348,13 +418,6 @@ def test_state_swap_identity_case(rng):
     pointer = np.diag([1.0, 0.0]).astype(complex)
     out = swap.apply(la.tensor(rho, pointer))
     np.testing.assert_allclose(out, la.tensor(rho, pointer), atol=1e-10)
-
-
-def test_stinespring_dilation_reproduces_channel(rng):
-    t = random_channel(3, 2, rng)
-    spec = stinespring_dilation(t)
-    rebuilt = dilation_to_channel(spec)
-    np.testing.assert_allclose(rebuilt.choi(), t.choi(), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

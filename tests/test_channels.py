@@ -18,14 +18,11 @@ from covcat.channels import (
     verify_covariant_dilation,
 )
 
-from covcat.catalysis import stinespring_dilation
-
 from conftest import (
     compose_loop,
     depolarizing_loop,
     env_channel_loop,
     random_channel,
-    stinespring_unitary_loop,
     tensor_channels_loop,
     twirl_loop,
 )
@@ -96,13 +93,8 @@ def _depolarizing_case(container, rng):
     return Channel.depolarizing(3).kraus, depolarizing_loop(3)
 
 
-def _stinespring_case(container, rng):
-    t = random_channel(3, 2, rng, container=container)
-    return stinespring_dilation(t).unitary[None], [stinespring_unitary_loop(t)]
-
-
 KRAUS_CASES = {"compose": _compose_case, "tensor_channels": _tensor_case, "twirl": _twirl_case,
-               "depolarizing": _depolarizing_case, "stinespring_dilation": _stinespring_case}
+               "depolarizing": _depolarizing_case}
 
 
 @pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
@@ -113,10 +105,9 @@ def test_kraus_stack_matches_per_operator_loop(name, container, rng):
     assert got.shape == (len(want),) + want[0].shape
     for k_got, k_want in zip(got, want):
         np.testing.assert_allclose(k_got, k_want, rtol=0, atol=1e-14)
-    if name != "stinespring_dilation":  # the oracle's operators, handed over in the container
-        rebuilt = Channel(container(want)).kraus
-        assert isinstance(rebuilt, np.ndarray) and rebuilt.dtype == complex
-        np.testing.assert_array_equal(rebuilt, np.array(want))
+    rebuilt = Channel(container(want)).kraus  # the oracle's operators, handed over in the container
+    assert isinstance(rebuilt, np.ndarray) and rebuilt.dtype == complex
+    np.testing.assert_array_equal(rebuilt, np.array(want))
 
 
 def test_covariance_identity_channel():

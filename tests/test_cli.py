@@ -10,6 +10,7 @@ from covcat import symmetry as sym
 from covcat.catalysis import generate_admissible_scenario
 from covcat.cli import main
 
+from conftest import dilated_frame_scenario, scale_generators
 
 
 def run_cli(args):
@@ -175,6 +176,18 @@ def test_find_intertwiner_and_catalysis_verify(tmp_path):
     assert r2["result"]["scenario"]["admissible"]
 
 
+@pytest.mark.parametrize("scale", [20, 30])
+@pytest.mark.parametrize("command", ["find-intertwiner", "catalysis-verify"])
+def test_scaled_generators_are_solved(command, scale, tmp_path):
+    # well formed and admissible; exp(-X) of these generators is near-singular
+    # (x20) or no longer positive in floating point (x30)
+    sc = scale_generators(generate_admissible_scenario(3, 2, 2, seed=4), scale)
+    inp, out = tmp_path / "scaled.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps(sc.to_json()))
+    assert run_cli([command, "--input", str(inp), "--output", out]) == 0
+    assert read_report(out)["result"]["intertwiner"]["success"]
+
+
 def test_inadmissible_scenario_fails(tmp_path, rng):
     sc = generate_admissible_scenario(2, 2, 1, seed=3)
     payload = sc.to_json()
@@ -241,6 +254,23 @@ def test_recovery_verify_builtin(tmp_path):
     assert report["passed"]
     res = report["result"]["report"]
     assert res["worst_distance"] <= res["bound"] + 1e-5
+
+
+def test_recovery_verify_mixed_environment_input(tmp_path):
+    # a mixed symmetric environment state is purified together with the frame
+    sc = dilated_frame_scenario(omega=np.diag([0.7, 0.3]))
+    payload = {"unitary": ser.matrix_to_json(sc.unitary), "sigma_c": ser.matrix_to_json(sc.sigma_c),
+               "target": ser.matrix_to_json(sc.target),
+               "gens_s": [ser.matrix_to_json(g) for g in sc.gens_s],
+               "gens_c": [ser.matrix_to_json(g) for g in sc.gens_c],
+               "gens_e": [ser.matrix_to_json(g) for g in sc.gens_e],
+               "omega_e": ser.matrix_to_json(sc.omega_e)}
+    inp, out = tmp_path / "frame.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps(payload))
+    argv = ["recovery-verify", "--input", str(inp), "--samples", "20", "--output", out]
+    assert run_cli(argv) == 0
+    res = read_report(out)["result"]["report"]
+    assert res["passed"] and res["worst_distance"] <= res["bound"] + 1e-5
 
 
 def test_recovery_verify_large_ladder(tmp_path):

@@ -16,9 +16,9 @@ from covcat.refframe import (
     shifted_superposition_mixture,
     sweep_to_csv,
 )
-from covcat.refframe import _pure_frame_view, _sample_system_states, _unitary_sending
+from covcat.refframe import _frame_isometry, _sample_system_states, _unitary_sending
 
-from conftest import env_channel_loop
+from conftest import dilated_frame_scenario, env_channel_loop
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -203,7 +203,7 @@ def test_phase_reference_pipeline_n16():
     assert report.min_fidelity >= 1 - report.epsilon - 1e-6
     assert report.induced_identity_defect <= 1e-8
     assert report.covariance_defect <= 1e-9
-    assert t_prime.is_trace_preserving(1e-9)
+    assert t_prime.is_trace_preserving()
 
 
 def test_mixed_frame_state_pipeline():
@@ -213,29 +213,8 @@ def test_mixed_frame_state_pipeline():
     assert report.passed, report.failures
 
 
-def _dilated_scenario(theta=np.pi / 2, n=4, d_e=2, mix=0.6):
-    u_sc = phase_ladder_unitary(n, theta)
-    u_ce = np.eye(n * d_e, dtype=complex)
-    for c in range(n - 1):  # charge-conserving frame/environment interaction
-        i, j = c * d_e + 1, (c + 1) * d_e
-        u_ce[i, i] = u_ce[j, j] = np.cos(mix)
-        u_ce[i, j] = -np.sin(mix)
-        u_ce[j, i] = np.sin(mix)
-    u = la.tensor(np.eye(2), u_ce) @ la.tensor(u_sc, np.eye(d_e))
-    amp = np.ones(n, dtype=complex) / np.sqrt(n)
-    omega = np.zeros((d_e, d_e), dtype=complex)
-    omega[0, 0] = 1.0
-    target = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * SX
-    return FrameScenario(
-        unitary=u, sigma_c=np.outer(amp, amp.conj()), target=target,
-        gens_s=(np.diag([0.0, 1.0]),),
-        gens_c=(np.diag(np.arange(n, dtype=float)),),
-        gens_e=(np.diag(np.arange(d_e, dtype=float)),),
-        omega_e=omega)
-
-
 def test_dilated_dynamics_pipeline(rng):
-    sc = _dilated_scenario()
+    sc = dilated_frame_scenario()
     t_prime, report = catalytic_channel(sc, samples=20, seed=3)
     assert report.passed, report.failures
     assert t_prime.d_in == 8  # acts on S (x) C only, environment traced out
@@ -248,26 +227,44 @@ def test_dilated_dynamics_pipeline(rng):
         np.testing.assert_allclose(t_prime.apply(x), oracle, atol=1e-12)
 
 
+def _isometry_oracle(sc, phi):
+    """``(U (x) 1_C')(|b> (x) phi)`` as column b, reshaped to ``[a, (f, i), b]``."""
+    d_s, d_v = sc.d_s, len(phi)
+    big = la.tensor(sc.unitary, np.eye(d_v // (sc.d_c * sc.d_e)))
+    cols = [big @ np.kron(np.eye(d_s)[:, b], phi) for b in range(d_s)]
+    return big, np.stack(cols, axis=-1).reshape(d_s, d_v, d_s)
+
+
 def test_purifier_left_untouched(rng):
-    # the purified view's dynamics and recovery act as identity on the purifier
+    # the isometry is U (x) 1_C' applied to (. (x) phi): the purifier C' is never touched
     sigma = shifted_superposition_mixture(4, 0.3)
     sc = phase_reference_scenario(4, np.pi / 2, sigma_c=sigma)
-    view = _pure_frame_view(sc)
-    assert view.d_cp == 2  # the purifier copies the support of sigma_C, rank 2
-    rec_pure = hs_dual(env_channel(view.unitary, np.eye(2) / 2, 2, view.d_frame))
-    state = la.random_density(view.d_frame, rng)
+    m, phi = _frame_isometry(sc)
+    assert len(phi) == 4 * 2  # the purifier copies the support of sigma_C, rank 2
+    big, want = _isometry_oracle(sc, phi)
+    np.testing.assert_allclose(m, want, rtol=0, atol=1e-14)
+    phi_rho = np.outer(phi, phi.conj())
+    np.testing.assert_allclose(la.partial_trace(phi_rho, [4, 2], [0]), sigma, rtol=0, atol=1e-14)
+    rec_pure = hs_dual(env_channel(big, np.eye(2) / 2, 2, len(phi)))
+    state = la.random_density(len(phi), rng)
     out = rec_pure.apply(state)
     # compare purifier marginals before and after
-    marg_in = la.partial_trace(state, [4, view.d_cp], [1])
-    marg_out = la.partial_trace(out, [4, view.d_cp], [1])
+    marg_in = la.partial_trace(state, [4, 2], [1])
+    marg_out = la.partial_trace(out, [4, 2], [1])
     np.testing.assert_allclose(marg_in, marg_out, atol=1e-10)
-    # a pure frame is purified on a one-dimensional copy: the view is the scenario
+    # a mixed environment is purified together with sigma_C
+    dilated = dilated_frame_scenario(omega=np.diag([0.7, 0.3]))
+    m, phi = _frame_isometry(dilated)
+    assert len(phi) == 8 * 2
+    np.testing.assert_allclose(m, _isometry_oracle(dilated, phi)[1], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(la.partial_trace(np.outer(phi, phi.conj()), [8, 2], [0]),
+                               dilated.frame_state, rtol=0, atol=1e-14)
+    # a pure frame is purified on a one-dimensional copy: the isometry is U(. (x) phi)
     pure = phase_reference_scenario(4, np.pi / 2)
-    view = _pure_frame_view(pure)
-    assert view.d_cp == 1
-    np.testing.assert_array_equal(view.unitary, pure.unitary)
+    m, phi = _frame_isometry(pure)
     top = np.linalg.eigh(pure.sigma_c)[1][:, -1]
-    np.testing.assert_allclose(view.phi, top, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(phi, top, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m, _isometry_oracle(pure, phi)[1], rtol=0, atol=1e-14)
 
 
 def test_distance_contracts_from_purified_to_physical_frame(rng):
@@ -275,16 +272,20 @@ def test_distance_contracts_from_purified_to_physical_frame(rng):
     # purified-frame distance
     sigma = shifted_superposition_mixture(4, 0.25)
     sc = phase_reference_scenario(4, np.pi / 2, sigma_c=sigma)
-    view = _pure_frame_view(sc)
-    rec_pure = hs_dual(env_channel(view.unitary, np.eye(2) / 2, 2, view.d_frame))
-    phi_rho = np.outer(view.phi, view.phi.conj())
+    m, phi = _frame_isometry(sc)
+    d_v = len(phi)
+    big, _ = _isometry_oracle(sc, phi)
+    rec_pure = hs_dual(env_channel(big, np.eye(2) / 2, 2, d_v))
+    phi_rho = np.outer(phi, phi.conj())
     for _ in range(5):
         rho = la.random_density(2, rng)
-        big = view.unitary @ la.tensor(rho, phi_rho) @ view.unitary.conj().T
-        frame_out = la.partial_trace(big, [2, view.d_frame], [1])
+        frame_out = np.einsum("afb,bc,agc->fg", m, rho, m.conj())
+        big_out = big @ la.tensor(rho, phi_rho) @ big.conj().T
+        np.testing.assert_allclose(frame_out, la.partial_trace(big_out, [2, d_v], [1]),
+                                   rtol=0, atol=1e-14)
         recovered = rec_pure.apply(frame_out)
         d_purified = la.trace_distance(recovered, phi_rho)
-        d_physical = la.trace_distance(la.partial_trace(recovered, [4, view.d_cp], [0]),
+        d_physical = la.trace_distance(la.partial_trace(recovered, [4, d_v // 4], [0]),
                                        sc.sigma_c)
         assert d_physical <= d_purified + 1e-10
 
@@ -305,17 +306,15 @@ def _qutrit_sector_scenario(rng, n=5):
 def _per_sample_oracle(sc, samples, seed):
     """The chain and the sampled distances, one global product per sample.
 
-    The frame is purified on a full copy of C (every eigenvector of sigma_C),
-    and every probe builds its own environment channel.
+    The frame state sigma_C (x) omega_E is purified on a full copy of C (x) E
+    (every eigenvector), and every probe builds its own environment channel.
     """
     d_s, d_c, d_e = sc.d_s, sc.d_c, sc.d_e
     d_f = d_c * d_e
-    w, v = np.linalg.eigh(sc.sigma_c)
-    chi = np.ones(1) if sc.omega_e is None else np.linalg.eigh(sc.omega_e)[1][:, -1]
-    phi = sum(np.sqrt(max(w[i], 0.0)) * np.kron(np.kron(v[:, i], chi), np.eye(d_c)[i])
-              for i in range(d_c))
-    d_v = d_f * d_c
-    u = la.tensor(sc.unitary, np.eye(d_c))
+    w, v = np.linalg.eigh(sc.frame_state)
+    phi = sum(np.sqrt(max(w[i], 0.0)) * np.kron(v[:, i], np.eye(d_f)[i]) for i in range(d_f))
+    d_v = d_f * d_f
+    u = la.tensor(sc.unitary, np.eye(d_f))
     phi_rho = np.outer(phi, phi.conj())
     # drift unitary and its probes
     avg = env_channel(u, np.eye(d_s) / d_s, d_s, d_v).apply(phi_rho)
@@ -355,7 +354,8 @@ CHAIN_CASES = {
     "ladder-N8": lambda: phase_reference_scenario(8, np.pi / 2),
     "mixed-N6": lambda: phase_reference_scenario(
         6, np.pi / 2, sigma_c=shifted_superposition_mixture(6, 0.4, weight=0.3)),
-    "dilated": _dilated_scenario,
+    "dilated": dilated_frame_scenario,
+    "dilated-mixed-env": lambda: dilated_frame_scenario(omega=np.diag([0.7, 0.3])),
     "qutrit": lambda: _qutrit_sector_scenario(np.random.default_rng(17)),
 }
 
