@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
+    CHUNK_BYTES,
     DimensionError,
     DomainError,
     STRUCT_TOL,
@@ -65,8 +66,15 @@ class Channel:
     # -- basic queries ------------------------------------------------------
 
     def trace_preservation_defect(self) -> float:
+        """``||sum_k K_k^dag K_k - 1||_max``, summed over row chunks of the
+        stack so that no conjugated copy of the whole stack is formed."""
         flat = self.kraus.reshape(-1, self.d_in)
-        return max_norm(flat.conj().T @ flat - np.eye(self.d_in))
+        step = max(1, CHUNK_BYTES // (flat.itemsize * max(1, self.d_in)))
+        gram = -np.eye(self.d_in, dtype=complex)
+        for start in range(0, len(flat), step):
+            rows = flat[start:start + step]
+            gram += rows.conj().T @ rows
+        return max_norm(gram)
 
     def is_trace_preserving(self) -> bool:
         return self.trace_preservation_defect() <= CHANNEL_TOL

@@ -6,7 +6,8 @@ JSON (or CSV) report and exits with a meaningful status:
 * 0: all assertions of the dispatched verification passed,
 * 1: the verification ran and failed,
 * 2: malformed input (unknown keys, bad matrices, missing files),
-* 3: a solver stopped before certifying (a bounded result is still emitted).
+* 3: a solver stopped before certifying, or a check holds at only one end of
+  a certified bracket (a bounded result is still emitted).
 
 Reports are deterministic for a fixed config and seed: timestamps live in a
 separate ``metadata`` field, everything else is byte-stable. Files are
@@ -166,8 +167,8 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
         config = {"N": args.levels, "theta": args.theta}
     _, report = catalytic_channel(sc, samples=args.samples, seed=args.seed)
     payload = {"scenario": config, "report": report.to_json()}
-    converged = report.epsilon_result.status == "converged"
-    return payload, report.passed, converged
+    conclusive = report.epsilon_result.status == "converged" and report.verdict != "inconclusive"
+    return payload, report.passed, conclusive
 
 
 def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
@@ -180,8 +181,8 @@ def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
     payload = {"rows": [r.to_csv_row() for r in rows], "csv": csv_text,
                "output": args.output}
     passed = all(r.status != "FAILED" for r in rows)
-    converged = all(r.status != "bounds" for r in rows)
-    return payload, passed, converged
+    conclusive = all(r.status in ("ok", "FAILED") for r in rows)
+    return payload, passed, conclusive
 
 
 def _cmd_demo_appendix(args) -> tuple[dict, bool, bool]:

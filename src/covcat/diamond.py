@@ -22,6 +22,22 @@ so the reported value is always bracketed by a certified interval. If the
 iteration cap is reached before the bracket closes, the result carries status
 ``"bounds"`` instead of a silently inaccurate number.
 
+The solver starts from an a priori bracket. The maximally entangled input
+``rho = 1/d`` gives the lower end. The upper end is the dual point
+``Z = 2 J_+``, twice the positive part of J, which satisfies ``Z >= 0`` and
+``Z >= 2J`` and is therefore always feasible (Watrous, "Semidefinite programs
+for completely bounded norms", 2009); it is ``u(P)`` at ``P = 2 J_-``. As
+``lambda_max(Tr_out 2J_+) <= 2 Tr J_+ = d l(1/d)``, it is never looser than
+d times the lower end. For a covariant target, such as the phase ladders of
+`covcat.refframe`, the two ends meet at round-off and no iteration runs.
+
+Crossing rule: both ends are computed in floating point, so they can cross
+by round-off. The bracket is then widened, never narrowed: ``lower`` is the
+smaller and ``upper`` the larger of the two certificates, so
+``lower <= value <= upper`` always holds. A crossing wider than
+``CROSSING_TOL * max(1, value)`` cannot come from round-off and raises
+``RuntimeError``.
+
 The iterate keeps its Hermitian blocks as they are: the four d^2 x d^2 blocks
 ``W, Q, Zp, Z0`` in one stack, ``rho`` and ``S`` in another, ``lambda`` as a
 float, so the PSD projection is one batched ``eigh`` per stack. The affine
@@ -46,6 +62,7 @@ from .linalg import DimensionError, DomainError, max_norm, partial_trace, requir
 DEFAULT_GAP_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
 OVER_RELAXATION = 1.8
+CROSSING_TOL = 1e-12   # relative width up to which crossed certificates count as round-off
 
 
 @dataclass(frozen=True)
@@ -148,6 +165,23 @@ class _DiamondProgram:
         return float(np.linalg.eigvalsh((marg + marg.conj().T) / 2)[-1])
 
 
+def _a_priori_bracket(prog: _DiamondProgram) -> tuple[float, float]:
+    """Primal value at the maximally entangled input and dual value at 2 J_+."""
+    return (prog.primal_value(prog.eye / prog.d),
+            min(2.0, prog.dual_value(-2.0 * prog.j)))
+
+
+def _certified(low: float, up: float, status: str, iterations: int) -> DiamondResult:
+    """Result from two certificates under the crossing rule of the module docstring."""
+    lower, upper = min(low, up), max(low, up)
+    value = (lower + upper) / 2
+    if low - up > CROSSING_TOL * max(1.0, value):
+        raise RuntimeError(f"diamond certificates cross by {low - up:.3e}: "
+                           f"lower {low!r} above upper {up!r}")
+    return DiamondResult(value=value, status=status, lower=lower, upper=upper,
+                         iterations=iterations)
+
+
 def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_GAP_TOL,
                                max_iter: int = DEFAULT_MAX_ITER) -> DiamondResult:
     """Diamond norm of a Hermitian-preserving difference of channels on dim d.
@@ -166,13 +200,9 @@ def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_G
     small[0] = np.eye(d) / d
     big[1] = np.eye(d * d) / d  # Q = 1 (x) rho
     lam = 0.0
-    # a priori bracket: the stabilized trace norm at the maximally entangled
-    # input bounds the value from below, d times it (capped at 2) from above
-    best_low = prog.primal_value(np.eye(d) / d)
-    best_up = min(2.0, d * best_low) if best_low > 0.0 else 0.0
+    best_low, best_up = _a_priori_bracket(prog)
     if best_up - best_low <= gap_tol:
-        return DiamondResult(value=(best_up + best_low) / 2, status="converged",
-                             lower=best_low, upper=best_up, iterations=0)
+        return _certified(best_low, best_up, "converged", 0)
     it = 0
     next_check = 25
     while it < max_iter:
@@ -187,10 +217,8 @@ def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_G
             best_low = max(best_low, prog.primal_value(x_small[0]))
             best_up = min(best_up, prog.dual_value(x_big[2]))
             if best_up - best_low <= gap_tol:
-                return DiamondResult(value=(best_up + best_low) / 2, status="converged",
-                                     lower=best_low, upper=best_up, iterations=it)
-    return DiamondResult(value=(best_up + best_low) / 2, status="bounds",
-                         lower=best_low, upper=best_up, iterations=it)
+                return _certified(best_low, best_up, "converged", it)
+    return _certified(best_low, best_up, "bounds", it)
 
 
 def diamond_distance(t1: Channel, t2: Channel, gap_tol: float = DEFAULT_GAP_TOL,

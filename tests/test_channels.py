@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covcat import linalg as la
+from covcat import channels
 from covcat import symmetry as sym
 from covcat.channels import (
     Channel,
@@ -69,6 +70,18 @@ def test_channel_validation():
     with pytest.raises(la.DomainError):
         Channel([np.eye(2) * 0.5])
     Channel([np.eye(2) * 0.5], require_tp=False)  # allowed when asked
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 16 * 3 * 5])
+def test_trace_preservation_defect_matches_whole_stack_gram(chunk_bytes, rng, monkeypatch):
+    # 16 * 3 * 5 bytes: chunks of five rows of a d_in = 3 stack, with a ragged tail
+    if chunk_bytes is not None:
+        monkeypatch.setattr(channels, "CHUNK_BYTES", chunk_bytes)
+    for ks in (random_channel(3, 4, rng, d_out=2).kraus, 0.9 * Channel.depolarizing(3).kraus):
+        t = Channel(ks, require_tp=False)
+        flat = ks.reshape(-1, 3)
+        want = la.max_norm(flat.conj().T @ flat - np.eye(3))
+        assert abs(t.trace_preservation_defect() - want) <= 1e-15
 
 
 def _compose_case(container, rng):

@@ -295,6 +295,35 @@ def test_refframe_sweep_csv(tmp_path):
         assert fields[6] == "ok"
 
 
+def test_refframe_sweep_small_error_regime(capsys):
+    # theta = 1e-4: the regime of good reference frames, certified without iterating
+    assert run_cli(["refframe-sweep", "--Ns", "2,4,8,16,32", "--theta", "1e-4"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]["rows"]
+    assert len(rows) == 5
+    for row in rows:
+        fields = row.split(",")
+        assert fields[6] == "ok" and float(fields[4]) <= float(fields[3])
+
+
+def test_bracket_straddling_a_check_exits_inconclusive(tmp_path, monkeypatch):
+    from covcat import refframe
+    from covcat.diamond import DiamondResult
+
+    def straddling(t1, t2):  # the true value is about 0.217; the frame checks fail at 1e-6
+        return DiamondResult(value=0.15, status="converged", lower=1e-6, upper=0.3,
+                             iterations=0)
+
+    monkeypatch.setattr(refframe, "diamond_distance", straddling)
+    out = str(tmp_path / "rec.json")
+    assert run_cli(["recovery-verify", "--N", "8", "--samples", "15", "--output", out]) == 3
+    res = read_report(out)["result"]["report"]
+    assert res["verdict"] == "inconclusive" and res["inconclusive"] and not res["failures"]
+    assert res["bound_lower"] < res["worst_distance"] < res["bound_upper"]
+    out = str(tmp_path / "sweep.csv")
+    assert run_cli(["refframe-sweep", "--Ns", "8", "--samples", "15", "--output", out]) == 3
+    assert open(out).read().strip().split("\n")[1].endswith(",inconclusive")
+
+
 def test_reports_byte_identical_modulo_metadata(tmp_path, rng):
     mats = [la.random_hermitian(2, rng) for _ in range(2)]
     problem = {"tuple_a": [ser.matrix_to_json(m) for m in mats],

@@ -5,9 +5,16 @@ from covcat import linalg as la
 from covcat.channels import Channel, tensor_channels
 from covcat.diamond import (
     _DiamondProgram,
+    _a_priori_bracket,
+    _certified,
     diamond_distance,
     diamond_norm_of_difference,
     unitary_diamond_distance,
+)
+from covcat.refframe import (
+    implementation_error,
+    phase_reference_scenario,
+    shifted_superposition_mixture,
 )
 
 from conftest import random_channel
@@ -178,3 +185,60 @@ def test_iteration_cap_reports_bounds(rng):
 def test_dimension_checks(rng):
     with pytest.raises(la.DimensionError):
         diamond_distance(Channel.identity(2), Channel.identity(3))
+
+
+# ---------------------------------------------------------------------------
+# a priori bracket and crossing rule
+# ---------------------------------------------------------------------------
+
+def _mixed_frame(theta):
+    sigma = shifted_superposition_mixture(12, 0.7, weight=0.35)
+    return phase_reference_scenario(12, theta, sigma_c=sigma)
+
+
+# brackets at theta = pi/2 that the Douglas-Rachford iteration certifies in
+# 112 to 252 iterations from the start bracket [l(1/d), d l(1/d)]
+ITERATED_BRACKETS = {
+    2: (0.8685592110186405, 0.8685592167017357),
+    4: (0.4342796055093201, 0.4342796357831268),
+    8: (0.21713980275466044, 0.2171398056799658),
+    16: (0.10856990137732997, 0.10857012928751106),
+    32: (0.054284950688664894, 0.05428576833671278),
+    "mixed-N12": (0.38660575558401955, 0.386605949152626),
+}
+LADDERS = [2, 4, 8, 16, 32, "mixed-N12"]
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 1e-2, 1e-4])
+@pytest.mark.parametrize("ladder", LADDERS)
+def test_phase_ladders_certify_at_a_priori_dual_point(ladder, theta):
+    sc = _mixed_frame(theta) if ladder == "mixed-N12" else phase_reference_scenario(ladder, theta)
+    res = implementation_error(sc)
+    assert res.status == "converged" and res.iterations == 0
+    assert res.lower <= res.value <= res.upper <= res.lower + 1e-6
+    assert res.upper - res.lower <= 1e-12 * max(1.0, res.value)
+    if theta == np.pi / 2:
+        # both brackets are computed in floating point: inclusion up to round-off
+        low, up = ITERATED_BRACKETS[ladder]
+        assert low - 1e-15 <= res.value <= up + 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_priori_upper_bound_between_solved_lower_and_d_times_lower(d, rng):
+    for _ in range(3):
+        j = random_channel(d, 2, rng).choi() - random_channel(d, 2, rng).choi()
+        low, up = _a_priori_bracket(_DiamondProgram(j, d))
+        assert up <= d * low + 1e-12
+        solved = diamond_norm_of_difference(j, d)
+        assert up >= solved.lower - 1e-12
+        assert solved.lower <= solved.value <= solved.upper <= up + 1e-12
+
+
+def test_crossed_certificates_widen_and_never_narrow():
+    res = _certified(0.5 + 1e-15, 0.5, "converged", 0)
+    assert (res.lower, res.upper) == (0.5, 0.5 + 1e-15)
+    assert res.lower <= res.value <= res.upper
+    ordered = _certified(0.25, 0.5, "bounds", 7)
+    assert (ordered.lower, ordered.value, ordered.upper) == (0.25, 0.375, 0.5)
+    with pytest.raises(RuntimeError, match="cross"):
+        _certified(0.5 + 1e-9, 0.5, "converged", 0)

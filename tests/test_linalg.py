@@ -150,6 +150,35 @@ def test_trace_distance_eigenvalue_oracle(rng):
         assert abs(la.trace_distance(rho, sig) - oracle) < 1e-12
 
 
+def test_trace_distances_match_per_state_loop(rng):
+    sigma = la.random_density(4, rng)
+    states = np.array([la.random_density(4, rng) for _ in range(9)])
+    got = la.trace_distances(states, sigma)
+    want = [la.trace_distance(rho, sigma) for rho in states]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_trace_distances_keep_the_hermitian_checks(rng):
+    sigma = la.random_density(3, rng)
+    states = np.array([la.random_density(3, rng) for _ in range(5)])
+    nan = states.copy()
+    nan[2, 0, 1] = np.nan
+    with pytest.raises(la.DomainError, match="non-finite"):
+        la.trace_distances(nan, sigma)
+    skew = states.copy()
+    skew[3, 0, 1] += 1e-6  # one non-Hermitian member fails the whole batch
+    with pytest.raises(la.DomainError, match="not Hermitian"):
+        la.trace_distances(skew, sigma)
+    # the test is relative to each member's largest entry, as in require_hermitian
+    big = 1e8 * states
+    big[1, 0, 1] += 1e-3
+    assert np.all(np.isfinite(la.trace_distances(big, sigma)))
+    with pytest.raises(la.DimensionError):
+        la.trace_distances(states[0], sigma)
+    with pytest.raises(la.DimensionError):
+        la.trace_distances(states, np.eye(2) / 2)
+
+
 def test_trace_distance_triangle(rng):
     a, b, c = (la.random_density(4, rng) for _ in range(3))
     assert la.trace_distance(a, c) <= la.trace_distance(a, b) + la.trace_distance(b, c) + 1e-12

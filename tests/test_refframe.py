@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from covcat import linalg as la
+from covcat import refframe
 from covcat.channels import env_channel, hs_dual, is_covariant
+from covcat.diamond import DiamondResult
 from covcat.refframe import (
     FrameScenario,
     SWEEP_CSV_HEADER,
@@ -371,6 +373,66 @@ def test_tabulated_chain_matches_per_sample_oracle(case):
     assert abs(report.worst_output_drift_distance - worst_drift) <= 1e-12
     np.testing.assert_allclose(report.distances, dists, rtol=0, atol=1e-12)
     assert report.passed, report.failures
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 8 * 16 * 7 * 16])
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_batched_distances_match_per_sample_trace_distance(case, chunk_bytes, monkeypatch):
+    # chunk_bytes 1 puts one sample in each chunk; the last value makes chunks
+    # of 112 / d^2 outputs of dimension d (7 at d = 4, one from d = 8 on),
+    # with ragged tails
+    if chunk_bytes is not None:
+        monkeypatch.setattr(refframe, "CHUNK_BYTES", chunk_bytes)
+    calls = []
+    batched = refframe._sampled_distances
+
+    def recorded(rhos, units, ref):
+        got = batched(rhos, units, ref)
+        calls.append((rhos, units, ref, got))
+        return got
+
+    monkeypatch.setattr(refframe, "_sampled_distances", recorded)
+    _, report = catalytic_channel(CHAIN_CASES[case](), samples=30, seed=4)
+    assert [len(c[0]) for c in calls] == [24, 30]  # drift distances, frame distances
+    for rhos, units, ref, got in calls:
+        want = [la.trace_distance(np.tensordot(rho, units, 2), ref) for rho in rhos]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+    assert report.distances == tuple(calls[1][3])
+
+
+def _with_bracket(monkeypatch, lower, upper):
+    """Let the pipeline see the diamond bracket [lower, upper]."""
+    def bracket(t1, t2):
+        return DiamondResult(value=(lower + upper) / 2, status="converged",
+                             lower=lower, upper=upper, iterations=0)
+    monkeypatch.setattr(refframe, "diamond_distance", bracket)
+
+
+def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
+    sc = phase_reference_scenario(8, np.pi / 2)
+    eps = implementation_error(sc).value
+    _, exact = catalytic_channel(sc, samples=30, seed=4)
+    assert exact.verdict == "passed" and exact.passed and not exact.inconclusive
+    # the frame distance check straddles: it holds at the upper end only
+    worst = exact.worst_distance
+    straddle = (worst - refframe.DIAMOND_SLACK) ** 2 / 8 * 0.9
+    _with_bracket(monkeypatch, straddle, eps)
+    _, report = catalytic_channel(sc, samples=30, seed=4)
+    assert report.distances == exact.distances
+    assert report.verdict == "inconclusive" and not report.passed and not report.failures
+    assert any("worst frame distance" in c for c in report.inconclusive)
+    assert report.bound_lower < worst < report.bound_upper
+    assert report.bound_lower <= report.bound <= report.bound_upper
+    js = report.to_json()
+    assert js["verdict"] == "inconclusive" and js["inconclusive"] == list(report.inconclusive)
+    # a bracket wholly below the checks refutes them
+    _with_bracket(monkeypatch, straddle / 2, straddle)
+    _, report = catalytic_channel(sc, samples=30, seed=4)
+    assert report.verdict == "failed" and any("worst frame distance" in f for f in report.failures)
+    # a wide bracket whose lower end passes every check is a pass
+    _with_bracket(monkeypatch, eps, 1.0)
+    _, report = catalytic_channel(sc, samples=30, seed=4)
+    assert report.verdict == "passed" and report.passed
 
 
 @pytest.mark.parametrize("case", list(CHAIN_CASES))
