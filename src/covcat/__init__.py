@@ -24,23 +24,16 @@ from .linalg import (
 from .symmetry import (
     FiniteGroup,
     FiniteGroupRep,
-    asymmetry_profile,
-    gibbs_operator,
-    gibbs_state,
     is_symmetric_state,
     left_regular_representation,
     standard_representation,
 )
 from .channels import (
     Channel,
-    DilationSpec,
-    dilation_to_channel,
     env_channel,
     hs_dual,
     induced_channel,
     is_covariant,
-    thermal_operation,
-    verify_covariant_dilation,
 )
 from .diamond import DiamondResult, diamond_distance, unitary_diamond_distance
 from .words import (

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, DilationSpec, dilation_to_channel
+from .channels import Channel
 from .linalg import (
     DimensionError,
     DomainError,
-    SUPPORT_TOL,
     func_calc,
     max_norm,
     partial_trace,
@@ -39,6 +38,7 @@ from .linalg import (
     require_density,
     require_hermitian,
     require_unitary,
+    support_factor,
     tensor,
     von_neumann_entropy,
 )
@@ -396,7 +396,7 @@ def _at_pointer(ks: np.ndarray, y: int, n: int) -> np.ndarray:
 
 
 def regular_rep_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
-                        target: Channel | DilationSpec) -> Channel:
+                        target: Channel) -> Channel:
     """Covariant channel on system (x) pointer reproducing an arbitrary target.
 
     The pointer carries the left regular representation of the group; feeding
@@ -406,8 +406,6 @@ def regular_rep_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
     target's, translated by the group, ``W(y) K W(y)^dag (x) |y><y|``, index
     (y, K) with y outer.
     """
-    if isinstance(target, DilationSpec):
-        target = dilation_to_channel(target)
     if target.d_in != rep_s.dim or target.d_out != rep_s.dim:
         raise DimensionError("system representation does not match the target dims")
     if rep_s.group.order != group.order or not np.array_equal(rep_s.group.table, group.table):
@@ -437,9 +435,7 @@ def state_swap_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
     stacks = []
     for y in range(n):
         w = rep_s.images[group.mul(y, group.inv(x))]
-        t_eigs, t_vecs = np.linalg.eigh(w @ sigma @ w.conj().T)
-        keep = t_eigs > SUPPORT_TOL
-        amps = t_vecs[:, keep] * np.sqrt(t_eigs[keep])
+        amps = support_factor(w @ sigma @ w.conj().T)
         # sqrt(t_a) |t_a><b| at index (a, b), a outer
         ks = amps.T[:, None, :, None] * np.eye(d_s)[None, :, None, :]
         stacks.append(_at_pointer(ks.reshape(-1, d_s, d_s), y, n))

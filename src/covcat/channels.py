@@ -26,14 +26,14 @@ from .linalg import (
     DimensionError,
     DomainError,
     STRUCT_TOL,
-    SUPPORT_TOL,
     as_square,
     max_norm,
     require_density,
     require_hermitian,
     require_unitary,
+    support_factor,
 )
-from .symmetry import FiniteGroupRep, conservation_residuals, gibbs_state, is_symmetric_state
+from .symmetry import FiniteGroupRep
 
 CHANNEL_TOL = 1e-9  # trace preservation tolerance
 
@@ -60,7 +60,7 @@ class Channel:
         self._choi = None
         if require_tp:
             dev = self.trace_preservation_defect()
-            if dev > CHANNEL_TOL:
+            if not dev <= CHANNEL_TOL:  # also rejects a nan defect
                 raise DomainError(f"Kraus sum deviates from trace preservation by {dev:.3e}")
 
     # -- basic queries ------------------------------------------------------
@@ -71,10 +71,11 @@ class Channel:
         flat = self.kraus.reshape(-1, self.d_in)
         step = max(1, CHUNK_BYTES // (flat.itemsize * max(1, self.d_in)))
         gram = -np.eye(self.d_in, dtype=complex)
-        for start in range(0, len(flat), step):
-            rows = flat[start:start + step]
-            gram += rows.conj().T @ rows
-        return max_norm(gram)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or nan defect
+            for start in range(0, len(flat), step):
+                rows = flat[start:start + step]
+                gram += rows.conj().T @ rows
+            return max_norm(gram)
 
     def is_trace_preserving(self) -> bool:
         return self.trace_preservation_defect() <= CHANNEL_TOL
@@ -224,9 +225,7 @@ def induced_channel(t: Channel, sigma_c: np.ndarray, d_s: int, d_c: int) -> Chan
     sigma_c = require_density(sigma_c)
     if sigma_c.shape[0] != d_c:
         raise DimensionError(f"sigma_C dim {sigma_c.shape[0]} != d_C {d_c}")
-    w, v = np.linalg.eigh(sigma_c)
-    keep = w > SUPPORT_TOL
-    amps = v[:, keep] * np.sqrt(w[keep])
+    amps = support_factor(sigma_c)
     # sqrt(w_k) (1_S (x) <l|) K (1_S (x) |v_k>) at [K, a, l, b, k]
     ks = (t.kraus.reshape(-1, d_c) @ amps).reshape(-1, d_s, d_c, d_s, amps.shape[1])
     return Channel(ks.transpose(0, 4, 2, 1, 3).reshape(-1, d_s, d_s))  # index (K, k, l)
@@ -245,81 +244,3 @@ def env_channel(u: np.ndarray, rho_s: np.ndarray, d_s: int, d_c: int) -> Channel
     swapped = np.reshape(u, (d_s, d_c, d_s, d_c)).transpose(1, 0, 3, 2).reshape(d_s * d_c, -1)
     return induced_channel(Channel.from_unitary(swapped), rho_s, d_c, d_s)
 
-
-# ---------------------------------------------------------------------------
-# dilations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class DilationSpec:
-    """Unitary dilation data: ``T[rho] = Tr_E[U (rho (x) omega_E) U^dag]``.
-
-    ``unitary`` acts on S (x) E with the environment as the trailing factor.
-    """
-
-    omega_e: np.ndarray
-    unitary: np.ndarray
-    d_s: int
-    d_e: int
-
-    def __post_init__(self):
-        require_density(self.omega_e)
-        require_unitary(self.unitary)
-        if self.omega_e.shape[0] != self.d_e:
-            raise DimensionError("omega_E dim does not match d_E")
-        if self.unitary.shape[0] != self.d_s * self.d_e:
-            raise DimensionError("dilation unitary dim != d_S * d_E")
-
-
-def dilation_to_channel(spec: DilationSpec) -> Channel:
-    """Kraus form of a dilation: K_{k,j} = sqrt(w_j) (1 (x) <e_k|) U (1 (x) |f_j>)."""
-    return induced_channel(Channel([spec.unitary]), spec.omega_e, spec.d_s, spec.d_e)
-
-
-@dataclass(frozen=True)
-class DilationReport:
-    unitary_covariant: bool
-    unitary_violation: float
-    env_state_symmetric: bool
-    env_state_violation: float
-    env_state_pure: bool
-
-    @property
-    def certifies_covariance(self) -> bool:
-        return self.unitary_covariant and self.env_state_symmetric
-
-
-def verify_covariant_dilation(spec: DilationSpec, gens_s: Sequence[np.ndarray],
-                              gens_e: Sequence[np.ndarray]) -> DilationReport:
-    """Check that the global unitary commutes with the composite generators and
-    the environment state is symmetric; together these certify covariance of
-    the dilated channel."""
-    legs = [[require_hermitian(g) for g in gens] for gens in (gens_s, gens_e)]
-    worst_u = max(conservation_residuals(spec.unitary, legs), default=0.0)
-    sym, worst_e = is_symmetric_state(spec.omega_e, gens_e, STRUCT_TOL)
-    purity = float(np.trace(spec.omega_e @ spec.omega_e).real)
-    return DilationReport(
-        unitary_covariant=worst_u <= STRUCT_TOL,
-        unitary_violation=worst_u,
-        env_state_symmetric=sym,
-        env_state_violation=worst_e,
-        env_state_pure=purity > 1.0 - 1e-9,
-    )
-
-
-def thermal_operation(h_s: np.ndarray, h_e: np.ndarray, beta: float,
-                      u: np.ndarray) -> Channel:
-    """Channel dilated by a Gibbs environment and an energy-conserving unitary.
-
-    Raises if ``u`` fails to commute with the total energy
-    ``H_S (x) 1 + 1 (x) H_E``. The output fixes the system Gibbs state at the
-    same inverse temperature.
-    """
-    h_s, h_e = require_hermitian(h_s), require_hermitian(h_e)
-    d_s, d_e = h_s.shape[0], h_e.shape[0]
-    u = require_unitary(u)
-    dev, = conservation_residuals(u, [[h_s], [h_e]])
-    if dev > STRUCT_TOL:
-        raise DomainError(f"unitary is not strictly energy conserving (violation {dev:.3e})")
-    spec = DilationSpec(omega_e=gibbs_state(h_e, beta), unitary=u, d_s=d_s, d_e=d_e)
-    return dilation_to_channel(spec)

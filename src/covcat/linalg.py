@@ -98,8 +98,9 @@ def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
 
 def require_unitary(a: np.ndarray) -> np.ndarray:
     m = as_square(a)
-    dev = max_norm(m.conj().T @ m - np.eye(m.shape[0]))
-    if dev > STRUCT_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or nan dev
+        dev = max_norm(m.conj().T @ m - np.eye(m.shape[0]))
+    if not dev <= STRUCT_TOL:  # also rejects a nan dev
         raise DomainError(f"matrix is not unitary within {STRUCT_TOL} (deviation {dev:.3e})")
     return m
 
@@ -206,6 +207,14 @@ def hermitian_power(a: np.ndarray, s: float) -> np.ndarray:
 def support_projector(a: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the range of a PSD matrix."""
     return hermitian_power(a, 0.0)
+
+
+def support_factor(rho: np.ndarray) -> np.ndarray:
+    """Columns ``sqrt(p_i) v_i`` over the eigenpairs of a validated density
+    matrix with ``p_i > SUPPORT_TOL``: a ``(d, rank)`` factor A with A A^dag = rho."""
+    w, v = np.linalg.eigh(rho)
+    keep = w > SUPPORT_TOL
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def psd_rank(a: np.ndarray) -> int:

@@ -50,13 +50,13 @@ from .linalg import (
     CHUNK_BYTES,
     DimensionError,
     DomainError,
-    SUPPORT_TOL,
     max_norm,
     random_density,
     random_pure_state,
     require_density,
     require_hermitian,
     require_unitary,
+    support_factor,
     tensor,
     trace_distance,
     trace_distances,
@@ -153,9 +153,7 @@ def _frame_isometry(sc: FrameScenario) -> tuple[np.ndarray, np.ndarray]:
     through the isometry ``M = (U (x) 1_C')(. (x) phi)``, returned as
     ``m[a, (f, i), b]``: output S index a, frame index (f, i), input S index b.
     """
-    w, v = np.linalg.eigh(sc.frame_state)
-    keep = w > SUPPORT_TOL
-    amps = v[:, keep] * np.sqrt(w[keep])  # phi as a (d_f, d_cp) matrix
+    amps = support_factor(sc.frame_state)  # phi as a (d_f, d_cp) matrix
     d_s, d_f, d_cp = sc.d_s, len(amps), amps.shape[1]
     m = (sc.unitary.reshape(d_s * d_f, d_s, d_f) @ amps).reshape(d_s, d_f, d_s, d_cp)
     return m.transpose(0, 1, 3, 2).reshape(d_s, d_f * d_cp, d_s), amps.reshape(-1)
@@ -480,15 +478,6 @@ def phase_reference_scenario(n_levels: int, theta: float,
         gens_s=(np.diag([0.0, 1.0]),),
         gens_c=(np.diag(np.arange(n_levels, dtype=float)),),
     )
-
-
-def shifted_superposition_mixture(n_levels: int, shift: float,
-                                  weight: float = 0.5) -> np.ndarray:
-    """Mixture of the uniform superposition and its time-translated copy."""
-    amp = np.ones(n_levels, dtype=complex) / np.sqrt(n_levels)
-    phases = np.exp(-1j * shift * np.arange(n_levels))
-    shifted = phases * amp
-    return (1 - weight) * np.outer(amp, amp.conj()) + weight * np.outer(shifted, shifted.conj())
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ Two kinds of symmetry data appear throughout the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,29 +23,21 @@ from .linalg import (
     DomainError,
     STRUCT_TOL,
     as_square,
-    func_calc,
     max_norm,
-    require_density,
-    require_hermitian,
     require_unitary,
     tensor,
-    trace_distance,
 )
 
 
-def is_symmetric_state(rho: np.ndarray, symmetry, tol: float = STRUCT_TOL) -> tuple[bool, float]:
-    """Whether a state commutes with every generator (or every group image).
+def is_symmetric_state(rho: np.ndarray, generators: Sequence[np.ndarray],
+                       tol: float = STRUCT_TOL) -> tuple[bool, float]:
+    """Whether a state commutes with every Hermitian generator.
 
-    ``symmetry`` is either a list of Hermitian generators or a
-    :class:`FiniteGroupRep`. Returns (verdict, worst commutator max-norm).
+    Returns (verdict, worst commutator max-norm).
     """
     rho = as_square(rho)
-    if isinstance(symmetry, FiniteGroupRep):
-        ops = symmetry.images
-    else:
-        ops = [as_square(g) for g in symmetry]
     worst = 0.0
-    for op in ops:
+    for op in map(as_square, generators):
         if op.shape != rho.shape:
             raise DimensionError(f"operator dim {op.shape[0]} != state dim {rho.shape[0]}")
         worst = max(worst, max_norm(rho @ op - op @ rho))
@@ -55,7 +46,13 @@ def is_symmetric_state(rho: np.ndarray, symmetry, tol: float = STRUCT_TOL) -> tu
 
 def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]],
                            legs_out: Sequence[Sequence[np.ndarray]] | None = None) -> list[float]:
-    """``||U X_i - Y_i U||_max`` for every conserved quantity i.
+    """``||U X_i - Y_i U||_max / max(1, ||X_i - t 1||_max, ||Y_i - t 1||_max)``
+    with ``t = tr(X_i) / d`` for every conserved quantity i, so the residual
+    does not grow with the scale of X_i. Shifting X_i and Y_i by the same
+    ``t 1`` leaves ``U X_i - Y_i U`` unchanged, so an identity offset in the
+    generators changes neither the residual nor its denominator; the shift is
+    taken leg by leg, before the legs are summed, so the offset adds no
+    rounding error either.
 
     ``legs_in`` holds one generator list per tensor leg of U, in leg order;
     ``X_i = sum_leg 1 (x) ... (x) x_leg[i] (x) ... (x) 1``, and ``Y_i`` is
@@ -67,46 +64,21 @@ def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]
     if len({len(leg) for leg in [*legs_in, *legs_out]}) > 1:
         raise DimensionError("legs hold different numbers of generators")
 
-    def total(gens):
+    def total(gens, centres):
         dims = [g.shape[0] for g in gens]
         if int(np.prod(dims)) != u.shape[0]:
             raise DimensionError(f"generator dims {dims} do not split the dimension {u.shape[0]}")
-        return sum(tensor(*[g if j == leg else np.eye(d) for j, d in enumerate(dims)])
-                   for leg, g in enumerate(gens))
+        return sum(tensor(*[g - t * np.eye(d) if j == leg else np.eye(d)
+                            for j, d in enumerate(dims)])
+                   for leg, (g, t) in enumerate(zip(gens, centres)))
 
-    totals_in = [total(gens) for gens in zip(*legs_in)]
-    totals_out = totals_in if legs_out is legs_in else [total(gens) for gens in zip(*legs_out)]
-    return [max_norm(u @ x - y @ u) for x, y in zip(totals_in, totals_out)]
-
-
-# ---------------------------------------------------------------------------
-# Gibbs objects
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class GibbsOperator:
-    """Unnormalized exp(-X) of a conserved-quantity generator; strictly positive."""
-
-    matrix: np.ndarray
-    source: np.ndarray
-
-    def __post_init__(self):
-        w = np.linalg.eigvalsh(self.matrix)
-        if w[0] <= 1e-12:
-            raise DomainError(f"Gibbs operator has eigenvalue {w[0]:.3e} <= 1e-12")
-
-
-def gibbs_operator(x: np.ndarray) -> GibbsOperator:
-    """exp(-X) for a Hermitian generator X, without normalization."""
-    x = require_hermitian(x)
-    return GibbsOperator(matrix=func_calc(x, lambda w: np.exp(-w)), source=x)
-
-
-def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta H) / Z."""
-    h = require_hermitian(h)
-    m = func_calc(h, lambda w: np.exp(-beta * (w - w.min())))
-    return m / np.trace(m).real
+    residuals = []
+    for gens_in, gens_out in zip(zip(*legs_in), zip(*legs_out)):
+        centres = [np.trace(g).real / g.shape[0] for g in gens_in]
+        x = total(gens_in, centres)
+        y = x if legs_out is legs_in else total(gens_out, centres)
+        residuals.append(max_norm(u @ x - y @ u) / max(1.0, max_norm(x), max_norm(y)))
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +225,3 @@ def tensor_rep(a: FiniteGroupRep, b: FiniteGroupRep) -> FiniteGroupRep:
         raise DomainError("tensor_rep requires representations of the same group")
     return FiniteGroupRep(a.group, [tensor(wa, wb) for wa, wb in zip(a.images, b.images)])
 
-
-# ---------------------------------------------------------------------------
-# asymmetry profiles
-# ---------------------------------------------------------------------------
-
-def asymmetry_profile(rho: np.ndarray, rep, params: Sequence[float] | None = None) -> np.ndarray:
-    """Trace distance between a state and its rotated copies.
-
-    With a :class:`FiniteGroupRep`, returns one value per group element,
-    ``D(W(g) rho W(g)^dag, rho)``. With a Hermitian generator and a list of
-    parameters t, returns the profile along ``exp(-i t X)``. A symmetric
-    state gives the all-zero profile; a perfect frame state sits at 1 away
-    from the identity.
-    """
-    rho = require_density(rho)
-    if isinstance(rep, FiniteGroupRep):
-        if params is not None:
-            raise ValueError("params only apply to one-parameter families")
-        return np.array([trace_distance(w @ rho @ w.conj().T, rho) for w in rep.images])
-    generator = require_hermitian(rep)
-    if params is None:
-        raise ValueError("a one-parameter family needs explicit parameter values")
-    w, v = np.linalg.eigh(generator)
-    out = []
-    for t in params:
-        u = (v * np.exp(-1j * t * w)) @ v.conj().T
-        out.append(trace_distance(u @ rho @ u.conj().T, rho))
-    return np.array(out)

@@ -62,6 +62,15 @@ def dilated_frame_scenario(theta=np.pi / 2, n=4, d_e=2, mix=0.6, omega=None) -> 
         omega_e=omega)
 
 
+def shifted_superposition_mixture(n_levels: int, shift: float,
+                                  weight: float = 0.5) -> np.ndarray:
+    """Mixture of the uniform superposition and its time-translated copy."""
+    amp = np.ones(n_levels, dtype=complex) / np.sqrt(n_levels)
+    phases = np.exp(-1j * shift * np.arange(n_levels))
+    shifted = phases * amp
+    return (1 - weight) * np.outer(amp, amp.conj()) + weight * np.outer(shifted, shifted.conj())
+
+
 def scale_generators(sc: CatalysisScenario, scale: float) -> CatalysisScenario:
     """The same scenario with every conserved quantity multiplied by ``scale``;
     admissibility and the intertwiner are unchanged."""

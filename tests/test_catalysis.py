@@ -14,7 +14,7 @@ from covcat.catalysis import (
     state_swap_channel,
     verify_scenario,
 )
-from covcat.channels import Channel, DilationSpec, induced_channel, is_covariant
+from covcat.channels import Channel, induced_channel, is_covariant
 from covcat.words import find_simultaneous_unitary
 
 from conftest import random_channel, s3_standard_images, scale_generators, stinespring_unitary_loop
@@ -323,12 +323,11 @@ def test_regular_rep_channel_matches_hand_written_kraus(rng):
     g = sym.FiniteGroup.symmetric(3)
     rep_s = sym.FiniteGroupRep(g, s3_standard_images())
     d_s, d_e, n = 2, 3, g.order
-    spec = DilationSpec(omega_e=la.random_density(d_e, rng),
-                        unitary=la.random_unitary(d_s * d_e, rng), d_s=d_s, d_e=d_e)
+    omega, unitary = la.random_density(d_e, rng), la.random_unitary(d_s * d_e, rng)
     # reference: rotate the environment-first unitary, contract with the
     # eigenvectors of omega_E, read off one Kraus operator per output E index
-    v_env_first = la.permute_factors(spec.unitary, [d_s, d_e], [1, 0])
-    w_env, v_env = np.linalg.eigh(spec.omega_e)
+    v_env_first = la.permute_factors(unitary, [d_s, d_e], [1, 0])
+    w_env, v_env = np.linalg.eigh(omega)
     expected = []
     for y in range(n):
         rot = la.tensor(np.eye(d_e), rep_s.images[y])
@@ -338,7 +337,7 @@ def test_regular_rep_channel_matches_hand_written_kraus(rng):
         for k in range(d_e):
             block = np.einsum("lanb,n->lab", vb, v_env[:, k])
             expected += [la.tensor(np.sqrt(w_env[k]) * block[l], pointer) for l in range(d_e)]
-    lifted = regular_rep_channel(g, rep_s, spec)
+    lifted = regular_rep_channel(g, rep_s, induced_channel(Channel([unitary]), omega, d_s, d_e))
     assert len(lifted.kraus) == len(expected)
     for got, want in zip(lifted.kraus, expected):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -375,7 +374,7 @@ def test_regular_rep_channel_matches_stinespring_route(group, kind, rng):
         omega[0, 0] = 1.0
     else:
         omega, unitary = la.random_density(d_e, rng), la.random_unitary(2 * d_e, rng)
-        target = DilationSpec(omega_e=omega, unitary=unitary, d_s=2, d_e=d_e)
+        target = induced_channel(Channel([unitary]), omega, 2, d_e)
     want = _stinespring_route(g, rep_s, unitary, omega, d_e)
     got = regular_rep_channel(g, rep_s, target)
     assert len(got.kraus) == len(want.kraus)

@@ -6,8 +6,7 @@ import pytest
 
 from covcat import linalg as la
 from covcat import serialize as ser
-from covcat import symmetry as sym
-from covcat.catalysis import generate_admissible_scenario
+from covcat.catalysis import CatalysisScenario, generate_admissible_scenario
 from covcat.cli import main
 
 from conftest import dilated_frame_scenario, scale_generators
@@ -176,16 +175,59 @@ def test_find_intertwiner_and_catalysis_verify(tmp_path):
     assert r2["result"]["scenario"]["admissible"]
 
 
-@pytest.mark.parametrize("scale", [20, 30])
+@pytest.mark.parametrize("scale", [1e-6, 20, 30, 1e7, 1e8])
 @pytest.mark.parametrize("command", ["find-intertwiner", "catalysis-verify"])
 def test_scaled_generators_are_solved(command, scale, tmp_path):
     # well formed and admissible; exp(-X) of these generators is near-singular
-    # (x20) or no longer positive in floating point (x30)
+    # (x20) or no longer positive in floating point (x30), and from x1e7 on the
+    # conservation residuals exceed 1e-9 in absolute terms but not relative
+    # to the generators
     sc = scale_generators(generate_admissible_scenario(3, 2, 2, seed=4), scale)
     inp, out = tmp_path / "scaled.json", str(tmp_path / "r.json")
     inp.write_text(json.dumps(sc.to_json()))
     assert run_cli([command, "--input", str(inp), "--output", out]) == 0
     assert read_report(out)["result"]["intertwiner"]["success"]
+
+
+@pytest.mark.parametrize("command", ["find-intertwiner", "catalysis-verify"])
+def test_huge_generators_are_never_judged_inadmissible(command, tmp_path):
+    # x1e9 stays admissible; the intertwiner's absolute tolerance may still
+    # stop the solver (exit 3), but the scenario is never refuted (exit 1)
+    sc = scale_generators(generate_admissible_scenario(3, 2, 2, seed=4), 1e9)
+    inp = tmp_path / "scaled.json"
+    inp.write_text(json.dumps(sc.to_json()))
+    assert run_cli([command, "--input", str(inp)]) != 1
+
+
+def shift_catalyst_generators(sc, offset, violation=0.0):
+    """``sc`` with ``offset * 1`` added to every catalyst generator, and
+    ``violation * diag(0, 1, ...)`` added to every outgoing system generator."""
+    return CatalysisScenario(
+        unitary=sc.unitary, rho_s=sc.rho_s, rho_s_out=sc.rho_s_out, sigma_c=sc.sigma_c,
+        gens_s_in=sc.gens_s_in,
+        gens_s_out=[g + violation * np.diag(np.arange(sc.d_s)) for g in sc.gens_s_out],
+        gens_c=[g + offset * np.eye(sc.d_c) for g in sc.gens_c])
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6, 1e9])
+def test_offset_generators_do_not_hide_a_violation(offset, tmp_path):
+    # U X - Y U is blind to a common identity offset, so a 1e-6 violation of
+    # conservation stays a refutation however far the generators are shifted
+    sc = generate_admissible_scenario(3, 2, 2, seed=4)
+    inp = tmp_path / "shifted.json"
+    inp.write_text(json.dumps(shift_catalyst_generators(sc, offset, 1e-6).to_json()))
+    assert run_cli(["catalysis-verify", "--input", str(inp)]) == 1
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e6])
+def test_offset_generators_stay_admissible(offset, tmp_path):
+    # from 1e9 on, the input's own diagonal entries hold the generator only to
+    # ulp(offset) ~ 1e-7, which is itself a violation above the tolerance
+    sc = generate_admissible_scenario(3, 2, 2, seed=4)
+    inp, out = tmp_path / "shifted.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps(shift_catalyst_generators(sc, offset).to_json()))
+    assert run_cli(["catalysis-verify", "--input", str(inp), "--output", out]) == 0
+    assert read_report(out)["result"]["scenario"]["admissible"]
 
 
 def test_inadmissible_scenario_fails(tmp_path, rng):
@@ -286,7 +328,7 @@ def test_refframe_sweep_csv(tmp_path):
     code = run_cli(["refframe-sweep", "--Ns", "2,4", "--theta", "1.5707963",
                     "--samples", "10", "--output", out])
     assert code == 0
-    lines = open(out).read().strip().split("\n")
+    lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "N,theta,epsilon,bound,worst_distance,mean_distance,status"
     assert len(lines) == 3
     for line in lines[1:]:
@@ -321,7 +363,7 @@ def test_bracket_straddling_a_check_exits_inconclusive(tmp_path, monkeypatch):
     assert res["bound_lower"] < res["worst_distance"] < res["bound_upper"]
     out = str(tmp_path / "sweep.csv")
     assert run_cli(["refframe-sweep", "--Ns", "8", "--samples", "15", "--output", out]) == 3
-    assert open(out).read().strip().split("\n")[1].endswith(",inconclusive")
+    assert (tmp_path / "sweep.csv").read_text().strip().split("\n")[1].endswith(",inconclusive")
 
 
 def test_reports_byte_identical_modulo_metadata(tmp_path, rng):

@@ -11,13 +11,9 @@ from covcat.diamond import (
     diamond_norm_of_difference,
     unitary_diamond_distance,
 )
-from covcat.refframe import (
-    implementation_error,
-    phase_reference_scenario,
-    shifted_superposition_mixture,
-)
+from covcat.refframe import implementation_error, phase_reference_scenario
 
-from conftest import random_channel
+from conftest import random_channel, shifted_superposition_mixture
 
 
 def test_identical_channels(rng):

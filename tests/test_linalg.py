@@ -132,6 +132,14 @@ def test_psd_rank():
     assert la.psd_rank(np.eye(4)) == 4
 
 
+def test_support_factor_of_rank_deficient_density(rng):
+    g = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real  # rank 2 on dimension 5
+    a = la.support_factor(rho)
+    assert a.shape == (5, 2)
+    assert la.max_norm(a @ a.conj().T - rho) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -252,6 +260,12 @@ def test_validators_reject_bad_inputs():
         la.require_density(np.diag([0.7, 0.7]))
     with pytest.raises(la.DomainError):
         la.require_density(np.diag([1.5, -0.5]))
+
+
+def test_require_unitary_rejects_overflowing_matrix():
+    # m^dag m overflows; the suite turns the overflow warning into an error
+    with pytest.raises(la.DomainError):
+        la.require_unitary(np.array([[1e200, 0.5], [0.5, -1e200]]))
 
 
 def test_require_hermitian_tolerance_scales_with_entries(rng):

@@ -15,12 +15,11 @@ from covcat.refframe import (
     phase_ladder_unitary,
     phase_reference_scenario,
     recovery_channel,
-    shifted_superposition_mixture,
     sweep_to_csv,
 )
 from covcat.refframe import _frame_isometry, _sample_system_states, _unitary_sending
 
-from conftest import dilated_frame_scenario, env_channel_loop
+from conftest import dilated_frame_scenario, env_channel_loop, shifted_superposition_mixture
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)

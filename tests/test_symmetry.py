@@ -13,7 +13,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
-# symmetric states and Gibbs objects
+# symmetric states
 # ---------------------------------------------------------------------------
 
 def test_symmetric_state_checks(rng):
@@ -22,34 +22,6 @@ def test_symmetric_state_checks(rng):
     plus = np.ones((2, 2)) / 2
     ok, dev = sym.is_symmetric_state(plus, [SZ])
     assert not ok and abs(dev - 1.0) < 1e-12
-
-
-def test_gibbs_state_is_symmetric_for_own_hamiltonian(rng):
-    h = la.random_hermitian(4, rng)
-    state = sym.gibbs_state(h, 0.8)
-    assert abs(np.trace(state).real - 1.0) < 1e-12
-    ok, dev = sym.is_symmetric_state(state, [h])
-    assert ok, dev
-    # simultaneous diagonalization oracle: both diagonal in the eigenbasis of h
-    _, v = np.linalg.eigh(h)
-    off = v.conj().T @ state @ v
-    assert la.max_norm(off - np.diag(np.diag(off))) < 1e-12
-
-
-def test_gibbs_state_limits():
-    h = la.random_hermitian(3, np.random.default_rng(0))
-    np.testing.assert_allclose(sym.gibbs_state(h, 0.0), np.eye(3) / 3, atol=1e-12)
-    beta, gap = 1.3, 0.9
-    state = sym.gibbs_state(np.diag([0.0, gap]), beta)
-    z = 1 + np.exp(-beta * gap)
-    np.testing.assert_allclose(np.diag(state).real,
-                               [1 / z, np.exp(-beta * gap) / z], atol=1e-12)
-
-
-def test_gibbs_operator_inverse(rng):
-    x = la.random_hermitian(4, rng)
-    prod = sym.gibbs_operator(x).matrix @ sym.gibbs_operator(-x).matrix
-    assert la.max_norm(prod - np.eye(4)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +112,3 @@ def test_s3_standard_rep_is_valid():
     rep = sym.FiniteGroupRep(g, s3_standard_images())
     assert rep.dim == 2
 
-
-# ---------------------------------------------------------------------------
-# asymmetry profiles
-# ---------------------------------------------------------------------------
-
-def test_profile_symmetric_state_is_zero(rng):
-    g = sym.FiniteGroup.cyclic(3)
-    rep = sym.left_regular_representation(g)
-    prof = sym.asymmetry_profile(np.eye(3) / 3, rep)
-    np.testing.assert_allclose(prof, 0.0, atol=1e-12)
-
-
-def test_profile_regular_basis_state_is_perfect_frame():
-    g = sym.FiniteGroup.cyclic(3)
-    rep = sym.left_regular_representation(g)
-    state = np.zeros((3, 3), dtype=complex)
-    state[1, 1] = 1.0
-    prof = sym.asymmetry_profile(state, rep)
-    assert prof[g.identity] < 1e-12
-    for x in range(3):
-        if x != g.identity:
-            assert abs(prof[x] - 1.0) < 1e-12
-
-
-def test_profile_qubit_phase_rotation():
-    plus = np.ones((2, 2)) / 2
-    ts = np.linspace(0.0, 2 * np.pi, 17)
-    prof = sym.asymmetry_profile(plus, SZ / 2, params=ts)
-    np.testing.assert_allclose(prof, np.abs(np.sin(ts / 2)), atol=1e-10)
-    assert prof[0] == 0.0
