@@ -221,9 +221,12 @@ class IntertwinerResult:
 
     ``state_residual`` is ``||V rho V^dag - rho'||_max`` and
     ``intertwining_residual`` is ``max_i ||V X_i - Y_i V||_max``, both None
-    when the solver returned no unitary. For an admissible scenario a failure
-    is a solver diagnostic, not a valid outcome; the offending scenario is
-    attached for reproduction.
+    when the solver returned no unitary. ``success`` compares the first with
+    ``intertwiner_tol`` and the second with ``intertwiner_tol`` times
+    ``max(1, ||X_i - t 1||_max, ||Y_i - t 1||_max)`` (``t = tr(X_i) / d``,
+    largest over i), the scale rule of `conservation_residuals`. For an
+    admissible scenario a failure is a solver diagnostic, not a valid
+    outcome; the offending scenario is attached for reproduction.
     """
 
     unitary: np.ndarray | None
@@ -256,8 +259,11 @@ def find_intertwiner(sc: CatalysisScenario, seed: int = 0) -> IntertwinerResult:
     report = verify_scenario(sc)
     if not report.admissible:
         raise DomainError(f"scenario is not admissible: {report}")
+    # the scale rule of conservation_residuals (see IntertwinerResult)
+    scale = max([1.0] + [max_norm(m - np.trace(x).real / sc.d_s * np.eye(sc.d_s))
+                         for x, y in zip(sc.gens_s_in, sc.gens_s_out) for m in (x, y)])
     match = find_simultaneous_unitary([sc.rho_s, *sc.gens_s_in], [sc.rho_s_out, *sc.gens_s_out],
-                                      seed=seed, tol=min(sc.intertwiner_tol, 1e-8))
+                                      seed=seed, tol=min(sc.intertwiner_tol, 1e-8) * scale)
     if match.unitary is None:
         return IntertwinerResult(None, None, None, match, False, sc.to_json())
     v = match.unitary
@@ -265,7 +271,7 @@ def find_intertwiner(sc: CatalysisScenario, seed: int = 0) -> IntertwinerResult:
     inter_res = 0.0
     for x_in, x_out in zip(sc.gens_s_in, sc.gens_s_out):
         inter_res = max(inter_res, max_norm(v @ x_in - x_out @ v))
-    ok = state_res <= sc.intertwiner_tol and inter_res <= sc.intertwiner_tol
+    ok = state_res <= sc.intertwiner_tol and inter_res <= sc.intertwiner_tol * scale
     return IntertwinerResult(v, state_res, inter_res, match, ok,
                              None if ok else sc.to_json())
 

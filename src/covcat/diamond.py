@@ -5,18 +5,26 @@ factor first, ``Tr_out J = 0``), the completely bounded trace-norm distance is
 the value of the semidefinite program
 
     maximize    2 <J, W>
-    subject to  0 <= W <= 1 (x) rho,   rho a density matrix on the input copy,
+    subject to  W >= 0,  Q >= 0,  W + Q = 1 (x) rho,  Tr rho = 1,
 
-whose dual is ``minimize ||Tr_out Z||_inf`` over ``Z >= 2 J, Z >= 0``. The
-solver stacks primal and dual feasibility together with the zero-gap equation
-into one affine subspace and runs over-relaxed alternating projections
-(Douglas-Rachford reflections) between that subspace and the product of PSD
-cones. Progress is certified from the iterates themselves:
+whose dual is ``minimize ||Tr_out Z||_inf`` over ``Z >= 2 J, Z >= 0``
+(Watrous, "Semidefinite programs for completely bounded norms", 2009). The
+solver runs over-relaxed Douglas-Rachford on the primal program alone: the
+proximal step is one batched PSD projection of ``(W + 2 gamma J, Q)`` and one
+of ``rho``, the other step the orthogonal projection onto the two affine
+constraints (``_DiamondProgram.project_affine``, closed form from one
+partial trace and one scalar). The step is ``gamma = 4 / ||J||_op``, so
+``gamma J`` and every iterate are unchanged when J is scaled. The dual is
+never iterated: ``u(P)`` below is a feasible dual value for every Hermitian
+P, and it is taken at ``P = Z - 2J`` for the Douglas-Rachford multiplier
+``Z = (x_Q - z_Q) / gamma`` of the affine constraint (x the PSD point, z the
+iterate it came from), which tends to a dual optimum. Progress is certified
+every ``CHECK_EVERY`` iterations:
 
 * any density matrix rho gives the feasible primal value
   ``l(rho) = || (1 (x) sqrt(rho)) J (1 (x) sqrt(rho)) ||_1``,
-* any PSD matrix P gives the feasible dual value
-  ``u(P) = lambda_max(Tr_out(2J + P + c 1))`` with ``c = max(0, -lambda_min(2J + P))``,
+* any Hermitian P gives the feasible dual value
+  ``u(P) = lambda_max(Tr_out(2J + P_+ + c 1))`` with ``c = max(0, -lambda_min(2J + P_+))``,
 
 so the reported value is always bracketed by a certified interval. If the
 iteration cap is reached before the bracket closes, the result carries status
@@ -25,11 +33,13 @@ iteration cap is reached before the bracket closes, the result carries status
 The solver starts from an a priori bracket. The maximally entangled input
 ``rho = 1/d`` gives the lower end. The upper end is the dual point
 ``Z = 2 J_+``, twice the positive part of J, which satisfies ``Z >= 0`` and
-``Z >= 2J`` and is therefore always feasible (Watrous, "Semidefinite programs
-for completely bounded norms", 2009); it is ``u(P)`` at ``P = 2 J_-``. As
-``lambda_max(Tr_out 2J_+) <= 2 Tr J_+ = d l(1/d)``, it is never looser than
-d times the lower end. For a covariant target, such as the phase ladders of
-`covcat.refframe`, the two ends meet at round-off and no iteration runs.
+``Z >= 2J`` and is therefore always feasible; it is ``u(P)`` at
+``P = 2 J_-``. As ``lambda_max(Tr_out 2J_+) <= 2 Tr J_+ = d l(1/d)``, it is
+never looser than d times the lower end. For a covariant target, such as the
+phase ladders of `covcat.refframe`, the two ends meet at round-off and no
+iteration runs. `diamond_distance` also caps the upper end at 2, the largest
+distance of two channels; `diamond_norm_of_difference` accepts any Hermitian
+J with ``Tr_out J = 0`` and has no such cap.
 
 Crossing rule: both ends are computed in floating point, so they can cross
 by round-off. The bracket is then widened, never narrowed: ``lower`` is the
@@ -38,16 +48,8 @@ smaller and ``upper`` the larger of the two certificates, so
 ``CROSSING_TOL * max(1, value)`` cannot come from round-off and raises
 ``RuntimeError``.
 
-The iterate keeps its Hermitian blocks as they are: the four d^2 x d^2 blocks
-``W, Q, Zp, Z0`` in one stack, ``rho`` and ``S`` in another, ``lambda`` as a
-float, so the PSD projection is one batched ``eigh`` per stack. The affine
-projection ``x - A* (A A*)^-1 (A x - b)`` needs no matrix: every block of A is
-an identity, the embedding ``r -> 1 (x) r`` or its adjoint ``Tr_1``, so every
-block of A A* combines the identity, ``Pi = (1/d) 1 (x) Tr_1`` (the orthogonal
-projection onto the matrices ``1 (x) r``) and the rank-one map
-``X -> J <J, X>``. Because ``Tr_out J = 0`` (checked on entry), ``Pi J = 0``,
-and the multipliers follow from a few partial traces and scalars (see
-``_DiamondProgram.project_affine``). Memory is the O(d^4) iterate.
+An iteration costs the eigendecompositions of two d^2 x d^2 blocks, O(d^6);
+memory is the O(d^4) iterate.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from .linalg import DimensionError, DomainError, max_norm, partial_trace, requir
 DEFAULT_GAP_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
 OVER_RELAXATION = 1.8
+STEP_SCALE = 4.0       # Douglas-Rachford step gamma = STEP_SCALE / ||J||_op
+CHECK_EVERY = 25       # iterations between certificate checks
 CROSSING_TOL = 1e-12   # relative width up to which crossed certificates count as round-off
 
 
@@ -92,57 +96,30 @@ def _trace_out_first(m: np.ndarray, d: int) -> np.ndarray:
 
 
 class _DiamondProgram:
-    """Constraint data for one Choi difference: J, its norm and the embedding."""
+    """Constraint data for one Choi difference: J, its dimension and the embedding."""
 
     def __init__(self, j: np.ndarray, d: int):
         self.j = j
         self.d = d
         self.eye = np.eye(d)
-        self.j_sq = np.vdot(j, j).real
 
     def embed(self, r: np.ndarray) -> np.ndarray:
         """1 (x) r, by broadcasting."""
         d = self.d
         return (self.eye[:, None, :, None] * r[None, :, None, :]).reshape(d * d, d * d)
 
-    def project_affine(self, big: np.ndarray, small: np.ndarray,
-                       lam: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Orthogonal projection onto the constraints, in place on the stacks.
-
-        ``big = [W, Q, Zp, Z0]``, ``small = [rho, S]``. The constraints are
-        ``W + Q = 1 (x) rho``, ``Tr rho = 1``, ``Z0 - Zp = 2J``,
-        ``Tr_1 Z0 + S = lam 1`` and ``2 <J, W> = lam``; the multipliers of
-        ``(A A*)^-1 (A x - b)`` are written out in closed form.
-        """
-        d, j, eye = self.d, self.j, self.eye
-        w, q, zp, z0 = big
-        rho, s = small
-        r1 = w + q - self.embed(rho)
-        r2 = np.trace(rho).real - 1.0
-        r3 = z0 - zp - 2.0 * j
-        r4 = _trace_out_first(z0, d) + s - lam * eye
-        r5 = 2.0 * np.vdot(j, w).real - lam
-        c = 1.5 * d + 1.0
-        g = r4 - 0.5 * _trace_out_first(r3, d)
-        tr_g = np.trace(g).real
-        nu = ((r5 - np.vdot(j, r1).real - tr_g / c)
-              / (2.0 * self.j_sq + (d + 2.0) / (3.0 * d + 2.0)))
-        t = (tr_g - d * nu) / c
-        k = (g - (t + nu) * eye) / (d / 2.0 + 1.0)
-        one_k = self.embed(k)
-        n = (r3 - one_k) / 2.0
-        mu = ((d + 2.0) * r2 + np.trace(r1).real) / (2.0 * d)
-        # M = ((1 - Pi) r1 - 2 nu J) / 2 + 1 (x) a with Pi r1 = 1 (x) p, so Tr_1 M = d a
-        p = _trace_out_first(r1, d) / d
-        a = (p + mu * eye) / (d + 2.0)
-        m = 0.5 * r1 - nu * j + self.embed(a - 0.5 * p)
-        w -= m + 2.0 * nu * j
-        q -= m
-        rho += d * a - mu * eye
-        zp += n
-        z0 -= n + one_k
-        s -= k
-        return big, small, lam + t + nu
+    def project_affine(self, wq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Orthogonal projection onto ``W + Q = 1 (x) rho``, ``Tr rho = 1``, in
+        place on ``wq = [W, Q]`` and ``rho``. With ``r1 = W + Q - 1 (x) rho``
+        the multipliers are ``t`` for the trace and ``R`` for the matrix row."""
+        d = self.d
+        r1 = wq[0] + wq[1] - self.embed(rho)
+        t = (np.trace(r1).real + (d + 2.0) * (np.trace(rho).real - 1.0)) / (2.0 * d)
+        p = (_trace_out_first(r1, d) + t * d * self.eye) / (d + 2.0)
+        r = (r1 - self.embed(p - t * self.eye)) / 2.0
+        wq -= r
+        rho += _trace_out_first(r, d) - t * self.eye
+        return wq, rho
 
     # -- certified bracket ---------------------------------------------------
 
@@ -158,8 +135,9 @@ class _DiamondProgram:
         mid = root @ self.j @ root
         return float(np.abs(np.linalg.eigvalsh((mid + mid.conj().T) / 2)).sum())
 
-    def dual_value(self, zp: np.ndarray) -> float:
-        z = 2.0 * self.j + _psd_part(zp)
+    def dual_value(self, p: np.ndarray) -> float:
+        """Feasible dual value ``u(P)`` of the module docstring."""
+        z = 2.0 * self.j + _psd_part(p)
         shift = max(0.0, -float(np.linalg.eigvalsh(z)[0]))
         marg = _trace_out_first(z, self.d) + shift * self.d * np.eye(self.d)
         return float(np.linalg.eigvalsh((marg + marg.conj().T) / 2)[-1])
@@ -167,8 +145,7 @@ class _DiamondProgram:
 
 def _a_priori_bracket(prog: _DiamondProgram) -> tuple[float, float]:
     """Primal value at the maximally entangled input and dual value at 2 J_+."""
-    return (prog.primal_value(prog.eye / prog.d),
-            min(2.0, prog.dual_value(-2.0 * prog.j)))
+    return prog.primal_value(prog.eye / prog.d), prog.dual_value(-2.0 * prog.j)
 
 
 def _certified(low: float, up: float, status: str, iterations: int) -> DiamondResult:
@@ -182,6 +159,39 @@ def _certified(low: float, up: float, status: str, iterations: int) -> DiamondRe
                          iterations=iterations)
 
 
+def _solve(j: np.ndarray, d: int, gap_tol: float, max_iter: int, cap: float) -> DiamondResult:
+    """Validate J and run the primal Douglas-Rachford iteration; ``cap`` is a
+    known upper bound on the value (2 for a difference of channels)."""
+    j = require_hermitian(j, tol=1e-8)
+    if j.shape[0] != d * d:
+        raise DimensionError(f"Choi matrix dim {j.shape[0]} != d^2 = {d * d}")
+    if max_norm(partial_trace(j, [d, d], keep=[1])) > 1e-8:
+        raise DomainError("Choi difference does not trace to zero; not a difference of channels")
+    prog = _DiamondProgram(j, d)
+    best_low, best_up = _a_priori_bracket(prog)
+    best_up = min(cap, best_up)
+    if best_up - best_low <= gap_tol:
+        return _certified(best_low, best_up, "converged", 0)
+    gamma = STEP_SCALE / np.linalg.norm(j, 2)
+    shift = np.stack([2.0 * gamma * j, np.zeros_like(j)])  # the objective's gradient step
+    z = np.zeros((2, d * d, d * d), dtype=complex)  # W, Q
+    z[1] = np.eye(d * d) / d  # Q = 1 (x) rho
+    z_rho = np.eye(d, dtype=complex) / d
+    it = 0
+    while it < max_iter:
+        x, x_rho = _psd_part(z + shift), _psd_part(z_rho)
+        it += 1
+        if it % CHECK_EVERY == 0 or it == max_iter:
+            best_low = max(best_low, prog.primal_value(x_rho))
+            best_up = min(best_up, prog.dual_value((x[1] - z[1]) / gamma - 2.0 * j))
+            if best_up - best_low <= gap_tol:
+                return _certified(best_low, best_up, "converged", it)
+        y, y_rho = prog.project_affine(2.0 * x - z, 2.0 * x_rho - z_rho)
+        z += OVER_RELAXATION * (y - x)
+        z_rho += OVER_RELAXATION * (y_rho - x_rho)
+    return _certified(best_low, best_up, "bounds", it)
+
+
 def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_GAP_TOL,
                                max_iter: int = DEFAULT_MAX_ITER) -> DiamondResult:
     """Diamond norm of a Hermitian-preserving difference of channels on dim d.
@@ -189,36 +199,7 @@ def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_G
     ``j`` is the Choi difference; it must be Hermitian with vanishing output
     partial trace (automatic for differences of trace-preserving channels).
     """
-    j = require_hermitian(j, tol=1e-8)
-    if j.shape[0] != d * d:
-        raise DimensionError(f"Choi matrix dim {j.shape[0]} != d^2 = {d * d}")
-    if max_norm(partial_trace(j, [d, d], keep=[1])) > 1e-8:
-        raise DomainError("Choi difference does not trace to zero; not a difference of channels")
-    prog = _DiamondProgram(j, d)
-    big = np.zeros((4, d * d, d * d), dtype=complex)  # W, Q, Zp, Z0
-    small = np.zeros((2, d, d), dtype=complex)  # rho, S
-    small[0] = np.eye(d) / d
-    big[1] = np.eye(d * d) / d  # Q = 1 (x) rho
-    lam = 0.0
-    best_low, best_up = _a_priori_bracket(prog)
-    if best_up - best_low <= gap_tol:
-        return _certified(best_low, best_up, "converged", 0)
-    it = 0
-    next_check = 25
-    while it < max_iter:
-        x_big, x_small = _psd_part(big), _psd_part(small)
-        y_big, y_small, y_lam = prog.project_affine(2.0 * x_big - big, 2.0 * x_small - small, lam)
-        big += OVER_RELAXATION * (y_big - x_big)
-        small += OVER_RELAXATION * (y_small - x_small)
-        lam += OVER_RELAXATION * (y_lam - lam)
-        it += 1
-        if it >= next_check or it == max_iter:
-            next_check = it + min(250, max(25, it // 2))
-            best_low = max(best_low, prog.primal_value(x_small[0]))
-            best_up = min(best_up, prog.dual_value(x_big[2]))
-            if best_up - best_low <= gap_tol:
-                return _certified(best_low, best_up, "converged", it)
-    return _certified(best_low, best_up, "bounds", it)
+    return _solve(j, d, gap_tol, max_iter, np.inf)
 
 
 def diamond_distance(t1: Channel, t2: Channel, gap_tol: float = DEFAULT_GAP_TOL,
@@ -228,8 +209,8 @@ def diamond_distance(t1: Channel, t2: Channel, gap_tol: float = DEFAULT_GAP_TOL,
         raise DimensionError("channels must share input and output dimensions")
     if t1.d_in != t1.d_out:
         raise DimensionError("solver is restricted to equal input/output dimensions")
-    j = t1.choi() - t2.choi()
-    return diamond_norm_of_difference(j, t1.d_in, gap_tol=gap_tol, max_iter=max_iter)
+    # the distance of two channels never exceeds 2
+    return _solve(t1.choi() - t2.choi(), t1.d_in, gap_tol, max_iter, 2.0)
 
 
 def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -4,6 +4,8 @@ import pytest
 from covcat import linalg as la
 from covcat.channels import Channel, tensor_channels
 from covcat.diamond import (
+    CHECK_EVERY,
+    DEFAULT_GAP_TOL,
     _DiamondProgram,
     _a_priori_bracket,
     _certified,
@@ -11,7 +13,7 @@ from covcat.diamond import (
     diamond_norm_of_difference,
     unitary_diamond_distance,
 )
-from covcat.refframe import implementation_error, phase_reference_scenario
+from covcat.refframe import FrameScenario, implementation_error, phase_reference_scenario
 
 from conftest import random_channel, shifted_superposition_mixture
 
@@ -85,35 +87,29 @@ def _hermitian_basis(n):
 @pytest.mark.parametrize("d", [2, 3])
 def test_affine_projection_is_a_projection(d, rng):
     t1, t2 = random_channel(d, 2, rng), random_channel(d, 2, rng)
-    j = t1.choi() - t2.choi()
-    prog = _DiamondProgram(j, d)
+    prog = _DiamondProgram(t1.choi() - t2.choi(), d)
     big_basis, small_basis = _hermitian_basis(d * d), _hermitian_basis(d)
     n_big, n_small = len(big_basis), len(small_basis)
 
     def coords(m, basis):
         return np.tensordot(basis.conj(), m, axes=([1, 2], [0, 1])).real
 
-    def to_vec(big, small, lam):
-        return np.concatenate([coords(m, big_basis) for m in big]
-                              + [coords(m, small_basis) for m in small] + [[lam]])
+    def to_vec(wq, rho):
+        return np.concatenate([coords(m, big_basis) for m in wq] + [coords(rho, small_basis)])
 
     def from_vec(x):
-        big = np.tensordot(x[:4 * n_big].reshape(4, n_big), big_basis, axes=1)
-        small = np.tensordot(x[4 * n_big:-1].reshape(2, n_small), small_basis, axes=1)
-        return big, small, x[-1]
+        wq = np.tensordot(x[:2 * n_big].reshape(2, n_big), big_basis, axes=1)
+        return wq, np.tensordot(x[2 * n_big:], small_basis, axes=1)
 
     def residual(x):
         """A x - b, written directly from the constraints of the program."""
-        (w, q, zp, z0), (rho, s), lam = from_vec(x)
+        (w, q), rho = from_vec(x)
         return np.concatenate([
             coords(w + q - np.kron(np.eye(d), rho), big_basis),
             [np.trace(rho).real - 1.0],
-            coords(z0 - zp - 2.0 * j, big_basis),
-            coords(la.partial_trace(z0, [d, d], keep=[1]) + s - lam * np.eye(d), small_basis),
-            [2.0 * np.trace(j @ w).real - lam],
         ])
 
-    nv = 4 * n_big + 2 * n_small + 1
+    nv = 2 * n_big + n_small
     offset = residual(np.zeros(nv))
     a = np.array([residual(e) - offset for e in np.eye(nv)]).T
     x = rng.standard_normal(nv)
@@ -192,8 +188,8 @@ def _mixed_frame(theta):
     return phase_reference_scenario(12, theta, sigma_c=sigma)
 
 
-# brackets at theta = pi/2 that the Douglas-Rachford iteration certifies in
-# 112 to 252 iterations from the start bracket [l(1/d), d l(1/d)]
+# brackets at theta = pi/2 that an iterated solve certified (112 to 252
+# iterations) before the a priori dual point 2 J_+ closed them at iteration 0
 ITERATED_BRACKETS = {
     2: (0.8685592110186405, 0.8685592167017357),
     4: (0.4342796055093201, 0.4342796357831268),
@@ -238,3 +234,80 @@ def test_crossed_certificates_widen_and_never_narrow():
     assert (ordered.lower, ordered.value, ordered.upper) == (0.25, 0.375, 0.5)
     with pytest.raises(RuntimeError, match="cross"):
         _certified(0.5 + 1e-9, 0.5, "converged", 0)
+
+
+# ---------------------------------------------------------------------------
+# generic targets: scale invariance, certify targets, a priori cap
+# ---------------------------------------------------------------------------
+
+def _criterion_5_pair():
+    """Choi difference of the first d = 3 unitary pair of acceptance criterion 5."""
+    rng = np.random.default_rng(55)
+    for _ in range(20):  # the ten d = 2 pairs come first
+        u, v = la.random_unitary(2, rng), la.random_unitary(2, rng)
+    u, v = la.random_unitary(3, rng), la.random_unitary(3, rng)
+    return Channel.from_unitary(u).choi() - Channel.from_unitary(v).choi()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3])
+def test_scaled_choi_difference_scales_value_not_iterations(scale):
+    j = _criterion_5_pair()
+    base = diamond_norm_of_difference(j, 3)
+    assert base.iterations > 0
+    scaled = diamond_norm_of_difference(scale * j, 3, gap_tol=scale * DEFAULT_GAP_TOL)
+    assert scaled.status == base.status == "converged"
+    assert abs(scaled.value - scale * base.value) <= 1e-6 * scale * base.value
+    assert abs(scaled.iterations - base.iterations) <= CHECK_EVERY
+
+
+def _qutrit_frame(v, n):
+    """Charge-conserving qutrit-on-ladder frame: ``v`` acts in every total-charge
+    sector that holds all three system levels, the frame is the uniform
+    superposition of the n levels."""
+    u = np.eye(3 * n, dtype=complex)
+    for q in range(2, n):
+        idx = [s * n + (q - s) for s in range(3)]
+        u[np.ix_(idx, idx)] = v
+    amp = np.ones(n) / np.sqrt(n)
+    return FrameScenario(unitary=u, sigma_c=np.outer(amp, amp).astype(complex), target=v,
+                         gens_s=[np.diag(np.arange(3.0))], gens_c=[np.diag(np.arange(float(n)))])
+
+
+def _certify_targets():
+    """The four Haar qutrit frames (ladders 8, 8, 8, 12) drawn from seed 2301."""
+    rng = np.random.default_rng(2301)
+    frames = []
+    for n in (8, 8, 8, 12):
+        z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        frames.append(_qutrit_frame(q * (np.diag(r) / np.abs(np.diag(r))), n))
+    return frames
+
+
+# brackets the earlier four-block iteration certified for the targets above,
+# in 1 317, 1 067, 252 and 567 iterations
+CERTIFY_BRACKETS = [
+    (0.9498207459628691, 0.94982076283474),
+    (0.9520030619361785, 0.9520032514504078),
+    (0.8022506810915888, 0.8022510406775253),
+    (0.5946143472684946, 0.5946143547932985),
+]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_certify_targets_overlap_earlier_brackets(k):
+    res = implementation_error(_certify_targets()[k])
+    low, up = CERTIFY_BRACKETS[k]
+    assert res.status == "converged" and res.upper - res.lower <= DEFAULT_GAP_TOL
+    assert res.lower <= up and low <= res.upper
+
+
+def test_a_priori_cap_applies_to_channels_only():
+    # 4 J is Hermitian with Tr_out 4J = 0 but no difference of channels: its
+    # value exceeds 2, so the cap of the channel path must not reach it
+    sc = _certify_targets()[0]
+    j = sc.induced_system_channel().choi() - Channel.from_unitary(sc.target).choi()
+    base = diamond_norm_of_difference(j, 3)
+    res = diamond_norm_of_difference(4.0 * j, 3, gap_tol=4.0 * DEFAULT_GAP_TOL)
+    assert res.status == "converged" and res.value > 2.0
+    assert res.lower <= 4.0 * base.upper and 4.0 * base.lower <= res.upper
