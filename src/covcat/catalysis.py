@@ -22,7 +22,7 @@ Hermitian pairs that are pairwise unitarily equivalent but not jointly so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -241,7 +241,8 @@ class IntertwinerResult:
         out = {"success": self.success,
                "state_residual": self.state_residual,
                "intertwining_residual": self.intertwining_residual,
-               "solver": self.solver.to_json()}
+               # the solver's unitary is V itself, written once below
+               "solver": replace(self.solver, unitary=None).to_json()}
         if self.unitary is not None:
             out["unitary"] = matrix_to_json(self.unitary)
         if self.diagnostic is not None:

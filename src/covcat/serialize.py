@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -40,7 +42,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise FormatError(f"matrix payloads must be two-dimensional, got shape {m.shape}")
-    data = [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
+    data = np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist()
     if m.shape[0] == m.shape[1]:
         return {"dim": int(m.shape[0]), "data": data}
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
@@ -152,18 +154,100 @@ def channel_from_json(obj: Mapping[str, Any]):
     return channel
 
 
+def _float_text(x: float) -> str:
+    if x != x or x in (math.inf, -math.inf):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _key_text(key: Any) -> str:
+    """A non-string dict key as the stdlib encoder spells it."""
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is None or key is True or key is False:
+        return _CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _encode(obj: Any, out: list, indent: str) -> None:
+    """Append ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
+    to ``out``, each line after the first starting with ``indent`` (a newline
+    and spaces). A list of finite ``[float, float]`` pairs, the matrix
+    payload, is written by one format operation."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+            flat = tuple(itertools.chain.from_iterable(obj))
+            # a non-finite sum means a NaN, an infinity or an overflow: the
+            # general path below then raises or writes it
+            if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+                pair = f"[{inner}  %r,{inner}  %r{inner}]"
+                body = f",{inner}".join([pair] * len(obj)) % flat
+                out.append(f"[{inner}{body}{indent}]")
+                return
+        out.append("[")
+        sep = inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{")
+        sep = inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                key = _key_text(key)
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _encode(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(payload: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Report text, exactly ``json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``: sorted keys, 2-space indent, ASCII escapes and
+    a trailing newline. The stdlib's indenting encoder is pure Python; this
+    one writes each matrix payload in one step."""
+    out: list = []
+    _encode(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text via a temp file in the same directory, then rename."""
+    """Write text via a temp file in the same directory, then rename. The
+    file gets mode ``0o666 & ~umask``, as a plain ``open`` would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -282,14 +282,17 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
         return EquivalenceVerdict("inconclusive", None, None, None, 0, 0, scale, None, config)
     gens = np.array([(a / s, b / s) for a, b, s in zip(mats_a, mats_b, scale)])
     empty = np.array([np.eye(d, dtype=complex)] * 2)
-    basis = empty.reshape(1, -1) / np.sqrt(2 * d)
+    # rows [:span] hold the orthonormal basis, at most 2 d^2 vectors of C^(2 d^2)
+    basis = np.empty((2 * d * d, 2 * d * d), dtype=complex)
+    basis[0] = empty.reshape(-1) / np.sqrt(2 * d)
+    span = 1
     queue = deque([((), empty)])
     checked = 0
 
     def verdict(kind, letters=None, traces=(None, None), certificate=None):
         witness = None if letters is None else Word.from_letters(
             [(var, 1) for var in letters], n_vars)
-        return EquivalenceVerdict(kind, witness, *traces, checked, len(basis), scale,
+        return EquivalenceVerdict(kind, witness, *traces, checked, span, scale,
                                   certificate, config)
 
     while queue:
@@ -302,12 +305,13 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
                 return verdict("inconclusive", word)
             if abs(ta - tb) > config.tol * d:
                 return verdict("distinguished", word, (ta, tb))
-            r = ext.reshape(-1)
+            r, filled = ext.reshape(-1), basis[:span]
             for _ in range(2):
-                r = r - (basis @ r.conj()).conj() @ basis
+                r = r - (filled @ r.conj()).conj() @ filled
             norm = np.linalg.norm(r)
             if norm > SPAN_TOL:
-                basis = np.vstack([basis, r / norm])
+                basis[span] = r / norm
+                span += 1
                 queue.append((word, ext))
     match = find_simultaneous_unitary(list(gens[:, 0]), list(gens[:, 1]), seed=config.seed)
     return verdict("equivalent" if match.success else "inconclusive", certificate=match)

@@ -4,12 +4,29 @@ import time
 import numpy as np
 import pytest
 
+from covcat import cli
 from covcat import linalg as la
 from covcat import serialize as ser
 from covcat.catalysis import CatalysisScenario, generate_admissible_scenario
 from covcat.cli import main
 
 from conftest import dilated_frame_scenario, scale_generators
+
+
+@pytest.fixture(autouse=True)
+def reports_are_stdlib_renderings(monkeypatch):
+    """Every report a test here writes, to a file or to stdout, is the stdlib's
+    rendering of its payload and of its own parsed JSON."""
+    dump_json = ser.dump_json
+
+    def checked(payload):
+        text = dump_json(payload)
+        for value in (payload, json.loads(text)):
+            assert text == json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return text
+
+    monkeypatch.setattr(ser, "dump_json", checked)
+    monkeypatch.setattr(cli, "dump_json", checked)
 
 
 def run_cli(args):
@@ -173,6 +190,18 @@ def test_find_intertwiner_and_catalysis_verify(tmp_path):
     r2 = read_report(out2)
     assert r2["result"]["correlation"]["catalyst_preserved"]
     assert r2["result"]["scenario"]["admissible"]
+
+
+@pytest.mark.parametrize("command", ["find-intertwiner", "catalysis-verify"])
+def test_report_writes_the_intertwiner_once(command, tmp_path):
+    sc = generate_admissible_scenario(3, 2, 2, seed=4)
+    inp, out = tmp_path / "scenario.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps(sc.to_json()))
+    assert run_cli([command, "--input", str(inp), "--output", out]) == 0
+    intertwiner = read_report(out)["result"]["intertwiner"]
+    assert "unitary" not in intertwiner["solver"]
+    v = ser.matrix_from_json(intertwiner["unitary"])
+    assert np.abs(v @ sc.rho_s @ v.conj().T - sc.rho_s_out).max() < 1e-8
 
 
 @pytest.mark.parametrize("scale", [1e-6, 20, 30, 1e7, 1e8]

@@ -1,8 +1,11 @@
 import json
+import math
 import os
+import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covcat import linalg as la
 from covcat import serialize as ser
@@ -119,3 +122,100 @@ def test_atomic_write(tmp_path):
         assert json.load(fh) == {"k": 1}
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert not leftovers
+
+
+def stdlib_report(payload):
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def outcome(render, payload):
+    """The text, or the exception type when rendering raises."""
+    try:
+        return render(payload)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+numbers = st.integers() | finite_floats
+pair_lists = st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=6)
+matrix_payloads = st.builds(
+    lambda rows, cols, seed: ser.matrix_to_json(
+        np.random.default_rng(seed).standard_normal((rows, cols, 2)).view(complex)[..., 0]),
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32))
+
+
+def json_trees(extra_leaves=st.nothing()):
+    leaves = (st.none() | st.booleans() | numbers | st.text() | st.just([]) | st.just({})
+              | pair_lists | matrix_payloads | extra_leaves)
+    return st.recursive(leaves, lambda kids: st.lists(kids, max_size=4)
+                        | st.dictionaries(st.text(), kids, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees())
+def test_dump_json_is_the_stdlib_rendering(payload):
+    assert ser.dump_json(payload) == stdlib_report(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees(st.sampled_from([math.nan, math.inf, -math.inf, np.int64(3)])))
+def test_dump_json_raises_as_the_stdlib_does(payload):
+    assert outcome(ser.dump_json, payload) == outcome(stdlib_report, payload)
+
+
+@pytest.mark.parametrize("payload", [
+    [[1.7976931348623157e308, 1.7976931348623157e308]],    # finite pair, overflowing sum
+    [[1.0, 2.0], [3, 4.0]], [[1.0, 2.0], (3.0, 4.0)], [[1.0, 2.0], [3.0]], ([1.5, -0.0],),
+    {"data": [[0.5, np.float64(0.25)]]}, {1: "int key", 2.5: "float key", -3: None},
+    {False: 0, True: 1}, {None: 0},
+    {"é☃\U0001f600": "é☃\U0001f600\n\"\\"},
+])
+def test_dump_json_edge_cases(payload):
+    assert ser.dump_json(payload) == stdlib_report(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    [[1.0, math.nan]], [[math.inf, 1.0], [1.0, 1.0]], {"k": [[1.0, -math.inf]]}, -math.inf,
+    [[1.0, 2.0], [np.int64(1), 2.0]], {"k": np.array([1.0])}, {(1, 2): 0}, {math.nan: 0},
+    {"k": 0, 1: 0},
+])
+def test_dump_json_rejects_as_the_stdlib_does(payload):
+    expected = outcome(stdlib_report, payload)
+    assert expected in (ValueError, TypeError)
+    with pytest.raises(expected):
+        ser.dump_json(payload)
+
+
+@pytest.mark.parametrize("m", [
+    np.arange(9.0).reshape(3, 3) * (1 - 2j),
+    np.arange(6.0).reshape(2, 3) + 1j,
+    np.arange(6.0).reshape(3, 2) - 1j,
+    np.array([[-0.0 + 0.0j, 0.0 - 0.0j], [-0.0 - 0.0j, 5e-324 - 2.2250738585072014e-308j]]),
+    np.array([[1.7976931348623157e308 - 5e-324j]]),
+])
+def test_matrix_round_trip_is_bit_exact(m):
+    payload = ser.matrix_to_json(m)
+    for back in (ser.matrix_from_json(payload),
+                 ser.matrix_from_json(json.loads(ser.dump_json(payload)))):
+        assert back.shape == m.shape
+        assert back.tobytes() == m.astype(complex).tobytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+@pytest.mark.parametrize("existing", [False, True])
+def test_atomic_writes_take_their_mode_from_the_umask(tmp_path, umask, existing):
+    writers = {"report.json": lambda p: ser.write_json_atomic(p, {"k": 1}),
+               "sweep.csv": lambda p: ser.write_text_atomic(p, "N,eps\n")}
+    previous = os.umask(umask)
+    try:
+        for name, write in writers.items():
+            path = tmp_path / name
+            if existing:
+                path.write_text("old")
+                path.chmod(0o640)
+            write(str(path))
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, name
+    finally:
+        os.umask(previous)

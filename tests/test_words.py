@@ -296,6 +296,18 @@ def test_span_walk_agrees_with_enumeration_and_nullspace_solver():
             assert verdict.words_checked <= len(a) * 2 * a[0].shape[0] ** 2, name
 
 
+def test_span_walk_fills_the_whole_pair_space_at_d16():
+    # a planted random triple: word pairs (W, U W U^dag) span all d^2 of
+    # their dimensions, and every basis word is extended by each of 3 letters
+    rng = np.random.default_rng(16)
+    a = [la.random_hermitian(16, rng) for _ in range(3)]
+    u = la.random_unitary(16, rng)
+    verdict = wiegmann_equivalent(a, [u @ x @ u.conj().T for x in a])
+    assert verdict.verdict == "equivalent" and verdict.witness is None
+    assert (verdict.words_checked, verdict.span) == (768, 256)
+    assert verdict.certificate.residual <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # simultaneous unitary construction
 # ---------------------------------------------------------------------------
