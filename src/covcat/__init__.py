@@ -60,7 +60,6 @@ from .refframe import (
     FrameScenario,
     catalytic_channel,
     degradation_sweep,
-    drift_unitary,
     implementation_error,
     phase_reference_scenario,
     recovery_channel,

@@ -23,6 +23,7 @@ Hermitian pairs that are pairwise unitarily equivalent but not jointly so.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .linalg import (
     tensor,
     von_neumann_entropy,
 )
-from .symmetry import FiniteGroup, FiniteGroupRep, conservation_residuals
+from .symmetry import FiniteGroup, FiniteGroupRep, conservation_residuals, generator_scale
 from .words import UnitaryMatchResult, find_simultaneous_unitary
 
 ADMISSIBILITY_TOL = 1e-9   # structural equalities of a scenario
@@ -104,6 +105,11 @@ class CatalysisScenario:
     @property
     def d_c(self) -> int:
         return self.sigma_c.shape[0]
+
+    @cached_property
+    def report(self) -> ScenarioReport:
+        """`verify_scenario` of this scenario, computed on first use."""
+        return verify_scenario(self)
 
     def to_json(self) -> dict:
         from .serialize import matrix_to_json
@@ -201,9 +207,8 @@ def reduce_to_tuples(sc: CatalysisScenario) -> ReducedTuples:
     system factors conclusive. Raises ``DomainError`` for non-admissible
     scenarios. `find_intertwiner` does not go through the exponentials.
     """
-    report = verify_scenario(sc)
-    if not report.admissible:
-        raise DomainError(f"scenario is not admissible: {report}")
+    if not sc.report.admissible:
+        raise DomainError(f"scenario is not admissible: {sc.report}")
     neg_exp = lambda x: func_calc(x, lambda w: np.exp(-w))
     tuple_a = [sc.rho_s] + [neg_exp(x) for x in sc.gens_s_in]
     tuple_b = [sc.rho_s_out] + [neg_exp(y) for y in sc.gens_s_out]
@@ -257,12 +262,10 @@ def find_intertwiner(sc: CatalysisScenario, seed: int = 0) -> IntertwinerResult:
 
     Raises ``DomainError`` for non-admissible scenarios.
     """
-    report = verify_scenario(sc)
-    if not report.admissible:
-        raise DomainError(f"scenario is not admissible: {report}")
+    if not sc.report.admissible:
+        raise DomainError(f"scenario is not admissible: {sc.report}")
     # the scale rule of conservation_residuals (see IntertwinerResult)
-    scale = max([1.0] + [max_norm(m - np.trace(x).real / sc.d_s * np.eye(sc.d_s))
-                         for x, y in zip(sc.gens_s_in, sc.gens_s_out) for m in (x, y)])
+    scale = max(map(generator_scale, sc.gens_s_in, sc.gens_s_out), default=1.0)
     match = find_simultaneous_unitary([sc.rho_s, *sc.gens_s_in], [sc.rho_s_out, *sc.gens_s_out],
                                       seed=seed, tol=min(sc.intertwiner_tol, 1e-8) * scale)
     if match.unitary is None:

@@ -33,7 +33,7 @@ from .linalg import (
     require_unitary,
     support_factor,
 )
-from .symmetry import FiniteGroupRep
+from .symmetry import FiniteGroupRep, generator_scale
 
 CHANNEL_TOL = 1e-9  # trace preservation tolerance
 
@@ -161,10 +161,12 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
 
     The defect is the largest ``||[J, W_out(g) (x) conj(W_in(g))]||_F`` over
     group elements g, zero iff ``T[W_in(g) . W_in(g)^dag] = W_out(g) T[.] W_out(g)^dag``,
-    or, for generator lists, the largest ``||[J, X' (x) 1 - 1 (x) X^T]||_F``,
-    zero iff ``T[[X, .]] = [X', T[.]]``. It equals the Frobenius norm of the
-    superoperator commutator (realignment moves entries), so it is never below
-    that commutator's max-norm. Memory is O(d_in d_out r), r <= d_in d_out.
+    or, for generator lists, the largest ``||[J, X' (x) 1 - 1 (x) X^T]||_F``
+    divided by ``generator_scale(X, X')``, zero iff ``T[[X, .]] = [X', T[.]]``;
+    so the generator defect does not grow with the scale of the generators.
+    Before that division it equals the Frobenius norm of the superoperator
+    commutator (realignment moves entries), so it is never below that
+    commutator's max-norm. Memory is O(d_in d_out r), r <= d_in d_out.
     """
     ks = _compressed(t.kraus)
     worst = 0.0
@@ -188,7 +190,7 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
             # [G, J] = (GV) V^dag - V (GV)^dag, G Hermitian
             a, b = _folded_r(x_out @ ks - ks @ x_in, ks)
             m = a @ b.conj().T
-            worst = max(worst, float(np.linalg.norm(m - m.conj().T)))
+            worst = max(worst, float(np.linalg.norm(m - m.conj().T)) / generator_scale(x_in, x_out))
     return CovarianceReport(covariant=worst <= tol, worst_violation=worst)
 
 

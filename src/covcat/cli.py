@@ -30,7 +30,6 @@ from .catalysis import (
     rank_condition_counterexample,
     regular_rep_channel,
     state_swap_channel,
-    verify_scenario,
 )
 from .channels import Channel, is_covariant
 from .linalg import DimensionError, DomainError, max_norm, random_density, tensor
@@ -118,19 +117,17 @@ def _cmd_wiegmann_equiv(args) -> tuple[dict, bool, bool]:
 
 def _cmd_find_intertwiner(args) -> tuple[dict, bool, bool]:
     sc = CatalysisScenario.from_json(load_json(args.input))
-    scenario_report = verify_scenario(sc)
-    if not scenario_report.admissible:
-        return ({"scenario": scenario_report.to_json()}, False, True)
+    if not sc.report.admissible:
+        return ({"scenario": sc.report.to_json()}, False, True)
     result = find_intertwiner(sc, seed=args.seed)
-    payload = {"scenario": scenario_report.to_json(), "intertwiner": result.to_json()}
+    payload = {"scenario": sc.report.to_json(), "intertwiner": result.to_json()}
     return payload, result.success, result.success
 
 
 def _cmd_catalysis_verify(args) -> tuple[dict, bool, bool]:
     sc = CatalysisScenario.from_json(load_json(args.input))
-    scenario_report = verify_scenario(sc)
-    payload: dict = {"scenario": scenario_report.to_json()}
-    if not scenario_report.admissible:
+    payload: dict = {"scenario": sc.report.to_json()}
+    if not sc.report.admissible:
         return payload, False, True
     result = find_intertwiner(sc, seed=args.seed)
     payload["intertwiner"] = result.to_json()
@@ -167,8 +164,7 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
         config = {"N": args.levels, "theta": args.theta}
     _, report = catalytic_channel(sc, samples=args.samples, seed=args.seed)
     payload = {"scenario": config, "report": report.to_json()}
-    conclusive = report.epsilon_result.status == "converged" and report.verdict != "inconclusive"
-    return payload, report.passed, conclusive
+    return payload, report.passed, report.status in ("ok", "FAILED")
 
 
 def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
@@ -288,18 +284,6 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-HANDLERS = {
-    "check-covariance": _cmd_check_covariance,
-    "wiegmann-equiv": _cmd_wiegmann_equiv,
-    "find-intertwiner": _cmd_find_intertwiner,
-    "catalysis-verify": _cmd_catalysis_verify,
-    "recovery-verify": _cmd_recovery_verify,
-    "refframe-sweep": _cmd_refframe_sweep,
-    "demo-appendix": _cmd_demo_appendix,
-    "demo-finite-group": _cmd_demo_finite_group,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covcat",
@@ -308,48 +292,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"covcat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=False):
-        p.add_argument("--input", required=needs_input, default=None,
-                       help="input problem JSON")
+    def command(name, handler, help, *extra):
+        """Subcommand taking ``--output``, ``--seed`` and each of ``extra``
+        (``"--input"``, required, and ``"--tol"``)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if "--input" in extra:
+            p.add_argument("--input", required=True, help="input problem JSON")
         p.add_argument("--output", default=None, help="report destination")
         p.add_argument("--seed", type=_int_at_least(0), default=0)
-        p.add_argument("--tol", type=_tolerance, default=1e-9,
-                       help="tolerance override where applicable")
+        if "--tol" in extra:
+            p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance of the verdict")
+        return p
 
-    p = sub.add_parser("check-covariance", help="test a channel against representations")
-    common(p, needs_input=True)
-    p = sub.add_parser("wiegmann-equiv", help="trace-fingerprint tuple comparison")
-    common(p, needs_input=True)
-    p = sub.add_parser("find-intertwiner", help="construct the intertwining unitary")
-    common(p, needs_input=True)
-    p = sub.add_parser("catalysis-verify", help="full catalysis scenario verification")
-    common(p, needs_input=True)
-    p = sub.add_parser("recovery-verify", help="back-action bound verification")
-    common(p)
+    command("check-covariance", _cmd_check_covariance,
+            "test a channel against representations", "--input", "--tol")
+    command("wiegmann-equiv", _cmd_wiegmann_equiv,
+            "trace-fingerprint tuple comparison", "--input", "--tol")
+    command("find-intertwiner", _cmd_find_intertwiner,
+            "construct the intertwining unitary", "--input")
+    command("catalysis-verify", _cmd_catalysis_verify,
+            "full catalysis scenario verification", "--input")
+    p = command("recovery-verify", _cmd_recovery_verify, "back-action bound verification")
+    p.add_argument("--input", default=None,
+                   help="frame scenario JSON (default: the built-in phase-reference ladder)")
     p.add_argument("--N", dest="levels", type=_int_at_least(1), default=8,
                    help="ladder size for the built-in phase-reference scenario")
     p.add_argument("--theta", type=float, default=np.pi / 2)
     p.add_argument("--samples", type=_int_at_least(1), default=100)
-    p = sub.add_parser("refframe-sweep", help="degradation sweep over ladder sizes")
-    common(p)
+    p = command("refframe-sweep", _cmd_refframe_sweep, "degradation sweep over ladder sizes")
     p.add_argument("--Ns", dest="levels_list", default="2,4,8,16",
                    type=lambda text: [_int_at_least(1)(tok) for tok in text.split(",") if tok],
                    help="comma-separated ladder sizes")
     p.add_argument("--theta", type=float, default=np.pi / 2)
     p.add_argument("--samples", type=_int_at_least(1), default=100)
-    p = sub.add_parser("demo-appendix", help="run the bundled counterexample fixture")
-    common(p)
-    p = sub.add_parser("demo-finite-group", help="regular-representation constructions")
-    common(p)
+    command("demo-appendix", _cmd_demo_appendix, "run the bundled counterexample fixture")
+    command("demo-finite-group", _cmd_demo_finite_group, "regular-representation constructions")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = HANDLERS[args.command]
     try:
-        result, passed, solver_ok = handler(args)
+        result, passed, solver_ok = args.handler(args)
     except (FormatError, DomainError, DimensionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         report = {"command": args.command, "error": str(exc), "passed": False}
@@ -357,7 +343,8 @@ def main(argv=None) -> int:
     else:
         report = {
             "command": args.command,
-            "config": {"input": args.input, "seed": args.seed, "tol": args.tol},
+            "config": {key: getattr(args, key) for key in ("input", "seed", "tol")
+                       if hasattr(args, key)},
             "result": result,
             "passed": passed,
             "metadata": {"timestamp_utc": datetime.now(timezone.utc).isoformat(),

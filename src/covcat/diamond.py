@@ -165,7 +165,7 @@ def _solve(j: np.ndarray, d: int, gap_tol: float, max_iter: int, cap: float) -> 
     j = require_hermitian(j, tol=1e-8)
     if j.shape[0] != d * d:
         raise DimensionError(f"Choi matrix dim {j.shape[0]} != d^2 = {d * d}")
-    if max_norm(partial_trace(j, [d, d], keep=[1])) > 1e-8:
+    if max_norm(partial_trace(j, [d, d], keep=[1])) > 1e-8 * max(1.0, max_norm(j)):
         raise DomainError("Choi difference does not trace to zero; not a difference of channels")
     prog = _DiamondProgram(j, d)
     best_low, best_up = _a_priori_bracket(prog)
@@ -197,7 +197,8 @@ def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_G
     """Diamond norm of a Hermitian-preserving difference of channels on dim d.
 
     ``j`` is the Choi difference; it must be Hermitian with vanishing output
-    partial trace (automatic for differences of trace-preserving channels).
+    partial trace (automatic for differences of trace-preserving channels),
+    both judged to 1e-8 relative to ``max(1, ||J||_max)``.
     """
     return _solve(j, d, gap_tol, max_iter, np.inf)
 

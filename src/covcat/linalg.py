@@ -230,11 +230,6 @@ def psd_rank(a: np.ndarray) -> int:
 # state metrics
 # ---------------------------------------------------------------------------
 
-def trace_norm(a: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix (sum of absolute eigenvalues)."""
-    return float(np.abs(np.linalg.eigvalsh(require_hermitian(a))).sum())
-
-
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of the difference of two states."""
     return float(trace_distances(as_square(rho)[None], sigma)[0])

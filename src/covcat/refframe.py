@@ -10,8 +10,9 @@ input; composing it onto the dynamics leaves the induced system channel
 untouched while returning the frame to within ``2 sqrt(2 eps)`` in trace
 distance of its initial state, for every system input.
 
-The verification chain mirrors the underlying argument: a drift unitary W is
-constructed (top eigenvector of the average frame output), the fidelity
+The verification chain mirrors the underlying argument: the drifted frame
+``W|phi>`` is the top eigenvector of the average frame output (the argument
+needs no more of W than this state), the fidelity
 ``F(frame output, W sigma W^dag) >= 1 - eps`` and its trace-distance
 consequences are checked numerically, and the final bound is sampled over
 Haar-random pure and Hilbert-Schmidt-random mixed system inputs. The chain
@@ -159,46 +160,31 @@ def _frame_isometry(sc: FrameScenario) -> tuple[np.ndarray, np.ndarray]:
     return m.transpose(0, 1, 3, 2).reshape(d_s, d_f * d_cp, d_s), amps.reshape(-1)
 
 
-def _unitary_sending(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Deterministic unitary with U src = dst (both unit vectors)."""
-    d = len(src)
-
-    def onb_with_first(vec):
-        m = np.eye(d, dtype=complex)
-        m[:, 0] = vec
-        q, _ = np.linalg.qr(m)
-        overlap = np.vdot(q[:, 0], vec)
-        q[:, 0] *= overlap.conjugate() / abs(overlap)
-        return q
-
-    return onb_with_first(dst) @ onb_with_first(src).conj().T
-
-
 @dataclass(frozen=True, eq=False)
 class DriftResult:
-    """Frame-side unitary approximating the dynamics at every system input.
+    """Frame-side drift approximating the dynamics at every system input.
 
+    ``state`` is the drifted frame ``W|phi>``: the top eigenvector of the
+    average frame output, its phase fixed by the image of a reference input.
     ``sup_deviation_sq`` is the sampled supremum of
     ``|| U |psi phi> - V|psi> (x) W|phi> ||^2``; the information-disturbance
     tradeoff promises a W that keeps it below twice the implementation error.
     """
 
-    unitary: np.ndarray
+    state: np.ndarray
     sup_deviation_sq: float
 
 
-def _drift(m: np.ndarray, phi: np.ndarray, target: np.ndarray, seed: int) -> DriftResult:
-    """Drift unitary from the isometry ``m`` and purified frame ``phi`` of
-    `_frame_isometry`."""
+def _drift(m: np.ndarray, out_units: np.ndarray, target: np.ndarray, seed: int) -> DriftResult:
+    """Drift from the isometry ``m`` of `_frame_isometry` and its frame
+    outputs ``out_units[b, c] = Tr_S M |b><c| M^dag``."""
     d_s, d_v = m.shape[:2]
     # average frame output Tr_S M (1/d_s) M^dag
-    flat = m.transpose(1, 0, 2).reshape(d_v, d_s * d_s)
-    top = np.linalg.eigh(flat @ flat.conj().T / d_s)[1][:, -1]
+    top = np.linalg.eigh(np.trace(out_units) / d_s)[1][:, -1]
     # phase from the image M|0> of a fixed reference input
     overlap = np.vdot(np.kron(target[:, 0], top), m[:, :, 0].reshape(-1))
     if abs(overlap) > 1e-12:
         top = top * (overlap / abs(overlap))
-    w_unitary = _unitary_sending(phi, top)
     # probes: the basis of S, then seeded random unit vectors, one per column
     probes = np.eye(d_s, NUM_PROBES, dtype=complex)
     if NUM_PROBES > d_s:
@@ -206,18 +192,9 @@ def _drift(m: np.ndarray, phi: np.ndarray, target: np.ndarray, seed: int) -> Dri
         psi = z[:, 0] + 1j * z[:, 1]
         probes[:, d_s:] = (psi / np.linalg.norm(psi, axis=1, keepdims=True)).T
     # || (M - V (x) W phi) psi ||^2 for every probe at once
-    delta = m.reshape(d_s * d_v, d_s) - np.kron(target, (w_unitary @ phi)[:, None])
+    delta = m.reshape(d_s * d_v, d_s) - np.kron(target, top[:, None])
     dev = np.sum(np.abs(delta @ probes) ** 2, axis=0)
-    return DriftResult(unitary=w_unitary, sup_deviation_sq=float(dev.max(initial=0.0)))
-
-
-def drift_unitary(sc: FrameScenario, seed: int = 1) -> DriftResult:
-    """Drift unitary for a scenario with unitary dynamics and a pure frame state."""
-    m, phi = _frame_isometry(sc)
-    if len(phi) > sc.d_c * sc.d_e:
-        raise DomainError("drift_unitary needs a pure frame state; "
-                          "the catalytic pipeline handles mixed frames via purification")
-    return _drift(m, phi, sc.target, seed)
+    return DriftResult(state=top, sup_deviation_sq=float(dev.max(initial=0.0)))
 
 
 def recovery_channel(sc: FrameScenario) -> Channel:
@@ -278,6 +255,18 @@ class RecoveryReport:
         if self.failures:
             return "failed"
         return "inconclusive" if self.inconclusive else "passed"
+
+    @property
+    def status(self) -> str:
+        """Sweep status: ``"FAILED"`` (any failure, certified at the upper end
+        of the bracket even when it did not close), ``"bounds"`` (the bracket
+        did not close), ``"inconclusive"`` or ``"ok"``. Only ``"ok"`` and
+        ``"FAILED"`` are conclusive."""
+        if self.failures:
+            return "FAILED"
+        if self.epsilon_result.status != "converged":
+            return "bounds"
+        return "inconclusive" if self.inconclusive else "ok"
 
     def to_json(self) -> dict:
         return {"epsilon": self.epsilon,
@@ -379,8 +368,10 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     m, phi = _frame_isometry(sc)
     d_v = len(phi)
     d_cp = d_v // d_f
-    drift = _drift(m, phi, sc.target, seed + 1)
-    wphi = drift.unitary @ phi
+    flat = m.transpose(2, 1, 0).reshape(d_s * d_v, d_s)
+    out_units = (flat @ flat.conj().T).reshape(d_s, d_v, d_s, d_v).transpose(0, 2, 1, 3)
+    drift = _drift(m, out_units, sc.target, seed + 1)
+    wphi = drift.state
     w_rho = np.outer(wphi, wphi.conj())
     phi_rho = np.outer(phi, phi.conj())
     # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s, the
@@ -390,8 +381,6 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     check("recovery pullback distance exceeds sqrt(2 eps)",
           lambda e: recovery_pullback_distance <= root(e) + METRIC_SLACK)
 
-    flat = m.transpose(2, 1, 0).reshape(d_s * d_v, d_s)
-    out_units = (flat @ flat.conj().T).reshape(d_s, d_v, d_s, d_v).transpose(0, 2, 1, 3)
     overlaps = (out_units @ wphi) @ wphi.conj()  # <W phi| out_units[b, c] |W phi>
     rhos = _sample_system_states(d_s, min(24, samples), seed + 2)
     # fidelity with the pure state W phi is sqrt(<W phi| out |W phi>)
@@ -505,17 +494,9 @@ def degradation_sweep(n_values: Sequence[int], theta: float, samples: int = 100,
     for n in n_values:
         sc = phase_reference_scenario(n, theta)
         _, report = catalytic_channel(sc, samples=samples, seed=seed)
-        if report.failures:
-            status = "FAILED"
-        elif report.epsilon_result.status != "converged":
-            status = "bounds"
-        elif report.inconclusive:
-            status = "inconclusive"
-        else:
-            status = "ok"
         rows.append(SweepRow(n_levels=n, theta=theta, epsilon=report.epsilon,
                              bound=report.bound, worst_distance=report.worst_distance,
-                             mean_distance=report.mean_distance, status=status))
+                             mean_distance=report.mean_distance, status=report.status))
     return rows
 
 

@@ -44,6 +44,15 @@ def is_symmetric_state(rho: np.ndarray, generators: Sequence[np.ndarray],
     return worst <= tol, worst
 
 
+def generator_scale(x: np.ndarray, y: np.ndarray) -> float:
+    """``max(1, ||X - t 1||_max, ||Y - t 1||_max)`` with ``t = tr(X) / d``: the
+    scale of the pair (X, Y) by which a conservation defect ``U X - Y U`` is
+    judged. Shifting X and Y by the same ``t 1`` leaves that defect unchanged,
+    so an identity offset in the generators does not enter the scale."""
+    t = np.trace(x).real / x.shape[0]
+    return max(1.0, max_norm(x - t * np.eye(x.shape[0])), max_norm(y - t * np.eye(y.shape[0])))
+
+
 def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]],
                            legs_out: Sequence[Sequence[np.ndarray]] | None = None) -> list[float]:
     """``||U X_i - Y_i U||_max / max(1, ||X_i - t 1||_max, ||Y_i - t 1||_max)``

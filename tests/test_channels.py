@@ -155,25 +155,26 @@ def test_covariance_closed_under_compose_and_tensor(rng):
 
 def _dense_choi_commutator(t, rep_in, rep_out):
     """Oracle: largest Frobenius norm of [J, G] with J and G built densely,
-    plus the largest max-norm of the superoperator commutator."""
+    plus the largest max-norm of the superoperator commutator; for generator
+    lists both are divided by each pair's `generator_scale`."""
     v = np.stack([k.reshape(-1) for k in t.kraus], axis=1)
     j = v @ v.conj().T
     sup = sum(np.kron(k, k.conj()) for k in t.kraus)
     frob = supmax = scale = 0.0
     if isinstance(rep_in, sym.FiniteGroupRep):
         pairs = [(np.kron(w_out, w_in.conj()), np.kron(w_out, w_out.conj()) @ sup
-                  - sup @ np.kron(w_in, w_in.conj()))
+                  - sup @ np.kron(w_in, w_in.conj()), 1.0)
                  for w_in, w_out in zip(rep_in.images, rep_out.images)]
     else:
         def ad(x):
             return np.kron(x, np.eye(len(x))) - np.kron(np.eye(len(x)), x.T)
         pairs = [(np.kron(x_out, np.eye(t.d_in)) - np.kron(np.eye(t.d_out), x_in.T),
-                  ad(x_out) @ sup - sup @ ad(x_in))
+                  ad(x_out) @ sup - sup @ ad(x_in), sym.generator_scale(x_in, x_out))
                  for x_in, x_out in zip(rep_in, rep_out)]
-    for g, sup_comm in pairs:
-        frob = max(frob, np.linalg.norm(g @ j - j @ g))
-        supmax = max(supmax, la.max_norm(sup_comm))
-        scale = max(scale, 2 * np.linalg.norm(j) * np.linalg.norm(g))
+    for g, sup_comm, g_scale in pairs:
+        frob = max(frob, np.linalg.norm(g @ j - j @ g) / g_scale)
+        supmax = max(supmax, la.max_norm(sup_comm) / g_scale)
+        scale = max(scale, 2 * np.linalg.norm(j) * np.linalg.norm(g) / g_scale)
     return frob, supmax, scale
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -9,6 +10,8 @@ from covcat import linalg as la
 from covcat import serialize as ser
 from covcat.catalysis import CatalysisScenario, generate_admissible_scenario
 from covcat.cli import main
+
+from covcat.refframe import phase_reference_scenario
 
 from conftest import dilated_frame_scenario, scale_generators
 
@@ -44,6 +47,7 @@ def test_demo_appendix_passes(tmp_path, capsys):
     assert code == 0
     report = read_report(out)
     assert report["passed"]
+    assert report["config"] == {"seed": 0}  # the demo takes no --input or --tol
     assert abs(report["result"]["gap"] - 2 * np.sqrt(3)) < 1e-9
     assert report["result"]["triple_verdict"]["word"] == "x0 x1 x2"
     for pair in report["result"]["pairwise"].values():
@@ -109,7 +113,9 @@ def test_check_covariance_lie(tmp_path, rng):
     inp.write_text(json.dumps(problem))
     out = str(tmp_path / "report.json")
     assert run_cli(["check-covariance", "--input", str(inp), "--output", out]) == 0
-    assert read_report(out)["result"]["covariant"]
+    report = read_report(out)
+    assert report["result"]["covariant"]
+    assert report["config"] == {"input": str(inp), "seed": 0, "tol": 1e-9}
 
 
 def test_check_covariance_failure_exit_code(tmp_path):
@@ -146,7 +152,7 @@ def test_check_covariance_kraus_shape_errors_exit_2(kraus, d_in, d_out, tmp_path
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["demo-appendix", "check-covariance"])
+@pytest.mark.parametrize("command", ["wiegmann-equiv", "check-covariance"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_tolerance_flag_must_be_finite_and_non_negative(command, tol, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
@@ -202,6 +208,19 @@ def test_report_writes_the_intertwiner_once(command, tmp_path):
     assert "unitary" not in intertwiner["solver"]
     v = ser.matrix_from_json(intertwiner["unitary"])
     assert np.abs(v @ sc.rho_s @ v.conj().T - sc.rho_s_out).max() < 1e-8
+
+
+@pytest.mark.parametrize("command", ["find-intertwiner", "catalysis-verify"])
+def test_scenario_is_verified_once(command, tmp_path, monkeypatch):
+    from covcat import catalysis
+    calls = []  # conservation_residuals runs once per verify_scenario, wherever it is called
+    residuals = catalysis.conservation_residuals
+    monkeypatch.setattr(catalysis, "conservation_residuals",
+                        lambda *legs: calls.append(legs) or residuals(*legs))
+    inp = tmp_path / "scenario.json"
+    inp.write_text(json.dumps(generate_admissible_scenario(3, 2, 2, seed=4).to_json()))
+    assert run_cli([command, "--input", str(inp)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scale", [1e-6, 20, 30, 1e7, 1e8]
@@ -328,21 +347,39 @@ def test_recovery_verify_builtin(tmp_path):
     assert res["worst_distance"] <= res["bound"] + 1e-5
 
 
-def test_recovery_verify_mixed_environment_input(tmp_path):
-    # a mixed symmetric environment state is purified together with the frame
-    sc = dilated_frame_scenario(omega=np.diag([0.7, 0.3]))
+def frame_json(sc, gen_scale=1.0):
+    """Frame-scenario input file of ``sc``, every generator times ``gen_scale``."""
     payload = {"unitary": ser.matrix_to_json(sc.unitary), "sigma_c": ser.matrix_to_json(sc.sigma_c),
                "target": ser.matrix_to_json(sc.target),
-               "gens_s": [ser.matrix_to_json(g) for g in sc.gens_s],
-               "gens_c": [ser.matrix_to_json(g) for g in sc.gens_c],
-               "gens_e": [ser.matrix_to_json(g) for g in sc.gens_e],
-               "omega_e": ser.matrix_to_json(sc.omega_e)}
+               "gens_s": [ser.matrix_to_json(gen_scale * g) for g in sc.gens_s],
+               "gens_c": [ser.matrix_to_json(gen_scale * g) for g in sc.gens_c]}
+    if sc.omega_e is not None:
+        payload["gens_e"] = [ser.matrix_to_json(gen_scale * g) for g in sc.gens_e]
+        payload["omega_e"] = ser.matrix_to_json(sc.omega_e)
+    return json.dumps(payload)
+
+
+def test_recovery_verify_mixed_environment_input(tmp_path):
+    # a mixed symmetric environment state is purified together with the frame
     inp, out = tmp_path / "frame.json", str(tmp_path / "r.json")
-    inp.write_text(json.dumps(payload))
+    inp.write_text(frame_json(dilated_frame_scenario(omega=np.diag([0.7, 0.3]))))
     argv = ["recovery-verify", "--input", str(inp), "--samples", "20", "--output", out]
     assert run_cli(argv) == 0
     res = read_report(out)["result"]["report"]
     assert res["passed"] and res["worst_distance"] <= res["bound"] + 1e-5
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_recovery_verify_large_generators(k, tmp_path):
+    # the frame is admitted relative to its generators, and the covariance of
+    # the recovered dynamics is judged on the same scale
+    sc = phase_reference_scenario(8, np.pi / 2)
+    inp, out = tmp_path / "frame.json", str(tmp_path / "r.json")
+    inp.write_text(frame_json(sc, 10.0 ** k))
+    assert run_cli(["recovery-verify", "--input", str(inp), "--samples", "20",
+                    "--output", out]) == 0
+    res = read_report(out)["result"]["report"]
+    assert res["passed"] and res["covariance_defect"] <= 1e-9
 
 
 def test_recovery_verify_large_ladder(tmp_path):
@@ -394,6 +431,77 @@ def test_bracket_straddling_a_check_exits_inconclusive(tmp_path, monkeypatch):
     out = str(tmp_path / "sweep.csv")
     assert run_cli(["refframe-sweep", "--Ns", "8", "--samples", "15", "--output", out]) == 3
     assert (tmp_path / "sweep.csv").read_text().strip().split("\n")[1].endswith(",inconclusive")
+
+
+def test_failure_at_the_upper_end_of_an_open_bracket_exits_1(tmp_path, monkeypatch):
+    from covcat import refframe
+    from covcat.diamond import DiamondResult
+
+    def open_bracket(t1, t2):  # the frame checks fail even at the upper end, 1e-6
+        return DiamondResult(value=5e-7, status="bounds", lower=1e-7, upper=1e-6,
+                             iterations=7)
+
+    monkeypatch.setattr(refframe, "diamond_distance", open_bracket)
+    out = str(tmp_path / "rec.json")
+    assert run_cli(["recovery-verify", "--N", "8", "--samples", "15", "--output", out]) == 1
+    res = read_report(out)["result"]["report"]
+    assert res["verdict"] == "failed" and res["epsilon_result"]["status"] == "bounds"
+    out = str(tmp_path / "sweep.csv")
+    assert run_cli(["refframe-sweep", "--Ns", "8", "--samples", "15", "--output", out]) == 1
+    assert (tmp_path / "sweep.csv").read_text().strip().split("\n")[1].endswith(",FAILED")
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__(_read=set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def flag_policy_argvs(command, tmp_path):
+    """argv lists that between them take every path of ``command``'s handler."""
+    sz = ser.matrix_to_json(np.diag([1.0, -1.0]))
+    scenario = generate_admissible_scenario(2, 2, 1, seed=3).to_json()
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "check-covariance": {"channel": {"d_in": 2, "d_out": 2, "kraus": [sz]},
+                             "rep_in": {"type": "lie", "generators": [sz]},
+                             "rep_out": {"type": "lie", "generators": [sz]}},
+        "wiegmann-equiv": {"tuple_a": [sz], "tuple_b": [sz]},
+        "find-intertwiner": scenario,
+        "catalysis-verify": scenario,
+    }.get(command)))
+    if command == "recovery-verify":
+        problem.write_text(frame_json(phase_reference_scenario(2, np.pi / 2)))
+        return [[command, "--samples", "2"], [command, "--input", str(problem), "--samples", "2"]]
+    return {
+        "refframe-sweep": [[command, "--Ns", "2", "--samples", "2",
+                            "--output", str(tmp_path / "sweep.csv")]],
+        "demo-appendix": [[command]],
+        "demo-finite-group": [[command]],
+    }.get(command, [[command, "--input", str(problem)]])
+
+
+@pytest.mark.parametrize("command", [
+    "check-covariance", "wiegmann-equiv", "find-intertwiner", "catalysis-verify",
+    "recovery-verify", "refframe-sweep", "demo-appendix", "demo-finite-group"])
+def test_every_declared_flag_is_read(command, tmp_path):
+    # --output is read by main; check-covariance keeps --seed, which the
+    # benchmark passes to every command
+    exempt = {"command", "handler", "output"} | ({"seed"} if command == "check-covariance" else set())
+    declared, read = set(), set()
+    for argv in flag_policy_argvs(command, tmp_path):
+        args = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
+        args._read.clear()  # argparse itself reads the namespace while parsing
+        args.handler(args)
+        declared |= set(vars(args)) - {"_read"}
+        read |= args._read
+    assert declared - exempt <= read
 
 
 def test_reports_byte_identical_modulo_metadata(tmp_path, rng):

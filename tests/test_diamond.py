@@ -44,7 +44,7 @@ def test_identity_vs_depolarizing_qubit(rng):
     best = 0.0
     for _ in range(300):
         psi = la.random_pure_state(4, rng)
-        best = max(best, la.trace_norm(t1.apply(psi) - t2.apply(psi)))
+        best = max(best, 2 * la.trace_distance(t1.apply(psi), t2.apply(psi)))
     assert best <= res.value + 5e-6
     assert best > res.value - 0.05  # the sampled input family gets close
 
@@ -148,7 +148,7 @@ def test_dominates_stabilized_trace_distance(rng):
     big1, big2 = tensor_channels(t1, ident), tensor_channels(t2, ident)
     for _ in range(20):
         rho = la.random_density(4, rng)
-        gap = la.trace_norm(big1.apply(rho) - big2.apply(rho))
+        gap = 2 * la.trace_distance(big1.apply(rho), big2.apply(rho))
         assert gap <= res.value + 2e-6
 
 
@@ -162,6 +162,8 @@ def test_result_json_shape(rng):
 def test_rejects_non_channel_difference():
     with pytest.raises(la.DomainError):
         diamond_norm_of_difference(np.eye(4), 2)  # Tr_out J != 0
+    with pytest.raises(la.DomainError):  # judged relative to J, at any scale
+        diamond_norm_of_difference(1e10 * np.eye(4), 2)
 
 
 def test_iteration_cap_reports_bounds(rng):
@@ -249,7 +251,7 @@ def _criterion_5_pair():
     return Channel.from_unitary(u).choi() - Channel.from_unitary(v).choi()
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e-3])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e8, 1e10])
 def test_scaled_choi_difference_scales_value_not_iterations(scale):
     j = _criterion_5_pair()
     base = diamond_norm_of_difference(j, 3)

@@ -10,14 +10,13 @@ from covcat.refframe import (
     SWEEP_CSV_HEADER,
     catalytic_channel,
     degradation_sweep,
-    drift_unitary,
     implementation_error,
     phase_ladder_unitary,
     phase_reference_scenario,
     recovery_channel,
     sweep_to_csv,
 )
-from covcat.refframe import _frame_isometry, _sample_system_states, _unitary_sending
+from covcat.refframe import _frame_isometry, _sample_system_states
 
 from conftest import dilated_frame_scenario, env_channel_loop, shifted_superposition_mixture
 
@@ -102,13 +101,12 @@ def test_phase_reference_error_decreases_with_size():
 
 
 # ---------------------------------------------------------------------------
-# drift unitary
+# drift
 # ---------------------------------------------------------------------------
 
 def test_drift_exact_for_product_dynamics(rng):
     sc = product_frame_scenario(rng)
-    # make the frame state pure (it already is in this construction)
-    drift = drift_unitary(sc)
+    drift = catalytic_channel(sc)[1].drift
     assert drift.sup_deviation_sq <= 1e-10
 
 
@@ -124,21 +122,14 @@ def test_drift_bounded_by_twice_epsilon_on_perturbed_product(rng):
     sc = FrameScenario(unitary=u, sigma_c=np.outer(amp, amp.conj()), target=v,
                        gens_s=(gen_s,), gens_c=(gen_c,))
     eps = implementation_error(sc).value
-    drift = drift_unitary(sc)
+    drift = catalytic_channel(sc)[1].drift
     assert drift.sup_deviation_sq <= 2 * eps + 1e-6
 
 
 def test_drift_improves_with_frame_size():
-    d4 = drift_unitary(phase_reference_scenario(4, np.pi / 2))
-    d8 = drift_unitary(phase_reference_scenario(8, np.pi / 2))
+    d4 = catalytic_channel(phase_reference_scenario(4, np.pi / 2))[1].drift
+    d8 = catalytic_channel(phase_reference_scenario(8, np.pi / 2))[1].drift
     assert d8.sup_deviation_sq < d4.sup_deviation_sq
-
-
-def test_drift_requires_pure_frame():
-    sc = phase_reference_scenario(4, np.pi / 2,
-                                  sigma_c=shifted_superposition_mixture(4, 0.3))
-    with pytest.raises(la.DomainError):
-        drift_unitary(sc)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +308,11 @@ def _per_sample_oracle(sc, samples, seed):
     d_v = d_f * d_f
     u = la.tensor(sc.unitary, np.eye(d_f))
     phi_rho = np.outer(phi, phi.conj())
-    # drift unitary and its probes
+    # drifted frame W phi and its probes
     avg = env_channel(u, np.eye(d_s) / d_s, d_s, d_v).apply(phi_rho)
-    top = np.linalg.eigh(avg)[1][:, -1]
-    overlap = np.vdot(np.kron(sc.target[:, 0], top), u @ np.kron(np.eye(d_s)[:, 0], phi))
-    top = top * overlap / abs(overlap)
-    wphi = _unitary_sending(phi, top) @ phi
+    wphi = np.linalg.eigh(avg)[1][:, -1]
+    overlap = np.vdot(np.kron(sc.target[:, 0], wphi), u @ np.kron(np.eye(d_s)[:, 0], phi))
+    wphi = wphi * overlap / abs(overlap)
     probe_rng = np.random.default_rng(seed + 1)
     sup2 = 0.0
     for k in range(64):
