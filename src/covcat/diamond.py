@@ -228,10 +228,8 @@ def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise DimensionError("unitaries must have equal dimension")
     angles = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ v)))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    widest = float(gaps.max())
-    if widest <= np.pi:
+    # the arc leaves out the widest gap, through -1 (read directly) or between neighbours
+    span = min(angles[-1] - angles[0], 2 * np.pi - np.diff(angles).max(initial=0.0))
+    if span >= np.pi:
         return 2.0
-    span = 2 * np.pi - widest
-    reach = np.cos(span / 2)
-    return float(2 * np.sqrt(max(0.0, 1.0 - reach * reach)))
+    return float(2 * np.sin(span / 2))

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import time
 
@@ -9,7 +10,9 @@ from covcat import cli
 from covcat import linalg as la
 from covcat import serialize as ser
 from covcat.catalysis import CatalysisScenario, generate_admissible_scenario
+from covcat.channels import Channel
 from covcat.cli import main
+from covcat.diamond import diamond_distance
 
 from covcat.refframe import phase_reference_scenario
 
@@ -449,6 +452,24 @@ def test_failure_at_the_upper_end_of_an_open_bracket_exits_1(tmp_path, monkeypat
     out = str(tmp_path / "sweep.csv")
     assert run_cli(["refframe-sweep", "--Ns", "8", "--samples", "15", "--output", out]) == 1
     assert (tmp_path / "sweep.csv").read_text().strip().split("\n")[1].endswith(",FAILED")
+    # a certified failure decides the sweep even when another row's bracket
+    # is open: N = 8 fails at the upper end, N = 4 passes at its true value
+    n4 = phase_reference_scenario(4, np.pi / 2)
+    true_n4 = diamond_distance(n4.induced_system_channel(), Channel.from_unitary(n4.target))
+    brackets = iter([open_bracket(None, None), dataclasses.replace(true_n4, status="bounds")])
+    monkeypatch.setattr(refframe, "diamond_distance", lambda t1, t2: next(brackets))
+    assert run_cli(["refframe-sweep", "--Ns", "8,4", "--samples", "15", "--output", out]) == 1
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["FAILED", "bounds"]
+
+
+@pytest.mark.parametrize("flag", [["--N", "64"], ["--theta", "1.0"]])
+def test_recovery_verify_input_rejects_ladder_flags(flag, tmp_path, capsys):
+    # --N and --theta shape only the built-in ladder; with --input they would be ignored
+    inp = tmp_path / "frame.json"
+    inp.write_text(frame_json(phase_reference_scenario(4, np.pi / 2)))
+    assert run_cli(["recovery-verify", "--input", str(inp), *flag]) == 2
+    assert "cannot be combined with --input" in capsys.readouterr().err
 
 
 class ReadRecorder(argparse.Namespace):

@@ -129,6 +129,16 @@ def test_unitary_oracle_special_cases():
                - 2 * np.sin(theta / 2)) < 1e-12
 
 
+@pytest.mark.parametrize("arc", [1e-9, 4.5e-8, 1e-6, 1e-3])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_unitary_oracle_does_not_cancel_at_small_arcs(arc, d, rng):
+    # eigenphases arc * a_k of a diagonal V: the arc spanned is arc * spread(a)
+    a = rng.uniform(-1, 1, size=d)
+    v = np.diag(np.exp(1j * arc * a))
+    want = 2 * np.sin(arc * (a.max() - a.min()) / 2)
+    assert abs(unitary_diamond_distance(np.eye(d), v) - want) <= 1e-9 * want
+
+
 def test_metric_properties(rng):
     channels = [random_channel(2, 2, rng) for _ in range(3)]
     d01 = diamond_distance(channels[0], channels[1]).value

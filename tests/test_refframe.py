@@ -299,7 +299,12 @@ def _per_sample_oracle(sc, samples, seed):
     """The chain and the sampled distances, one global product per sample.
 
     The frame state sigma_C (x) omega_E is purified on a full copy of C (x) E
-    (every eigenvector), and every probe builds its own environment channel.
+    (every eigenvector), and every frame output builds its own environment
+    channel. The drift supremum is the operator norm of the dense columns
+    ``U(|b> (x) phi) - V|b> (x) W phi``, the least fidelity the square root
+    of the smallest eigenvalue of ``O[b, c] = <W phi| out(|b><c|) |W phi>``;
+    the extrema are checked against probes, the sampled fidelities and the
+    eigenvector input.
     """
     d_s, d_c, d_e = sc.d_s, sc.d_c, sc.d_e
     d_f = d_c * d_e
@@ -308,29 +313,54 @@ def _per_sample_oracle(sc, samples, seed):
     d_v = d_f * d_f
     u = la.tensor(sc.unitary, np.eye(d_f))
     phi_rho = np.outer(phi, phi.conj())
-    # drifted frame W phi and its probes
-    avg = env_channel(u, np.eye(d_s) / d_s, d_s, d_v).apply(phi_rho)
+
+    def out(rho):
+        return env_channel(u, rho, d_s, d_v).apply(phi_rho)
+
+    # drifted frame W phi
+    avg = out(np.eye(d_s) / d_s)
     wphi = np.linalg.eigh(avg)[1][:, -1]
     overlap = np.vdot(np.kron(sc.target[:, 0], wphi), u @ np.kron(np.eye(d_s)[:, 0], phi))
     wphi = wphi * overlap / abs(overlap)
-    probe_rng = np.random.default_rng(seed + 1)
-    sup2 = 0.0
-    for k in range(64):
-        if k < d_s:
-            psi = np.eye(d_s, dtype=complex)[:, k]
-        else:
-            psi = probe_rng.standard_normal(d_s) + 1j * probe_rng.standard_normal(d_s)
-            psi /= np.linalg.norm(psi)
-        dev = u @ np.kron(psi, phi) - np.kron(sc.target @ psi, wphi)
-        sup2 = max(sup2, np.linalg.norm(dev) ** 2)
     w_rho = np.outer(wphi, wphi.conj())
+    # drift supremum, above every probe: the basis of S, then random unit vectors
+    basis = np.eye(d_s, dtype=complex)
+    delta = np.stack([u @ np.kron(basis[b], phi) - np.kron(sc.target[:, b], wphi)
+                      for b in range(d_s)], axis=1)
+    sup2 = np.linalg.norm(delta, 2) ** 2
+    z = np.random.default_rng(seed).standard_normal((64, 2, d_s))
+    for psi in np.concatenate([basis, z[:, 0] + 1j * z[:, 1]]):
+        psi = psi / np.linalg.norm(psi)
+        dev = u @ np.kron(psi, phi) - np.kron(sc.target @ psi, wphi)
+        assert np.linalg.norm(dev) ** 2 <= sup2 + 1e-12
+
+    # least fidelity from the overlap form on the matrix units, each
+    # off-diagonal unit |b><c| by polarisation over the pure states of
+    # |b>, |c>, |b> + |c> and |b> + i|c>
+    def overlap_form(psi):
+        psi = psi / np.linalg.norm(psi)
+        return np.vdot(wphi, out(np.outer(psi, psi.conj())) @ wphi)
+
+    form = np.zeros((d_s, d_s), dtype=complex)
+    for b in range(d_s):
+        for c in range(d_s):
+            e_b, e_c = basis[b], basis[c]
+            form[b, c] = overlap_form(e_b) if b == c else (
+                overlap_form(e_b + e_c) + 1j * overlap_form(e_b + 1j * e_c)
+                - (1 + 1j) / 2 * (overlap_form(e_b) + overlap_form(e_c)))
+    lam, vecs = np.linalg.eigh(form)
+    min_fid = np.sqrt(np.clip(lam[0], 0.0, 1.0))
+    # <W phi| out(|y><y|) |W phi> = x^dag O x with x = conj(y): the input
+    # conj(x) for the bottom eigenvector x of O attains the minimum
+    y = vecs[:, 0].conj()
+    assert abs(la.fidelity(out(np.outer(y, y.conj())), w_rho) - min_fid) <= 1e-12
     pullback = hs_dual(env_channel(u, np.eye(d_s) / d_s, d_s, d_v)).apply(w_rho)
     pullback_dist = la.trace_distance(phi_rho, pullback)
-    min_fid, worst_drift = 1.0, 0.0
+    worst_drift = 0.0
     for rho in _sample_system_states(d_s, min(24, samples), seed + 2):
-        out = env_channel(u, rho, d_s, d_v).apply(phi_rho)
-        min_fid = min(min_fid, la.fidelity(out, w_rho))
-        worst_drift = max(worst_drift, la.trace_distance(out, w_rho))
+        frame_out = out(rho)
+        assert la.fidelity(frame_out, w_rho) >= min_fid - 1e-12
+        worst_drift = max(worst_drift, la.trace_distance(frame_out, w_rho))
     recovery = recovery_channel(sc)
     dists = []
     for rho in _sample_system_states(d_s, samples, seed):
@@ -362,6 +392,22 @@ def test_tabulated_chain_matches_per_sample_oracle(case):
     assert abs(report.worst_output_drift_distance - worst_drift) <= 1e-12
     np.testing.assert_allclose(report.distances, dists, rtol=0, atol=1e-12)
     assert report.passed, report.failures
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 1.0, 1e-2])
+@pytest.mark.parametrize("n", [2, 9, 24])
+def test_phase_ladder_extrema_sit_at_basis_inputs(n, theta):
+    # on the ladders the exact drift supremum and least fidelity are reached
+    # at basis inputs of S, so they agree with a scan of |0> and |1>
+    sc = phase_reference_scenario(n, theta)
+    report = catalytic_channel(sc, samples=5, seed=4)[1]
+    m, _ = _frame_isometry(sc)
+    wphi = report.drift.state
+    cols = m - sc.target[:, None, :] * wphi[None, :, None]  # [a, v, b]
+    sup2 = max(np.linalg.norm(cols[..., b]) ** 2 for b in range(2))
+    fid = min(np.linalg.norm(m[..., b] @ wphi.conj()) for b in range(2))
+    assert abs(report.drift.sup_deviation_sq - sup2) <= 1e-12
+    assert abs(report.min_fidelity - fid) <= 1e-12
 
 
 @pytest.mark.parametrize("chunk_bytes", [None, 1, 8 * 16 * 7 * 16])

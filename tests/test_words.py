@@ -308,6 +308,26 @@ def test_span_walk_fills_the_whole_pair_space_at_d16():
     assert verdict.certificate.residual <= 1e-8
 
 
+def test_near_tolerance_pair_is_distinguished_though_a_unitary_fits_within_tol():
+    # a conjugated pair of qubit states, one entry moved by 1e-9 traceless: the
+    # x0^2 trace gap just exceeds tol * d, while find_simultaneous_unitary on
+    # the normalised tuples fits a unitary within tol; deciding by the
+    # certificate first would call this pair equivalent
+    rng = np.random.default_rng(9)
+    a = [la.random_density(2, rng) for _ in range(2)]
+    u = la.random_unitary(2, rng)
+    b = [u @ x @ u.conj().T for x in a]
+    h = la.random_hermitian(2, rng)
+    h -= np.trace(h) / 2 * np.eye(2)
+    b[0] = b[0] + 1e-9 * h / np.abs(h).max()
+    config = EquivalenceConfig()
+    verdict = wiegmann_equivalent(a, b, config)
+    assert verdict.verdict == "distinguished" and str(verdict.witness) == "x0^2"
+    assert 2 * config.tol < abs(verdict.trace_a - verdict.trace_b) < 2.2 * config.tol
+    match = find_simultaneous_unitary(*_normalised(a, b), seed=config.seed, tol=config.tol)
+    assert match.verdict == "equivalent" and match.residual <= config.tol
+
+
 # ---------------------------------------------------------------------------
 # simultaneous unitary construction
 # ---------------------------------------------------------------------------
