@@ -43,7 +43,7 @@ from .linalg import (
     tensor,
     von_neumann_entropy,
 )
-from .symmetry import FiniteGroup, FiniteGroupRep, conservation_residuals, generator_scale
+from .symmetry import FiniteGroupRep, conservation_residuals, generator_scale
 from .words import UnitaryMatchResult, find_simultaneous_unitary
 
 ADMISSIBILITY_TOL = 1e-9   # structural equalities of a scenario
@@ -130,7 +130,7 @@ class CatalysisScenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CatalysisScenario":
-        from .serialize import (check_keys, int_from_json, matrices_from_json, matrix_from_json,
+        from .serialize import (check_keys, generators_from_json, int_from_json, matrix_from_json,
                                 tolerance_from_json)
         check_keys(obj, ["unitary", "rho_s", "rho_s_out", "sigma_c",
                          "gens_s_in", "gens_s_out", "gens_c"],
@@ -138,16 +138,14 @@ class CatalysisScenario:
         tols = obj.get("tolerances", {})
         check_keys(tols, [], optional=["admissibility", "intertwiner"], where="scenario.tolerances")
         tols = {k: tolerance_from_json(v, f"scenario.tolerances.{k}") for k, v in tols.items()}
-        def gens(key):
-            if not isinstance(obj[key], list):
-                raise DomainError(f"scenario.{key} must be a list")
-            return matrices_from_json(obj[key], where=f"scenario.{key}") if obj[key] else []
         return cls(
             unitary=matrix_from_json(obj["unitary"], "scenario.unitary"),
             rho_s=matrix_from_json(obj["rho_s"], "scenario.rho_s"),
             rho_s_out=matrix_from_json(obj["rho_s_out"], "scenario.rho_s_out"),
             sigma_c=matrix_from_json(obj["sigma_c"], "scenario.sigma_c"),
-            gens_s_in=gens("gens_s_in"), gens_s_out=gens("gens_s_out"), gens_c=gens("gens_c"),
+            gens_s_in=generators_from_json(obj["gens_s_in"], "scenario.gens_s_in"),
+            gens_s_out=generators_from_json(obj["gens_s_out"], "scenario.gens_s_out"),
+            gens_c=generators_from_json(obj["gens_c"], "scenario.gens_c"),
             admissibility_tol=tols.get("admissibility", ADMISSIBILITY_TOL),
             intertwiner_tol=tols.get("intertwiner", INTERTWINER_TOL),
             seed=None if obj.get("seed") is None else int_from_json(obj["seed"], "seed", 0),
@@ -397,59 +395,52 @@ def correlation_balance(u: np.ndarray, rho_se: np.ndarray,
 # finite-group constructions
 # ---------------------------------------------------------------------------
 
-def _at_pointer(ks: np.ndarray, y: int, n: int) -> np.ndarray:
-    """Kraus stack ``K (x) |y><y|`` on system (x) an n-dimensional pointer."""
-    r, d_out, d_in = ks.shape
-    out = np.zeros((r, d_out, n, d_in, n), dtype=complex)
-    out[:, :, y, :, y] = ks
-    return out.reshape(r, d_out * n, d_in * n)
+def _at_pointer(ks: np.ndarray) -> np.ndarray:
+    """Kraus stack ``K (x) |y><y|`` over each pointer state y and K in ``ks[y]``, y outer."""
+    n, r, d_out, d_in = ks.shape
+    out = np.zeros((n, r, d_out, n, d_in, n), dtype=complex)
+    y = np.arange(n)
+    out[y, :, :, y, :, y] = ks
+    return out.reshape(n * r, d_out * n, d_in * n)
 
 
-def regular_rep_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
-                        target: Channel) -> Channel:
+def regular_rep_channel(rep_s: FiniteGroupRep, target: Channel) -> Channel:
     """Covariant channel on system (x) pointer reproducing an arbitrary target.
 
-    The pointer carries the left regular representation of the group; feeding
-    it the identity-element basis state makes the output channel act as the
-    (generally non-covariant) target on the system:
+    The pointer carries the left regular representation of ``rep_s.group``;
+    feeding it the identity-element basis state makes the output channel act
+    as the (generally non-covariant) target on the system:
     ``E[rho (x) |1><1|] = T[rho] (x) |1><1|``. The Kraus operators are the
     target's, translated by the group, ``W(y) K W(y)^dag (x) |y><y|``, index
     (y, K) with y outer.
     """
     if target.d_in != rep_s.dim or target.d_out != rep_s.dim:
         raise DimensionError("system representation does not match the target dims")
-    if rep_s.group.order != group.order or not np.array_equal(rep_s.group.table, group.table):
-        raise DomainError("rep_s must represent the supplied group")
-    n = group.order
     w = np.array(rep_s.images)[:, None]
-    turned = w @ target.kraus[None] @ w.conj().swapaxes(-1, -2)
-    return Channel(np.concatenate([_at_pointer(turned[y], y, n) for y in range(n)]))
+    return Channel(_at_pointer(w @ target.kraus[None] @ w.conj().swapaxes(-1, -2)))
 
 
-def state_swap_channel(group: FiniteGroup, rep_s: FiniteGroupRep,
-                       rho: np.ndarray, sigma: np.ndarray, x: int) -> Channel:
+def state_swap_channel(rep_s: FiniteGroupRep, rho: np.ndarray, sigma: np.ndarray,
+                       x: int) -> Channel:
     """Covariant measure-and-prepare channel swapping rho for sigma at pointer x.
 
-    The pointer basis states of the regular representation are perfect frame
-    states, so measuring the pointer, preparing the suitably rotated sigma and
-    restoring the pointer is covariant while acting as ``rho -> sigma``
-    whenever the pointer starts in ``|x>``.
+    The pointer basis states of the regular representation of ``rep_s.group``
+    are perfect frame states, so measuring the pointer, preparing the suitably
+    rotated sigma and restoring the pointer is covariant while acting as
+    ``rho -> sigma`` whenever the pointer starts in ``|x>``.
     """
     rho = require_density(rho)
     sigma = require_density(sigma)
-    if rho.shape[0] != rep_s.dim or sigma.shape[0] != rep_s.dim:
+    group, d_s = rep_s.group, rep_s.dim
+    if rho.shape[0] != d_s or sigma.shape[0] != d_s:
         raise DimensionError("states must live on the representation space")
     if not (0 <= x < group.order):
         raise DomainError(f"pointer element {x} outside group of order {group.order}")
-    n, d_s = group.order, rep_s.dim
-    stacks = []
-    for y in range(n):
-        w = rep_s.images[group.mul(y, group.inv(x))]
-        amps = support_factor(w @ sigma @ w.conj().T)
-        # sqrt(t_a) |t_a><b| at index (a, b), a outer
-        ks = amps.T[:, None, :, None] * np.eye(d_s)[None, :, None, :]
-        stacks.append(_at_pointer(ks.reshape(-1, d_s, d_s), y, n))
-    return Channel(np.concatenate(stacks))
+    # W(y x^-1) A factors W(y x^-1) sigma W(y x^-1)^dag for every pointer state y
+    amps = np.array(rep_s.images)[group.table[:, group.inv(x)]] @ support_factor(sigma)
+    # sqrt(t_a) |t_a><b| at index (a, b), a outer
+    ks = amps.swapaxes(1, 2)[:, :, None, :, None] * np.eye(d_s)[:, None, :]
+    return Channel(_at_pointer(ks.reshape(group.order, -1, d_s, d_s)))
 
 
 # ---------------------------------------------------------------------------

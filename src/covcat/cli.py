@@ -45,6 +45,7 @@ from .serialize import (
     channel_from_json,
     check_keys,
     dump_json,
+    generators_from_json,
     int_from_json,
     load_json,
     matrices_from_json,
@@ -142,14 +143,14 @@ def _cmd_catalysis_verify(args) -> tuple[dict, bool, bool]:
 def _frame_scenario_from_json(obj) -> FrameScenario:
     check_keys(obj, ["unitary", "sigma_c", "target", "gens_s", "gens_c"],
                optional=["gens_e", "omega_e"], where="frame scenario")
-    gens_e = matrices_from_json(obj["gens_e"], "gens_e") if obj.get("gens_e") else []
+    gens_e = generators_from_json(obj["gens_e"], "gens_e") if "gens_e" in obj else []
     omega_e = matrix_from_json(obj["omega_e"], "omega_e") if "omega_e" in obj else None
     return FrameScenario(
         unitary=matrix_from_json(obj["unitary"], "unitary"),
         sigma_c=matrix_from_json(obj["sigma_c"], "sigma_c"),
         target=matrix_from_json(obj["target"], "target"),
-        gens_s=matrices_from_json(obj["gens_s"], "gens_s"),
-        gens_c=matrices_from_json(obj["gens_c"], "gens_c"),
+        gens_s=generators_from_json(obj["gens_s"], "gens_s"),
+        gens_c=generators_from_json(obj["gens_c"], "gens_c"),
         gens_e=gens_e,
         omega_e=omega_e,
     )
@@ -239,7 +240,7 @@ def _cmd_demo_finite_group(args) -> tuple[dict, bool, bool]:
         g = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
         q, _ = np.linalg.qr(g)
         target = Channel([q[:d], q[d:]])
-        lifted = regular_rep_channel(group, rep_s, target)
+        lifted = regular_rep_channel(rep_s, target)
         cov = is_covariant(lifted, comp, comp)
         rho = random_density(d, rng)
         pointer = np.zeros((group.order, group.order), dtype=complex)
@@ -251,8 +252,7 @@ def _cmd_demo_finite_group(args) -> tuple[dict, bool, bool]:
                  "pointer_action_defect": action_defect}
         ok = cov.covariant and action_defect <= 1e-10
         if label == "Z2":
-            swap = state_swap_channel(group, rep_s,
-                                      np.diag([1.0, 0.0]).astype(complex),
+            swap = state_swap_channel(rep_s, np.diag([1.0, 0.0]).astype(complex),
                                       np.diag([0.0, 1.0]).astype(complex), x=1)
             px = np.zeros((2, 2), dtype=complex)
             px[1, 1] = 1.0

@@ -26,9 +26,12 @@ every ``CHECK_EVERY`` iterations:
 * any Hermitian P gives the feasible dual value
   ``u(P) = lambda_max(Tr_out(2J + P_+ + c 1))`` with ``c = max(0, -lambda_min(2J + P_+))``,
 
-so the reported value is always bracketed by a certified interval. If the
-iteration cap is reached before the bracket closes, the result carries status
-``"bounds"`` instead of a silently inaccurate number.
+so the reported value is always bracketed by a certified interval. It closes
+when ``upper - lower <= max(DEFAULT_GAP_TOL * upper, CROSSING_TOL * max(1,
+||J||_op))``: relative to the value, down to a round-off floor set by the
+scale of J (at ``J = 0`` up to round-off the a priori bracket closes on the
+floor). If the iteration cap ``DEFAULT_MAX_ITER`` is reached first, the
+result carries status ``"bounds"`` instead of a silently inaccurate number.
 
 The solver starts from an a priori bracket. The maximally entangled input
 ``rho = 1/d`` gives the lower end. The upper end is the dual point
@@ -66,7 +69,7 @@ DEFAULT_MAX_ITER = 200_000
 OVER_RELAXATION = 1.8
 STEP_SCALE = 4.0       # Douglas-Rachford step gamma = STEP_SCALE / ||J||_op
 CHECK_EVERY = 25       # iterations between certificate checks
-CROSSING_TOL = 1e-12   # relative width up to which crossed certificates count as round-off
+CROSSING_TOL = 1e-12   # relative width that round-off alone explains: a crossing, the gap floor
 
 
 @dataclass(frozen=True)
@@ -159,32 +162,35 @@ def _certified(low: float, up: float, status: str, iterations: int) -> DiamondRe
                          iterations=iterations)
 
 
-def _solve(j: np.ndarray, d: int, gap_tol: float, max_iter: int, cap: float) -> DiamondResult:
+def _solve(j: np.ndarray, d: int, cap: float) -> DiamondResult:
     """Validate J and run the primal Douglas-Rachford iteration; ``cap`` is a
-    known upper bound on the value (2 for a difference of channels)."""
+    known upper bound on the value (2 for a difference of channels). The
+    stopping rule of the module docstring reads its constants at call time."""
     j = require_hermitian(j, tol=1e-8)
     if j.shape[0] != d * d:
         raise DimensionError(f"Choi matrix dim {j.shape[0]} != d^2 = {d * d}")
     if max_norm(partial_trace(j, [d, d], keep=[1])) > 1e-8 * max(1.0, max_norm(j)):
         raise DomainError("Choi difference does not trace to zero; not a difference of channels")
     prog = _DiamondProgram(j, d)
+    j_op = np.linalg.norm(j, 2)
+    floor = CROSSING_TOL * max(1.0, j_op)
     best_low, best_up = _a_priori_bracket(prog)
     best_up = min(cap, best_up)
-    if best_up - best_low <= gap_tol:
+    if best_up - best_low <= max(DEFAULT_GAP_TOL * best_up, floor):
         return _certified(best_low, best_up, "converged", 0)
-    gamma = STEP_SCALE / np.linalg.norm(j, 2)
+    gamma = STEP_SCALE / j_op
     shift = np.stack([2.0 * gamma * j, np.zeros_like(j)])  # the objective's gradient step
     z = np.zeros((2, d * d, d * d), dtype=complex)  # W, Q
     z[1] = np.eye(d * d) / d  # Q = 1 (x) rho
     z_rho = np.eye(d, dtype=complex) / d
-    it = 0
+    it, max_iter = 0, DEFAULT_MAX_ITER
     while it < max_iter:
         x, x_rho = _psd_part(z + shift), _psd_part(z_rho)
         it += 1
         if it % CHECK_EVERY == 0 or it == max_iter:
             best_low = max(best_low, prog.primal_value(x_rho))
             best_up = min(best_up, prog.dual_value((x[1] - z[1]) / gamma - 2.0 * j))
-            if best_up - best_low <= gap_tol:
+            if best_up - best_low <= max(DEFAULT_GAP_TOL * best_up, floor):
                 return _certified(best_low, best_up, "converged", it)
         y, y_rho = prog.project_affine(2.0 * x - z, 2.0 * x_rho - z_rho)
         z += OVER_RELAXATION * (y - x)
@@ -192,26 +198,24 @@ def _solve(j: np.ndarray, d: int, gap_tol: float, max_iter: int, cap: float) -> 
     return _certified(best_low, best_up, "bounds", it)
 
 
-def diamond_norm_of_difference(j: np.ndarray, d: int, gap_tol: float = DEFAULT_GAP_TOL,
-                               max_iter: int = DEFAULT_MAX_ITER) -> DiamondResult:
+def diamond_norm_of_difference(j: np.ndarray, d: int) -> DiamondResult:
     """Diamond norm of a Hermitian-preserving difference of channels on dim d.
 
     ``j`` is the Choi difference; it must be Hermitian with vanishing output
     partial trace (automatic for differences of trace-preserving channels),
     both judged to 1e-8 relative to ``max(1, ||J||_max)``.
     """
-    return _solve(j, d, gap_tol, max_iter, np.inf)
+    return _solve(j, d, np.inf)
 
 
-def diamond_distance(t1: Channel, t2: Channel, gap_tol: float = DEFAULT_GAP_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> DiamondResult:
+def diamond_distance(t1: Channel, t2: Channel) -> DiamondResult:
     """Certified diamond-norm distance ||T1 - T2||_diamond between two channels."""
     if (t1.d_in, t1.d_out) != (t2.d_in, t2.d_out):
         raise DimensionError("channels must share input and output dimensions")
     if t1.d_in != t1.d_out:
         raise DimensionError("solver is restricted to equal input/output dimensions")
     # the distance of two channels never exceeds 2
-    return _solve(t1.choi() - t2.choi(), t1.d_in, gap_tol, max_iter, 2.0)
+    return _solve(t1.choi() - t2.choi(), t1.d_in, 2.0)
 
 
 def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -91,10 +91,17 @@ def matrix_from_json(obj: Mapping[str, Any], where: str = "matrix") -> np.ndarra
     return values.view(complex).reshape(rows, cols)
 
 
+def generators_from_json(items: Any, where: str) -> list[np.ndarray]:
+    """A list of matrix objects that may be empty, as a scenario's generators are."""
+    if not isinstance(items, list):
+        raise FormatError(f"{where}: expected a list of matrix objects")
+    return [matrix_from_json(it, where=f"{where}[{i}]") for i, it in enumerate(items)]
+
+
 def matrices_from_json(items: Any, where: str = "matrices") -> list[np.ndarray]:
     if not isinstance(items, list) or not items:
         raise FormatError(f"{where}: expected a non-empty list of matrix objects")
-    return [matrix_from_json(it, where=f"{where}[{i}]") for i, it in enumerate(items)]
+    return generators_from_json(items, where)
 
 
 def group_to_json(group) -> dict:
@@ -109,9 +116,11 @@ def group_from_json(obj: Mapping[str, Any]):
     check_keys(obj, ["order", "table"], optional=["labels"], where="group")
     order = int_from_json(obj["order"], "group.order")
     table = obj["table"]
-    if not (isinstance(table, list) and len(table) == order and all(
-            isinstance(row, list) and len(row) == order
-            and all(int_from_json(x, "group.table", 0) < order for x in row) for row in table)):
+    # exactly int rejects bools, floats and strings; the bound keeps 2**70 away from numpy
+    if not (isinstance(table, list) and len(table) == order
+            and all(isinstance(row, list) and len(row) == order for row in table)
+            and set(map(type, itertools.chain.from_iterable(table))) == {int}
+            and 0 <= min(map(min, table)) and max(map(max, table)) < order):
         raise FormatError(f"group: table must be {order} rows of {order} element indices")
     labels = obj.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != order):
@@ -128,10 +137,7 @@ def rep_from_json(obj: Mapping[str, Any]):
     from .symmetry import FiniteGroupRep
     check_keys(obj, ["group", "images"], where="representation")
     group = group_from_json(obj["group"])
-    images = matrices_from_json(obj["images"], where="representation.images")
-    if len(images) != group.order:
-        raise FormatError(f"representation: {len(images)} images for group of order {group.order}")
-    return FiniteGroupRep(group, images)
+    return FiniteGroupRep(group, matrices_from_json(obj["images"], where="representation.images"))
 
 
 def channel_to_json(t) -> dict:

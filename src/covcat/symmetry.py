@@ -97,8 +97,8 @@ def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]
 class FiniteGroup:
     """Finite group given by its multiplication table ``table[x, y] = x*y``.
 
-    The constructor validates the Latin-square property, associativity,
-    and identity/inverse consistency.
+    The constructor validates the Latin-square property, the identity and
+    associativity (row by row, O(n^2) memory); the inverses follow from these.
     """
 
     def __init__(self, table: np.ndarray, labels: tuple[str, ...] | None = None):
@@ -108,28 +108,26 @@ class FiniteGroup:
             raise DimensionError(f"multiplication table must be square, got {table.shape}")
         if table.min() < 0 or table.max() >= n:
             raise DomainError("table entries must be element indices in [0, order)")
-        for i in range(n):
-            if len(set(table[i, :])) != n or len(set(table[:, i])) != n:
-                raise DomainError(f"multiplication table is not a Latin square at index {i}")
-        identity = None
-        for e in range(n):
-            if np.array_equal(table[e, :], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
-                identity = e
-                break
-        if identity is None:
+        idx = np.arange(n)
+        # seen[0, x, z]: row x holds z, seen[1, z, y]: column y holds z; all n seen = each once
+        seen = np.zeros((2, n, n), dtype=bool)
+        seen[0, idx[:, None], table] = seen[1, table, idx] = True
+        latin = seen[0].all(1) & seen[1].all(0)
+        if not latin.all():
+            raise DomainError(f"multiplication table is not a Latin square at index "
+                              f"{np.argmin(latin)}")
+        neutral = (table == idx).all(1) & (table.T == idx).all(1)
+        if not neutral.any():
             raise DomainError("multiplication table has no identity element")
+        identity = int(np.argmax(neutral))
         for x in range(n):
             # (x*y)*z against x*(y*z) for every y, z at once, O(n^2) memory
             bad = np.argwhere(table[table[x]] != table[x][table])
             if bad.size:
                 y, z = bad[0]
                 raise DomainError(f"multiplication table is not associative at ({x},{y},{z})")
-        inverse = np.full(n, -1, dtype=int)
-        for x in range(n):
-            hits = np.where(table[x, :] == identity)[0]
-            if len(hits) != 1 or table[hits[0], x] != identity:
-                raise DomainError(f"element {x} has no two-sided inverse")
-            inverse[x] = hits[0]
+        # the laws above make a group, so row x holds the identity once, at x's inverse
+        inverse = np.argmax(table == identity, axis=1)
         self.table = table
         self.order = n
         self.identity = identity
@@ -153,14 +151,11 @@ class FiniteGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
-        """Symmetric group S_n on n points (order n!)."""
-        perms = list(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        order = len(perms)
-        table = np.zeros((order, order), dtype=int)
-        for i, p in enumerate(perms):
-            for j, q in enumerate(perms):
-                table[i, j] = index[tuple(p[q[k]] for k in range(n))]
+        """Symmetric group S_n on n points (order n!), elements in lexicographic order."""
+        perms = np.array(list(itertools.permutations(range(n))))
+        products = np.take_along_axis(perms[:, None], perms[None], axis=2)  # p[q[k]], all p, q
+        codes = n ** np.arange(n - 1, -1, -1)  # base-n codes rise in lexicographic order
+        table = np.searchsorted(perms @ codes, products @ codes)
         return cls(table, labels=tuple("".join(map(str, p)) for p in perms))
 
 
@@ -204,14 +199,7 @@ class FiniteGroupRep:
 
 def left_regular_representation(group: FiniteGroup) -> FiniteGroupRep:
     """Permutation representation of a group on itself, W(x)|y> = |xy>."""
-    n = group.order
-    images = []
-    for x in range(n):
-        w = np.zeros((n, n), dtype=complex)
-        for y in range(n):
-            w[group.mul(x, y), y] = 1.0
-        images.append(w)
-    return FiniteGroupRep(group, images)
+    return FiniteGroupRep(group, np.eye(group.order)[:, group.table].transpose(1, 0, 2))
 
 
 def standard_representation(n: int) -> FiniteGroupRep:

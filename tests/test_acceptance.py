@@ -196,7 +196,7 @@ def test_criterion_6_finite_group_constructions():
         pointer[group.identity, group.identity] = 1.0
         for _ in range(20):
             target = random_channel(rep_s.dim, 2, rng)
-            lifted = regular_rep_channel(group, rep_s, target)
+            lifted = regular_rep_channel(rep_s, target)
             rho = la.random_density(rep_s.dim, rng)
             defect = la.max_norm(lifted.apply(la.tensor(rho, pointer))
                                  - la.tensor(target.apply(rho), pointer))
@@ -204,7 +204,7 @@ def test_criterion_6_finite_group_constructions():
             ok &= is_covariant(lifted, comp, comp, tol=1e-9).covariant
         rho, sigma = la.random_density(rep_s.dim, rng), la.random_density(rep_s.dim, rng)
         x = group.order - 1
-        swap = state_swap_channel(group, rep_s, rho, sigma, x=x)
+        swap = state_swap_channel(rep_s, rho, sigma, x=x)
         ptr_x = np.zeros((group.order, group.order), dtype=complex)
         ptr_x[x, x] = 1.0
         ok &= la.max_norm(swap.apply(la.tensor(rho, ptr_x))

@@ -280,7 +280,7 @@ def test_trivial_group_lifts_target_unchanged(rng):
     g = sym.FiniteGroup.cyclic(1)
     rep_s = sym.trivial_rep(g, dim=2)
     target = random_channel(2, 2, rng)
-    lifted = regular_rep_channel(g, rep_s, target)
+    lifted = regular_rep_channel(rep_s, target)
     rho = la.random_density(2, rng)
     out = lifted.apply(la.tensor(rho, np.eye(1)))
     np.testing.assert_allclose(out, target.apply(rho), atol=1e-10)
@@ -292,7 +292,7 @@ def test_z2_regular_rep_channel(rng):
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     target = Channel.from_unitary(hadamard)  # not covariant on its own
     assert not is_covariant(target, rep_s, rep_s).covariant
-    lifted = regular_rep_channel(g, rep_s, target)
+    lifted = regular_rep_channel(rep_s, target)
     comp = sym.tensor_rep(rep_s, sym.left_regular_representation(g))
     assert is_covariant(lifted, comp, comp).covariant
     rho = la.random_density(2, rng)
@@ -308,7 +308,7 @@ def test_s3_regular_rep_channel(rng):
     comp = sym.tensor_rep(rep_s, sym.left_regular_representation(g))
     for _ in range(3):
         target = random_channel(2, 2, rng)
-        lifted = regular_rep_channel(g, rep_s, target)
+        lifted = regular_rep_channel(rep_s, target)
         assert lifted.is_trace_preserving()
         report = is_covariant(lifted, comp, comp)
         assert report.covariant, report
@@ -337,7 +337,7 @@ def test_regular_rep_channel_matches_hand_written_kraus(rng):
         for k in range(d_e):
             block = np.einsum("lanb,n->lab", vb, v_env[:, k])
             expected += [la.tensor(np.sqrt(w_env[k]) * block[l], pointer) for l in range(d_e)]
-    lifted = regular_rep_channel(g, rep_s, induced_channel(Channel([unitary]), omega, d_s, d_e))
+    lifted = regular_rep_channel(rep_s, induced_channel(Channel([unitary]), omega, d_s, d_e))
     assert len(lifted.kraus) == len(expected)
     for got, want in zip(lifted.kraus, expected):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -376,7 +376,7 @@ def test_regular_rep_channel_matches_stinespring_route(group, kind, rng):
         omega, unitary = la.random_density(d_e, rng), la.random_unitary(2 * d_e, rng)
         target = induced_channel(Channel([unitary]), omega, 2, d_e)
     want = _stinespring_route(g, rep_s, unitary, omega, d_e)
-    got = regular_rep_channel(g, rep_s, target)
+    got = regular_rep_channel(rep_s, target)
     assert len(got.kraus) == len(want.kraus)
     assert la.max_norm(got.choi() - want.choi()) <= 1e-12
 
@@ -385,9 +385,9 @@ def test_regular_rep_channel_rejects_mismatched_target(rng):
     g = sym.FiniteGroup.cyclic(2)
     rep_s = sym.FiniteGroupRep(g, [np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(la.DimensionError):
-        regular_rep_channel(g, rep_s, random_channel(3, 2, rng))
+        regular_rep_channel(rep_s, random_channel(3, 2, rng))
     with pytest.raises(la.DimensionError):  # 2 -> 3 on a two-dimensional representation
-        regular_rep_channel(g, rep_s, random_channel(2, 2, rng, d_out=3))
+        regular_rep_channel(rep_s, random_channel(2, 2, rng, d_out=3))
 
 
 def test_state_swap_channel_properties(rng):
@@ -395,7 +395,7 @@ def test_state_swap_channel_properties(rng):
     rep_s = sym.FiniteGroupRep(g, [np.eye(2), np.diag([1.0, -1.0])])
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.0, 1.0]).astype(complex)
-    swap = state_swap_channel(g, rep_s, rho, sigma, x=1)
+    swap = state_swap_channel(rep_s, rho, sigma, x=1)
     pointer = np.diag([0.0, 1.0]).astype(complex)
     out = swap.apply(la.tensor(rho, pointer))
     np.testing.assert_allclose(out, la.tensor(sigma, pointer), atol=1e-10)
@@ -409,11 +409,40 @@ def test_state_swap_channel_properties(rng):
             assert abs(np.trace(swap.apply(e)) - np.trace(e)) < 1e-10
 
 
+def _state_swap_loop(rep_s, sigma, x):
+    """Measure-and-prepare Kraus operators built per pointer state y from a
+    fresh support factor of the rotated state W(y x^-1) sigma W(y x^-1)^dag."""
+    group, n, d_s = rep_s.group, rep_s.group.order, rep_s.dim
+    ks = []
+    for y in range(n):
+        w = rep_s.images[group.mul(y, group.inv(x))]
+        amps = la.support_factor(w @ sigma @ w.conj().T)
+        pointer = np.zeros((n, n), dtype=complex)
+        pointer[y, y] = 1.0
+        ks += [la.tensor(np.outer(amps[:, a], np.eye(d_s)[b]), pointer)
+               for a in range(amps.shape[1]) for b in range(d_s)]
+    return Channel(ks)
+
+
+@pytest.mark.parametrize("group", ["Z2", "S3"])
+def test_state_swap_channel_matches_per_pointer_construction(group, rng):
+    if group == "Z2":
+        rep_s = sym.FiniteGroupRep(sym.FiniteGroup.cyclic(2), [np.eye(2), np.diag([1.0, -1.0])])
+    else:
+        rep_s = sym.FiniteGroupRep(sym.FiniteGroup.symmetric(3), s3_standard_images())
+    for x in range(rep_s.group.order):
+        rho, sigma = la.random_density(2, rng), la.random_density(2, rng)
+        got = state_swap_channel(rep_s, rho, sigma, x=x)
+        want = _state_swap_loop(rep_s, sigma, x)
+        assert len(got.kraus) == len(want.kraus)
+        assert la.max_norm(got.choi() - want.choi()) <= 1e-14
+
+
 def test_state_swap_identity_case(rng):
     g = sym.FiniteGroup.cyclic(2)
     rep_s = sym.FiniteGroupRep(g, [np.eye(2), np.diag([1.0, -1.0])])
     rho = la.random_density(2, rng)
-    swap = state_swap_channel(g, rep_s, rho, rho, x=0)
+    swap = state_swap_channel(rep_s, rho, rho, x=0)
     pointer = np.diag([1.0, 0.0]).astype(complex)
     out = swap.apply(la.tensor(rho, pointer))
     np.testing.assert_allclose(out, la.tensor(rho, pointer), atol=1e-10)

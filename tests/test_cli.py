@@ -472,6 +472,51 @@ def test_recovery_verify_input_rejects_ladder_flags(flag, tmp_path, capsys):
     assert "cannot be combined with --input" in capsys.readouterr().err
 
 
+def test_recovery_verify_accepts_empty_generator_lists(tmp_path):
+    # a frame without conserved quantities, as catalysis files already allow
+    payload = json.loads(frame_json(phase_reference_scenario(4, np.pi / 2)))
+    payload["gens_s"] = payload["gens_c"] = []
+    inp, out = tmp_path / "frame.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps(payload))
+    assert run_cli(["recovery-verify", "--input", str(inp), "--samples", "10",
+                    "--output", out]) == 0
+    assert read_report(out)["passed"]
+
+
+@pytest.mark.parametrize("gens_e", [False, 0, "", {}], ids=["false", "zero", "empty-string",
+                                                            "empty-object"])
+def test_recovery_verify_rejects_non_list_environment_generators(gens_e, tmp_path, capsys):
+    payload = json.loads(frame_json(phase_reference_scenario(4, np.pi / 2)))
+    payload["gens_e"] = gens_e
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps(payload))
+    assert run_cli(["recovery-verify", "--input", str(inp), "--samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: gens_e") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "0", -1, "order", 2 ** 70, "short-row",
+                                   "extra-image"])
+def test_check_covariance_rejects_malformed_group_tables(entry, tmp_path, capsys):
+    sz = ser.matrix_to_json(np.diag([1.0, -1.0]))
+    table = [[0, 1], [1, 0]]
+    images = [ser.matrix_to_json(np.eye(2)), sz]
+    if entry == "short-row":
+        table[1] = [1]
+    elif entry == "extra-image":  # refused by the representation, not the group reader
+        images.append(sz)
+    else:
+        table[1][1] = 2 if entry == "order" else entry
+    rep = {"type": "finite", "group": {"order": 2, "table": table}, "images": images}
+    problem = {"channel": {"d_in": 2, "d_out": 2, "kraus": [sz]}, "rep_in": rep, "rep_out": rep}
+    inp = tmp_path / "cov.json"
+    inp.write_text(json.dumps(problem))
+    assert run_cli(["check-covariance", "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    expected = "error: 3 images for group of order 2" if entry == "extra-image" else "error: group"
+    assert err.startswith(expected) and "Traceback" not in err
+
+
 class ReadRecorder(argparse.Namespace):
     """Namespace that records the name of every attribute read from it."""
 

@@ -74,6 +74,164 @@ def test_non_associative_table_names_first_failing_triple():
         sym.FiniteGroup(table)
 
 
+# Element-by-element constructions: slow oracles for the whole-array group layer.
+
+def _loop_group(table):
+    """Validate a table with one Python loop per law; return (identity, inverse)
+    or raise what the first failing law raises."""
+    table = np.asarray(table, dtype=int)
+    n = table.shape[0]
+    if table.min() < 0 or table.max() >= n:
+        raise la.DomainError("table entries must be element indices in [0, order)")
+    for i in range(n):
+        if len(set(table[i, :])) != n or len(set(table[:, i])) != n:
+            raise la.DomainError(f"multiplication table is not a Latin square at index {i}")
+    identity = next((e for e in range(n) if np.array_equal(table[e, :], np.arange(n))
+                     and np.array_equal(table[:, e], np.arange(n))), None)
+    if identity is None:
+        raise la.DomainError("multiplication table has no identity element")
+    for x in range(n):
+        bad = np.argwhere(table[table[x]] != table[x][table])
+        if bad.size:
+            y, z = bad[0]
+            raise la.DomainError(f"multiplication table is not associative at ({x},{y},{z})")
+    inverse = np.full(n, -1, dtype=int)
+    for x in range(n):
+        hits = np.where(table[x, :] == identity)[0]
+        if len(hits) != 1 or table[hits[0], x] != identity:
+            raise la.DomainError(f"element {x} has no two-sided inverse")
+        inverse[x] = hits[0]
+    return identity, inverse
+
+
+def _loop_symmetric(n):
+    """Table and labels of S_n from a dict of the lexicographic permutations."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.zeros((len(perms), len(perms)), dtype=int)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = index[tuple(p[q[k]] for k in range(n))]
+    return table, tuple("".join(map(str, p)) for p in perms)
+
+
+def _relabelled(table, perm):
+    """The same group with element i renamed perm[i]."""
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out
+
+
+def _intercalate_swapped(table, rng):
+    """Swap a 2x2 sub-square ``a b / b a`` off the identity's row and column:
+    still a Latin square with the same identity."""
+    n = table.shape[0]
+    e = int(np.flatnonzero((table == np.arange(n)).all(axis=1))[0])
+    inv = np.argmax(table == e, axis=1)
+    for _ in range(10_000):  # r1 r2^-1 is an involution for about one draw in five
+        r1, r2, c1 = rng.integers(n, size=3)
+        c2 = table[inv[r2], table[r1, c1]]  # r2 c2 = r1 c1
+        if (table[r1, c2] == table[r2, c1] and len({r1, r2, e}) == 3
+                and len({c1, c2, e}) == 3):
+            out = table.copy()
+            out[[r1, r1, r2, r2], [c1, c2, c1, c2]] = table[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+            return out
+    raise AssertionError("no intercalate off the identity")
+
+
+def _corrupted(table, kind, rng):
+    n = table.shape[0]
+    out = table.copy()
+    i, j, k = rng.choice(n, size=3, replace=False)
+    if kind == "entry":
+        out[i, j] = (out[i, j] + 1 + rng.integers(n - 1)) % n
+    elif kind == "entry-swap":  # swaps two entries of one row: columns repeat
+        out[i, [j, k]] = out[i, [k, j]]
+    elif kind in ("column-swap", "row-swap"):  # a Latin square with a one-sided identity
+        e = int(np.flatnonzero((table == np.arange(n)).all(axis=1))[0])
+        j, k = [c for c in (i, j, k) if c != e][:2]
+        if kind == "column-swap":
+            out[:, [j, k]] = out[:, [k, j]]
+        else:
+            out[[j, k]] = out[[k, j]]
+    else:
+        out = _intercalate_swapped(table, rng)
+    return out
+
+
+def _raised(build, table):
+    try:
+        build(table)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["entry", "entry-swap", "column-swap", "row-swap",
+                                  "intercalate"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_corrupted_relabelled_tables_fail_like_the_loops(n, kind, rng):
+    good = sym.FiniteGroup.symmetric(n).table
+    for _ in range(3):
+        table = _corrupted(_relabelled(good, rng.permutation(len(good))), kind, rng)
+        want = _raised(_loop_group, table)
+        assert want is not None
+        assert _raised(sym.FiniteGroup, table) == want
+
+
+@pytest.mark.parametrize("table", [
+    # order-5 Latin square with identity 0 whose elements all square to 0
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    [[0, 2, 1], [2, 1, 0], [1, 0, 2]],  # x*y = -x-y mod 3: Latin, no identity
+    [[0, 1, 2], [2, 0, 1], [1, 2, 0]],  # x*y = y-x mod 3: a left identity only
+    [[0, 1, 2], [1, 2, 0], [2, 0, 0]],
+    [[0, 1], [1, 2]],
+], ids=["non-associative-5", "no-identity", "left-identity", "not-latin", "out-of-range"])
+def test_small_bad_tables_fail_like_the_loops(table):
+    want = _raised(_loop_group, table)
+    assert want is not None
+    assert _raised(sym.FiniteGroup, table) == want
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_group_matches_the_dict_built_table(n):
+    table, labels = _loop_symmetric(n)
+    g = sym.FiniteGroup.symmetric(n)
+    np.testing.assert_array_equal(g.table, table)
+    assert g.labels == labels
+
+
+def _groups():
+    rng = np.random.default_rng(17)
+    s4 = sym.FiniteGroup.symmetric(4).table
+    return [sym.FiniteGroup.cyclic(1), sym.FiniteGroup.cyclic(6), sym.FiniteGroup.symmetric(3),
+            sym.FiniteGroup(_relabelled(s4, rng.permutation(24))), sym.FiniteGroup.symmetric(5)]
+
+
+@pytest.mark.parametrize("g", _groups(), ids=["C1", "C6", "S3", "S4-relabelled", "S5"])
+def test_group_data_match_the_loops(g):
+    identity, inverse = _loop_group(g.table)
+    assert g.identity == identity
+    np.testing.assert_array_equal(g.inverse, inverse)
+    x = np.arange(g.order)
+    assert (g.table[x, g.inverse] == g.identity).all()
+    assert (g.table[g.inverse, x] == g.identity).all()
+
+
+@pytest.mark.parametrize("g", _groups()[:-1], ids=["C1", "C6", "S3", "S4-relabelled"])
+def test_regular_representation_matches_the_double_loop(g):
+    images = []
+    for a in range(g.order):
+        w = np.zeros((g.order, g.order), dtype=complex)
+        for b in range(g.order):
+            w[g.mul(a, b), b] = 1.0
+        images.append(w)
+    got = sym.left_regular_representation(g).images
+    assert len(got) == len(images)
+    for w_got, w_loop in zip(got, images):
+        np.testing.assert_array_equal(w_got, w_loop)
+
+
 def test_projective_rep_rejected():
     # order-4 group (Z2 x Z2) represented by Paulis is projective, not linear
     g = sym.FiniteGroup(np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]))
