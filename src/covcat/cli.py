@@ -6,8 +6,9 @@ JSON (or CSV) report and exits with a meaningful status:
 * 0: all assertions of the dispatched verification passed,
 * 1: the verification ran and failed,
 * 2: malformed input (unknown keys, bad matrices, missing files),
-* 3: a solver stopped before certifying, or a check holds at only one end of
-  a certified bracket (a bounded result is still emitted).
+* 3: a solver stopped before certifying, a check holds at only one end of a
+  certified bracket, or a covariance defect lies within the rounding of the
+  generators (a bounded result is still emitted).
 
 Reports are deterministic for a fixed config and seed: timestamps live in a
 separate ``metadata`` field, everything else is byte-stable. Files are
@@ -88,9 +89,9 @@ def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
     rep_in = _rep_from_spec(obj["rep_in"], "rep_in")
     rep_out = _rep_from_spec(obj["rep_out"], "rep_out")
     report = is_covariant(channel, rep_in, rep_out, tol=args.tol)
-    result = {"covariant": report.covariant, "worst_violation": report.worst_violation,
-              "tol": args.tol}
-    return result, report.covariant, True
+    result = {"covariant": report.covariant, "conclusive": report.conclusive,
+              "worst_violation": report.worst_violation, "tol": args.tol}
+    return result, report.covariant, report.conclusive
 
 
 # Config keys of the former bounded word enumeration, with their least values.

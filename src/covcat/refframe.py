@@ -22,14 +22,17 @@ the dynamics ``U (x) 1_C'`` enters only as the isometry ``U(. (x) phi)``. By
 data processing the bound on C (x) E (x) C' gives the bound on the physical
 legs C (x) E, on which the recovery acts.
 
-Every frame output sampled is linear in the system input rho, so the frame
-output is tabulated once on the d_s^2 matrix units ``|b><c|`` of S, and both
-the purified chain and the physical-frame distances are read from that one
-table; every sample is a d_s^2-term sum. The sampled trace distances are
-taken by batched ``eigvalsh`` over chunks of stacked outputs, whose
-temporaries stay within about ``CHUNK_BYTES``. Memory is O(d_s^2 d_f^2) for
-frame dimension d_f; no global ``U (rho (x) sigma) U^dag`` is formed per
-sample.
+Every frame output sampled is linear in the system input rho, so it is
+tabulated once on the d_s^2 matrix units ``|b><c|`` of S, and every sample is
+a d_s^2-term sum. The purified chain reads the table ``Tr_S M |b><c| M^dag``
+of the isometry M; the physical-frame distances read
+``Tr_S T'(|b><c| (x) sigma_C)`` from the Kraus operators of T', so they
+measure the channel that is returned. The induced system channel consists of
+the slices of M: no channel on all of S (x) C (x) E is formed but T'. The
+sampled trace distances are taken by batched ``eigvalsh`` over chunks of
+stacked outputs, whose temporaries stay within about ``CHUNK_BYTES``. Memory
+is O(d_s^2 d_f^2) for frame dimension d_f; no global
+``U (rho (x) sigma) U^dag`` is formed per sample.
 
 The diamond solver certifies eps only up to a bracket ``[lower, upper]``, and
 every check of the chain weakens as eps grows. So a check is passed when it
@@ -41,6 +44,7 @@ asserting a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,8 +56,6 @@ from .linalg import (
     DimensionError,
     DomainError,
     max_norm,
-    random_density,
-    random_pure_state,
     require_density,
     require_hermitian,
     require_unitary,
@@ -129,34 +131,34 @@ class FrameScenario:
         """State of the full frame legs C (x) E."""
         return self.sigma_c if self.omega_e is None else tensor(self.sigma_c, self.omega_e)
 
+    @cached_property
+    def isometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dynamics on a pure frame, as ``(m, phi)``.
+
+        The frame state sigma_C (x) omega_E is purified on a copy C' of its
+        support by one eigendecomposition, ``phi = sum_i sqrt(p_i) |v_i> (x) |i>``
+        on F (x) C' with F = C (x) E, so ``d_cp = rank``, which is 1 for a pure
+        frame. The dynamics ``U (x) 1_C'`` never touches C'; it enters only
+        through the isometry ``M = (U (x) 1_C')(. (x) phi)``, returned as
+        ``m[a, (f, i), b]``: output S index a, frame index (f, i), input S index b.
+        """
+        amps = support_factor(self.frame_state)  # phi as a (d_f, d_cp) matrix
+        d_s, d_f, d_cp = self.d_s, len(amps), amps.shape[1]
+        m = (self.unitary.reshape(d_s * d_f, d_s, d_f) @ amps).reshape(d_s, d_f, d_s, d_cp)
+        return m.transpose(0, 1, 3, 2).reshape(d_s, d_f * d_cp, d_s), amps.reshape(-1)
+
     def induced_system_channel(self) -> Channel:
-        big = Channel.from_unitary(self.unitary)
-        return induced_channel(big, self.frame_state, self.d_s, self.d_c * self.d_e)
+        """``rho -> Tr_F U(rho (x) frame_state)U^dag``: each slice ``m[:, v, :]``
+        of the isometry is one Kraus operator, taken with the purifier index i
+        of ``v = (f, i)`` outer, the order of `induced_channel`."""
+        m, phi = self.isometry
+        d_s, d_cp = self.d_s, len(phi) // (self.d_c * self.d_e)
+        return Channel(m.reshape(d_s, -1, d_cp, d_s).transpose(2, 1, 0, 3).reshape(-1, d_s, d_s))
 
 
 def implementation_error(sc: FrameScenario) -> DiamondResult:
     """Certified diamond distance between the induced system channel and the target."""
     return diamond_distance(sc.induced_system_channel(), Channel.from_unitary(sc.target))
-
-
-# ---------------------------------------------------------------------------
-# the purified frame
-# ---------------------------------------------------------------------------
-
-def _frame_isometry(sc: FrameScenario) -> tuple[np.ndarray, np.ndarray]:
-    """The dynamics on a pure frame, as ``(m, phi)``.
-
-    The frame state sigma_C (x) omega_E is purified on a copy C' of its
-    support by one eigendecomposition, ``phi = sum_i sqrt(p_i) |v_i> (x) |i>``
-    on F (x) C' with F = C (x) E, so ``d_cp = rank``, which is 1 for a pure
-    frame. The dynamics ``U (x) 1_C'`` never touches C'; it enters only
-    through the isometry ``M = (U (x) 1_C')(. (x) phi)``, returned as
-    ``m[a, (f, i), b]``: output S index a, frame index (f, i), input S index b.
-    """
-    amps = support_factor(sc.frame_state)  # phi as a (d_f, d_cp) matrix
-    d_s, d_f, d_cp = sc.d_s, len(amps), amps.shape[1]
-    m = (sc.unitary.reshape(d_s * d_f, d_s, d_f) @ amps).reshape(d_s, d_f, d_s, d_cp)
-    return m.transpose(0, 1, 3, 2).reshape(d_s, d_f * d_cp, d_s), amps.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +178,7 @@ class DriftResult:
 
 
 def _drift(m: np.ndarray, out_units: np.ndarray, target: np.ndarray) -> DriftResult:
-    """Drift from the isometry ``m`` of `_frame_isometry` and its frame
+    """Drift from the isometry ``m`` of `FrameScenario.isometry` and its frame
     outputs ``out_units[b, c] = Tr_S M |b><c| M^dag``."""
     d_s, d_v = m.shape[:2]
     # average frame output Tr_S M (1/d_s) M^dag
@@ -285,9 +287,14 @@ def _sample_system_states(d: int, samples: int, seed: int):
     """64:36 split of Haar pure and Hilbert-Schmidt mixed states (seeded)."""
     rng = np.random.default_rng(seed)
     n_pure = min(samples, max(1, round(samples * 0.64)))
-    states = [random_pure_state(d, rng) for _ in range(n_pure)]
-    states += [random_density(d, rng) for _ in range(samples - n_pure)]
-    return np.array(states)
+    z = rng.standard_normal((n_pure, 2, d))  # the draws of `random_pure_state`, in order
+    v = z[:, 0] + 1j * z[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    g = rng.standard_normal((samples - n_pure, 2, d, d))  # those of `random_density`
+    g = g[:, 0] + 1j * g[:, 1]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return np.concatenate([v[:, :, None] * v[:, None].conj(), rho])
 
 
 def _sampled_distances(rhos: np.ndarray, units: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -352,13 +359,14 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
                for xs, xc in zip(sc.gens_s, sc.gens_c)]
     cov = is_covariant(t_prime, comp_in, comp_in, tol=COVARIANCE_TOL)
     if not cov.covariant:
-        failures.append(f"recovered dynamics not covariant (defect {cov.worst_violation:.3e})")
+        (failures if cov.conclusive else inconclusive).append(
+            f"recovered dynamics not covariant (defect {cov.worst_violation:.3e})")
 
     # (c) inequality chain on the purified frame C (x) E (x) C'; by data
     # processing its bound gives the bound on C (x) E. Every frame output is
     # linear in the system input rho, so it is tabulated once on the matrix
     # units |b><c| of S: Tr_S M rho M^dag = sum_bc rho_bc out_units[b, c].
-    m, phi = _frame_isometry(sc)
+    m, phi = sc.isometry
     d_v = len(phi)
     d_cp = d_v // d_f
     flat = m.transpose(2, 1, 0).reshape(d_s * d_v, d_s)
@@ -385,14 +393,11 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     check("output drift distance exceeds sqrt(2 eps)",
           lambda e: worst_drift_dist <= root(e) + METRIC_SLACK)
 
-    # (c') sampled final-state distances on the physical frame C, from
-    # Tr_E R[Tr_C' out_units]: the dynamics leaves the purifier C' untouched,
-    # so Tr_C' out_units[b, c] = Tr_S U(|b><c| (x) frame_state)U^dag
-    units = np.einsum("bcfigi->bcfg", out_units.reshape(d_s, d_s, d_f, d_cp, d_f, d_cp))
-    ks = recovery.kraus[:, None, None]
-    units = (ks @ units @ ks.conj().swapaxes(-1, -2)).sum(axis=0)
-    if d_e > 1:
-        units = np.einsum("bcieje->bcij", units.reshape(d_s, d_s, d_c, d_e, d_c, d_e))
+    # (c') sampled final-state distances on the physical frame C, read from
+    # T' itself: units[b, c] = Tr_S T'(|b><c| (x) sigma_C), from the Kraus
+    # stack of (a) indexed (K, k, l) with l the output index of C
+    ks = t_prime_s.kraus.reshape(-1, d_c, d_s, d_s)
+    units = np.einsum("nlab,nmac->bclm", ks, ks.conj())
     dists = _sampled_distances(_sample_system_states(d_s, samples, seed), units, sc.sigma_c)
     worst = float(dists.max())
     mean = float(np.mean(dists))
@@ -428,13 +433,10 @@ def phase_ladder_unitary(n_levels: int, theta: float) -> np.ndarray:
     d = 2 * n_levels
     u = np.eye(d, dtype=complex)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    for q in range(1, n_levels):
-        i_up = 0 * n_levels + q        # |0, q>
-        i_dn = 1 * n_levels + (q - 1)  # |1, q-1>
-        u[i_up, i_up] = c
-        u[i_dn, i_dn] = c
-        u[i_up, i_dn] = -1j * s
-        u[i_dn, i_up] = -1j * s
+    up = np.arange(1, n_levels)  # |0, q>
+    dn = n_levels + up - 1       # |1, q-1>
+    u[up, up] = u[dn, dn] = c
+    u[up, dn] = u[dn, up] = -1j * s
     return u
 
 

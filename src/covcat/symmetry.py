@@ -33,14 +33,12 @@ def is_symmetric_state(rho: np.ndarray, generators: Sequence[np.ndarray],
                        tol: float = STRUCT_TOL) -> tuple[bool, float]:
     """Whether a state commutes with every Hermitian generator.
 
-    Returns (verdict, worst commutator max-norm).
+    Returns (verdict, worst deviation), the deviation being the commutator
+    max-norm ``||rho X - X rho||_max`` relative to the generator by the rule
+    of `conservation_residuals`, so it does not grow with the scale of X.
     """
-    rho = as_square(rho)
-    worst = 0.0
-    for op in map(as_square, generators):
-        if op.shape != rho.shape:
-            raise DimensionError(f"operator dim {op.shape[0]} != state dim {rho.shape[0]}")
-        worst = max(worst, max_norm(rho @ op - op @ rho))
+    worst = max(conservation_residuals(as_square(rho), [[as_square(g) for g in generators]]),
+                default=0.0)
     return worst <= tol, worst
 
 

@@ -62,6 +62,18 @@ def dilated_frame_scenario(theta=np.pi / 2, n=4, d_e=2, mix=0.6, omega=None) -> 
         omega_e=omega)
 
 
+def rotated_environment(sc: FrameScenario, q: np.ndarray) -> FrameScenario:
+    """``sc`` with its environment leg turned by the unitary ``q``: the
+    environment state, its generators and the dynamics' E leg all move with it,
+    so the scenario stays covariant and its environment state symmetric."""
+    big = la.tensor(np.eye(sc.d_s * sc.d_c), q)
+    return FrameScenario(
+        unitary=big @ sc.unitary @ big.conj().T, sigma_c=sc.sigma_c, target=sc.target,
+        gens_s=sc.gens_s, gens_c=sc.gens_c,
+        gens_e=tuple(q @ g @ q.conj().T for g in sc.gens_e),
+        omega_e=q @ sc.omega_e @ q.conj().T)
+
+
 def shifted_superposition_mixture(n_levels: int, shift: float,
                                   weight: float = 0.5) -> np.ndarray:
     """Mixture of the uniform superposition and its time-translated copy."""

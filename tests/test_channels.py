@@ -217,6 +217,25 @@ def test_generator_covariance_matches_dense_oracle(d, rank, rng):
     assert not is_covariant(perturbed, [number], [number], tol=1e-9).covariant
 
 
+@pytest.mark.parametrize("scale", [1e7, 1e9])
+def test_rounding_of_a_scalar_generator_refutes_nothing(scale, rng):
+    # 1 in a Haar basis is scalar up to round-off, which x1e7 lifts above the
+    # tolerance; a Haar channel is refuted under diag(0, 1) in the same basis
+    q = la.random_unitary(2, rng)
+    t = Channel.from_unitary(la.random_unitary(2, rng))
+    scalar = scale * (q @ q.conj().T)
+    report = is_covariant(t, [scalar], [scalar], tol=1e-9)
+    assert report.worst_violation > 1e-9 and not report.covariant and not report.conclusive
+    number = scale * (q @ np.diag([0.0, 1.0]) @ q.conj().T)
+    report = is_covariant(t, [scalar, number], [scalar, number], tol=1e-9)
+    assert report.worst_violation > 1e-3 and not report.covariant and report.conclusive
+    # the bound is that of rounding, ~1e-14 here: a defect of ~1e-10 is a refutation
+    cov = Channel.from_unitary(q @ np.diag([1.0, 1j]) @ q.conj().T)
+    perturbed = _mix(cov, t, 1e-10)
+    report = is_covariant(perturbed, [number], [number], tol=1e-12)
+    assert 1e-12 < report.worst_violation < 1e-9 and report.conclusive
+
+
 def test_rectangular_generator_covariance_matches_dense_oracle(rng):
     g = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     q, _ = np.linalg.qr(g)

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from covcat import cli
 from covcat import linalg as la
@@ -16,7 +17,8 @@ from covcat.diamond import diamond_distance
 
 from covcat.refframe import phase_reference_scenario
 
-from conftest import dilated_frame_scenario, scale_generators
+from conftest import (dilated_frame_scenario, rotated_environment, scale_generators,
+                      shifted_superposition_mixture)
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +135,22 @@ def test_check_covariance_failure_exit_code(tmp_path):
     inp.write_text(json.dumps(problem))
     assert run_cli(["check-covariance", "--input", str(inp),
                     "--output", str(tmp_path / "r.json")]) == 1
+
+
+def test_check_covariance_within_the_generators_rounding_exits_3(tmp_path):
+    # 1e9 times the identity in a Haar basis: its round-off exceeds the
+    # tolerance, but refutes nothing
+    q = la.random_unitary(2, np.random.default_rng(3))
+    rep = {"type": "lie", "generators": [ser.matrix_to_json(1e9 * (q @ q.conj().T))]}
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    problem = {"channel": {"d_in": 2, "d_out": 2, "kraus": [ser.matrix_to_json(sx)]},
+               "rep_in": rep, "rep_out": rep}
+    inp, out = tmp_path / "cov.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps(problem))
+    assert run_cli(["check-covariance", "--input", str(inp), "--output", out]) == 3
+    result = read_report(out)["result"]
+    assert not result["covariant"] and not result["conclusive"]
+    assert result["worst_violation"] > result["tol"]
 
 
 @pytest.mark.parametrize("kraus, d_in, d_out", [
@@ -375,14 +393,109 @@ def test_recovery_verify_mixed_environment_input(tmp_path):
 @pytest.mark.parametrize("k", range(10))
 def test_recovery_verify_large_generators(k, tmp_path):
     # the frame is admitted relative to its generators, and the covariance of
-    # the recovered dynamics is judged on the same scale
-    sc = phase_reference_scenario(8, np.pi / 2)
-    inp, out = tmp_path / "frame.json", str(tmp_path / "r.json")
-    inp.write_text(frame_json(sc, 10.0 ** k))
-    assert run_cli(["recovery-verify", "--input", str(inp), "--samples", "20",
-                    "--output", out]) == 0
-    res = read_report(out)["result"]["report"]
-    assert res["passed"] and res["covariance_defect"] <= 1e-9
+    # the recovered dynamics is judged on the same scale; so is the symmetry
+    # of a mixed environment state whose commutators carry round-off, here
+    # one turned off the generators' eigenbasis
+    rotated = rotated_environment(dilated_frame_scenario(omega=np.diag([0.7, 0.3])),
+                                  la.random_unitary(2, np.random.default_rng(3)))
+    for sc in (phase_reference_scenario(8, np.pi / 2), rotated):
+        inp, out = tmp_path / "frame.json", str(tmp_path / "r.json")
+        inp.write_text(frame_json(sc, 10.0 ** k))
+        assert run_cli(["recovery-verify", "--input", str(inp), "--samples", "20",
+                        "--output", out]) == 0
+        res = read_report(out)["result"]["report"]
+        assert res["passed"] and res["covariance_defect"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# scaled generators: no verdict flips
+# ---------------------------------------------------------------------------
+
+def assert_no_flip(command, payload_at, tmp_path, *extra):
+    """Run ``command`` on the input ``payload_at(scale)`` at scale 1 and at
+    10^k for k = -6...9. Scaling every conserved quantity changes no symmetry,
+    so each exit code must be that of scale 1 or 3 (inconclusive); return the
+    exit code at scale 1."""
+    inp = tmp_path / "scaled.json"
+    codes = {}
+    for scale in [1.0] + [10.0 ** k for k in range(-6, 10)]:
+        inp.write_text(payload_at(scale))
+        codes[scale] = run_cli([command, "--input", str(inp), *extra])
+    flips = {scale: code for scale, code in codes.items() if code not in (codes[1.0], 3)}
+    assert not flips, (codes[1.0], flips)
+    return codes[1.0]
+
+
+scale_property = settings(max_examples=20, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@scale_property
+@given(d_s=st.integers(2, 3), d_c=st.integers(1, 3), m=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 16), violation=st.sampled_from([0.0, 0.5]))
+def test_scaled_scenarios_keep_their_verdict(d_s, d_c, m, seed, violation, tmp_path, capsys):
+    # a violated conservation law scales with the generators: refuted at every
+    # scale. Below unit size the residuals are judged absolutely (the floor of
+    # 1 in their denominator), so a violation under 1e-3 would pass at x1e-6
+    sc = shift_catalyst_generators(generate_admissible_scenario(d_s, d_c, m, seed=seed),
+                                   0.0, violation)
+    base = assert_no_flip("catalysis-verify",
+                          lambda s: json.dumps(scale_generators(sc, s).to_json()), tmp_path)
+    assert base == (1 if violation else 0)
+
+
+def charge_shifting_channel(levels, rank, rng):
+    """Random channel whose Kraus operators each shift the charge
+    ``diag(levels)`` by one fixed amount, so it is covariant under that
+    generator; operator 0 keeps the charge and makes the Kraus sum invertible."""
+    diff = np.subtract.outer(levels, levels)
+    shifts = [0.0] + list(rng.choice(np.unique(diff), size=rank - 1))
+    d = len(levels)
+    ks = np.array([(diff == t) * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                   for t in shifts])
+    gram = np.einsum("kji,kjl->il", ks.conj(), ks)
+    return ks @ la.hermitian_power(gram, -0.5)
+
+
+@scale_property
+@given(levels=st.lists(st.integers(0, 3), min_size=2, max_size=4), rank=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16), broken=st.booleans())
+def test_scaled_covariant_channels_keep_their_verdict(levels, rank, seed, broken, tmp_path,
+                                                      capsys):
+    # turned to a Haar basis, so that the generator and the Kraus operators
+    # carry round-off; a Haar unitary on the input side breaks covariance by
+    # O(1), which the absolute judgement below unit size still sees at x1e-6.
+    # Equal levels make the generator scalar up to that round-off: from x1e7
+    # on its defect exceeds the tolerance but not the generators' rounding
+    rng = np.random.default_rng(seed)
+    q = la.random_unitary(len(levels), rng)
+    ks = q @ charge_shifting_channel(np.array(levels, dtype=float), rank, rng) @ q.conj().T
+    if broken:
+        ks = ks @ la.random_unitary(len(levels), rng)
+    gen = q @ np.diag(np.array(levels, dtype=float)) @ q.conj().T
+
+    def payload(scale):
+        rep = {"type": "lie", "generators": [ser.matrix_to_json(scale * gen)]}
+        return json.dumps({"channel": {"d_in": len(levels), "d_out": len(levels),
+                                       "kraus": [ser.matrix_to_json(k) for k in ks]},
+                           "rep_in": rep, "rep_out": rep})
+
+    base = assert_no_flip("check-covariance", payload, tmp_path)
+    assert base == 0 or broken
+
+
+@scale_property
+@given(kind=st.sampled_from(["pure", "mixed", "dilated"]), n=st.integers(2, 6),
+       theta=st.floats(0.0, np.pi), mix=st.floats(0.0, 1.5), p=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_scaled_frames_keep_their_verdict(kind, n, theta, mix, p, seed, tmp_path, capsys):
+    if kind == "dilated":  # a mixed environment state, off the generators' eigenbasis
+        sc = rotated_environment(dilated_frame_scenario(theta, n, mix=mix, omega=np.diag([p, 1 - p])),
+                                 la.random_unitary(2, np.random.default_rng(seed)))
+    else:
+        sigma = shifted_superposition_mixture(n, mix, p) if kind == "mixed" else None
+        sc = phase_reference_scenario(n, theta, sigma_c=sigma)
+    assert_no_flip("recovery-verify", lambda s: frame_json(sc, s), tmp_path, "--samples", "10")
 
 
 def test_recovery_verify_large_ladder(tmp_path):

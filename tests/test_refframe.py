@@ -3,7 +3,8 @@ import pytest
 
 from covcat import linalg as la
 from covcat import refframe
-from covcat.channels import env_channel, hs_dual, is_covariant
+from covcat.channels import (Channel, CovarianceReport, env_channel, hs_dual, induced_channel,
+                             is_covariant)
 from covcat.diamond import DiamondResult
 from covcat.refframe import (
     FrameScenario,
@@ -16,7 +17,7 @@ from covcat.refframe import (
     recovery_channel,
     sweep_to_csv,
 )
-from covcat.refframe import _frame_isometry, _sample_system_states
+from covcat.refframe import _sample_system_states
 
 from conftest import dilated_frame_scenario, env_channel_loop, shifted_superposition_mixture
 
@@ -231,7 +232,7 @@ def test_purifier_left_untouched(rng):
     # the isometry is U (x) 1_C' applied to (. (x) phi): the purifier C' is never touched
     sigma = shifted_superposition_mixture(4, 0.3)
     sc = phase_reference_scenario(4, np.pi / 2, sigma_c=sigma)
-    m, phi = _frame_isometry(sc)
+    m, phi = sc.isometry
     assert len(phi) == 4 * 2  # the purifier copies the support of sigma_C, rank 2
     big, want = _isometry_oracle(sc, phi)
     np.testing.assert_allclose(m, want, rtol=0, atol=1e-14)
@@ -246,14 +247,14 @@ def test_purifier_left_untouched(rng):
     np.testing.assert_allclose(marg_in, marg_out, atol=1e-10)
     # a mixed environment is purified together with sigma_C
     dilated = dilated_frame_scenario(omega=np.diag([0.7, 0.3]))
-    m, phi = _frame_isometry(dilated)
+    m, phi = dilated.isometry
     assert len(phi) == 8 * 2
     np.testing.assert_allclose(m, _isometry_oracle(dilated, phi)[1], rtol=0, atol=1e-14)
     np.testing.assert_allclose(la.partial_trace(np.outer(phi, phi.conj()), [8, 2], [0]),
                                dilated.frame_state, rtol=0, atol=1e-14)
     # a pure frame is purified on a one-dimensional copy: the isometry is U(. (x) phi)
     pure = phase_reference_scenario(4, np.pi / 2)
-    m, phi = _frame_isometry(pure)
+    m, phi = pure.isometry
     top = np.linalg.eigh(pure.sigma_c)[1][:, -1]
     np.testing.assert_allclose(phi, top, rtol=0, atol=1e-14)
     np.testing.assert_allclose(m, _isometry_oracle(pure, phi)[1], rtol=0, atol=1e-14)
@@ -264,7 +265,7 @@ def test_distance_contracts_from_purified_to_physical_frame(rng):
     # purified-frame distance
     sigma = shifted_superposition_mixture(4, 0.25)
     sc = phase_reference_scenario(4, np.pi / 2, sigma_c=sigma)
-    m, phi = _frame_isometry(sc)
+    m, phi = sc.isometry
     d_v = len(phi)
     big, _ = _isometry_oracle(sc, phi)
     rec_pure = hs_dual(env_channel(big, np.eye(2) / 2, 2, d_v))
@@ -382,6 +383,41 @@ CHAIN_CASES = {
 
 
 @pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_induced_channel_from_isometry_matches_the_global_unitary(case):
+    # the slices of the frame isometry against the reduced dynamics of the
+    # unitary channel on all of S (x) C (x) E
+    sc = CHAIN_CASES[case]()
+    d_f = sc.d_c * sc.d_e
+    want = induced_channel(Channel.from_unitary(sc.unitary), sc.frame_state, sc.d_s, d_f)
+    np.testing.assert_allclose(sc.induced_system_channel().choi(), want.choi(),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d, samples, seed", [(2, 1, 0), (2, 2, 5), (3, 2, 1), (2, 30, 4),
+                                              (3, 24, 6), (4, 7, 11), (1, 3, 2)])
+def test_sampled_states_match_the_per_state_draws(d, samples, seed):
+    rng = np.random.default_rng(seed)
+    n_pure = min(samples, max(1, round(samples * 0.64)))
+    want = [la.random_pure_state(d, rng) for _ in range(n_pure)]
+    want += [la.random_density(d, rng) for _ in range(samples - n_pure)]
+    got = _sample_system_states(d, samples, seed)
+    assert got.shape == (samples, d, d)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ladder_unitary_matches_the_per_sector_loop(n):
+    theta = 0.83
+    want = np.eye(2 * n, dtype=complex)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    for q in range(1, n):
+        up, dn = q, n + q - 1  # |0, q> and |1, q-1>
+        want[up, up] = want[dn, dn] = c
+        want[up, dn] = want[dn, up] = -1j * s
+    np.testing.assert_array_equal(phase_ladder_unitary(n, theta), want)
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
 def test_tabulated_chain_matches_per_sample_oracle(case):
     sc = CHAIN_CASES[case]()
     _, report = catalytic_channel(sc, samples=30, seed=4)
@@ -401,7 +437,7 @@ def test_phase_ladder_extrema_sit_at_basis_inputs(n, theta):
     # at basis inputs of S, so they agree with a scan of |0> and |1>
     sc = phase_reference_scenario(n, theta)
     report = catalytic_channel(sc, samples=5, seed=4)[1]
-    m, _ = _frame_isometry(sc)
+    m, _ = sc.isometry
     wphi = report.drift.state
     cols = m - sc.target[:, None, :] * wphi[None, :, None]  # [a, v, b]
     sup2 = max(np.linalg.norm(cols[..., b]) ** 2 for b in range(2))
@@ -468,6 +504,16 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     _with_bracket(monkeypatch, eps, 1.0)
     _, report = catalytic_channel(sc, samples=30, seed=4)
     assert report.verdict == "passed" and report.passed
+
+
+def test_covariance_defect_within_rounding_is_inconclusive(monkeypatch):
+    sc = phase_reference_scenario(4, np.pi / 2)
+    for conclusive, verdict in ((False, "inconclusive"), (True, "failed")):
+        monkeypatch.setattr(refframe, "is_covariant",
+                            lambda *args, **kwargs: CovarianceReport(False, 2e-9, conclusive))
+        _, report = catalytic_channel(sc, samples=10, seed=4)
+        assert report.verdict == verdict
+        assert any("not covariant" in c for c in report.failures + report.inconclusive)
 
 
 @pytest.mark.parametrize("case", list(CHAIN_CASES))

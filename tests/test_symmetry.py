@@ -24,6 +24,20 @@ def test_symmetric_state_checks(rng):
     assert not ok and abs(dev - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9])
+def test_symmetric_state_judged_relative_to_the_generators(scale):
+    # off the eigenbasis the commutator carries round-off of the generator's
+    # size; divided by max(1, ||X - t 1||_max) it stays at machine precision
+    q = la.random_unitary(2, np.random.default_rng(3))
+    omega = q @ np.diag([0.7, 0.3]) @ q.conj().T
+    gen = scale * (q @ np.diag([0.0, 1.0]) @ q.conj().T)
+    ok, dev = sym.is_symmetric_state(omega, [gen], 1e-9)
+    assert ok and dev <= 1e-15
+    plus = np.ones((2, 2)) / 2
+    ok, dev = sym.is_symmetric_state(plus, [scale * SZ], 1e-9)
+    assert not ok and abs(dev - min(scale, 1.0)) <= 1e-12 * min(scale, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # finite groups
 # ---------------------------------------------------------------------------
