@@ -18,6 +18,8 @@ written atomically (temp file plus rename).
 from __future__ import annotations
 
 import argparse
+import functools
+import pickle
 import sys
 from datetime import datetime, timezone
 
@@ -87,7 +89,12 @@ def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
     check_keys(obj, ["channel", "rep_in", "rep_out"], where="input")
     channel = channel_from_json(obj["channel"])
     rep_in = _rep_from_spec(obj["rep_in"], "rep_in")
-    rep_out = _rep_from_spec(obj["rep_out"], "rep_out")
+    # An equal payload is validated once. Equal pickles also have equal types
+    # (== takes true and 1.0 for 1); pickles that differ for equal payloads
+    # only cost a second validation.
+    same = (obj["rep_out"] == obj["rep_in"]
+            and pickle.dumps(obj["rep_out"]) == pickle.dumps(obj["rep_in"]))
+    rep_out = rep_in if same else _rep_from_spec(obj["rep_out"], "rep_out")
     report = is_covariant(channel, rep_in, rep_out, tol=args.tol)
     result = {"covariant": report.covariant, "conclusive": report.conclusive,
               "worst_violation": report.worst_violation, "tol": args.tol}
@@ -289,7 +296,10 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every call returns
+    the same parser, so callers parse with it and leave it unchanged."""
     parser = argparse.ArgumentParser(
         prog="covcat",
         description="Covariant-channel toolbox: catalysis checks, trace-fingerprint "

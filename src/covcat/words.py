@@ -335,8 +335,11 @@ class UnitaryMatchResult:
     "inequivalent" (conclusive) or "inconclusive". ``nullity`` is the dimension
     of the intertwiner space; ``gap`` is (largest singular value counted as
     zero, smallest counted as non-zero) relative to the scale above, None
-    where that side is empty. ``unitary`` is the polar factor of the generic
-    intertwiner, None when the space is empty."""
+    where that side is empty. When the Frobenius bound of
+    `find_simultaneous_unitary` decides, no singular value is computed and
+    ``gap[0]`` is that bound, which is at least the largest one. ``unitary``
+    is the polar factor of the generic intertwiner, None when the space is
+    empty."""
 
     verdict: str
     unitary: np.ndarray | None
@@ -361,6 +364,20 @@ def conjugation_residual(u: np.ndarray, tuple_a, tuple_b) -> float:
     return max(max_norm(u @ a @ u.conj().T - b) for a, b in zip(tuple_a, tuple_b))
 
 
+def _constraint_norm(rep_a: np.ndarray, rep_b: np.ndarray,
+                     rows: np.ndarray, cols: np.ndarray) -> float:
+    """Frobenius norm of the constraint matrix whose column j stacks
+    ``E_j A_i - B_i E_j`` over i, for E_j the unit matrix at (rows[j], cols[j]),
+    without building it. That column holds row cols[j] of each A_i in row
+    rows[j], column rows[j] of each B_i in column cols[j], and their shared
+    entry ``A_i[cols[j], cols[j]] - B_i[rows[j], rows[j]]``."""
+    j = np.arange(len(rows))
+    a_sq, b_sq = np.abs(rep_a[:, cols]) ** 2, np.abs(rep_b[:, :, rows]) ** 2
+    a_sq[:, j, cols] = b_sq[:, rows, j] = 0.0  # counted once, in the shared entry
+    shared = rep_a[:, cols, cols] - rep_b[:, rows, rows]
+    return float(np.sqrt(a_sq.sum() + b_sq.sum() + (np.abs(shared) ** 2).sum()))
+
+
 def find_simultaneous_unitary(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndarray],
                               seed: int = 0, tol: float = 1e-8) -> UnitaryMatchResult:
     """Decide whether a unitary U with ``U A_i U^dag = B_i`` exists for
@@ -374,6 +391,12 @@ def find_simultaneous_unitary(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[n
     gives the nullspace; an empty one or a singular generic element is a
     conclusive inequivalence. Generic tuples leave d unknowns; the worst case,
     a combination that is a multiple of the identity, leaves all d^2.
+
+    Every singular value is at most the Frobenius norm of the constraint
+    matrix C, which costs O(k n d) for n unknowns. When ``||C||_F``, divided
+    by the scale of the thresholds below, is at most `RANK_TOL`, as for
+    tuples of commuting matrices, every singular value counts as zero: the
+    nullity is n, the QR and SVD are skipped, and ``gap[0]`` is that bound.
     """
     mats_a, mats_b = map(np.array, _hermitian_pair(tuple_a, tuple_b))
     d = mats_a.shape[1]
@@ -394,29 +417,34 @@ def find_simultaneous_unitary(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[n
     if not n:  # no eigenvalue of the combination for A matches one for B
         return UnitaryMatchResult("inequivalent", None, None, 0, (None, None))
     rep_a, rep_b = qa.conj().T @ mats_a @ qa, qb.conj().T @ mats_b @ qb
-    # Column j of the constraint matrix stacks E A'_i - B'_i E over i, for E
-    # the unit matrix at (rows[j], cols[j]). Its rows are folded, about n at a
-    # time, into the triangular factor of a QR, which has the same singular
-    # values and right singular vectors: memory stays O(n^2), not O(k d^2 n).
-    e_rows, e_cols, a_rows = np.eye(d)[:, rows], np.eye(d)[:, cols], rep_a[:, cols]
-    r = np.zeros((0, n), dtype=complex)
-    step = max(1, n // d)
-    for lo in range(0, d, step):
-        block = (np.einsum("an,inb->iabn", e_rows[lo:lo + step], a_rows)
-                 - np.einsum("ian,bn->iabn", rep_b[:, lo:lo + step][..., rows], e_cols))
-        r = np.linalg.qr(np.vstack([r, block.reshape(-1, n)]), mode="r")
-    _, sv, vh = np.linalg.svd(r)
-    sv /= unit
-    nullity = int(np.count_nonzero(sv <= RANK_TOL))
-    gap = (float(sv[-1]) if nullity else None,
-           float(sv[-nullity - 1]) if nullity < len(sv) else None)
+    bound = _constraint_norm(rep_a, rep_b, rows, cols) / unit
+    if bound <= RANK_TOL:  # sigma_max <= ||C||_F: the identity is a nullspace basis
+        nullity, gap, null = n, (bound, None), None
+    else:
+        # Column j of the constraint matrix stacks E A'_i - B'_i E over i, for E
+        # the unit matrix at (rows[j], cols[j]). Its rows are folded, about n at
+        # a time, into the triangular factor of a QR, which has the same singular
+        # values and right singular vectors: memory stays O(n^2), not O(k d^2 n).
+        e_rows, e_cols, a_rows = np.eye(d)[:, rows], np.eye(d)[:, cols], rep_a[:, cols]
+        r = np.zeros((0, n), dtype=complex)
+        step = max(1, n // d)
+        for lo in range(0, d, step):
+            block = (np.einsum("an,inb->iabn", e_rows[lo:lo + step], a_rows)
+                     - np.einsum("ian,bn->iabn", rep_b[:, lo:lo + step][..., rows], e_cols))
+            r = np.linalg.qr(np.vstack([r, block.reshape(-1, n)]), mode="r")
+        _, sv, vh = np.linalg.svd(r)
+        sv /= unit
+        nullity = int(np.count_nonzero(sv <= RANK_TOL))
+        gap = (float(sv[-nullity]) if nullity else None,
+               float(sv[-nullity - 1]) if nullity < len(sv) else None)
+        null = vh[len(sv) - nullity:].conj()
     clear = gap[1] is None or gap[1] > CLUSTER_TOL
     if nullity == 0:
         return UnitaryMatchResult("inequivalent" if clear else "inconclusive", None, None, 0, gap)
 
     weights = rng.standard_normal(nullity) + 1j * rng.standard_normal(nullity)
     x = np.zeros((d, d), dtype=complex)
-    x[rows, cols] = weights @ vh[-nullity:].conj()
+    x[rows, cols] = weights if null is None else weights @ null
     left, sx, right = np.linalg.svd(x)
     u = qb @ left @ right @ qa.conj().T
     res = conjugation_residual(u, mats_a, mats_b)

@@ -16,6 +16,7 @@ from covcat.cli import main
 from covcat.diamond import diamond_distance
 
 from covcat.refframe import phase_reference_scenario
+from covcat.symmetry import standard_representation
 
 from conftest import (dilated_frame_scenario, rotated_environment, scale_generators,
                       shifted_superposition_mixture)
@@ -630,6 +631,57 @@ def test_check_covariance_rejects_malformed_group_tables(entry, tmp_path, capsys
     assert err.startswith(expected) and "Traceback" not in err
 
 
+def s3_problem(rep_out_keys_reversed=False):
+    """A non-covariant S3 channel with equal rep_in and rep_out payloads, the
+    second either the same object or a copy with its keys in reverse order."""
+    rep = {"type": "finite", **ser.rep_to_json(standard_representation(3))}
+    u = la.random_unitary(2, np.random.default_rng(6))
+    rep_out = dict(reversed(list(rep.items()))) if rep_out_keys_reversed else rep
+    return {"channel": {"d_in": 2, "d_out": 2, "kraus": [ser.matrix_to_json(u)]},
+            "rep_in": rep, "rep_out": rep_out}
+
+
+def test_check_covariance_validates_an_equal_rep_out_once(tmp_path, monkeypatch):
+    specs = []
+    rep_from_spec = cli._rep_from_spec
+    monkeypatch.setattr(cli, "_rep_from_spec",
+                        lambda obj, where: specs.append(where) or rep_from_spec(obj, where))
+    results = []
+    for reversed_keys, validated in ((False, ["rep_in"]), (True, ["rep_in", "rep_out"])):
+        inp, out = tmp_path / "cov.json", str(tmp_path / "r.json")
+        inp.write_text(json.dumps(s3_problem(reversed_keys)))
+        specs.clear()
+        assert run_cli(["check-covariance", "--input", str(inp), "--output", out]) == 1
+        assert specs == validated
+        results.append(read_report(out)["result"])
+    assert results[0] == results[1] and results[0]["worst_violation"] > 1e-3
+
+
+@pytest.mark.parametrize("fault", ["bool-table-entry", "extra-key", "bool-generator-entry"])
+def test_check_covariance_malformed_rep_out_alone_is_refused(fault, tmp_path, capsys):
+    problem = s3_problem()
+    if fault == "bool-generator-entry":  # true == 1.0, so the payloads compare equal
+        sz = ser.matrix_to_json(np.diag([1.0, -1.0]))
+        problem["rep_in"] = {"type": "lie", "generators": [sz]}
+        problem["rep_out"] = {"type": "lie", "generators": [json.loads(json.dumps(sz))]}
+        problem["rep_out"]["generators"][0]["data"][0][0] = True
+        expected = "error: rep_out.generators[0]"
+    else:
+        problem["rep_out"] = json.loads(json.dumps(problem["rep_in"]))
+        if fault == "bool-table-entry":  # true == 1, so the payloads compare equal
+            table = problem["rep_out"]["group"]["table"]
+            table[0][table[0].index(1)] = True
+            expected = "error: group"
+        else:
+            problem["rep_out"]["extra"] = 0
+            expected = "error: rep_out"
+    inp = tmp_path / "cov.json"
+    inp.write_text(json.dumps(problem))
+    assert run_cli(["check-covariance", "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and "Traceback" not in err
+
+
 class ReadRecorder(argparse.Namespace):
     """Namespace that records the name of every attribute read from it."""
 
@@ -681,6 +733,41 @@ def test_every_declared_flag_is_read(command, tmp_path):
         declared |= set(vars(args)) - {"_read"}
         read |= args._read
     assert declared - exempt <= read
+
+
+def test_cached_parser_is_reused_without_leaks(tmp_path, rng):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    mats = [la.random_hermitian(2, rng) for _ in range(2)]
+    problem = tmp_path / "tuples.json"
+    problem.write_text(json.dumps({"tuple_a": [ser.matrix_to_json(m) for m in mats],
+                                   "tuple_b": [ser.matrix_to_json(m) for m in mats]}))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(generate_admissible_scenario(2, 2, 1, seed=0).to_json()))
+    out = str(tmp_path / "r.json")
+    # through main: two commands, a usage error, a third command
+    assert run_cli(["wiegmann-equiv", "--input", str(problem), "--seed", "5",
+                    "--tol", "1e-3", "--output", out]) == 0
+    assert read_report(out)["config"] == {"input": str(problem), "seed": 5, "tol": 1e-3}
+    assert run_cli(["find-intertwiner", "--input", str(scenario), "--output", out]) == 0
+    assert read_report(out)["config"] == {"input": str(scenario), "seed": 0}
+    with pytest.raises(SystemExit):
+        run_cli(["recovery-verify", "--N", "0"])
+    assert run_cli(["check-covariance", "--input", str(tmp_path / "missing.json")]) == 2
+    assert run_cli(["wiegmann-equiv", "--input", str(problem), "--output", out]) == 0
+    assert read_report(out)["config"] == {"input": str(problem), "seed": 0, "tol": 1e-9}
+    # namespaces hold their own command's flags, with fresh defaults
+    first = parser.parse_args(["refframe-sweep", "--seed", "7"])
+    assert vars(first).keys() == {"command", "handler", "output", "seed", "levels_list",
+                                  "theta", "samples"}
+    first.levels_list.append(99)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["refframe-sweep", "--Ns", "0"])
+    second = parser.parse_args(["refframe-sweep"])
+    assert second.levels_list == [2, 4, 8, 16] and second.levels_list is not first.levels_list
+    assert second.seed == 0 and second.theta == np.pi / 2
+    third = parser.parse_args(["demo-appendix"])
+    assert vars(third).keys() == {"command", "handler", "output", "seed"}
 
 
 def test_reports_byte_identical_modulo_metadata(tmp_path, rng):

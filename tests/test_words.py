@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from covcat import linalg as la
 from covcat.catalysis import rank_condition_counterexample
+from covcat import words
 from covcat.words import (
+    CLUSTER_TOL,
     RANK_TOL,
     EquivalenceConfig,
     Word,
@@ -379,19 +381,23 @@ def test_failure_reported_for_inequivalent_tuples():
 
 def _dense_commutant_decision(tuple_a, tuple_b, rng):
     """Oracle: nullity of the unrestricted stacked (1 (x) A_i^T - B_i (x) 1)
-    on row-major vec(X), at the solver's rank threshold, and whether a
-    generic element of that nullspace is invertible."""
+    on row-major vec(X), at the solver's rank threshold, whether a generic
+    element of that nullspace is invertible, and whether the smallest
+    singular value above the threshold also clears `CLUSTER_TOL` (or none
+    is left)."""
     d = tuple_a[0].shape[0]
     stacked = np.concatenate([np.kron(np.eye(d), a.T) - np.kron(b, np.eye(d))
                               for a, b in zip(tuple_a, tuple_b)])
     unit = d * max(np.linalg.norm(m, 2) for m in (*tuple_a, *tuple_b))
     _, sv, vh = np.linalg.svd(stacked)
-    null = vh[sv / unit <= RANK_TOL]
+    sv /= unit
+    null, nonzero = vh[sv <= RANK_TOL], sv[sv > RANK_TOL]
+    clear = not len(nonzero) or nonzero.min() > CLUSTER_TOL
     if not len(null):
-        return 0, False
+        return 0, False, clear
     weights = rng.standard_normal(len(null)) + 1j * rng.standard_normal(len(null))
     sx = np.linalg.svd((weights @ null.conj()).reshape(d, d), compute_uv=False)
-    return len(null), sx[-1] > 1e-6 * sx[0]
+    return len(null), sx[-1] > 1e-6 * sx[0], clear
 
 
 def _oracle_cases(rng):
@@ -426,12 +432,100 @@ def _oracle_cases(rng):
 def test_solver_agrees_with_dense_commutant_oracle():
     rng = np.random.default_rng(5)
     for name, a, b in _oracle_cases(rng):
-        nullity, invertible = _dense_commutant_decision(a, b, rng)
+        nullity, invertible, _ = _dense_commutant_decision(a, b, rng)
         match = find_simultaneous_unitary(a, b, seed=3)
         assert match.nullity == nullity, (name, match.nullity, nullity)
         assert match.verdict == ("equivalent" if invertible else "inequivalent"), name
         if match.success:
             assert match.residual <= 1e-12, name
+
+
+def _dense_constraints(rep_a, rep_b, rows, cols):
+    """Oracle: the constraint matrix of the solver, built column by column
+    from explicit unit matrices E_j at (rows[j], cols[j])."""
+    d = rep_a.shape[1]
+    columns = []
+    for r, c in zip(rows, cols):
+        e = np.zeros((d, d))
+        e[r, c] = 1.0
+        columns.append(np.concatenate([(e @ a - b @ e).ravel() for a, b in zip(rep_a, rep_b)]))
+    return np.array(columns).T
+
+
+def test_constraint_norm_matches_dense_build():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        d, k = 2 + trial % 7, 1 + trial % 3
+        q = la.random_unitary(d, rng)
+        if trial % 3 == 0:  # commuting: diagonal up to the round-off of a basis change
+            diag = rng.standard_normal((k, d))
+            rep_a = rep_b = np.array([q.conj().T @ ((q * w) @ q.conj().T) @ q for w in diag])
+        else:
+            rep_a = np.array([la.random_hermitian(d, rng) for _ in range(k)])
+            rep_b = np.array([q @ a @ q.conj().T for a in rep_a])
+        # cluster labels as the solver draws them; one cluster leaves all d^2 unknowns
+        clusters = 1 if trial % 5 == 0 else 1 + trial % d
+        label_a, label_b = rng.integers(0, clusters, d), rng.integers(0, clusters, d)
+        rows, cols = np.nonzero(label_b[:, None] == label_a)
+        dense = np.linalg.norm(_dense_constraints(rep_a, rep_b, rows, cols))
+        fast = words._constraint_norm(rep_a, rep_b, rows, cols)
+        assert abs(fast - dense) <= 1e-12 * dense, (trial, fast, dense)
+
+
+def _commuting_tuple(d, k, rng):
+    q = la.random_unitary(d, rng)
+    return [(q * rng.standard_normal(d)) @ q.conj().T for _ in range(k)]
+
+
+def test_frobenius_shortcut_agrees_with_dense_svd(monkeypatch):
+    rng = np.random.default_rng(13)
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(1) or qr(*a, **kw))
+    # (name, tuple_a, tuple_b, whether the Frobenius bound decides); None when
+    # the spectra of the combinations may share no cluster, so neither runs
+    cases = []
+    for d in (2, 5, 8):
+        a = _commuting_tuple(d, 2, rng)
+        u = la.random_unitary(d, rng)
+        cases.append((f"commuting-{d}", a, [u @ x @ u.conj().T for x in a], True))
+        b = [u @ x @ u.conj().T for x in a]
+        v = np.linalg.eigh(b[0])[1][:, :1]  # a shared eigenvector: b stays commuting
+        b[1] = b[1] + 1e-2 * (v @ v.conj().T)
+        cases.append((f"commuting-mismatch-{d}", a, b, None))
+        a = [la.random_hermitian(d, rng) for _ in range(2)]
+        cases.append((f"non-commuting-{d}", a, [u @ x @ u.conj().T for x in a], False))
+    scalars = [2.0 * np.eye(4), -0.5 * np.eye(4)]
+    cases.append(("scalar", scalars, list(scalars), True))  # n = d^2 = 16
+    cases.append(("scalar-mismatch", scalars, [2.0 * np.eye(4), 0.5 * np.eye(4)], None))
+    for name, a, b, decided in cases:
+        nullity, invertible, clear = _dense_commutant_decision(a, b, rng)
+        qr_calls.clear()
+        match = find_simultaneous_unitary(a, b, seed=4)
+        assert decided is None or (not qr_calls) == decided, name
+        assert match.nullity == nullity, (name, match.nullity, nullity)
+        assert match.verdict == ("equivalent" if invertible else "inequivalent"), name
+        assert (match.gap[1] is None or match.gap[1] > CLUSTER_TOL) == clear, name
+        if decided:
+            assert match.gap[0] <= RANK_TOL and match.gap[1] is None, name
+        if match.success:
+            assert match.residual <= 1e-12, name
+
+
+def test_gap_reports_the_largest_singular_value_counted_as_zero(rng):
+    # Eigenvalues 1 and 1 + 1e-8 share a cluster. Each defect 1e-8 / (d * 3)
+    # is below RANK_TOL, but the Frobenius norm of two of them is not, so
+    # the QR fold decides a nullity of 8 with two non-zero singular values.
+    a = np.diag([1.0, 1.0 + 1e-8, 3.0, 3.0]).astype(complex)
+    u = la.random_unitary(4, rng)
+    match = find_simultaneous_unitary([a], [u @ a @ u.conj().T])
+    assert match.nullity == 8
+    stacked = np.kron(np.eye(4), a.T) - np.kron(u @ a @ u.conj().T, np.eye(4))
+    sv = np.linalg.svd(stacked, compute_uv=False) / (4 * 3.0)
+    largest_zero = sv[sv <= RANK_TOL].max()
+    assert largest_zero > 0.5 * RANK_TOL
+    assert abs(match.gap[0] - largest_zero) <= 1e-6 * largest_zero
+    assert match.gap[1] is None
 
 
 def test_counterexample_triple_has_empty_nullspace():
