@@ -33,7 +33,7 @@ from .linalg import (
     require_unitary,
     support_factor,
 )
-from .symmetry import FiniteGroupRep, generator_scale
+from .symmetry import FiniteGroupRep, generator_scale, require_same_group
 
 CHANNEL_TOL = 1e-9  # trace preservation tolerance
 
@@ -182,6 +182,7 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
     if isinstance(rep_in, FiniteGroupRep) or isinstance(rep_out, FiniteGroupRep):
         if not (isinstance(rep_in, FiniteGroupRep) and isinstance(rep_out, FiniteGroupRep)):
             raise DomainError("mixed finite/Lie representation pair")
+        require_same_group(rep_in, rep_out)
         if rep_in.dim != t.d_in or rep_out.dim != t.d_out:
             raise DimensionError("representation dims do not match channel dims")
         for w_in, w_out in zip(rep_in.images, rep_out.images):
@@ -212,6 +213,7 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
 
 def twirl(t: Channel, rep_in: FiniteGroupRep, rep_out: FiniteGroupRep) -> Channel:
     """Group average of a channel; the result is covariant by construction."""
+    require_same_group(rep_in, rep_out)
     if rep_in.dim != t.d_in or rep_out.dim != t.d_out:
         raise DimensionError("representation dims do not match channel dims")
     w_in, w_out = np.array(rep_in.images)[:, None], np.array(rep_out.images)[:, None]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import pickle
 import sys
 from datetime import datetime, timezone
 
@@ -89,12 +88,7 @@ def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
     check_keys(obj, ["channel", "rep_in", "rep_out"], where="input")
     channel = channel_from_json(obj["channel"])
     rep_in = _rep_from_spec(obj["rep_in"], "rep_in")
-    # An equal payload is validated once. Equal pickles also have equal types
-    # (== takes true and 1.0 for 1); pickles that differ for equal payloads
-    # only cost a second validation.
-    same = (obj["rep_out"] == obj["rep_in"]
-            and pickle.dumps(obj["rep_out"]) == pickle.dumps(obj["rep_in"]))
-    rep_out = rep_in if same else _rep_from_spec(obj["rep_out"], "rep_out")
+    rep_out = _rep_from_spec(obj["rep_out"], "rep_out")
     report = is_covariant(channel, rep_in, rep_out, tol=args.tol)
     result = {"covariant": report.covariant, "conclusive": report.conclusive,
               "worst_violation": report.worst_violation, "tol": args.tol}

@@ -95,8 +95,14 @@ def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]
 class FiniteGroup:
     """Finite group given by its multiplication table ``table[x, y] = x*y``.
 
-    The constructor validates the Latin-square property, the identity and
-    associativity (row by row, O(n^2) memory); the inverses follow from these.
+    The constructor validates the Latin-square property and the identity,
+    derives ``generators`` greedily (each is the first element that right
+    products of the earlier ones, starting from the identity, do not reach)
+    and checks associativity by Light's test at each generator a only:
+    ``(x a) y`` against ``x (a y)`` for all x, y. The elements that pass are
+    closed under the product and include the identity and the generators,
+    which reach every element, so the test is exact. The inverses follow
+    from these laws.
     """
 
     def __init__(self, table: np.ndarray, labels: tuple[str, ...] | None = None):
@@ -118,18 +124,25 @@ class FiniteGroup:
         if not neutral.any():
             raise DomainError("multiplication table has no identity element")
         identity = int(np.argmax(neutral))
-        for x in range(n):
-            # (x*y)*z against x*(y*z) for every y, z at once, O(n^2) memory
-            bad = np.argwhere(table[table[x]] != table[x][table])
+        generators = []
+        reached = idx == identity
+        while not reached.all():
+            generators.append(int(np.argmin(reached)))
+            while not reached[products := table[np.ix_(reached, generators)]].all():
+                reached[products] = True
+        for a in generators:
+            # (x*a)*y against x*(a*y) for every x, y at once, O(n^2) memory
+            bad = np.argwhere(table[table[:, a]] != table[:, table[a]])
             if bad.size:
-                y, z = bad[0]
-                raise DomainError(f"multiplication table is not associative at ({x},{y},{z})")
+                x, y = bad[0]
+                raise DomainError(f"multiplication table is not associative at ({x},{a},{y})")
         # the laws above make a group, so row x holds the identity once, at x's inverse
         inverse = np.argmax(table == identity, axis=1)
         self.table = table
         self.order = n
         self.identity = identity
         self.inverse = inverse
+        self.generators = tuple(generators)
         self.labels = labels
 
     def mul(self, x: int, y: int) -> int:
@@ -160,9 +173,10 @@ class FiniteGroup:
 class FiniteGroupRep:
     """Unitary representation of a finite group: one image per element.
 
-    Projective representations are rejected: if the images only satisfy the
-    homomorphism law up to a phase, the constructor raises instead of picking
-    a cocycle convention.
+    The homomorphism law ``W(x) W(y) = W(x y)`` is checked for every y at the
+    identity and at each of ``group.generators``. Projective representations
+    are rejected: if the images only satisfy the homomorphism law up to a
+    phase, the constructor raises instead of picking a cocycle convention.
     """
 
     def __init__(self, group: FiniteGroup, images: Sequence[np.ndarray]):
@@ -173,7 +187,8 @@ class FiniteGroupRep:
         if any(w.shape[0] != d for w in images):
             raise DimensionError("representation images have mixed dimensions")
         stack = np.array(images)
-        for x in range(group.order):
+        # the elements x that pass are closed under the product and reach the group
+        for x in (group.identity, *group.generators):
             # W(x) W(y) against W(x*y) for every y at once, O(n d^2) memory
             lhs_row = images[x] @ stack
             bad = np.flatnonzero(np.abs(lhs_row - stack[group.table[x]]).max(axis=(1, 2))
@@ -215,8 +230,15 @@ def trivial_rep(group: FiniteGroup, dim: int = 1) -> FiniteGroupRep:
     return FiniteGroupRep(group, [np.eye(dim, dtype=complex)] * group.order)
 
 
-def tensor_rep(a: FiniteGroupRep, b: FiniteGroupRep) -> FiniteGroupRep:
+def require_same_group(a: FiniteGroupRep, b: FiniteGroupRep) -> None:
+    """Raise ``DomainError`` unless a and b represent the same group: the same
+    object or an equal multiplication table."""
     if a.group is not b.group and not np.array_equal(a.group.table, b.group.table):
-        raise DomainError("tensor_rep requires representations of the same group")
+        raise DomainError(f"representations of different groups: the tables of order "
+                          f"{a.group.order} and {b.group.order} differ")
+
+
+def tensor_rep(a: FiniteGroupRep, b: FiniteGroupRep) -> FiniteGroupRep:
+    require_same_group(a, b)
     return FiniteGroupRep(a.group, [tensor(wa, wb) for wa, wb in zip(a.images, b.images)])
 

@@ -5,7 +5,7 @@ from covcat import linalg as la
 from covcat.catalysis import CatalysisScenario
 from covcat.channels import Channel
 from covcat.refframe import FrameScenario, phase_ladder_unitary
-from covcat.symmetry import standard_representation
+from covcat.symmetry import FiniteGroup, FiniteGroupRep, standard_representation, trivial_rep
 
 
 @pytest.fixture
@@ -96,6 +96,19 @@ def scale_generators(sc: CatalysisScenario, scale: float) -> CatalysisScenario:
 def s3_standard_images():
     """S3 as permutation matrices restricted to the plane orthogonal to (1,1,1)."""
     return list(standard_representation(3).images)
+
+
+# Qubit representations of groups other than S3: of order 1, of order 2, and
+# of S3's order 6 with another (cyclic) table.
+OTHER_GROUPS = ["C1", "Z2", "Z6"]
+
+
+def other_group_qubit_rep(name: str) -> FiniteGroupRep:
+    if name == "C1":
+        return trivial_rep(FiniteGroup.cyclic(1), 2)
+    n = int(name[1:])
+    return FiniteGroupRep(FiniteGroup.cyclic(n),
+                          [np.diag([1.0, np.exp(2j * np.pi * k / n)]) for k in range(n)])
 
 
 # Per-operator reference constructions, one Kraus operator (or column) at a

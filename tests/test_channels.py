@@ -16,9 +16,11 @@ from covcat.channels import (
 )
 
 from conftest import (
+    OTHER_GROUPS,
     compose_loop,
     depolarizing_loop,
     env_channel_loop,
+    other_group_qubit_rep,
     random_channel,
     tensor_channels_loop,
     twirl_loop,
@@ -140,6 +142,17 @@ def test_twirl_is_covariant(rng):
     averaged = twirl(raw, rep, rep)
     assert is_covariant(averaged, rep, rep).covariant
     assert not is_covariant(raw, rep, rep).covariant
+
+
+@pytest.mark.parametrize("other", OTHER_GROUPS)
+def test_representations_of_different_groups_are_refused(other):
+    s3, rep = sym.standard_representation(3), other_group_qubit_rep(other)
+    for rep_in, rep_out in ((s3, rep), (rep, s3)):
+        for build in (twirl, is_covariant):
+            with pytest.raises(la.DomainError, match="different groups"):
+                build(Channel.identity(2), rep_in, rep_out)
+        with pytest.raises(la.DomainError, match="different groups"):
+            sym.tensor_rep(rep_in, rep_out)
 
 
 def test_covariance_closed_under_compose_and_tensor(rng):

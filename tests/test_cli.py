@@ -18,8 +18,8 @@ from covcat.diamond import diamond_distance
 from covcat.refframe import phase_reference_scenario
 from covcat.symmetry import standard_representation
 
-from conftest import (dilated_frame_scenario, rotated_environment, scale_generators,
-                      shifted_superposition_mixture)
+from conftest import (OTHER_GROUPS, dilated_frame_scenario, other_group_qubit_rep,
+                      rotated_environment, scale_generators, shifted_superposition_mixture)
 
 
 @pytest.fixture(autouse=True)
@@ -641,20 +641,33 @@ def s3_problem(rep_out_keys_reversed=False):
             "rep_in": rep, "rep_out": rep_out}
 
 
-def test_check_covariance_validates_an_equal_rep_out_once(tmp_path, monkeypatch):
+def test_check_covariance_reads_each_representation_once(tmp_path, monkeypatch):
     specs = []
     rep_from_spec = cli._rep_from_spec
     monkeypatch.setattr(cli, "_rep_from_spec",
                         lambda obj, where: specs.append(where) or rep_from_spec(obj, where))
     results = []
-    for reversed_keys, validated in ((False, ["rep_in"]), (True, ["rep_in", "rep_out"])):
+    for reversed_keys in (False, True):
         inp, out = tmp_path / "cov.json", str(tmp_path / "r.json")
         inp.write_text(json.dumps(s3_problem(reversed_keys)))
         specs.clear()
         assert run_cli(["check-covariance", "--input", str(inp), "--output", out]) == 1
-        assert specs == validated
+        assert specs == ["rep_in", "rep_out"]
         results.append(read_report(out)["result"])
     assert results[0] == results[1] and results[0]["worst_violation"] > 1e-3
+
+
+@pytest.mark.parametrize("other", OTHER_GROUPS)
+def test_check_covariance_refuses_representations_of_different_groups(other, tmp_path, capsys):
+    # the identity channel commutes with every pair of images that zip could pair up
+    problem = s3_problem()
+    problem["channel"]["kraus"] = [ser.matrix_to_json(np.eye(2))]
+    problem["rep_out"] = {"type": "finite", **ser.rep_to_json(other_group_qubit_rep(other))}
+    inp = tmp_path / "cov.json"
+    inp.write_text(json.dumps(problem))
+    assert run_cli(["check-covariance", "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: representations of different groups") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fault", ["bool-table-entry", "extra-key", "bool-generator-entry"])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -81,8 +82,10 @@ def test_non_associative_table_names_first_failing_triple():
     # no group of order 5 has that, so associativity must fail
     table = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                       [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
-    first = next((x, y, z) for x, y, z in itertools.product(range(5), repeat=3)
-                 if table[table[x, y], z] != table[x, table[y, z]])
+    # Light's test: the first failing (x, y) at the first failing generator a
+    first = next((x, a, y) for a in _loop_generators(table)
+                 for x, y in itertools.product(range(5), repeat=2)
+                 if table[table[x, a], y] != table[x, table[a, y]])
     expected = rf"not associative at \({first[0]},{first[1]},{first[2]}\)"
     with pytest.raises(la.DomainError, match=expected):
         sym.FiniteGroup(table)
@@ -116,6 +119,34 @@ def _loop_group(table):
             raise la.DomainError(f"element {x} has no two-sided inverse")
         inverse[x] = hits[0]
     return identity, inverse
+
+
+def _loop_generators(table):
+    """Greedy generators of a table with a two-sided identity, by Python sets:
+    each is the first element that right products of the earlier ones,
+    starting from the identity, do not reach."""
+    n = len(table)
+    identity = next(e for e in range(n)
+                    if all(table[e][y] == y and table[y][e] == y for y in range(n)))
+    generators, reached = [], {identity}
+    while len(reached) < n:
+        generators.append(min(set(range(n)) - reached))
+        frontier = set(reached)
+        while frontier:
+            frontier = {int(table[x][a]) for x in frontier for a in generators} - reached
+            reached |= frontier
+    return tuple(generators)
+
+
+def _word_lengths(table, identity, generators):
+    """Breadth-first: the least number of generators whose right products
+    from the identity reach each element."""
+    lengths, frontier = {identity: 0}, {identity}
+    for length in itertools.count(1):
+        frontier = {int(table[x][a]) for x in frontier for a in generators} - lengths.keys()
+        if not frontier:
+            return lengths
+        lengths.update(dict.fromkeys(frontier, length))
 
 
 def _loop_symmetric(n):
@@ -181,30 +212,50 @@ def _raised(build, table):
     return None
 
 
+NON_ASSOCIATIVE = re.compile(r"not associative at \((\d+),(\d+),(\d+)\)$")
+
+
+def _assert_fails_like_the_loops(table):
+    """`FiniteGroup` violates the law `_loop_group` violates, with its message.
+    For associativity the triple may differ: Light's test names a triple
+    (x, a, y) with a a generator, which must fail in the table."""
+    table = np.asarray(table)
+    want = _raised(_loop_group, table)
+    assert want is not None
+    got = _raised(sym.FiniteGroup, table)
+    assert got is not None and got[0] == want[0]
+    named = NON_ASSOCIATIVE.search(got[1])
+    assert NON_ASSOCIATIVE.sub("", got[1]) == NON_ASSOCIATIVE.sub("", want[1])
+    if named:
+        x, a, y = map(int, named.groups())
+        assert table[table[x, a], y] != table[x, table[a, y]]
+        assert a in _loop_generators(table)
+
+
 @pytest.mark.parametrize("kind", ["entry", "entry-swap", "column-swap", "row-swap",
                                   "intercalate"])
 @pytest.mark.parametrize("n", [4, 5])
 def test_corrupted_relabelled_tables_fail_like_the_loops(n, kind, rng):
     good = sym.FiniteGroup.symmetric(n).table
     for _ in range(3):
-        table = _corrupted(_relabelled(good, rng.permutation(len(good))), kind, rng)
-        want = _raised(_loop_group, table)
-        assert want is not None
-        assert _raised(sym.FiniteGroup, table) == want
+        _assert_fails_like_the_loops(
+            _corrupted(_relabelled(good, rng.permutation(len(good))), kind, rng))
 
 
 @pytest.mark.parametrize("table", [
     # order-5 Latin square with identity 0 whose elements all square to 0
     [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    # order-6 loop with generators (1, 2) that passes Light's test at 1, fails it at 2
+    [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1], [3, 2, 5, 4, 1, 0],
+     [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]],
     [[0, 2, 1], [2, 1, 0], [1, 0, 2]],  # x*y = -x-y mod 3: Latin, no identity
     [[0, 1, 2], [2, 0, 1], [1, 2, 0]],  # x*y = y-x mod 3: a left identity only
     [[0, 1, 2], [1, 2, 0], [2, 0, 0]],
     [[0, 1], [1, 2]],
-], ids=["non-associative-5", "no-identity", "left-identity", "not-latin", "out-of-range"])
+], ids=["non-associative-5", "non-associative-6", "no-identity", "left-identity", "not-latin",
+        "out-of-range"])
 def test_small_bad_tables_fail_like_the_loops(table):
-    want = _raised(_loop_group, table)
-    assert want is not None
-    assert _raised(sym.FiniteGroup, table) == want
+    _assert_fails_like_the_loops(table)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -222,7 +273,10 @@ def _groups():
             sym.FiniteGroup(_relabelled(s4, rng.permutation(24))), sym.FiniteGroup.symmetric(5)]
 
 
-@pytest.mark.parametrize("g", _groups(), ids=["C1", "C6", "S3", "S4-relabelled", "S5"])
+GROUP_IDS = ["C1", "C6", "S3", "S4-relabelled", "S5"]
+
+
+@pytest.mark.parametrize("g", _groups(), ids=GROUP_IDS)
 def test_group_data_match_the_loops(g):
     identity, inverse = _loop_group(g.table)
     assert g.identity == identity
@@ -232,7 +286,15 @@ def test_group_data_match_the_loops(g):
     assert (g.table[g.inverse, x] == g.identity).all()
 
 
-@pytest.mark.parametrize("g", _groups()[:-1], ids=["C1", "C6", "S3", "S4-relabelled"])
+@pytest.mark.parametrize("g, longest", zip(_groups(), [0, 5, 3, 4, 10]), ids=GROUP_IDS)
+def test_generators_are_greedy_and_reach_the_group(g, longest):
+    assert g.generators == _loop_generators(g.table)
+    assert len(g.generators) <= np.log2(g.order)
+    lengths = _word_lengths(g.table, g.identity, g.generators)
+    assert len(lengths) == g.order and max(lengths.values()) == longest
+
+
+@pytest.mark.parametrize("g", _groups(), ids=GROUP_IDS)
 def test_regular_representation_matches_the_double_loop(g):
     images = []
     for a in range(g.order):
@@ -264,6 +326,27 @@ def _first_homomorphism_failure(table, images, tol=la.STRUCT_TOL):
             phase = np.trace(rhs.conj().T @ lhs) / d
             return x, y, abs(abs(phase) - 1.0) < 1e-6 and la.max_norm(lhs - phase * rhs) < tol
     return None
+
+
+@pytest.mark.parametrize("build", [lambda: sym.standard_representation(4),
+                                   lambda: sym.left_regular_representation(
+                                       sym.FiniteGroup.symmetric(4))],
+                         ids=["standard", "regular"])
+def test_every_single_image_corruption_of_s4_is_refused(build, rng):
+    # only the identity's and the generators' rows are checked, yet every image
+    # is compared as some y; with the identity 0 and the first generator 1 the
+    # first failure is the one the double loop finds first
+    good = build()
+    n, table = good.group.order, good.group.table
+    for k in range(n):
+        for wrong in (good.images[(k + 1) % n], -good.images[k],
+                      la.random_unitary(good.dim, rng)):
+            images = list(good.images)
+            images[k] = wrong
+            x, y, projective = _first_homomorphism_failure(table, images)
+            kind = "projective representation" if projective else "violate the homomorphism law"
+            with pytest.raises(la.DomainError, match=rf"{kind}.* at \({x},{y}\)"):
+                sym.FiniteGroupRep(good.group, images)
 
 
 @pytest.mark.parametrize("corrupt", ["random", "sign"])
