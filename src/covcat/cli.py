@@ -281,6 +281,14 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """Argparse type for a finite number."""
+    value = float(text)  # argparse also reports the ValueError of float()
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """Argparse type with the rule of `tolerance_from_json`: a finite number >= 0."""
     value = float(text)  # argparse also reports the ValueError of float()
@@ -327,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame scenario JSON (default: the built-in phase-reference ladder)")
     p.add_argument("--N", dest="levels", type=_int_at_least(1), default=None,
                    help="ladder size of the built-in phase-reference scenario (default 8)")
-    p.add_argument("--theta", type=float, default=None,
+    p.add_argument("--theta", type=_finite_float, default=None,
                    help="rotation angle of the built-in scenario (default pi/2)")
     p.add_argument("--samples", type=_int_at_least(1), default=100)
     p = command("refframe-sweep", _cmd_refframe_sweep, "degradation sweep over ladder sizes")
     p.add_argument("--Ns", dest="levels_list", default="2,4,8,16",
                    type=lambda text: [_int_at_least(1)(tok) for tok in text.split(",") if tok],
                    help="comma-separated ladder sizes")
-    p.add_argument("--theta", type=float, default=np.pi / 2)
+    p.add_argument("--theta", type=_finite_float, default=np.pi / 2)
     p.add_argument("--samples", type=_int_at_least(1), default=100)
     command("demo-appendix", _cmd_demo_appendix, "run the bundled counterexample fixture")
     command("demo-finite-group", _cmd_demo_finite_group, "regular-representation constructions")

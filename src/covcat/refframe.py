@@ -29,9 +29,13 @@ of the isometry M; the physical-frame distances read
 ``Tr_S T'(|b><c| (x) sigma_C)`` from the Kraus operators of T', so they
 measure the channel that is returned. The induced system channel consists of
 the slices of M: no channel on all of S (x) C (x) E is formed but T'. The
-sampled trace distances are taken by batched ``eigvalsh`` over chunks of
-stacked outputs, whose temporaries stay within about ``CHUNK_BYTES``. Memory
-is O(d_s^2 d_f^2) for frame dimension d_f; no global
+sampled trace distances are taken on the joint range of each table and its
+reference state: every output lies below the output of the identity, so one
+``eigh`` gives an isometry Q onto a support of dimension k (3 for the drift
+and 5 for the frame on the phase ladders), the table is compressed once to
+``Q^dag . Q``, and batched ``eigvalsh`` runs over chunks of stacked k x k
+outputs, whose temporaries stay within about ``CHUNK_BYTES``. Memory is
+O(d_s^2 d_f^2) for frame dimension d_f, the size of the tables; no global
 ``U (rho (x) sigma) U^dag`` is formed per sample.
 
 The diamond solver certifies eps only up to a bracket ``[lower, upper]``, and
@@ -53,6 +57,7 @@ from .channels import Channel, induced_channel, is_covariant
 from .diamond import DiamondResult, diamond_distance
 from .linalg import (
     CHUNK_BYTES,
+    SUPPORT_TOL,
     DimensionError,
     DomainError,
     max_norm,
@@ -297,13 +302,32 @@ def _sample_system_states(d: int, samples: int, seed: int):
     return np.concatenate([v[:, :, None] * v[:, None].conj(), rho])
 
 
+def _joint_support(units: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Isometry Q (d, k) onto the support of ``G = sum_b units[b, b] + ref``:
+    the eigenvectors of G whose eigenvalue exceeds ``SUPPORT_TOL * Tr G``."""
+    w, v = np.linalg.eigh(np.trace(units) + ref)
+    return v[:, w > SUPPORT_TOL * w.sum()]
+
+
 def _sampled_distances(rhos: np.ndarray, units: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Trace distance of ``sum_bc rho_bc units[b, c]`` to ``ref`` for every
-    input ``rho`` of the stack ``rhos``, chunk by chunk.
+    input ``rho`` of the stack ``rhos``, chunk by chunk, on the joint range.
+
+    ``units`` tabulates a CP map A on the matrix units, so for a density rho
+    ``A(rho) <= A(1) = sum_b units[b, b]``: every output, and ``ref``, lies in
+    the support of G of `_joint_support`. The table and ``ref`` are compressed
+    once to ``Q^dag . Q`` (k x k), and the trace norm on that support is
+    unitarily invariant, so each distance is that of the full d x d matrices
+    up to round-off. A discarded weight ``mu = Tr (1 - Q Q^dag) G`` moves a
+    distance by at most ``2 sqrt(mu) + mu`` (Cauchy-Schwarz, as in Winter's
+    gentle-measurement lemma, IEEE Trans. Inf. Theory 45, 2481 (1999)).
 
     A chunk's outputs take an eighth of ``CHUNK_BYTES`` (one output at
     least): `trace_distances` holds up to five arrays of their size at once.
     """
+    q = _joint_support(units, ref)
+    q_dag = q.conj().T
+    units, ref = q_dag @ units @ q, q_dag @ ref @ q
     step = max(1, CHUNK_BYTES // (8 * ref.nbytes))
     return np.concatenate([trace_distances(np.tensordot(rhos[i:i + step], units, 2), ref)
                            for i in range(0, len(rhos), step)])

@@ -184,6 +184,19 @@ def test_tolerance_flag_must_be_finite_and_non_negative(command, tol, tmp_path, 
     assert "expected a finite number >= 0" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["recovery-verify", "refframe-sweep"])
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_theta_flag_must_be_finite(command, theta, capsys):
+    # a non-finite angle would reach np.cos in phase_reference_scenario
+    with pytest.raises(SystemExit) as info:
+        run_cli([command, f"--theta={theta}"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "expected a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_input_exit_code(tmp_path):
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps({"tuple_a": [], "oops": 1}))

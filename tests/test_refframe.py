@@ -471,6 +471,49 @@ def test_batched_distances_match_per_sample_trace_distance(case, chunk_bytes, mo
     assert report.distances == tuple(calls[1][3])
 
 
+@pytest.mark.parametrize("case, ranks", [(8, (3, 5)), (16, (3, 5)), (64, (3, 5)),
+                                         ("qutrit", (4, 5))])
+def test_sampled_distances_run_on_the_joint_output_range(case, ranks, monkeypatch):
+    # on the ladders from N = 5 up the drift outputs and W phi span 3
+    # dimensions and the frame outputs and sigma_C 5; on the qutrit case the
+    # frame outputs fill C (k = d_c). A few samples against dense distances.
+    sc = CHAIN_CASES[case]() if case == "qutrit" else phase_reference_scenario(case, np.pi / 2)
+    calls = []
+    support = refframe._joint_support
+
+    def recorded(units, ref):
+        q = support(units, ref)
+        calls.append((units, ref, q.shape[1]))
+        return q
+
+    monkeypatch.setattr(refframe, "_joint_support", recorded)
+    _, report = catalytic_channel(sc, samples=4, seed=4)
+    assert tuple(k for *_, k in calls) == ranks
+    if case == "qutrit":
+        assert ranks[1] == sc.d_c
+
+    def dense(call, seed):
+        units, ref, _ = call
+        return [la.trace_distance(np.tensordot(rho, units, 2), ref)
+                for rho in _sample_system_states(sc.d_s, 4, seed)]
+
+    assert abs(report.worst_output_drift_distance - max(dense(calls[0], 6))) <= 1e-12
+    np.testing.assert_allclose(report.distances, dense(calls[1], 4), rtol=0, atol=1e-12)
+
+
+def test_sampled_distances_keep_the_support_of_ref(rng):
+    # the outputs V rho V^dag span two of six dimensions and ref all six, so
+    # the compression must keep the support of ref as well as the outputs'
+    d_s, d = 2, 6
+    v = la.random_unitary(d, rng)[:, :d_s]
+    units = np.einsum("ib,jc->bcij", v, v.conj())
+    ref = la.random_density(d, rng)
+    rhos = _sample_system_states(d_s, 6, 3)
+    want = [la.trace_distance(v @ rho @ v.conj().T, ref) for rho in rhos]
+    np.testing.assert_allclose(refframe._sampled_distances(rhos, units, ref), want,
+                               rtol=0, atol=1e-12)
+
+
 def _with_bracket(monkeypatch, lower, upper):
     """Let the pipeline see the diamond bracket [lower, upper]."""
     def bracket(t1, t2):
