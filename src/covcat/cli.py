@@ -6,9 +6,9 @@ JSON (or CSV) report and exits with a meaningful status:
 * 0: all assertions of the dispatched verification passed,
 * 1: the verification ran and failed,
 * 2: malformed input (unknown keys, bad matrices, missing files),
-* 3: a solver stopped before certifying, a check holds at only one end of a
-  certified bracket, or a covariance defect lies within the rounding of the
-  generators (a bounded result is still emitted).
+* 3: a solver stopped before certifying, a check is neither passed nor
+  refuted at the ends of its certified brackets, or a covariance defect lies
+  within the rounding of the generators (a bounded result is still emitted).
 
 Reports are deterministic for a fixed config and seed: timestamps live in a
 separate ``metadata`` field, everything else is byte-stable. Files are
@@ -169,7 +169,7 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
         config = {"N": 8 if args.levels is None else args.levels,
                   "theta": np.pi / 2 if args.theta is None else args.theta}
         sc = phase_reference_scenario(config["N"], config["theta"])
-    _, report = catalytic_channel(sc, samples=args.samples, seed=args.seed)
+    _, report = catalytic_channel(sc)
     payload = {"scenario": config, "report": report.to_json()}
     return payload, report.passed, report.status in ("ok", "FAILED")
 
@@ -177,7 +177,7 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
 def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
     if not args.levels_list:
         raise FormatError("--Ns must list at least one ladder size")
-    rows = degradation_sweep(args.levels_list, args.theta, samples=args.samples, seed=args.seed)
+    rows = degradation_sweep(args.levels_list, args.theta)
     csv_text = sweep_to_csv(rows)
     if args.output:
         write_text_atomic(args.output, csv_text)
@@ -330,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
             "construct the intertwining unitary", "--input")
     command("catalysis-verify", _cmd_catalysis_verify,
             "full catalysis scenario verification", "--input")
+    # kept for existing scripts: every distance is certified, none is sampled
+    samples_help = "accepted and ignored (at least 1): the distances are certified over all inputs"
     p = command("recovery-verify", _cmd_recovery_verify, "back-action bound verification")
     p.add_argument("--input", default=None,
                    help="frame scenario JSON (default: the built-in phase-reference ladder)")
@@ -337,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ladder size of the built-in phase-reference scenario (default 8)")
     p.add_argument("--theta", type=_finite_float, default=None,
                    help="rotation angle of the built-in scenario (default pi/2)")
-    p.add_argument("--samples", type=_int_at_least(1), default=100)
+    p.add_argument("--samples", type=_int_at_least(1), default=100, help=samples_help)
     p = command("refframe-sweep", _cmd_refframe_sweep, "degradation sweep over ladder sizes")
     p.add_argument("--Ns", dest="levels_list", default="2,4,8,16",
                    type=lambda text: [_int_at_least(1)(tok) for tok in text.split(",") if tok],
                    help="comma-separated ladder sizes")
     p.add_argument("--theta", type=_finite_float, default=np.pi / 2)
-    p.add_argument("--samples", type=_int_at_least(1), default=100)
+    p.add_argument("--samples", type=_int_at_least(1), default=100, help=samples_help)
     command("demo-appendix", _cmd_demo_appendix, "run the bundled counterexample fixture")
     command("demo-finite-group", _cmd_demo_finite_group, "regular-representation constructions")
     return parser

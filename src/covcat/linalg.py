@@ -37,8 +37,8 @@ RANK_RTOL = 1e-10
 # into Kraus operators or purified on a copy of its support.
 SUPPORT_TOL = 1e-14
 
-# Bytes of temporaries that one chunk of a batched loop (sampled trace
-# distances, Kraus sums) may hold; the loops run over chunks of their stack.
+# Bytes of temporaries that one chunk of a batched loop (Kraus sums) may
+# hold; the loops run over chunks of their stack.
 CHUNK_BYTES = 2**20
 
 
@@ -72,24 +72,17 @@ def max_norm(a: np.ndarray) -> float:
 
 def require_hermitian(a: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
     """Symmetrised copy ``m/2 + m^dag/2`` of a matrix with
-    ``||m - m^dag||_max <= tol * max(1, ||m||_max)``."""
-    return _hermitian_part(as_square(a), tol)
-
-
-def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
-    """`require_hermitian` on a finite square matrix or on each matrix of a
-    stack ``(n, d, d)``.
+    ``||m - m^dag||_max <= tol * max(1, ||m||_max)``.
 
     The scaled test runs on ``m / 2``, where no finite entry overflows; it is
-    reached only when some deviation exceeds ``tol``.
+    reached only when the deviation exceeds ``tol``.
     """
-    adj = np.conjugate(m).swapaxes(-1, -2)  # a fresh array, also for real m
+    m = as_square(a)
+    adj = m.conj().T  # a fresh array, also for real m
     with np.errstate(over="ignore"):  # an infinite dev goes on to the scaled test
         dev = float(np.abs(m - adj).max(initial=0.0))
-    if dev > tol:
-        scale = np.maximum(0.5, np.abs(m / 2).max(axis=(-2, -1), initial=0.0))
-        if np.any(np.abs(m / 2 - adj / 2).max(axis=(-2, -1), initial=0.0) > tol * scale):
-            raise DomainError(f"matrix is not Hermitian within {tol} (deviation {dev:.3e})")
+    if dev > tol and np.abs(m / 2 - adj / 2).max() > tol * max(0.5, np.abs(m / 2).max()):
+        raise DomainError(f"matrix is not Hermitian within {tol} (deviation {dev:.3e})")
     out = m / 2
     adj /= 2
     out += adj
@@ -231,25 +224,14 @@ def psd_rank(a: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of the difference of two states."""
-    return float(trace_distances(as_square(rho)[None], sigma)[0])
-
-
-def trace_distances(states: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """`trace_distance` from each state of a stack ``(n, d, d)`` to ``sigma``.
-
-    One batched ``eigvalsh`` of the stacked differences, each of which must
-    pass the finite and Hermitian checks of `require_hermitian`. The stack is
-    one temporary of the size of ``states``; callers bound it by chunking.
-    """
-    sigma = as_square(sigma)
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 3 or states.shape[1:] != sigma.shape:
-        raise DimensionError(f"expected a stack of {sigma.shape} states, got shape {states.shape}")
-    diff = states - sigma
-    if not np.all(np.isfinite(diff)):
-        raise DomainError("matrix has non-finite entries")
-    return 0.5 * np.abs(np.linalg.eigvalsh(_hermitian_part(diff, STRUCT_TOL))).sum(axis=-1)
+    """Half the trace norm of the difference of two states, which must pass
+    the finite and Hermitian checks of `require_hermitian`."""
+    rho, sigma = as_square(rho), as_square(sigma)
+    if rho.shape != sigma.shape:
+        raise DimensionError(f"shape mismatch {rho.shape} vs {sigma.shape}")
+    with np.errstate(over="ignore"):  # an overflowing difference fails the finite check
+        diff = rho - sigma
+    return float(0.5 * np.abs(np.linalg.eigvalsh(require_hermitian(diff))).sum())
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

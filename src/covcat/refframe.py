@@ -14,35 +14,36 @@ The verification chain mirrors the underlying argument: the drifted frame
 ``W|phi>`` is the top eigenvector of the average frame output (the argument
 needs no more of W than this state). The drift supremum and the least
 fidelity ``F(frame output, W|phi>)`` are quadratic forms in the input, exact
-as one operator norm and one smallest eigenvalue; only the trace distances
-are sampled, over Haar pure and Hilbert-Schmidt mixed system inputs. The chain
-runs on a pure frame: the frame state sigma_C (x) omega_E, mixed or pure, is
-purified on a copy C' of its support (one dimension for a pure frame), and
-the dynamics ``U (x) 1_C'`` enters only as the isometry ``U(. (x) phi)``. By
-data processing the bound on C (x) E (x) C' gives the bound on the physical
-legs C (x) E, on which the recovery acts.
+as one operator norm and one smallest eigenvalue. The chain runs on a pure
+frame: the frame state sigma_C (x) omega_E, mixed or pure, is purified on a
+copy C' of its support (one dimension for a pure frame), and the dynamics
+``U (x) 1_C'`` enters only as the isometry ``U(. (x) phi)``. By data
+processing the bound on C (x) E (x) C' gives the bound on the physical legs
+C (x) E, on which the recovery acts. Every frame output is linear in the
+system input rho, so the purified chain tabulates ``Tr_S M |b><c| M^dag`` once
+on the d_s^2 matrix units of S; no global ``U (rho (x) sigma) U^dag`` is
+formed, and no channel on all of S (x) C (x) E but T'.
 
-Every frame output sampled is linear in the system input rho, so it is
-tabulated once on the d_s^2 matrix units ``|b><c|`` of S, and every sample is
-a d_s^2-term sum. The purified chain reads the table ``Tr_S M |b><c| M^dag``
-of the isometry M; the physical-frame distances read
-``Tr_S T'(|b><c| (x) sigma_C)`` from the Kraus operators of T', so they
-measure the channel that is returned. The induced system channel consists of
-the slices of M: no channel on all of S (x) C (x) E is formed but T'. The
-sampled trace distances are taken on the joint range of each table and its
-reference state: every output lies below the output of the identity, so one
-``eigh`` gives an isometry Q onto a support of dimension k (3 for the drift
-and 5 for the frame on the phase ladders), the table is compressed once to
-``Q^dag . Q``, and batched ``eigvalsh`` runs over chunks of stacked k x k
-outputs, whose temporaries stay within about ``CHUNK_BYTES``. Memory is
-O(d_s^2 d_f^2) for frame dimension d_f, the size of the tables; no global
-``U (rho (x) sigma) U^dag`` is formed per sample.
+The two trace distances of the chain are certified for every density input
+on S, in closed form, by the Fuchs-van de Graaf inequality for a pure target,
+``1/2 || rho - |w><w| ||_1 <= sqrt(1 - <w|rho|w>)``. The drift distance is at
+most ``sqrt(1 - min_fidelity^2)``. For the frame distance, T' is run on
+``rho (x) phi_C``, with phi_C the purification of sigma_C on C (x) C'; its
+overlap with phi_C is ``Tr rho Y^dag Y`` for a d_s-column matrix Y read from
+the Kraus operators of T', and tracing out C' cannot increase the distance,
+so the frame distance is at most ``sqrt(1 - lambda_min(Y^dag Y))``. Each
+certificate has a lower end attained at one input: the frame distance at the
+bottom eigenvector of ``Y^dag Y`` (the witness), and ``1 - min_fidelity^2``
+for the drift. The frame marginal depends on the input only through its
+reduced state on S, so a reference entangled with S leaves both distances
+unchanged; a distance on the joint state of C and such a reference is not
+covered.
 
 The diamond solver certifies eps only up to a bracket ``[lower, upper]``, and
-every check of the chain weakens as eps grows. So a check is passed when it
-holds at ``lower``, failed when it fails at ``upper``, and inconclusive when
-it holds only at ``upper``; an inconclusive check fails the report without
-asserting a violation.
+every check of the chain weakens as eps grows. So a check is passed when the
+upper end of its quantity holds at ``lower``, failed when the lower end of its
+quantity fails at ``upper``, and inconclusive otherwise; an inconclusive check
+fails the report without asserting a violation.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ import numpy as np
 from .channels import Channel, induced_channel, is_covariant
 from .diamond import DiamondResult, diamond_distance
 from .linalg import (
-    CHUNK_BYTES,
-    SUPPORT_TOL,
     DimensionError,
     DomainError,
     max_norm,
@@ -67,7 +66,6 @@ from .linalg import (
     support_factor,
     tensor,
     trace_distance,
-    trace_distances,
 )
 from .symmetry import conservation_residuals, is_symmetric_state
 
@@ -224,11 +222,15 @@ class RecoveryReport:
     ``epsilon`` is the certified diamond-norm implementation error, the
     midpoint of ``epsilon_result``'s bracket, and ``bound = 2 sqrt(2 epsilon)``;
     ``bound_lower`` and ``bound_upper`` are the bound at the two ends of the
-    bracket. ``worst_distance`` must stay below ``bound_lower`` (plus solver
-    slack) for the report to pass; all intermediate fidelity and
-    trace-distance steps are recorded as well. ``failures`` lists the checks
-    that fail at the upper end of the bracket, ``inconclusive`` those that
-    hold at the upper end but not at the lower one.
+    bracket. The supremum of the frame distance over system inputs lies in
+    ``[witness_distance, worst_distance]``: the distance at one input and the
+    certificate over all of them, with ``witness_input`` the unit vector of S
+    attaining the former. ``worst_distance`` must stay below
+    ``bound_lower`` (plus solver slack) for the report to pass;
+    ``worst_output_drift_distance`` is the certificate of the drift distance.
+    ``failures`` lists the checks that fail at the upper end of the bracket,
+    ``inconclusive`` those that are neither passed nor failed (see the module
+    docstring).
     """
 
     epsilon: float
@@ -238,8 +240,8 @@ class RecoveryReport:
     bound_upper: float
     drift: DriftResult
     worst_distance: float
-    mean_distance: float
-    distances: tuple[float, ...]
+    witness_distance: float
+    witness_input: np.ndarray
     min_fidelity: float
     worst_output_drift_distance: float
     recovery_pullback_distance: float
@@ -276,7 +278,7 @@ class RecoveryReport:
                 "bound_upper": self.bound_upper,
                 "sup_deviation_sq": self.drift.sup_deviation_sq,
                 "worst_distance": self.worst_distance,
-                "mean_distance": self.mean_distance,
+                "witness_distance": self.witness_distance,
                 "min_fidelity": self.min_fidelity,
                 "worst_output_drift_distance": self.worst_output_drift_distance,
                 "recovery_pullback_distance": self.recovery_pullback_distance,
@@ -288,51 +290,6 @@ class RecoveryReport:
                 "inconclusive": list(self.inconclusive)}
 
 
-def _sample_system_states(d: int, samples: int, seed: int):
-    """64:36 split of Haar pure and Hilbert-Schmidt mixed states (seeded)."""
-    rng = np.random.default_rng(seed)
-    n_pure = min(samples, max(1, round(samples * 0.64)))
-    z = rng.standard_normal((n_pure, 2, d))  # the draws of `random_pure_state`, in order
-    v = z[:, 0] + 1j * z[:, 1]
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    g = rng.standard_normal((samples - n_pure, 2, d, d))  # those of `random_density`
-    g = g[:, 0] + 1j * g[:, 1]
-    rho = g @ g.conj().swapaxes(-1, -2)
-    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    return np.concatenate([v[:, :, None] * v[:, None].conj(), rho])
-
-
-def _joint_support(units: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Isometry Q (d, k) onto the support of ``G = sum_b units[b, b] + ref``:
-    the eigenvectors of G whose eigenvalue exceeds ``SUPPORT_TOL * Tr G``."""
-    w, v = np.linalg.eigh(np.trace(units) + ref)
-    return v[:, w > SUPPORT_TOL * w.sum()]
-
-
-def _sampled_distances(rhos: np.ndarray, units: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Trace distance of ``sum_bc rho_bc units[b, c]`` to ``ref`` for every
-    input ``rho`` of the stack ``rhos``, chunk by chunk, on the joint range.
-
-    ``units`` tabulates a CP map A on the matrix units, so for a density rho
-    ``A(rho) <= A(1) = sum_b units[b, b]``: every output, and ``ref``, lies in
-    the support of G of `_joint_support`. The table and ``ref`` are compressed
-    once to ``Q^dag . Q`` (k x k), and the trace norm on that support is
-    unitarily invariant, so each distance is that of the full d x d matrices
-    up to round-off. A discarded weight ``mu = Tr (1 - Q Q^dag) G`` moves a
-    distance by at most ``2 sqrt(mu) + mu`` (Cauchy-Schwarz, as in Winter's
-    gentle-measurement lemma, IEEE Trans. Inf. Theory 45, 2481 (1999)).
-
-    A chunk's outputs take an eighth of ``CHUNK_BYTES`` (one output at
-    least): `trace_distances` holds up to five arrays of their size at once.
-    """
-    q = _joint_support(units, ref)
-    q_dag = q.conj().T
-    units, ref = q_dag @ units @ q, q_dag @ ref @ q
-    step = max(1, CHUNK_BYTES // (8 * ref.nbytes))
-    return np.concatenate([trace_distances(np.tensordot(rhos[i:i + step], units, 2), ref)
-                           for i in range(0, len(rhos), step)])
-
-
 def catalytic_channel(sc: FrameScenario, samples: int = 100,
                       seed: int = 7) -> tuple[Channel, RecoveryReport]:
     """Recovery-corrected dynamics with certified back-action bound.
@@ -340,11 +297,11 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     Returns the covariant channel T' on S (x) C together with the
     verification report. T' composes the recovery onto the given dynamics
     (tracing out the dilation environment if there is one), so its induced
-    system channel is identical to the original; the report additionally
-    samples the frame disturbance over ``samples`` system states and checks
-    the full inequality chain on the purified frame. Each check against eps
-    is judged at both ends of the certified bracket (see the module
-    docstring).
+    system channel is identical to the original; the report certifies the
+    frame disturbance over every system input and checks the full inequality
+    chain on the purified frame. Each check against eps is judged at both
+    ends of the certified bracket (see the module docstring). ``samples`` and
+    ``seed`` are accepted and ignored: no distance is sampled.
     """
     t_orig = sc.induced_system_channel()
     eps_result = diamond_distance(t_orig, Channel.from_unitary(sc.target))
@@ -356,11 +313,13 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     failures: list[str] = []
     inconclusive: list[str] = []
 
-    def check(what: str, holds) -> None:
-        if not holds(eps_result.upper):
+    def check(what: str, low: float, high: float, bound) -> None:
+        """The checked quantity lies in ``[low, high]`` and must stay at most
+        ``bound(eps)``; a nan fails."""
+        if not low <= bound(eps_result.upper):
             failures.append(what)
-        elif not holds(eps_result.lower):
-            inconclusive.append(f"{what} at the lower end of eps only")
+        elif not high <= bound(eps_result.lower):
+            inconclusive.append(f"{what}: undecided within the brackets")
 
     d_s, d_c, d_e = sc.d_s, sc.d_c, sc.d_e
     d_f = d_c * d_e
@@ -397,42 +356,45 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     out_units = (flat @ flat.conj().T).reshape(d_s, d_v, d_s, d_v).transpose(0, 2, 1, 3)
     drift = _drift(m, out_units, sc.target)
     wphi = drift.state
-    w_rho = np.outer(wphi, wphi.conj())
     phi_rho = np.outer(phi, phi.conj())
     # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s, the
     # recovery acting on C (x) E and leaving C' alone
     z = (recovery.kraus @ wphi.reshape(d_f, d_cp)).reshape(-1, d_v)
     recovery_pullback_distance = trace_distance(phi_rho, z.T @ z.conj())
-    check("recovery pullback distance exceeds sqrt(2 eps)",
-          lambda e: recovery_pullback_distance <= root(e) + METRIC_SLACK)
+    check("recovery pullback distance exceeds sqrt(2 eps)", recovery_pullback_distance,
+          recovery_pullback_distance, lambda e: root(e) + METRIC_SLACK)
 
     # F(out(rho), W phi)^2 = Tr rho O^T for the Hermitian O[b, c] =
-    # <W phi| out_units[b, c] |W phi>, least at the smallest eigenvalue of O
+    # <W phi| out_units[b, c] |W phi>, least at the smallest eigenvalue of O;
+    # the drift distance lies in [1 - F^2, sqrt(1 - F^2)] at the least F
     overlaps = (out_units @ wphi) @ wphi.conj()
-    min_fid = float(np.sqrt(np.clip(np.linalg.eigvalsh(overlaps)[0], 0.0, 1.0)))
-    rhos = _sample_system_states(d_s, min(24, samples), seed + 2)
-    worst_drift_dist = float(_sampled_distances(rhos, out_units, w_rho).max())
-    check(f"drift fidelity {min_fid:.6f} below 1 - eps",
-          lambda e: min_fid >= 1.0 - e - METRIC_SLACK)
-    check("output drift distance exceeds sqrt(2 eps)",
-          lambda e: worst_drift_dist <= root(e) + METRIC_SLACK)
+    min_fid_sq = float(np.clip(np.linalg.eigvalsh(overlaps)[0], 0.0, 1.0))
+    min_fid = float(np.sqrt(min_fid_sq))
+    worst_drift_dist = float(np.sqrt(1.0 - min_fid_sq))
+    check(f"drift fidelity {min_fid:.6f} below 1 - eps", 1.0 - min_fid, 1.0 - min_fid,
+          lambda e: e + METRIC_SLACK)
+    check("output drift distance exceeds sqrt(2 eps)", 1.0 - min_fid_sq, worst_drift_dist,
+          lambda e: root(e) + METRIC_SLACK)
 
-    # (c') sampled final-state distances on the physical frame C, read from
-    # T' itself: units[b, c] = Tr_S T'(|b><c| (x) sigma_C), from the Kraus
-    # stack of (a) indexed (K, k, l) with l the output index of C
-    ks = t_prime_s.kraus.reshape(-1, d_c, d_s, d_s)
-    units = np.einsum("nlab,nmac->bclm", ks, ks.conj())
-    dists = _sampled_distances(_sample_system_states(d_s, samples, seed), units, sc.sigma_c)
-    worst = float(dists.max())
-    mean = float(np.mean(dists))
-    check(f"worst frame distance {worst:.6f} exceeds bound 2 sqrt(2 eps)",
-          lambda e: worst <= 2.0 * root(e) + DIAMOND_SLACK)
+    # (c') frame distance on the physical frame C, read from T' itself: Y psi
+    # holds the overlaps <s, phi_C| (K_n (x) 1_C') |psi, phi_C> of T' with the
+    # purification phi_C of sigma_C, contracted through sigma_C[c, x]
+    k = t_prime.kraus.reshape(-1, d_s, d_c, d_s, d_c)
+    y = np.einsum("nsxbc,cx->nsb", k, sc.sigma_c).reshape(-1, d_s)
+    lam, vecs = np.linalg.eigh(y.conj().T @ y)
+    worst = float(np.sqrt(1.0 - np.clip(lam[0], 0.0, 1.0)))
+    # the witness input x: its frame output Tr_S T'(|x><x| (x) sigma_C) from
+    # the Kraus stack of (a), indexed (K, l, a, b) with l the output index of C
+    cols = (t_prime_s.kraus.reshape(-1, d_c, d_s, d_s) @ vecs[:, 0]).transpose(1, 0, 2)
+    cols = cols.reshape(d_c, -1)
+    witness = trace_distance(cols @ cols.conj().T, sc.sigma_c)
+    check(f"worst frame distance {worst:.6f} exceeds bound 2 sqrt(2 eps)", witness, worst,
+          lambda e: 2.0 * root(e) + DIAMOND_SLACK)
 
     report = RecoveryReport(
         epsilon=eps, epsilon_result=eps_result, bound=2.0 * root(eps),
         bound_lower=2.0 * root(eps_result.lower), bound_upper=2.0 * root(eps_result.upper),
-        drift=drift, worst_distance=worst, mean_distance=mean,
-        distances=tuple(dists.tolist()),
+        drift=drift, worst_distance=worst, witness_distance=witness, witness_input=vecs[:, 0],
         min_fidelity=min_fid, worst_output_drift_distance=worst_drift_dist,
         recovery_pullback_distance=recovery_pullback_distance,
         induced_identity_defect=induced_defect,
@@ -495,27 +457,26 @@ class SweepRow:
     epsilon: float
     bound: float
     worst_distance: float
-    mean_distance: float
+    witness_distance: float
     status: str
 
     def to_csv_row(self) -> str:
-        nums = [self.theta, self.epsilon, self.bound, self.worst_distance, self.mean_distance]
+        nums = [self.theta, self.epsilon, self.bound, self.worst_distance, self.witness_distance]
         return ",".join([str(self.n_levels)] + [repr(float(x)) for x in nums] + [self.status])
 
 
-SWEEP_CSV_HEADER = "N,theta,epsilon,bound,worst_distance,mean_distance,status"
+SWEEP_CSV_HEADER = "N,theta,epsilon,bound,worst_distance,witness_distance,status"
 
 
-def degradation_sweep(n_values: Sequence[int], theta: float, samples: int = 100,
-                      seed: int = 7) -> list[SweepRow]:
+def degradation_sweep(n_values: Sequence[int], theta: float) -> list[SweepRow]:
     """Run the catalytic pipeline across ladder sizes and tabulate the bound."""
     rows = []
     for n in n_values:
         sc = phase_reference_scenario(n, theta)
-        _, report = catalytic_channel(sc, samples=samples, seed=seed)
+        _, report = catalytic_channel(sc)
         rows.append(SweepRow(n_levels=n, theta=theta, epsilon=report.epsilon,
                              bound=report.bound, worst_distance=report.worst_distance,
-                             mean_distance=report.mean_distance, status=report.status))
+                             witness_distance=report.witness_distance, status=report.status))
     return rows
 
 

@@ -526,7 +526,7 @@ def test_refframe_sweep_csv(tmp_path):
                     "--samples", "10", "--output", out])
     assert code == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
-    assert lines[0] == "N,theta,epsilon,bound,worst_distance,mean_distance,status"
+    assert lines[0] == "N,theta,epsilon,bound,worst_distance,witness_distance,status"
     assert len(lines) == 3
     for line in lines[1:]:
         fields = line.split(",")
@@ -748,9 +748,14 @@ def flag_policy_argvs(command, tmp_path):
     "check-covariance", "wiegmann-equiv", "find-intertwiner", "catalysis-verify",
     "recovery-verify", "refframe-sweep", "demo-appendix", "demo-finite-group"])
 def test_every_declared_flag_is_read(command, tmp_path):
-    # --output is read by main; check-covariance keeps --seed, which the
-    # benchmark passes to every command
-    exempt = {"command", "handler", "output"} | ({"seed"} if command == "check-covariance" else set())
+    # --output is read by main; check-covariance, recovery-verify and
+    # refframe-sweep keep --seed, which the benchmark passes to every command,
+    # and the last two keep --samples, which it passes to every recovery task
+    exempt = {"command", "handler", "output"}
+    if command == "check-covariance":
+        exempt |= {"seed"}
+    if command in ("recovery-verify", "refframe-sweep"):
+        exempt |= {"seed", "samples"}
     declared, read = set(), set()
     for argv in flag_policy_argvs(command, tmp_path):
         args = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
@@ -794,6 +799,19 @@ def test_cached_parser_is_reused_without_leaks(tmp_path, rng):
     assert second.seed == 0 and second.theta == np.pi / 2
     third = parser.parse_args(["demo-appendix"])
     assert vars(third).keys() == {"command", "handler", "output", "seed"}
+
+
+@pytest.mark.parametrize("argv", [["recovery-verify", "--N", "4"],
+                                  ["refframe-sweep", "--Ns", "2,4"]])
+def test_samples_flag_changes_no_report(argv, capsys):
+    # every distance is certified over all inputs, so --samples is ignored
+    reports = []
+    for samples in ("2", "100"):
+        assert run_cli([*argv, "--samples", samples]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("metadata")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_reports_byte_identical_modulo_metadata(tmp_path, rng):

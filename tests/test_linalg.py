@@ -159,32 +159,34 @@ def test_trace_distance_eigenvalue_oracle(rng):
 
 
 def test_trace_distances_match_per_state_loop(rng):
+    # half the nuclear norm (singular values) of each difference, state by state
     sigma = la.random_density(4, rng)
-    states = np.array([la.random_density(4, rng) for _ in range(9)])
-    got = la.trace_distances(states, sigma)
-    want = [la.trace_distance(rho, sigma) for rho in states]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    for rho in [la.random_density(4, rng) for _ in range(9)]:
+        want = np.linalg.norm(rho - sigma, "nuc") / 2
+        assert abs(la.trace_distance(rho, sigma) - want) <= 1e-14
 
 
 def test_trace_distances_keep_the_hermitian_checks(rng):
     sigma = la.random_density(3, rng)
-    states = np.array([la.random_density(3, rng) for _ in range(5)])
-    nan = states.copy()
-    nan[2, 0, 1] = np.nan
+    rho = la.random_density(3, rng)
+    nan = rho.copy()
+    nan[0, 1] = np.nan
     with pytest.raises(la.DomainError, match="non-finite"):
-        la.trace_distances(nan, sigma)
-    skew = states.copy()
-    skew[3, 0, 1] += 1e-6  # one non-Hermitian member fails the whole batch
+        la.trace_distance(nan, sigma)
+    # finite states whose difference overflows
+    huge = np.diag([1e308, -1e308, 0.0])
+    with pytest.raises(la.DomainError, match="non-finite"):
+        la.trace_distance(huge, -huge)
+    skew = rho.copy()
+    skew[0, 1] += 1e-6
     with pytest.raises(la.DomainError, match="not Hermitian"):
-        la.trace_distances(skew, sigma)
-    # the test is relative to each member's largest entry, as in require_hermitian
-    big = 1e8 * states
-    big[1, 0, 1] += 1e-3
-    assert np.all(np.isfinite(la.trace_distances(big, sigma)))
+        la.trace_distance(skew, sigma)
+    # the test is relative to the largest entry, as in require_hermitian
+    big = 1e8 * rho
+    big[0, 1] += 1e-3
+    assert np.isfinite(la.trace_distance(big, sigma))
     with pytest.raises(la.DimensionError):
-        la.trace_distances(states[0], sigma)
-    with pytest.raises(la.DimensionError):
-        la.trace_distances(states, np.eye(2) / 2)
+        la.trace_distance(rho, np.eye(2) / 2)
 
 
 def test_trace_distance_triangle(rng):
