@@ -77,9 +77,6 @@ class Channel:
                 gram += rows.conj().T @ rows
             return max_norm(gram)
 
-    def is_trace_preserving(self) -> bool:
-        return self.trace_preservation_defect() <= CHANNEL_TOL
-
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return self.apply(rho)
 

@@ -8,11 +8,12 @@ the value of the semidefinite program
     subject to  W >= 0,  Q >= 0,  W + Q = 1 (x) rho,  Tr rho = 1,
 
 whose dual is ``minimize ||Tr_out Z||_inf`` over ``Z >= 2 J, Z >= 0``
-(Watrous, "Semidefinite programs for completely bounded norms", 2009). The
-solver runs over-relaxed Douglas-Rachford on the primal program alone: the
-proximal step is one batched PSD projection of ``(W + 2 gamma J, Q)`` and one
-of ``rho``, the other step the orthogonal projection onto the two affine
-constraints (``_DiamondProgram.project_affine``, closed form from one
+(Watrous, "Semidefinite programs for completely bounded norms", 2009). As
+``<x|rho|x> = <e (x) x|W + Q|e (x) x> >= 0``, rho's cone is implied and rho
+is left free. The solver runs over-relaxed Douglas-Rachford on the primal
+program alone: the proximal step is one batched PSD projection of
+``(W + 2 gamma J, Q)``, the other step the orthogonal projection onto the two
+affine constraints (``_DiamondProgram.project_affine``, closed form from one
 partial trace and one scalar). The step is ``gamma = 4 / ||J||_op``, so
 ``gamma J`` and every iterate are unchanged when J is scaled. The dual is
 never iterated: ``u(P)`` below is a feasible dual value for every Hermitian
@@ -21,8 +22,8 @@ P, and it is taken at ``P = Z - 2J`` for the Douglas-Rachford multiplier
 iterate it came from), which tends to a dual optimum. Progress is certified
 every ``CHECK_EVERY`` iterations:
 
-* any density matrix rho gives the feasible primal value
-  ``l(rho) = || (1 (x) sqrt(rho)) J (1 (x) sqrt(rho)) ||_1``,
+* any Hermitian rho, through ``s = rho_+ / Tr rho_+``, gives the feasible
+  primal value ``l(s) = || (1 (x) sqrt(s)) J (1 (x) sqrt(s)) ||_1``,
 * any Hermitian P gives the feasible dual value
   ``u(P) = lambda_max(Tr_out(2J + P_+ + c 1))`` with ``c = max(0, -lambda_min(2J + P_+))``,
 
@@ -51,8 +52,8 @@ smaller and ``upper`` the larger of the two certificates, so
 ``CROSSING_TOL * max(1, value)`` cannot come from round-off and raises
 ``RuntimeError``.
 
-An iteration costs the eigendecompositions of two d^2 x d^2 blocks, O(d^6);
-memory is the O(d^4) iterate.
+An iteration costs one batched eigendecomposition of the two d^2 x d^2
+blocks, O(d^6); memory is the O(d^4) iterate.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class DiamondResult:
 
 
 def _psd_part(m: np.ndarray) -> np.ndarray:
-    """PSD part of a Hermitian matrix, or of each matrix in a stack."""
-    w, v = np.linalg.eigh((m + np.swapaxes(m, -1, -2).conj()) / 2)
+    """PSD part of a Hermitian matrix, or of each in a stack (``eigh`` reads one triangle)."""
+    w, v = np.linalg.eigh(m)
     w = np.maximum(w, 0.0)
     return (v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
@@ -111,30 +112,28 @@ class _DiamondProgram:
         d = self.d
         return (self.eye[:, None, :, None] * r[None, :, None, :]).reshape(d * d, d * d)
 
-    def project_affine(self, wq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Orthogonal projection onto ``W + Q = 1 (x) rho``, ``Tr rho = 1``, in
-        place on ``wq = [W, Q]`` and ``rho``. With ``r1 = W + Q - 1 (x) rho``
-        the multipliers are ``t`` for the trace and ``R`` for the matrix row."""
+    def project_affine(self, wq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
+        """Multipliers ``(R, t)`` of the orthogonal projection of ``wq = [W, Q]``
+        and ``rho`` onto ``W + Q = 1 (x) rho``, ``Tr rho = 1``: the projection
+        is ``W - R``, ``Q - R`` and ``rho + Tr_1 R - t 1``, with ``R`` built
+        from ``r1 = W + Q - 1 (x) rho``."""
         d = self.d
         r1 = wq[0] + wq[1] - self.embed(rho)
         t = (np.trace(r1).real + (d + 2.0) * (np.trace(rho).real - 1.0)) / (2.0 * d)
         p = (_trace_out_first(r1, d) + t * d * self.eye) / (d + 2.0)
-        r = (r1 - self.embed(p - t * self.eye)) / 2.0
-        wq -= r
-        rho += _trace_out_first(r, d) - t * self.eye
-        return wq, rho
+        return (r1 - self.embed(p - t * self.eye)) / 2.0, t
 
     # -- certified bracket ---------------------------------------------------
 
     def primal_value(self, rho: np.ndarray) -> float:
-        """Exact program value of the best W for this density matrix."""
-        d = self.d
-        rho = _psd_part(rho)
-        tr = np.trace(rho).real
-        rho = rho / tr if tr > 1e-12 else np.eye(d) / d
+        """Exact program value of the best W for the density matrix
+        ``rho_+ / Tr rho_+`` (``1/d`` if rho has no positive part), whose
+        square root comes from the same ``eigh`` as ``rho_+``."""
         w, v = np.linalg.eigh(rho)
-        sq = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-        root = np.kron(np.eye(d), sq)
+        w = np.maximum(w, 0.0)
+        tr = w.sum()
+        sq = (v * np.sqrt(w / tr)) @ v.conj().T if tr > 1e-12 else self.eye / np.sqrt(self.d)
+        root = np.kron(self.eye, sq)
         mid = root @ self.j @ root
         return float(np.abs(np.linalg.eigvalsh((mid + mid.conj().T) / 2)).sum())
 
@@ -182,19 +181,21 @@ def _solve(j: np.ndarray, d: int, cap: float) -> DiamondResult:
     shift = np.stack([2.0 * gamma * j, np.zeros_like(j)])  # the objective's gradient step
     z = np.zeros((2, d * d, d * d), dtype=complex)  # W, Q
     z[1] = np.eye(d * d) / d  # Q = 1 (x) rho
-    z_rho = np.eye(d, dtype=complex) / d
+    z_rho = np.eye(d, dtype=complex) / d  # free, so its reflection is itself
     it, max_iter = 0, DEFAULT_MAX_ITER
     while it < max_iter:
-        x, x_rho = _psd_part(z + shift), _psd_part(z_rho)
+        x = _psd_part(z + shift)
+        step = x - z
         it += 1
         if it % CHECK_EVERY == 0 or it == max_iter:
-            best_low = max(best_low, prog.primal_value(x_rho))
-            best_up = min(best_up, prog.dual_value((x[1] - z[1]) / gamma - 2.0 * j))
+            best_low = max(best_low, prog.primal_value(z_rho))
+            best_up = min(best_up, prog.dual_value(step[1] / gamma - 2.0 * j))
             if best_up - best_low <= max(DEFAULT_GAP_TOL * best_up, floor):
                 return _certified(best_low, best_up, "converged", it)
-        y, y_rho = prog.project_affine(2.0 * x - z, 2.0 * x_rho - z_rho)
-        z += OVER_RELAXATION * (y - x)
-        z_rho += OVER_RELAXATION * (y_rho - x_rho)
+        # z moves by OVER_RELAXATION (y - x), y the projection of (2x - z, z_rho)
+        r, t = prog.project_affine(x + step, z_rho)
+        z += OVER_RELAXATION * (step - r)
+        z_rho += OVER_RELAXATION * (_trace_out_first(r, d) - t * prog.eye)
     return _certified(best_low, best_up, "bounds", it)
 
 

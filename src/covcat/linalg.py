@@ -59,7 +59,7 @@ def as_square(a: np.ndarray) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise DomainError("matrix has non-finite entries")
     return m
 

@@ -198,9 +198,9 @@ def _drift(m: np.ndarray, out_units: np.ndarray, target: np.ndarray) -> DriftRes
 def recovery_channel(sc: FrameScenario) -> Channel:
     """Covariant recovery map on the physical frame legs C (x) E.
 
-    Dual of the frame-side dynamics ``Tr_S[U (1/d_s (x) .) U^dag]``: Kraus
-    operators ``(<a| (x) 1) U^dag (|b> (x) 1) / sqrt(d_s)``, index
-    ``a * d_s + b`` as in `env_channel`. Its trace preservation, checked by
+    Dual of the frame-side dynamics ``Tr_S[U (1/d_s (x) .) U^dag]``: one Kraus
+    operator ``(<a| (x) 1) U^dag (|b> (x) 1) / sqrt(d_s)`` per pair of system
+    basis states, at index ``a * d_s + b``. Its trace preservation, checked by
     `Channel`, is the frame-side dynamics fixing the identity. Covariance
     follows from covariance of the dynamics and is re-checked by callers
     through `is_covariant`.

@@ -24,7 +24,6 @@ from .linalg import (
     STRUCT_TOL,
     as_square,
     max_norm,
-    require_unitary,
     tensor,
 )
 
@@ -173,7 +172,8 @@ class FiniteGroup:
 class FiniteGroupRep:
     """Unitary representation of a finite group: one image per element.
 
-    The homomorphism law ``W(x) W(y) = W(x y)`` is checked for every y at the
+    Every image is checked unitary at once, by the stacked ``W^dag W - 1``. The
+    homomorphism law ``W(x) W(y) = W(x y)`` is checked for every y at the
     identity and at each of ``group.generators``. Projective representations
     are rejected: if the images only satisfy the homomorphism law up to a
     phase, the constructor raises instead of picking a cocycle convention.
@@ -182,11 +182,17 @@ class FiniteGroupRep:
     def __init__(self, group: FiniteGroup, images: Sequence[np.ndarray]):
         if len(images) != group.order:
             raise DimensionError(f"{len(images)} images for group of order {group.order}")
-        images = tuple(require_unitary(w) for w in images)
+        images = tuple(as_square(w) for w in images)
         d = images[0].shape[0]
         if any(w.shape[0] != d for w in images):
             raise DimensionError("representation images have mixed dimensions")
         stack = np.array(images)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give an inf or nan dev
+            dev = np.abs(np.swapaxes(stack, 1, 2).conj() @ stack - np.eye(d)).max(axis=(1, 2))
+        if not (dev <= STRUCT_TOL).all():  # also rejects a nan dev
+            k = int(np.argmin(dev <= STRUCT_TOL))
+            raise DomainError(f"image {k}: matrix is not unitary within {STRUCT_TOL} "
+                              f"(deviation {dev[k]:.3e})")
         # the elements x that pass are closed under the product and reach the group
         for x in (group.identity, *group.generators):
             # W(x) W(y) against W(x*y) for every y at once, O(n d^2) memory
@@ -224,10 +230,6 @@ def standard_representation(n: int) -> FiniteGroupRep:
     images = [(plane.T @ np.eye(n)[:, list(p)] @ plane).astype(complex)
               for p in itertools.permutations(range(n))]
     return FiniteGroupRep(FiniteGroup.symmetric(n), images)
-
-
-def trivial_rep(group: FiniteGroup, dim: int = 1) -> FiniteGroupRep:
-    return FiniteGroupRep(group, [np.eye(dim, dtype=complex)] * group.order)
 
 
 def require_same_group(a: FiniteGroupRep, b: FiniteGroupRep) -> None:

@@ -5,7 +5,7 @@ from covcat import linalg as la
 from covcat.catalysis import CatalysisScenario
 from covcat.channels import Channel
 from covcat.refframe import FrameScenario, phase_ladder_unitary
-from covcat.symmetry import FiniteGroup, FiniteGroupRep, standard_representation, trivial_rep
+from covcat.symmetry import FiniteGroup, FiniteGroupRep, standard_representation
 
 
 @pytest.fixture
@@ -105,7 +105,7 @@ OTHER_GROUPS = ["C1", "Z2", "Z6"]
 
 def other_group_qubit_rep(name: str) -> FiniteGroupRep:
     if name == "C1":
-        return trivial_rep(FiniteGroup.cyclic(1), 2)
+        return FiniteGroupRep(FiniteGroup.cyclic(1), [np.eye(2)])
     n = int(name[1:])
     return FiniteGroupRep(FiniteGroup.cyclic(n),
                           [np.diag([1.0, np.exp(2j * np.pi * k / n)]) for k in range(n)])

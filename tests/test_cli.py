@@ -683,6 +683,22 @@ def test_check_covariance_refuses_representations_of_different_groups(other, tmp
     assert err.startswith("error: representations of different groups") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault", ["scaled", "nan"])
+def test_check_covariance_refuses_a_non_unitary_image(fault, tmp_path, capsys):
+    problem = s3_problem()
+    images = problem["rep_in"]["images"]
+    if fault == "scaled":
+        images[4] = ser.matrix_to_json(1.01 * standard_representation(3).images[4])
+    else:
+        images[4]["data"][0][0] = float("nan")
+    inp = tmp_path / "cov.json"
+    inp.write_text(json.dumps(problem))  # NaN is written as the bare token NaN
+    assert run_cli(["check-covariance", "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    expected = "image 4: matrix is not unitary" if fault == "scaled" else "entries must be finite"
+    assert expected in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("fault", ["bool-table-entry", "extra-key", "bool-generator-entry"])
 def test_check_covariance_malformed_rep_out_alone_is_refused(fault, tmp_path, capsys):
     problem = s3_problem()

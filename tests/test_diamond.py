@@ -110,15 +110,21 @@ def test_affine_projection_is_a_projection(d, rng):
             [np.trace(rho).real - 1.0],
         ])
 
+    def project(x):
+        """The projection read from the multipliers ``(R, t)``."""
+        wq, rho = from_vec(x)
+        r, t = prog.project_affine(wq, rho)
+        return to_vec(wq - r, rho + la.partial_trace(r, [d, d], keep=[1]) - t * np.eye(d))
+
     nv = 2 * n_big + n_small
     offset = residual(np.zeros(nv))
     a = np.array([residual(e) - offset for e in np.eye(nv)]).T
     x = rng.standard_normal(nv)
     oracle = x - a.T @ np.linalg.lstsq(a @ a.T, residual(x), rcond=None)[0]
-    p = to_vec(*prog.project_affine(*from_vec(x)))
+    p = project(x)
     np.testing.assert_allclose(p, oracle, atol=1e-10)
     assert np.abs(residual(p)).max() <= 1e-10
-    np.testing.assert_allclose(to_vec(*prog.project_affine(*from_vec(p))), p, atol=1e-10)
+    np.testing.assert_allclose(project(p), p, atol=1e-10)
 
 
 def test_unitary_oracle_special_cases():
@@ -310,12 +316,57 @@ CERTIFY_BRACKETS = [
 ]
 
 
+# values the iteration that projected rho onto its cone certified for the same
+# targets, in 275, 325, 125 and 75 iterations
+CERTIFY_VALUES = [0.9498207468432414, 0.9520036282201487, 0.8022506810917818,
+                  0.5946144685953731]
+
+
 @pytest.mark.parametrize("k", range(4))
 def test_certify_targets_overlap_earlier_brackets(k):
     res = implementation_error(_certify_targets()[k])
     low, up = CERTIFY_BRACKETS[k]
     assert res.status == "converged" and res.upper - res.lower <= DEFAULT_GAP_TOL
     assert res.lower <= up and low <= res.upper
+    # leaving rho free moves the value only within the bracket
+    assert abs(res.value - CERTIFY_VALUES[k]) <= DEFAULT_GAP_TOL
+
+
+def test_iterations_eigendecompose_no_d_by_d_matrix(monkeypatch):
+    """rho's cone is implied by ``W, Q >= 0`` and ``W + Q = 1 (x) rho``, so an
+    iteration makes one ``eigh`` of the (2, d^2, d^2) stack, and a d x d
+    ``eigh`` or ``eigvalsh`` runs only inside the bracket checks."""
+    sc = _certify_targets()[0]
+    j = sc.induced_system_channel().choi() - Channel.from_unitary(sc.target).choi()
+    d, in_check = 3, []
+    calls = {"outside": 0, "inside": 0, "stack": 0}
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            if a.shape[-2:] == (d, d):
+                calls["inside" if in_check else "outside"] += 1
+            elif a.shape == (2, d * d, d * d):
+                calls["stack"] += 1
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    def checking(fn):
+        def wrapped(*args):
+            in_check.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                in_check.pop()
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    for name in ("primal_value", "dual_value"):
+        monkeypatch.setattr(_DiamondProgram, name, checking(getattr(_DiamondProgram, name)))
+    res = diamond_norm_of_difference(j, d)
+    assert res.status == "converged" and res.iterations > 0
+    assert calls["outside"] == 0
+    assert calls["inside"] > 0 and calls["stack"] == res.iterations
 
 
 def test_a_priori_cap_applies_to_channels_only():

@@ -362,6 +362,24 @@ def test_corrupted_s5_image_reports_first_failing_pair(corrupt, rng):
         sym.FiniteGroupRep(good.group, images)
 
 
+@pytest.mark.parametrize("fault", ["scaled", "nan"])
+def test_non_unitary_image_is_refused_at_its_index(fault):
+    # the stacked unitarity check names the first failing image with the
+    # message of the per-image check; a NaN is refused before any product
+    good = sym.standard_representation(5)
+    images = list(good.images)
+    for k in (17, 40):
+        images[k] = 1.01 * images[k]
+    if fault == "nan":
+        images[17] = images[17].copy()
+        images[17][0, 1] = np.nan
+    with pytest.raises(la.DomainError) as oracle:
+        la.require_unitary(images[17])
+    want = str(oracle.value) if fault == "nan" else f"image 17: {oracle.value}"
+    with pytest.raises(la.DomainError, match=re.escape(want)):
+        sym.FiniteGroupRep(good.group, images)
+
+
 def test_s3_standard_rep_is_valid():
     g = sym.FiniteGroup.symmetric(3)
     rep = sym.FiniteGroupRep(g, s3_standard_images())
