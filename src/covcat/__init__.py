@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     fidelity,
-    func_calc,
     hermitian_power,
     partial_trace,
     tensor,
@@ -30,8 +29,6 @@ from .symmetry import (
 )
 from .channels import (
     Channel,
-    env_channel,
-    hs_dual,
     induced_channel,
     is_covariant,
 )
@@ -51,7 +48,6 @@ from .catalysis import (
     find_intertwiner,
     generate_admissible_scenario,
     rank_condition_counterexample,
-    reduce_to_tuples,
     regular_rep_channel,
     state_swap_channel,
     verify_scenario,
@@ -60,7 +56,6 @@ from .refframe import (
     FrameScenario,
     catalytic_channel,
     degradation_sweep,
-    implementation_error,
     phase_reference_scenario,
     recovery_channel,
 )

@@ -77,9 +77,6 @@ class Channel:
                 gram += rows.conj().T @ rows
             return max_norm(gram)
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.apply(rho)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = as_square(rho)
         if rho.shape[0] != self.d_in:
@@ -99,17 +96,8 @@ class Channel:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def identity(cls, d: int) -> "Channel":
-        return cls([np.eye(d, dtype=complex)])
-
-    @classmethod
     def from_unitary(cls, u: np.ndarray) -> "Channel":
         return cls([require_unitary(u)])
-
-    @classmethod
-    def depolarizing(cls, d: int) -> "Channel":
-        """Completely depolarizing channel rho -> 1/d."""
-        return cls(np.eye(d * d).reshape(d * d, d, d) / np.sqrt(d))  # |i><j|, index i d + j
 
 
 def _compressed(ks: np.ndarray) -> np.ndarray:
@@ -119,20 +107,6 @@ def _compressed(ks: np.ndarray) -> np.ndarray:
     if r <= d_out * d_in:
         return ks
     return np.linalg.qr(ks.reshape(r, -1).conj(), mode="r").conj().reshape(-1, d_out, d_in)
-
-
-def compose(outer: Channel, inner: Channel) -> Channel:
-    """Channel composition outer after inner."""
-    if inner.d_out != outer.d_in:
-        raise DimensionError(f"cannot compose: {inner.d_out} -> {outer.d_in}")
-    ks = outer.kraus[:, None] @ inner.kraus[None]  # index (a, b), a outer
-    return Channel(_compressed(ks.reshape(-1, outer.d_out, inner.d_in)))
-
-
-def tensor_channels(a: Channel, b: Channel) -> Channel:
-    """Kraus operators ``K_a (x) L_b``, index (a, b) with a outer."""
-    ka, kb = a.kraus[:, None, :, None, :, None], b.kraus[None, :, None, :, None, :]
-    return Channel((ka * kb).reshape(-1, a.d_out * b.d_out, a.d_in * b.d_in))
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +180,6 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
             refuted |= defect > max(tol, rounding)
     return CovarianceReport(covariant=worst <= tol, worst_violation=worst,
                             conclusive=worst <= tol or refuted)
-
-
-def twirl(t: Channel, rep_in: FiniteGroupRep, rep_out: FiniteGroupRep) -> Channel:
-    """Group average of a channel; the result is covariant by construction."""
-    require_same_group(rep_in, rep_out)
-    if rep_in.dim != t.d_in or rep_out.dim != t.d_out:
-        raise DimensionError("representation dims do not match channel dims")
-    w_in, w_out = np.array(rep_in.images)[:, None], np.array(rep_out.images)[:, None]
-    ks = w_out.conj().swapaxes(-1, -2) @ t.kraus[None] @ w_in / np.sqrt(rep_in.group.order)
-    return Channel(ks.reshape(-1, t.d_out, t.d_in))  # index (g, k), g outer
 
 
 # ---------------------------------------------------------------------------

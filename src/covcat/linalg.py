@@ -149,21 +149,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return t.reshape(d_keep, d_keep)
 
 
-def permute_factors(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors: factor ``perm[i]`` of the input becomes factor i."""
-    m = as_square(m)
-    dims = [int(d) for d in dims]
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(len(dims))):
-        raise DimensionError(f"{perm} is not a permutation of {len(dims)} factors")
-    if int(np.prod(dims)) != m.shape[0]:
-        raise DimensionError("dims do not match matrix size")
-    n = len(dims)
-    t = m.reshape(*dims, *dims)
-    t = t.transpose(perm + [n + p for p in perm])
-    return t.reshape(m.shape)
-
-
 # ---------------------------------------------------------------------------
 # functional calculus
 # ---------------------------------------------------------------------------

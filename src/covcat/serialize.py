@@ -140,11 +140,6 @@ def rep_from_json(obj: Mapping[str, Any]):
     return FiniteGroupRep(group, matrices_from_json(obj["images"], where="representation.images"))
 
 
-def channel_to_json(t) -> dict:
-    return {"d_in": int(t.d_in), "d_out": int(t.d_out),
-            "kraus": [matrix_to_json(k) for k in t.kraus]}
-
-
 def channel_from_json(obj: Mapping[str, Any]):
     from .channels import Channel
     check_keys(obj, ["d_in", "d_out", "kraus"], where="channel")

@@ -111,12 +111,8 @@ def other_group_qubit_rep(name: str) -> FiniteGroupRep:
                           [np.diag([1.0, np.exp(2j * np.pi * k / n)]) for k in range(n)])
 
 
-# Per-operator reference constructions, one Kraus operator (or column) at a
-# time, in the order the stacked constructions must keep.
-
-def compose_loop(outer: Channel, inner: Channel) -> list:
-    return [a @ b for a in outer.kraus for b in inner.kraus]
-
+# Per-operator constructions, one Kraus operator (or column) at a time: the
+# channels that tests build, and references for the stacked constructions.
 
 def tensor_channels_loop(a: Channel, b: Channel) -> list:
     return [la.tensor(ka, kb) for ka in a.kraus for kb in b.kraus]

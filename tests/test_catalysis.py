@@ -326,7 +326,7 @@ def test_regular_rep_channel_matches_hand_written_kraus(rng):
     omega, unitary = la.random_density(d_e, rng), la.random_unitary(d_s * d_e, rng)
     # reference: rotate the environment-first unitary, contract with the
     # eigenvectors of omega_E, read off one Kraus operator per output E index
-    v_env_first = la.permute_factors(unitary, [d_s, d_e], [1, 0])
+    v_env_first = unitary.reshape(d_s, d_e, d_s, d_e).transpose(1, 0, 3, 2).reshape(d_s * d_e, -1)
     w_env, v_env = np.linalg.eigh(omega)
     expected = []
     for y in range(n):

@@ -6,18 +6,14 @@ from covcat import channels
 from covcat import symmetry as sym
 from covcat.channels import (
     Channel,
-    compose,
     env_channel,
     hs_dual,
     induced_channel,
     is_covariant,
-    tensor_channels,
-    twirl,
 )
 
 from conftest import (
     OTHER_GROUPS,
-    compose_loop,
     depolarizing_loop,
     env_channel_loop,
     other_group_qubit_rep,
@@ -33,8 +29,8 @@ SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=
 
 def test_apply_identity_and_depolarizing(rng):
     rho = la.random_density(3, rng)
-    np.testing.assert_allclose(Channel.identity(3).apply(rho), rho, atol=0)
-    np.testing.assert_allclose(Channel.depolarizing(3).apply(rho), np.eye(3) / 3, atol=1e-12)
+    np.testing.assert_allclose(Channel([np.eye(3)]).apply(rho), rho, atol=0)
+    np.testing.assert_allclose(Channel(depolarizing_loop(3)).apply(rho), np.eye(3) / 3, atol=1e-12)
 
 
 def test_apply_matches_choi_action(rng):
@@ -58,9 +54,9 @@ def test_apply_preserves_trace_and_positivity(rng):
 def test_choi_identity_and_depolarizing():
     d = 3
     omega = np.eye(d).reshape(-1)
-    np.testing.assert_allclose(Channel.identity(d).choi(), np.outer(omega, omega), atol=1e-14)
+    np.testing.assert_allclose(Channel([np.eye(d)]).choi(), np.outer(omega, omega), atol=1e-14)
     # completely depolarizing: J = sum_ij (1/d) (x) E_ii = 1/d (x) 1
-    np.testing.assert_allclose(Channel.depolarizing(d).choi(),
+    np.testing.assert_allclose(Channel(depolarizing_loop(d)).choi(),
                                la.tensor(np.eye(d) / d, np.eye(d)), atol=1e-12)
 
 
@@ -77,55 +73,28 @@ def test_trace_preservation_defect_matches_whole_stack_gram(chunk_bytes, rng, mo
     # 16 * 3 * 5 bytes: chunks of five rows of a d_in = 3 stack, with a ragged tail
     if chunk_bytes is not None:
         monkeypatch.setattr(channels, "CHUNK_BYTES", chunk_bytes)
-    for ks in (random_channel(3, 4, rng, d_out=2).kraus, 0.9 * Channel.depolarizing(3).kraus):
+    for ks in (random_channel(3, 4, rng, d_out=2).kraus, 0.9 * np.array(depolarizing_loop(3))):
         t = Channel(ks, require_tp=False)
         flat = ks.reshape(-1, 3)
         want = la.max_norm(flat.conj().T @ flat - np.eye(3))
         assert abs(t.trace_preservation_defect() - want) <= 1e-15
 
 
-def _compose_case(container, rng):
-    outer = random_channel(3, 2, rng, d_out=2, container=container)
-    inner = random_channel(2, 2, rng, d_out=3, container=container)
-    return compose(outer, inner).kraus, compose_loop(outer, inner)  # 4 <= 2 * 2: not compressed
-
-
-def _tensor_case(container, rng):
+@pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
+def test_channel_stacks_kraus_from_each_container(container, rng):
     a = random_channel(2, 2, rng, container=container)
     b = random_channel(3, 3, rng, container=container)
-    return tensor_channels(a, b).kraus, tensor_channels_loop(a, b)
-
-
-def _twirl_case(container, rng):
     rep = sym.left_regular_representation(sym.FiniteGroup.cyclic(3))
-    t = random_channel(3, 2, rng, container=container)
-    return twirl(t, rep, rep).kraus, twirl_loop(t, rep, rep)
-
-
-def _depolarizing_case(container, rng):
-    return Channel.depolarizing(3).kraus, depolarizing_loop(3)
-
-
-KRAUS_CASES = {"compose": _compose_case, "tensor_channels": _tensor_case, "twirl": _twirl_case,
-               "depolarizing": _depolarizing_case}
-
-
-@pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
-@pytest.mark.parametrize("name", sorted(KRAUS_CASES))
-def test_kraus_stack_matches_per_operator_loop(name, container, rng):
-    got, want = KRAUS_CASES[name](container, rng)
-    assert isinstance(got, np.ndarray) and got.dtype == complex
-    assert got.shape == (len(want),) + want[0].shape
-    for k_got, k_want in zip(got, want):
-        np.testing.assert_allclose(k_got, k_want, rtol=0, atol=1e-14)
-    rebuilt = Channel(container(want)).kraus  # the oracle's operators, handed over in the container
-    assert isinstance(rebuilt, np.ndarray) and rebuilt.dtype == complex
-    np.testing.assert_array_equal(rebuilt, np.array(want))
+    for want in ([np.eye(3)], depolarizing_loop(3), tensor_channels_loop(a, b),
+                 twirl_loop(b, rep, rep)):
+        got = Channel(container(want)).kraus
+        assert isinstance(got, np.ndarray) and got.dtype == complex
+        np.testing.assert_array_equal(got, np.array(want))
 
 
 def test_covariance_identity_channel():
     rep = sym.left_regular_representation(sym.FiniteGroup.cyclic(3))
-    report = is_covariant(Channel.identity(3), rep, rep)
+    report = is_covariant(Channel([np.eye(3)]), rep, rep)
     assert report.covariant and report.worst_violation < 1e-12
 
 
@@ -139,7 +108,7 @@ def test_twirl_is_covariant(rng):
     g = sym.FiniteGroup.cyclic(4)
     rep = sym.left_regular_representation(g)
     raw = random_channel(4, 2, rng)
-    averaged = twirl(raw, rep, rep)
+    averaged = Channel(twirl_loop(raw, rep, rep))
     assert is_covariant(averaged, rep, rep).covariant
     assert not is_covariant(raw, rep, rep).covariant
 
@@ -148,22 +117,10 @@ def test_twirl_is_covariant(rng):
 def test_representations_of_different_groups_are_refused(other):
     s3, rep = sym.standard_representation(3), other_group_qubit_rep(other)
     for rep_in, rep_out in ((s3, rep), (rep, s3)):
-        for build in (twirl, is_covariant):
-            with pytest.raises(la.DomainError, match="different groups"):
-                build(Channel.identity(2), rep_in, rep_out)
+        with pytest.raises(la.DomainError, match="different groups"):
+            is_covariant(Channel([np.eye(2)]), rep_in, rep_out)
         with pytest.raises(la.DomainError, match="different groups"):
             sym.tensor_rep(rep_in, rep_out)
-
-
-def test_covariance_closed_under_compose_and_tensor(rng):
-    g = sym.FiniteGroup.cyclic(3)
-    rep = sym.left_regular_representation(g)
-    a = twirl(random_channel(3, 2, rng), rep, rep)
-    b = twirl(random_channel(3, 2, rng), rep, rep)
-    assert is_covariant(compose(a, b), rep, rep).covariant
-    both = tensor_channels(a, b)
-    rep2 = sym.tensor_rep(rep, rep)
-    assert is_covariant(both, rep2, rep2).covariant
 
 
 def _dense_choi_commutator(t, rep_in, rep_out):
@@ -205,7 +162,7 @@ def _u1_covariant_channel(d, rng):
     charges = np.arange(d)
     rep = sym.FiniteGroupRep(sym.FiniteGroup.cyclic(n),
                              [np.diag(np.exp(2j * np.pi * g * charges / n)) for g in range(n)])
-    return twirl(random_channel(d, 2, rng), rep, rep), np.diag(charges.astype(float))
+    return Channel(twirl_loop(random_channel(d, 2, rng), rep, rep)), np.diag(charges.astype(float))
 
 
 def _check_against_oracle(t, rep_in, rep_out):
@@ -261,7 +218,7 @@ def test_group_covariance_matches_dense_oracle(order, rng):
     rep = sym.left_regular_representation(sym.FiniteGroup.cyclic(order))
     raw = random_channel(order, 3, rng)
     assert _check_against_oracle(raw, rep, rep) > 1e-3
-    cov = twirl(raw, rep, rep)
+    cov = Channel(twirl_loop(raw, rep, rep))
     assert _check_against_oracle(cov, rep, rep) <= 1e-12 * order
     perturbed = _mix(cov, random_channel(order, 2, rng), 1e-6)
     assert _check_against_oracle(perturbed, rep, rep) >= 1e-7
@@ -273,7 +230,7 @@ def test_s3_twirl_with_more_kraus_than_choi_dim_matches_oracle(rng):
     rep = sym.FiniteGroupRep(sym.FiniteGroup.symmetric(3), s3_standard_images())
     raw = random_channel(2, 2, rng)
     assert _check_against_oracle(raw, rep, rep) > 1e-3
-    cov = twirl(raw, rep, rep)
+    cov = Channel(twirl_loop(raw, rep, rep))
     assert len(cov.kraus) > 4  # compressed to d_in d_out columns first
     assert _check_against_oracle(cov, rep, rep) <= 1e-13
     for eps in (1e-6, 1e-3):
@@ -301,7 +258,7 @@ def test_hs_dual_trace_pairing(rng):
 
 
 def test_depolarizing_self_dual():
-    t = Channel.depolarizing(2)
+    t = Channel(depolarizing_loop(2))
     dual = hs_dual(t)
     np.testing.assert_allclose(dual.choi(), t.choi(), atol=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 
 from covcat import diamond
 from covcat import linalg as la
-from covcat.channels import Channel, tensor_channels
+from covcat.channels import Channel
 from covcat.diamond import (
     CHECK_EVERY,
     DEFAULT_GAP_TOL,
@@ -16,7 +16,12 @@ from covcat.diamond import (
 )
 from covcat.refframe import FrameScenario, implementation_error, phase_reference_scenario
 
-from conftest import random_channel, shifted_superposition_mixture
+from conftest import (
+    depolarizing_loop,
+    random_channel,
+    shifted_superposition_mixture,
+    tensor_channels_loop,
+)
 
 
 def test_identical_channels(rng):
@@ -28,7 +33,7 @@ def test_identical_channels(rng):
 
 def test_qubit_phase_pair_closed_form():
     for theta in (0.4, 1.2, 2.7):
-        t1 = Channel.identity(2)
+        t1 = Channel([np.eye(2)])
         t2 = Channel.from_unitary(np.diag([1.0, np.exp(1j * theta)]))
         res = diamond_distance(t1, t2)
         assert res.status == "converged"
@@ -36,12 +41,13 @@ def test_qubit_phase_pair_closed_form():
 
 
 def test_identity_vs_depolarizing_qubit(rng):
-    res = diamond_distance(Channel.identity(2), Channel.depolarizing(2))
+    ident, depol = Channel([np.eye(2)]), Channel(depolarizing_loop(2))
+    res = diamond_distance(ident, depol)
     assert res.status == "converged"
     assert abs(res.value - 1.5) < 1e-6
     # cross-check: sampled maximization over pure two-qubit inputs never beats it
-    t1 = tensor_channels(Channel.identity(2), Channel.identity(2))
-    t2 = tensor_channels(Channel.depolarizing(2), Channel.identity(2))
+    t1 = Channel(tensor_channels_loop(ident, ident))
+    t2 = Channel(tensor_channels_loop(depol, ident))
     best = 0.0
     for _ in range(300):
         psi = la.random_pure_state(4, rng)
@@ -161,8 +167,8 @@ def test_metric_properties(rng):
 def test_dominates_stabilized_trace_distance(rng):
     t1, t2 = random_channel(2, 2, rng), random_channel(2, 3, rng)
     res = diamond_distance(t1, t2)
-    ident = Channel.identity(2)
-    big1, big2 = tensor_channels(t1, ident), tensor_channels(t2, ident)
+    ident = Channel([np.eye(2)])
+    big1, big2 = Channel(tensor_channels_loop(t1, ident)), Channel(tensor_channels_loop(t2, ident))
     for _ in range(20):
         rho = la.random_density(4, rng)
         gap = 2 * la.trace_distance(big1.apply(rho), big2.apply(rho))
@@ -170,7 +176,7 @@ def test_dominates_stabilized_trace_distance(rng):
 
 
 def test_result_json_shape(rng):
-    res = diamond_distance(random_channel(2, 2, rng), Channel.identity(2))
+    res = diamond_distance(random_channel(2, 2, rng), Channel([np.eye(2)]))
     payload = res.to_json()
     assert set(payload) == {"value", "status", "lower", "upper", "iterations"}
     assert payload["lower"] <= payload["value"] <= payload["upper"]
@@ -197,7 +203,7 @@ def test_iteration_cap_reports_bounds(rng, monkeypatch):
 
 def test_dimension_checks(rng):
     with pytest.raises(la.DimensionError):
-        diamond_distance(Channel.identity(2), Channel.identity(3))
+        diamond_distance(Channel([np.eye(2)]), Channel([np.eye(3)]))
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,6 @@ def test_partial_trace_dim_mismatch():
         la.partial_trace(np.eye(6), [2, 2], [0])
 
 
-def test_permute_factors(rng):
-    a, b, c = (la.random_hermitian(d, rng) for d in (2, 3, 2))
-    lhs = la.permute_factors(la.tensor(a, b, c), [2, 3, 2], [2, 0, 1])
-    np.testing.assert_allclose(lhs, la.tensor(c, a, b), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # functional calculus
 # ---------------------------------------------------------------------------

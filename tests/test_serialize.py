@@ -90,7 +90,8 @@ def test_group_rejects_inconsistent_payload():
 
 def test_channel_round_trip(rng):
     t = random_channel(3, 2, rng)
-    back = ser.channel_from_json(ser.channel_to_json(t))
+    payload = {"d_in": t.d_in, "d_out": t.d_out, "kraus": [ser.matrix_to_json(k) for k in t.kraus]}
+    back = ser.channel_from_json(payload)
     np.testing.assert_allclose(back.choi(), t.choi(), atol=1e-12)
 
 
