@@ -80,16 +80,39 @@ def test_trace_preservation_defect_matches_whole_stack_gram(chunk_bytes, rng, mo
         assert abs(t.trace_preservation_defect() - want) <= 1e-15
 
 
-@pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
-def test_channel_stacks_kraus_from_each_container(container, rng):
+def _compose_case(container, rng):
+    outer = random_channel(3, 2, rng, d_out=2, container=container)
+    inner = random_channel(2, 2, rng, d_out=3, container=container)
+    return [a @ b for a in outer.kraus for b in inner.kraus]  # rectangular factors
+
+
+def _tensor_case(container, rng):
     a = random_channel(2, 2, rng, container=container)
     b = random_channel(3, 3, rng, container=container)
+    return tensor_channels_loop(a, b)
+
+
+def _twirl_case(container, rng):
     rep = sym.left_regular_representation(sym.FiniteGroup.cyclic(3))
-    for want in ([np.eye(3)], depolarizing_loop(3), tensor_channels_loop(a, b),
-                 twirl_loop(b, rep, rep)):
-        got = Channel(container(want)).kraus
-        assert isinstance(got, np.ndarray) and got.dtype == complex
-        np.testing.assert_array_equal(got, np.array(want))
+    return twirl_loop(random_channel(3, 2, rng, container=container), rep, rep)
+
+
+def _depolarizing_case(container, rng):
+    return depolarizing_loop(3)
+
+
+KRAUS_CASES = {"compose": _compose_case, "tensor_channels": _tensor_case, "twirl": _twirl_case,
+               "depolarizing": _depolarizing_case}
+
+
+@pytest.mark.parametrize("container", [list, tuple, np.array], ids=["list", "tuple", "array"])
+@pytest.mark.parametrize("name", sorted(KRAUS_CASES))
+def test_kraus_stack_matches_per_operator_loop(name, container, rng):
+    want = KRAUS_CASES[name](container, rng)
+    got = Channel(container(want)).kraus  # the oracle's operators, handed over in the container
+    assert isinstance(got, np.ndarray) and got.dtype == complex
+    assert got.shape == (len(want),) + want[0].shape
+    np.testing.assert_array_equal(got, np.array(want))
 
 
 def test_covariance_identity_channel():
