@@ -43,6 +43,8 @@ from .linalg import (
     tensor,
     von_neumann_entropy,
 )
+from .serialize import (check_keys, generators_from_json, int_from_json, matrix_from_json,
+                        matrix_to_json, tolerance_from_json)
 from .symmetry import FiniteGroupRep, conservation_residuals, generator_scale
 from .words import UnitaryMatchResult, find_simultaneous_unitary
 
@@ -112,7 +114,6 @@ class CatalysisScenario:
         return verify_scenario(self)
 
     def to_json(self) -> dict:
-        from .serialize import matrix_to_json
         out = {
             "unitary": matrix_to_json(self.unitary),
             "rho_s": matrix_to_json(self.rho_s),
@@ -130,8 +131,6 @@ class CatalysisScenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CatalysisScenario":
-        from .serialize import (check_keys, generators_from_json, int_from_json, matrix_from_json,
-                                tolerance_from_json)
         check_keys(obj, ["unitary", "rho_s", "rho_s_out", "sigma_c",
                          "gens_s_in", "gens_s_out", "gens_c"],
                    optional=["tolerances", "seed"], where="scenario")
@@ -240,7 +239,6 @@ class IntertwinerResult:
     diagnostic: dict | None = None
 
     def to_json(self) -> dict:
-        from .serialize import matrix_to_json
         out = {"success": self.success,
                "state_residual": self.state_residual,
                "intertwining_residual": self.intertwining_residual,

@@ -8,7 +8,8 @@ JSON (or CSV) report and exits with a meaningful status:
 * 2: malformed input (unknown keys, bad matrices, missing files),
 * 3: a solver stopped before certifying, a check is neither passed nor
   refuted at the ends of its certified brackets, or a covariance defect lies
-  within the rounding of the generators (a bounded result is still emitted).
+  within the rounding of the generators (a bounded result is still emitted),
+  or the problem did not fit in memory (an error report, as for 2).
 
 Reports are deterministic for a fixed config and seed: timestamps live in a
 separate ``metadata`` field, everything else is byte-stable. Files are
@@ -356,10 +357,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result, passed, solver_ok = args.handler(args)
-    except (FormatError, DomainError, DimensionError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        report = {"command": args.command, "error": str(exc), "passed": False}
-        status = EXIT_MALFORMED_INPUT
+    except (FormatError, DomainError, DimensionError, OSError, MemoryError) as exc:
+        oom = isinstance(exc, MemoryError)  # undecided at this size, not malformed
+        message = f"out of memory: {exc}" if oom else str(exc)
+        sys.stderr.write(f"error: {message}\n")
+        report = {"command": args.command, "error": message, "passed": False}
+        status = EXIT_SOLVER if oom else EXIT_MALFORMED_INPUT
     else:
         report = {
             "command": args.command,
@@ -377,7 +380,7 @@ def main(argv=None) -> int:
     try:
         if args.output and args.command != "refframe-sweep":
             write_json_atomic(args.output, report)
-        elif not args.output and status != EXIT_MALFORMED_INPUT:
+        elif not args.output and "error" not in report:
             sys.stdout.write(dump_json(report))
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -63,7 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .linalg import DimensionError, DomainError, max_norm, partial_trace, require_hermitian
+from .linalg import (DimensionError, DomainError, max_norm, partial_trace, require_hermitian,
+                     require_unitary)
 
 DEFAULT_GAP_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
@@ -228,7 +229,6 @@ def unitary_diamond_distance(u: np.ndarray, v: np.ndarray) -> float:
     eigenvalues then contains the origin). Serves as an independent oracle
     for the semidefinite solver.
     """
-    from .linalg import require_unitary
     u, v = require_unitary(u), require_unitary(v)
     if u.shape != v.shape:
         raise DimensionError("unitaries must have equal dimension")

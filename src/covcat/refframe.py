@@ -152,11 +152,8 @@ class FrameScenario:
 
     def induced_system_channel(self) -> Channel:
         """``rho -> Tr_F U(rho (x) frame_state)U^dag``: each slice ``m[:, v, :]``
-        of the isometry is one Kraus operator, taken with the purifier index i
-        of ``v = (f, i)`` outer, the order of `induced_channel`."""
-        m, phi = self.isometry
-        d_s, d_cp = self.d_s, len(phi) // (self.d_c * self.d_e)
-        return Channel(m.reshape(d_s, -1, d_cp, d_s).transpose(2, 1, 0, 3).reshape(-1, d_s, d_s))
+        of the isometry is one Kraus operator."""
+        return Channel(self.isometry[0].transpose(1, 0, 2))
 
 
 def implementation_error(sc: FrameScenario) -> DiamondResult:
@@ -164,25 +161,10 @@ def implementation_error(sc: FrameScenario) -> DiamondResult:
     return diamond_distance(sc.induced_system_channel(), Channel.from_unitary(sc.target))
 
 
-@dataclass(frozen=True, eq=False)
-class DriftResult:
-    """Frame-side drift approximating the dynamics at every system input.
-
-    ``state`` is the drifted frame ``W|phi>``: the top eigenvector of the
-    average frame output, its phase fixed by the image of a reference input.
-    ``sup_deviation_sq`` is the supremum over unit psi of
-    ``|| U |psi phi> - V|psi> (x) W|phi> ||^2``, a squared operator norm; the
-    information-disturbance tradeoff promises a W that keeps it below twice
-    the implementation error.
-    """
-
-    state: np.ndarray
-    sup_deviation_sq: float
-
-
-def _drift(m: np.ndarray, out_units: np.ndarray, target: np.ndarray) -> DriftResult:
-    """Drift from the isometry ``m`` of `FrameScenario.isometry` and its frame
-    outputs ``out_units[b, c] = Tr_S M |b><c| M^dag``."""
+def _drift(m: np.ndarray, out_units: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(W phi, sup_deviation_sq)`` (see `RecoveryReport`) from the isometry
+    ``m`` of `FrameScenario.isometry` and its frame outputs
+    ``out_units[b, c] = Tr_S M |b><c| M^dag``."""
     d_s, d_v = m.shape[:2]
     # average frame output Tr_S M (1/d_s) M^dag
     top = np.linalg.eigh(np.trace(out_units) / d_s)[1][:, -1]
@@ -192,7 +174,7 @@ def _drift(m: np.ndarray, out_units: np.ndarray, target: np.ndarray) -> DriftRes
         top = top * (overlap / abs(overlap))
     # sup over unit psi of || (M - V (x) W phi) psi ||^2 is the squared operator norm
     delta = m.reshape(d_s * d_v, d_s) - np.kron(target, top[:, None])
-    return DriftResult(state=top, sup_deviation_sq=float(np.linalg.norm(delta, 2) ** 2))
+    return top, float(np.linalg.norm(delta, 2) ** 2)
 
 
 def recovery_channel(sc: FrameScenario) -> Channel:
@@ -226,8 +208,14 @@ class RecoveryReport:
     ``[witness_distance, worst_distance]``: the distance at one input and the
     certificate over all of them, with ``witness_input`` the unit vector of S
     attaining the former. ``worst_distance`` must stay below
-    ``bound_lower`` (plus solver slack) for the report to pass;
-    ``worst_output_drift_distance`` is the certificate of the drift distance.
+    ``bound_lower`` (plus solver slack) for the report to pass.
+    ``drift_state`` is the drifted frame ``W|phi>``: the top eigenvector of
+    the average frame output, its phase fixed by the image of a reference
+    input. ``sup_deviation_sq`` is the supremum over unit psi of
+    ``|| U |psi phi> - V|psi> (x) W|phi> ||^2``, a squared operator norm; the
+    information-disturbance tradeoff promises a W that keeps it below twice
+    the implementation error. ``worst_output_drift_distance`` is the
+    certificate of the drift distance.
     ``failures`` lists the checks that fail at the upper end of the bracket,
     ``inconclusive`` those that are neither passed nor failed (see the module
     docstring).
@@ -238,7 +226,8 @@ class RecoveryReport:
     bound: float
     bound_lower: float
     bound_upper: float
-    drift: DriftResult
+    drift_state: np.ndarray
+    sup_deviation_sq: float
     worst_distance: float
     witness_distance: float
     witness_input: np.ndarray
@@ -276,7 +265,7 @@ class RecoveryReport:
                 "bound": self.bound,
                 "bound_lower": self.bound_lower,
                 "bound_upper": self.bound_upper,
-                "sup_deviation_sq": self.drift.sup_deviation_sq,
+                "sup_deviation_sq": self.sup_deviation_sq,
                 "worst_distance": self.worst_distance,
                 "witness_distance": self.witness_distance,
                 "min_fidelity": self.min_fidelity,
@@ -331,9 +320,12 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     if sc.omega_e is not None:
         t_prime = induced_channel(t_prime, sc.omega_e, d_s * d_c, d_e)
 
-    # (a) induced dynamics on S unchanged
-    t_prime_s = induced_channel(t_prime, sc.sigma_c, d_s, d_c)
-    induced_defect = max_norm(t_prime_s.choi() - t_orig.choi())
+    # (a) induced dynamics on S unchanged: T' on S has the Kraus operators
+    # (<f, i| (x) 1_S)(1_S (x) K_r (x) 1_C') M at [f, r, i], with f on C (x) E
+    m, phi = sc.isometry
+    d_v = len(phi)
+    recovered = np.einsum("rgf,afib->griab", recovery.kraus, m.reshape(d_s, d_f, -1, d_s))
+    induced_defect = max_norm(Channel(recovered.reshape(-1, d_s, d_s)).choi() - t_orig.choi())
     if induced_defect > 1e-8:
         failures.append(f"induced channel changed by {induced_defect:.3e}")
 
@@ -349,17 +341,13 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     # processing its bound gives the bound on C (x) E. Every frame output is
     # linear in the system input rho, so it is tabulated once on the matrix
     # units |b><c| of S: Tr_S M rho M^dag = sum_bc rho_bc out_units[b, c].
-    m, phi = sc.isometry
-    d_v = len(phi)
-    d_cp = d_v // d_f
     flat = m.transpose(2, 1, 0).reshape(d_s * d_v, d_s)
     out_units = (flat @ flat.conj().T).reshape(d_s, d_v, d_s, d_v).transpose(0, 2, 1, 3)
-    drift = _drift(m, out_units, sc.target)
-    wphi = drift.state
+    wphi, sup_deviation_sq = _drift(m, out_units, sc.target)
     phi_rho = np.outer(phi, phi.conj())
     # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s, the
     # recovery acting on C (x) E and leaving C' alone
-    z = (recovery.kraus @ wphi.reshape(d_f, d_cp)).reshape(-1, d_v)
+    z = (recovery.kraus @ wphi.reshape(d_f, -1)).reshape(-1, d_v)
     recovery_pullback_distance = trace_distance(phi_rho, z.T @ z.conj())
     check("recovery pullback distance exceeds sqrt(2 eps)", recovery_pullback_distance,
           recovery_pullback_distance, lambda e: root(e) + METRIC_SLACK)
@@ -378,15 +366,15 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
 
     # (c') frame distance on the physical frame C, read from T' itself: Y psi
     # holds the overlaps <s, phi_C| (K_n (x) 1_C') |psi, phi_C> of T' with the
-    # purification phi_C of sigma_C, contracted through sigma_C[c, x]
+    # purification phi_C of sigma_C, contracted through sigma_C[c, x] (M
+    # purifies sigma_C (x) omega_E jointly, so it would certify C (x) E)
     k = t_prime.kraus.reshape(-1, d_s, d_c, d_s, d_c)
     y = np.einsum("nsxbc,cx->nsb", k, sc.sigma_c).reshape(-1, d_s)
     lam, vecs = np.linalg.eigh(y.conj().T @ y)
     worst = float(np.sqrt(1.0 - np.clip(lam[0], 0.0, 1.0)))
     # the witness input x: its frame output Tr_S T'(|x><x| (x) sigma_C) from
-    # the Kraus stack of (a), indexed (K, l, a, b) with l the output index of C
-    cols = (t_prime_s.kraus.reshape(-1, d_c, d_s, d_s) @ vecs[:, 0]).transpose(1, 0, 2)
-    cols = cols.reshape(d_c, -1)
+    # the recovered isometry of (a), whose first index f = (c, e) leads with C
+    cols = (recovered @ vecs[:, 0]).reshape(d_c, -1)
     witness = trace_distance(cols @ cols.conj().T, sc.sigma_c)
     check(f"worst frame distance {worst:.6f} exceeds bound 2 sqrt(2 eps)", witness, worst,
           lambda e: 2.0 * root(e) + DIAMOND_SLACK)
@@ -394,7 +382,8 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     report = RecoveryReport(
         epsilon=eps, epsilon_result=eps_result, bound=2.0 * root(eps),
         bound_lower=2.0 * root(eps_result.lower), bound_upper=2.0 * root(eps_result.upper),
-        drift=drift, worst_distance=worst, witness_distance=witness, witness_input=vecs[:, 0],
+        drift_state=wphi, sup_deviation_sq=sup_deviation_sq, worst_distance=worst,
+        witness_distance=witness, witness_input=vecs[:, 0],
         min_fidelity=min_fid, worst_output_drift_distance=worst_drift_dist,
         recovery_pullback_distance=recovery_pullback_distance,
         induced_identity_defect=induced_defect,

@@ -19,6 +19,9 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .channels import Channel
+from .symmetry import FiniteGroup, FiniteGroupRep
+
 
 class FormatError(ValueError):
     """Malformed or out-of-schema JSON payload."""
@@ -112,7 +115,6 @@ def group_to_json(group) -> dict:
 
 
 def group_from_json(obj: Mapping[str, Any]):
-    from .symmetry import FiniteGroup
     check_keys(obj, ["order", "table"], optional=["labels"], where="group")
     order = int_from_json(obj["order"], "group.order")
     table = obj["table"]
@@ -134,14 +136,12 @@ def rep_to_json(rep) -> dict:
 
 
 def rep_from_json(obj: Mapping[str, Any]):
-    from .symmetry import FiniteGroupRep
     check_keys(obj, ["group", "images"], where="representation")
     group = group_from_json(obj["group"])
     return FiniteGroupRep(group, matrices_from_json(obj["images"], where="representation.images"))
 
 
 def channel_from_json(obj: Mapping[str, Any]):
-    from .channels import Channel
     check_keys(obj, ["d_in", "d_out", "kraus"], where="channel")
     if not isinstance(obj["kraus"], list) or not obj["kraus"]:
         raise FormatError("channel: kraus must be a non-empty list")

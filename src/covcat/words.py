@@ -38,6 +38,7 @@ from .linalg import (
     require_hermitian,
     support_projector,
 )
+from .serialize import matrix_to_json
 
 
 class WordSyntaxError(ValueError):
@@ -352,7 +353,6 @@ class UnitaryMatchResult:
         return self.verdict == "equivalent"
 
     def to_json(self) -> dict:
-        from .serialize import matrix_to_json
         out = {"success": self.success, "verdict": self.verdict, "residual": self.residual,
                "nullity": self.nullity, "gap": list(self.gap)}
         if self.unitary is not None:

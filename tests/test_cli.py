@@ -218,6 +218,35 @@ def test_output_into_missing_directory_exits_malformed(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command, target", [
+    ("wiegmann-equiv", "wiegmann_equivalent"),
+    ("recovery-verify", "catalytic_channel"),
+    ("refframe-sweep", "degradation_sweep"),
+])
+@pytest.mark.parametrize("message", ["Unable to allocate 16.0 GiB for an array", ""])
+def test_out_of_memory_exits_3_with_an_error_report(command, target, message, tmp_path,
+                                                    monkeypatch, capsys):
+    # the error is raised, not provoked: nothing large is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, exhausted)
+    inp = tmp_path / "tuples.json"
+    mats = [ser.matrix_to_json(np.eye(2))]
+    inp.write_text(json.dumps({"tuple_a": mats, "tuple_b": mats}))
+    argv = [command] + (["--input", str(inp)] if command == "wiegmann-equiv" else [])
+    assert run_cli(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: out of memory: {message}\n"
+    report = tmp_path / "r.json"
+    assert run_cli(argv + ["--output", str(report)]) == 3
+    if command == "refframe-sweep":  # its --output takes the CSV, never a report
+        assert not report.exists()
+    else:
+        assert read_report(report) == {"command": command, "passed": False,
+                                       "error": f"out of memory: {message}"}
+
+
 def test_find_intertwiner_and_catalysis_verify(tmp_path):
     sc = generate_admissible_scenario(2, 2, 1, seed=3)
     inp = tmp_path / "scenario.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covcat import channels
 from covcat import linalg as la
 from covcat import refframe
 from covcat.channels import (CHANNEL_TOL, Channel, CovarianceReport, env_channel, hs_dual,
@@ -106,8 +107,8 @@ def test_phase_reference_error_decreases_with_size():
 
 def test_drift_exact_for_product_dynamics(rng):
     sc = product_frame_scenario(rng)
-    drift = catalytic_channel(sc)[1].drift
-    assert drift.sup_deviation_sq <= 1e-10
+    report = catalytic_channel(sc)[1]
+    assert report.sup_deviation_sq <= 1e-10
 
 
 def test_drift_bounded_by_twice_epsilon_on_perturbed_product(rng):
@@ -122,13 +123,13 @@ def test_drift_bounded_by_twice_epsilon_on_perturbed_product(rng):
     sc = FrameScenario(unitary=u, sigma_c=np.outer(amp, amp.conj()), target=v,
                        gens_s=(gen_s,), gens_c=(gen_c,))
     eps = implementation_error(sc).value
-    drift = catalytic_channel(sc)[1].drift
-    assert drift.sup_deviation_sq <= 2 * eps + 1e-6
+    report = catalytic_channel(sc)[1]
+    assert report.sup_deviation_sq <= 2 * eps + 1e-6
 
 
 def test_drift_improves_with_frame_size():
-    d4 = catalytic_channel(phase_reference_scenario(4, np.pi / 2))[1].drift
-    d8 = catalytic_channel(phase_reference_scenario(8, np.pi / 2))[1].drift
+    d4 = catalytic_channel(phase_reference_scenario(4, np.pi / 2))[1]
+    d8 = catalytic_channel(phase_reference_scenario(8, np.pi / 2))[1]
     assert d8.sup_deviation_sq < d4.sup_deviation_sq
 
 
@@ -434,11 +435,28 @@ def _purified_frame_overlap(t_prime, sc):
 
 
 @pytest.mark.parametrize("case", list(CHAIN_CASES))
-def test_tabulated_chain_matches_per_sample_oracle(case):
+def test_tabulated_chain_matches_per_sample_oracle(case, monkeypatch):
     sc = CHAIN_CASES[case]()
+    factored = []
+
+    def counted(rho):
+        factored.append(len(rho))
+        return la.support_factor(rho)
+
+    for module in (refframe, channels):
+        monkeypatch.setattr(module, "support_factor", counted)
     t_prime, report = catalytic_channel(sc)
+    # the frame state is factored once, omega_E once more to trace out E
+    assert factored == [sc.d_c * sc.d_e] + ([sc.d_e] if sc.omega_e is not None else [])
+    monkeypatch.undo()
+    # T' on S from the recovered isometry against the reduced dynamics of T'
+    # on S (x) C, which factors sigma_C a second time
+    assert report.induced_identity_defect <= 1e-14
+    t_prime_s = induced_channel(t_prime, sc.sigma_c, sc.d_s, sc.d_c)
+    np.testing.assert_allclose(t_prime_s.choi(), sc.induced_system_channel().choi(),
+                               rtol=0, atol=1e-14)
     sup2, pullback_dist, min_fid, drift_dists, least_drift, frame = _per_sample_oracle(sc, seed=4)
-    assert abs(report.drift.sup_deviation_sq - sup2) <= 1e-12
+    assert abs(report.sup_deviation_sq - sup2) <= 1e-12
     assert abs(report.recovery_pullback_distance - pullback_dist) <= 1e-12
     assert abs(report.min_fidelity - min_fid) <= 1e-12
     # the drift certificate sqrt(1 - F^2) lies above every sampled drift
@@ -490,11 +508,11 @@ def test_phase_ladder_extrema_sit_at_basis_inputs(n, theta):
     sc = phase_reference_scenario(n, theta)
     report = catalytic_channel(sc)[1]
     m, _ = sc.isometry
-    wphi = report.drift.state
+    wphi = report.drift_state
     cols = m - sc.target[:, None, :] * wphi[None, :, None]  # [a, v, b]
     sup2 = max(np.linalg.norm(cols[..., b]) ** 2 for b in range(2))
     fid = min(np.linalg.norm(m[..., b] @ wphi.conj()) for b in range(2))
-    assert abs(report.drift.sup_deviation_sq - sup2) <= 1e-12
+    assert abs(report.sup_deviation_sq - sup2) <= 1e-12
     assert abs(report.min_fidelity - fid) <= 1e-12
 
 
