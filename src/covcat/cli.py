@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     try:
         if args.output and args.command != "refframe-sweep":
             write_json_atomic(args.output, report)
-        elif not args.output and "error" not in report:
+        elif bool(args.output) == ("error" in report):  # a sweep's --output names its CSV
             sys.stdout.write(dump_json(report))
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

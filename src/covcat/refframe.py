@@ -22,7 +22,7 @@ processing the bound on C (x) E (x) C' gives the bound on the physical legs
 C (x) E, on which the recovery acts. Every frame output is linear in the
 system input rho, so the purified chain tabulates ``Tr_S M |b><c| M^dag`` once
 on the d_s^2 matrix units of S; no global ``U (rho (x) sigma) U^dag`` is
-formed, and no channel on all of S (x) C (x) E but T'.
+formed, and no channel on all of S (x) C (x) E.
 
 The two trace distances of the chain are certified for every density input
 on S, in closed form, by the Fuchs-van de Graaf inequality for a pure target,
@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import Channel, induced_channel, is_covariant
+from .channels import Channel, is_covariant
 from .diamond import DiamondResult, diamond_distance
 from .linalg import (
     DimensionError,
@@ -78,11 +78,14 @@ METRIC_SLACK = 1e-6    # slack on state-metric assertions
 class FrameScenario:
     """Covariant global dynamics, frame state and target unitary.
 
-    ``unitary`` acts on S (x) C (x) E with the environment last; a trivial
-    environment (``omega_e is None``) means the dynamics on SC itself is
-    unitary. Generator lists must have one entry per conserved quantity for
-    every leg that exists. Covariance of the dynamics and symmetry of the
-    environment state are validated at construction.
+    ``unitary`` acts on S (x) C (x) E with the environment last. Without an
+    environment (``omega_e=None``) the dynamics on SC itself is unitary: the
+    scenario then takes the one-dimensional environment ``omega_e = [[1]]``,
+    and, if ``gens_e`` is empty, one generator ``[[0]]`` per system generator,
+    so ``omega_e`` and ``gens_e`` are never None or short after construction.
+    Generator lists must have one entry per conserved quantity on every leg.
+    Covariance of the dynamics and symmetry of the environment state are
+    validated at construction.
     """
 
     unitary: np.ndarray
@@ -94,28 +97,27 @@ class FrameScenario:
     omega_e: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.omega_e is None:  # no environment is a one-dimensional one
+            object.__setattr__(self, "omega_e", np.ones((1, 1)))
+            if not self.gens_e:
+                object.__setattr__(self, "gens_e", tuple(np.zeros((1, 1)) for _ in self.gens_s))
         object.__setattr__(self, "unitary", require_unitary(self.unitary))
         object.__setattr__(self, "sigma_c", require_density(self.sigma_c))
         object.__setattr__(self, "target", require_unitary(self.target))
-        object.__setattr__(self, "gens_s", tuple(require_hermitian(g) for g in self.gens_s))
-        object.__setattr__(self, "gens_c", tuple(require_hermitian(g) for g in self.gens_c))
-        object.__setattr__(self, "gens_e", tuple(require_hermitian(g) for g in self.gens_e))
-        if self.omega_e is not None:
-            object.__setattr__(self, "omega_e", require_density(self.omega_e))
-            if len(self.gens_e) != len(self.gens_s):
-                raise DimensionError("environment generators required for dilated dynamics")
-            sym, dev = is_symmetric_state(self.omega_e, self.gens_e, COVARIANCE_TOL)
-            if not sym:
-                raise DomainError(f"environment state is not symmetric (deviation {dev:.3e})")
+        for leg in ("gens_s", "gens_c", "gens_e"):
+            object.__setattr__(self, leg, tuple(require_hermitian(g) for g in getattr(self, leg)))
+        object.__setattr__(self, "omega_e", require_density(self.omega_e))
+        if len(self.gens_e) != len(self.gens_s):
+            raise DimensionError("environment generators required for dilated dynamics")
+        sym, dev = is_symmetric_state(self.omega_e, self.gens_e, COVARIANCE_TOL)
+        if not sym:
+            raise DomainError(f"environment state is not symmetric (deviation {dev:.3e})")
         if self.unitary.shape[0] != self.d_s * self.d_c * self.d_e:
             raise DimensionError("global unitary does not act on S (x) C (x) E")
-        dev = self._covariance_defect()
+        dev = max(conservation_residuals(self.unitary, [self.gens_s, self.gens_c, self.gens_e]),
+                  default=0.0)
         if dev > COVARIANCE_TOL:
             raise DomainError(f"global dynamics is not covariant (defect {dev:.3e})")
-
-    def _covariance_defect(self) -> float:
-        legs = [self.gens_s, self.gens_c] + ([self.gens_e] if self.gens_e else [])
-        return max(conservation_residuals(self.unitary, legs), default=0.0)
 
     @property
     def d_s(self) -> int:
@@ -127,12 +129,12 @@ class FrameScenario:
 
     @property
     def d_e(self) -> int:
-        return 1 if self.omega_e is None else self.omega_e.shape[0]
+        return self.omega_e.shape[0]
 
     @property
     def frame_state(self) -> np.ndarray:
         """State of the full frame legs C (x) E."""
-        return self.sigma_c if self.omega_e is None else tensor(self.sigma_c, self.omega_e)
+        return tensor(self.sigma_c, self.omega_e)
 
     @cached_property
     def isometry(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,9 +185,9 @@ def recovery_channel(sc: FrameScenario) -> Channel:
     Dual of the frame-side dynamics ``Tr_S[U (1/d_s (x) .) U^dag]``: one Kraus
     operator ``(<a| (x) 1) U^dag (|b> (x) 1) / sqrt(d_s)`` per pair of system
     basis states, at index ``a * d_s + b``. Its trace preservation, checked by
-    `Channel`, is the frame-side dynamics fixing the identity. Covariance
-    follows from covariance of the dynamics and is re-checked by callers
-    through `is_covariant`.
+    `Channel`, is the frame-side dynamics fixing the identity. Its covariance
+    under the composite generators of C (x) E follows from covariance of the
+    dynamics; `catalytic_channel` checks it.
     """
     d_s = sc.d_s
     d_f = sc.unitary.shape[0] // d_s
@@ -215,7 +217,9 @@ class RecoveryReport:
     ``|| U |psi phi> - V|psi> (x) W|phi> ||^2``, a squared operator norm; the
     information-disturbance tradeoff promises a W that keeps it below twice
     the implementation error. ``worst_output_drift_distance`` is the
-    certificate of the drift distance.
+    certificate of the drift distance. ``covariance_defect`` is the recovery's
+    defect under the composite generators of C (x) E, which bounds that of
+    T' (see `catalytic_channel`).
     ``failures`` lists the checks that fail at the upper end of the bracket,
     ``inconclusive`` those that are neither passed nor failed (see the module
     docstring).
@@ -291,6 +295,29 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     chain on the purified frame. Each check against eps is judged at both
     ends of the certified bracket (see the module docstring). ``samples`` and
     ``seed`` are accepted and ignored: no distance is sampled.
+
+    Covariance is checked on the recovery R, and ``covariance_defect`` is R's.
+    It bounds the defect of T'. Take composite generators X on S (x) C,
+    ``Y = X_C (x) 1 + 1 (x) X_E`` on C (x) E and ``Z = X (x) 1 + 1 (x) X_E``
+    on S (x) C (x) E, the defects ``D_T = T' ad_X - ad_X T'`` and
+    ``D_R = R ad_Y - ad_Y R`` (``ad_X = [X, .]``) and the residual
+    ``Delta = U Z - Z U``. Since ``Tr_E [1 (x) X_E, .] = 0``,
+
+        D_T(rho) = Tr_E (id_S (x) D_R)(U (rho (x) omega_E) U^dag)
+                 + Tr_E (id_S (x) R)(Delta (rho (x) omega_E) U^dag
+                     - U (rho (x) omega_E) Delta^dag - U (rho (x) [X_E, omega_E]) U^dag).
+
+    R is trace preserving and, because U is unitary, unital, so id_S (x) R
+    does not increase the Frobenius norm (Kadison-Schwarz); Tr_E increases
+    it at most sqrt(d_e)-fold. So in the Frobenius norm of superoperators
+    (the defect of `is_covariant` before it is divided by the generators'
+    scale)
+
+        ||D_T|| <= sqrt(d_e) (d_s ||D_R|| + 2 sqrt(d_s d_c) ||Delta||_F
+                              + d_s d_c ||[X_E, omega_E]||_F),
+
+    where Delta and ``[X_E, omega_E]`` are the residuals that `FrameScenario`
+    admitted.
     """
     t_orig = sc.induced_system_channel()
     eps_result = diamond_distance(t_orig, Channel.from_unitary(sc.target))
@@ -314,11 +341,13 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     d_f = d_c * d_e
     recovery = recovery_channel(sc)  # on C (x) E
 
-    # T' on SC: inject omega_E, run U, recover on CE, trace out E.
-    t_prime = Channel((recovery.kraus[:, None] @ sc.unitary.reshape(d_s, d_f, -1))
-                      .reshape(-1, d_s * d_f, d_s * d_f))  # (1_S (x) K_r) U
-    if sc.omega_e is not None:
-        t_prime = induced_channel(t_prime, sc.omega_e, d_s * d_c, d_e)
+    # T' on SC: inject omega_E = chi chi^dag, run U, recover on CE, trace out
+    # E; one Kraus operator (1 (x) <e|)(1_S (x) K_r) U (1 (x) chi_k) at [r, k, e].
+    # U (1 (x) chi), a copy of U, is left unnamed so that it is freed at once.
+    chi = support_factor(sc.omega_e)
+    ks = recovery.kraus[:, None] @ (sc.unitary.reshape(-1, d_e) @ chi).reshape(d_s, d_f, -1)
+    ks = ks.reshape(-1, d_s, d_c, d_e, d_s * d_c, chi.shape[1])
+    t_prime = Channel(ks.transpose(0, 5, 3, 1, 2, 4).reshape(-1, d_s * d_c, d_s * d_c))
 
     # (a) induced dynamics on S unchanged: T' on S has the Kraus operators
     # (<f, i| (x) 1_S)(1_S (x) K_r (x) 1_C') M at [f, r, i], with f on C (x) E
@@ -329,13 +358,14 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     if induced_defect > 1e-8:
         failures.append(f"induced channel changed by {induced_defect:.3e}")
 
-    # (b) covariance of T' under the composite generators on S (x) C
-    comp_in = [tensor(xs, np.eye(d_c)) + tensor(np.eye(d_s), xc)
-               for xs, xc in zip(sc.gens_s, sc.gens_c)]
-    cov = is_covariant(t_prime, comp_in, comp_in, tol=COVARIANCE_TOL)
+    # (b) covariance of R under the composite generators on C (x) E, which
+    # bounds that of T' (see the docstring)
+    comp = [tensor(xc, np.eye(d_e)) + tensor(np.eye(d_c), xe)
+            for xc, xe in zip(sc.gens_c, sc.gens_e)]
+    cov = is_covariant(recovery, comp, comp, tol=COVARIANCE_TOL)
     if not cov.covariant:
         (failures if cov.conclusive else inconclusive).append(
-            f"recovered dynamics not covariant (defect {cov.worst_violation:.3e})")
+            f"recovery not covariant (defect {cov.worst_violation:.3e})")
 
     # (c) inequality chain on the purified frame C (x) E (x) C'; by data
     # processing its bound gives the bound on C (x) E. Every frame output is

@@ -240,11 +240,13 @@ def test_out_of_memory_exits_3_with_an_error_report(command, target, message, tm
     assert out == "" and err == f"error: out of memory: {message}\n"
     report = tmp_path / "r.json"
     assert run_cli(argv + ["--output", str(report)]) == 3
-    if command == "refframe-sweep":  # its --output takes the CSV, never a report
+    want = {"command": command, "passed": False, "error": f"out of memory: {message}"}
+    if command == "refframe-sweep":  # its --output takes the CSV, so the report goes to stdout
         assert not report.exists()
+        out, err = capsys.readouterr()
+        assert json.loads(out) == want and err == f"error: out of memory: {message}\n"
     else:
-        assert read_report(report) == {"command": command, "passed": False,
-                                       "error": f"out of memory: {message}"}
+        assert read_report(report) == want
 
 
 def test_find_intertwiner_and_catalysis_verify(tmp_path):
@@ -417,7 +419,7 @@ def frame_json(sc, gen_scale=1.0):
                "target": ser.matrix_to_json(sc.target),
                "gens_s": [ser.matrix_to_json(gen_scale * g) for g in sc.gens_s],
                "gens_c": [ser.matrix_to_json(gen_scale * g) for g in sc.gens_c]}
-    if sc.omega_e is not None:
+    if sc.d_e > 1:
         payload["gens_e"] = [ser.matrix_to_json(gen_scale * g) for g in sc.gens_e]
         payload["omega_e"] = ser.matrix_to_json(sc.omega_e)
     return json.dumps(payload)

@@ -7,6 +7,7 @@ from covcat import refframe
 from covcat.channels import (CHANNEL_TOL, Channel, CovarianceReport, env_channel, hs_dual,
                              induced_channel, is_covariant)
 from covcat.diamond import DiamondResult
+from covcat.symmetry import generator_scale
 from covcat.refframe import (
     FrameScenario,
     SWEEP_CSV_HEADER,
@@ -447,7 +448,7 @@ def test_tabulated_chain_matches_per_sample_oracle(case, monkeypatch):
         monkeypatch.setattr(module, "support_factor", counted)
     t_prime, report = catalytic_channel(sc)
     # the frame state is factored once, omega_E once more to trace out E
-    assert factored == [sc.d_c * sc.d_e] + ([sc.d_e] if sc.omega_e is not None else [])
+    assert factored == [sc.d_c * sc.d_e, sc.d_e]
     monkeypatch.undo()
     # T' on S from the recovered isometry against the reduced dynamics of T'
     # on S (x) C, which factors sigma_C a second time
@@ -475,6 +476,73 @@ def test_tabulated_chain_matches_per_sample_oracle(case, monkeypatch):
     assert abs(frame(np.outer(x, x.conj())) - report.witness_distance) <= 1e-12
     assert report.witness_distance <= report.worst_distance
     assert report.passed, report.failures
+
+
+def _covariance_bound(sc, t_prime, recovery_defect):
+    """``(||D_T||, bound, report)`` for the one conserved quantity of ``sc``:
+    the Frobenius norm of T''s superoperator commutator, summed densely over
+    the matrix units of S (x) C, the bound of `catalytic_channel`'s docstring
+    on it, from the recovery's scaled defect ``recovery_defect``, and the
+    `is_covariant` report of T', whose defect before scaling is that norm."""
+    (xs,), (xc,), (xe,) = sc.gens_s, sc.gens_c, sc.gens_e
+    d_s, d_c, d_e = sc.d_s, sc.d_c, sc.d_e
+    x = la.tensor(xs, np.eye(d_c)) + la.tensor(np.eye(d_s), xc)
+    y = la.tensor(xc, np.eye(d_e)) + la.tensor(np.eye(d_c), xe)
+    z = la.tensor(x, np.eye(d_e)) + la.tensor(np.eye(d_s * d_c), xe)
+    d_t = 0.0
+    for unit in np.eye((d_s * d_c) ** 2).reshape(-1, d_s * d_c, d_s * d_c):
+        out = t_prime.apply(x @ unit - unit @ x) - x @ t_prime.apply(unit) + t_prime.apply(unit) @ x
+        d_t += np.linalg.norm(out) ** 2
+    d_t = np.sqrt(d_t)
+    cov = is_covariant(t_prime, [x], [x], tol=1e-9)
+    assert abs(d_t - cov.worst_violation * generator_scale(x, x)) <= 1e-13 + 1e-9 * d_t
+    delta = sc.unitary @ z - z @ sc.unitary
+    env = xe @ sc.omega_e - sc.omega_e @ xe
+    bound = np.sqrt(d_e) * (d_s * recovery_defect * generator_scale(y, y)
+                            + 2 * np.sqrt(d_s * d_c) * np.linalg.norm(delta)
+                            + d_s * d_c * np.linalg.norm(env))
+    return d_t, bound, cov
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_recovered_dynamics_against_the_slow_oracles(case):
+    # check (b) runs on the recovery; T' itself stays covariant, its defect
+    # obeys the bound read from the recovery's, and T' is the channel of the
+    # former construction: (1_S (x) K_r) U on S (x) C (x) E, then E traced
+    # out by an eigendecomposition of omega_E
+    sc = CHAIN_CASES[case]()
+    t_prime, report = catalytic_channel(sc)
+    d_t, bound, cov = _covariance_bound(sc, t_prime, report.covariance_defect)
+    assert cov.covariant and cov.worst_violation <= 1e-9
+    # both sides are round-off here, so the bound holds up to that round-off
+    assert d_t <= bound + 1e-13
+    d_s, d_c, d_f = sc.d_s, sc.d_c, sc.d_c * sc.d_e
+    kraus = recovery_channel(sc).kraus
+    on_sce = (kraus[:, None] @ sc.unitary.reshape(d_s, d_f, -1)).reshape(-1, d_s * d_f, d_s * d_f)
+    if sc.d_e == 1:
+        np.testing.assert_array_equal(t_prime.kraus, on_sce)
+    else:
+        want = induced_channel(Channel(on_sce), sc.omega_e, d_s * d_c, sc.d_e)
+        np.testing.assert_allclose(t_prime.choi(), want.choi(), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dilated", [False, True])
+def test_recovery_covariance_bounds_that_of_the_recovered_dynamics(dilated):
+    # dynamics and environment state perturbed within the admission
+    # tolerance, so that every term of the bound is far above round-off
+    rng = np.random.default_rng(11)
+    base = dilated_frame_scenario(omega=np.diag([0.7, 0.3])) if dilated \
+        else phase_reference_scenario(4, np.pi / 2)
+    kick = la.random_hermitian(len(base.unitary), rng)
+    w, v = np.linalg.eigh(kick)
+    omega = base.omega_e + 1e-10 * (np.array([[0, 1], [1, 0]]) if dilated else 0)
+    sc = FrameScenario(unitary=base.unitary @ (v * np.exp(-1e-10j * w)) @ v.conj().T,
+                       sigma_c=base.sigma_c, target=base.target, gens_s=base.gens_s,
+                       gens_c=base.gens_c, gens_e=base.gens_e, omega_e=omega)
+    t_prime, report = catalytic_channel(sc)
+    assert report.covariance_defect >= 1e-11
+    d_t, bound, _ = _covariance_bound(sc, t_prime, report.covariance_defect)
+    assert 1e-11 <= d_t <= bound
 
 
 @pytest.mark.parametrize("case", [c for c in CHAIN_CASES if c != "qutrit"])
