@@ -3,7 +3,9 @@
 Conventions
 -----------
 * A channel's Kraus operators are one complex stack ``kraus[r, d_out, d_in]``,
-  validated once by `Channel`; it acts as ``sum_r K_r rho K_r^dag``.
+  checked for trace preservation once by `Channel`, or derived from checked
+  factors by the library (`Channel._derived`); it acts as
+  ``sum_r K_r rho K_r^dag``.
 * The Choi matrix is unnormalized and ordered output-first:
   ``J(T) = sum_ij T(E_ij) (x) E_ij``. The identity channel on dimension d has
   Choi ``d |Omega><Omega|``.
@@ -39,15 +41,30 @@ CHANNEL_TOL = 1e-9  # trace preservation tolerance
 
 
 class Channel:
-    """Completely positive map given by Kraus operators.
+    """Completely positive, trace-preserving map given by Kraus operators.
 
     ``kraus`` is one complex ``(r, d_out, d_in)`` array, built from a list, a
-    tuple or an array of equal-shape operators. By default the constructor enforces trace preservation within
-    ``CHANNEL_TOL``; pass ``require_tp=False`` for merely CP maps such as
-    Hilbert-Schmidt duals of non-unital channels.
+    tuple or an array of equal-shape operators. The constructor checks trace
+    preservation within ``CHANNEL_TOL`` and raises `DomainError` otherwise.
+    A stack derived from factors that are already validated is held by
+    `Channel._derived`, which checks nothing.
     """
 
-    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, require_tp: bool = True):
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray):
+        self._hold(kraus)
+        dev = self.trace_preservation_defect()
+        if not dev <= CHANNEL_TOL:  # also rejects a nan defect
+            raise DomainError(f"Kraus sum deviates from trace preservation by {dev:.3e}")
+
+    @classmethod
+    def _derived(cls, kraus: Sequence[np.ndarray] | np.ndarray) -> "Channel":
+        """The stack as a channel, unchecked: for stacks the library derives
+        from validated factors, each caller stating why no check is needed."""
+        t = cls.__new__(cls)
+        t._hold(kraus)
+        return t
+
+    def _hold(self, kraus) -> None:
         try:
             ks = np.asarray(kraus, dtype=complex)
         except ValueError as exc:  # a ragged list has no stack
@@ -58,10 +75,6 @@ class Channel:
         self.kraus = ks
         self.d_out, self.d_in = ks.shape[1:]
         self._choi = None
-        if require_tp:
-            dev = self.trace_preservation_defect()
-            if not dev <= CHANNEL_TOL:  # also rejects a nan defect
-                raise DomainError(f"Kraus sum deviates from trace preservation by {dev:.3e}")
 
     # -- basic queries ------------------------------------------------------
 
@@ -97,7 +110,10 @@ class Channel:
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "Channel":
-        return cls([require_unitary(u)])
+        """The channel ``U . U^dag``. `require_unitary` bounds
+        ``||U^dag U - 1||_max``, this stack's trace-preservation defect, by
+        ``STRUCT_TOL``, below ``CHANNEL_TOL``."""
+        return cls._derived([require_unitary(u)])
 
 
 def _compressed(ks: np.ndarray) -> np.ndarray:
@@ -189,10 +205,11 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
 def hs_dual(t: Channel) -> Channel:
     """Hilbert-Schmidt adjoint, Tr[A T[B]] = Tr[T*[A] B].
 
-    The dual of a doubly stochastic channel is again trace preserving; in
-    general the result is only completely positive and unital.
+    The result is claimed completely positive (and unital) only, so it is
+    held unchecked: the dual of a channel that is not unital is not trace
+    preserving.
     """
-    return Channel(t.kraus.conj().swapaxes(-1, -2), require_tp=False)
+    return Channel._derived(t.kraus.conj().swapaxes(-1, -2))
 
 
 def induced_channel(t: Channel, sigma_c: np.ndarray, d_s: int, d_c: int) -> Channel:

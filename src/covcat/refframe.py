@@ -154,8 +154,10 @@ class FrameScenario:
 
     def induced_system_channel(self) -> Channel:
         """``rho -> Tr_F U(rho (x) frame_state)U^dag``: each slice ``m[:, v, :]``
-        of the isometry is one Kraus operator."""
-        return Channel(self.isometry[0].transpose(1, 0, 2))
+        of the isometry is one Kraus operator. Held unchecked: U is unitary
+        and phi is normalised, so the slices sum to ``M^dag M``, which is 1
+        up to U's admitted unitarity defect."""
+        return Channel._derived(self.isometry[0].transpose(1, 0, 2))
 
 
 def implementation_error(sc: FrameScenario) -> DiamondResult:
@@ -185,7 +187,9 @@ def recovery_channel(sc: FrameScenario) -> Channel:
     Dual of the frame-side dynamics ``Tr_S[U (1/d_s (x) .) U^dag]``: one Kraus
     operator ``(<a| (x) 1) U^dag (|b> (x) 1) / sqrt(d_s)`` per pair of system
     basis states, at index ``a * d_s + b``. Its trace preservation, checked by
-    `Channel`, is the frame-side dynamics fixing the identity. Its covariance
+    `Channel`, is the frame-side dynamics fixing the identity; it is the
+    chain's one trace-preservation check, since T' and T' on S are derived
+    from R and the admitted unitary without one. Its covariance
     under the composite generators of C (x) E follows from covariance of the
     dynamics; `catalytic_channel` checks it.
     """
@@ -318,6 +322,19 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
 
     where Delta and ``[X_E, omega_E]`` are the residuals that `FrameScenario`
     admitted.
+
+    T' is not checked for trace preservation either. Its Kraus sum is
+    ``sum_k (1 (x) chi_k^dag) U^dag (1_S (x) G_R) U (1 (x) chi_k)`` with
+    ``G_R = sum_r K_r^dag K_r`` and ``omega_E = chi chi^dag``: a positive map,
+    unital for a unit-trace omega_E, applied to ``U^dag (1 (x) G_R) U``. So
+    in the operator norm
+
+        ||sum K'^dag K' - 1|| <= ||U^dag U - 1|| + ||U||^2 ||sum K_r^dag K_r - 1||,
+
+    where R's defect is the one `recovery_channel` checks and U's the one
+    `FrameScenario` admitted. An omega_E of trace ``1 + tau`` (``|tau|`` at
+    most ``STRUCT_TOL`` at admission) multiplies the right side by ``1 + tau``
+    and adds ``|tau|``.
     """
     t_orig = sc.induced_system_channel()
     eps_result = diamond_distance(t_orig, Channel.from_unitary(sc.target))
@@ -347,14 +364,17 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     chi = support_factor(sc.omega_e)
     ks = recovery.kraus[:, None] @ (sc.unitary.reshape(-1, d_e) @ chi).reshape(d_s, d_f, -1)
     ks = ks.reshape(-1, d_s, d_c, d_e, d_s * d_c, chi.shape[1])
-    t_prime = Channel(ks.transpose(0, 5, 3, 1, 2, 4).reshape(-1, d_s * d_c, d_s * d_c))
+    # held unchecked: R and U are already checked (see the docstring's bound)
+    t_prime = Channel._derived(ks.transpose(0, 5, 3, 1, 2, 4).reshape(-1, d_s * d_c, d_s * d_c))
 
     # (a) induced dynamics on S unchanged: T' on S has the Kraus operators
-    # (<f, i| (x) 1_S)(1_S (x) K_r (x) 1_C') M at [f, r, i], with f on C (x) E
+    # (<f, i| (x) 1_S)(1_S (x) K_r (x) 1_C') M at [f, r, i], with f on C (x) E;
+    # held unchecked, since only its Choi matrix is read
     m, phi = sc.isometry
     d_v = len(phi)
     recovered = np.einsum("rgf,afib->griab", recovery.kraus, m.reshape(d_s, d_f, -1, d_s))
-    induced_defect = max_norm(Channel(recovered.reshape(-1, d_s, d_s)).choi() - t_orig.choi())
+    induced_defect = max_norm(Channel._derived(recovered.reshape(-1, d_s, d_s)).choi()
+                              - t_orig.choi())
     if induced_defect > 1e-8:
         failures.append(f"induced channel changed by {induced_defect:.3e}")
 

@@ -62,9 +62,11 @@ def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]
 
     ``legs_in`` holds one generator list per tensor leg of U, in leg order;
     ``X_i = sum_leg 1 (x) ... (x) x_leg[i] (x) ... (x) 1``, and ``Y_i`` is
-    built the same way from ``legs_out`` (default: ``legs_in``). Raises
-    ``DimensionError`` when the legs hold different numbers of generators or
-    their dimensions do not multiply to U's.
+    built the same way from ``legs_out`` (default: ``legs_in``). A leg of
+    dimension 1 whose centred generator is 0, which it is unless
+    ``legs_out`` moves it, is left out of the sum and of the products.
+    Raises ``DimensionError`` when the legs hold different numbers of
+    generators or their dimensions do not multiply to U's.
     """
     legs_out = legs_in if legs_out is None else legs_out
     if len({len(leg) for leg in [*legs_in, *legs_out]}) > 1:
@@ -74,9 +76,12 @@ def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]
         dims = [g.shape[0] for g in gens]
         if int(np.prod(dims)) != u.shape[0]:
             raise DimensionError(f"generator dims {dims} do not split the dimension {u.shape[0]}")
-        return sum(tensor(*[g - t * np.eye(d) if j == leg else np.eye(d)
-                            for j, d in enumerate(dims)])
-                   for leg, (g, t) in enumerate(zip(gens, centres)))
+        shifted = [g - t * np.eye(d) for g, t, d in zip(gens, centres, dims)]
+        kept = [j for j, d in enumerate(dims) if d > 1 or shifted[j].any()]
+        if not kept:
+            return np.zeros(u.shape)
+        return sum(tensor(*[shifted[j] if j == leg else np.eye(dims[j]) for j in kept])
+                   for leg in kept)
 
     residuals = []
     for gens_in, gens_out in zip(zip(*legs_in), zip(*legs_out)):

@@ -63,7 +63,6 @@ def test_choi_identity_and_depolarizing():
 def test_channel_validation():
     with pytest.raises(la.DomainError):
         Channel([np.eye(2) * 0.5])
-    Channel([np.eye(2) * 0.5], require_tp=False)  # allowed when asked
     with pytest.raises(la.DomainError):  # a Kraus sum that overflows, without a warning
         Channel([np.array([[1.3407807929942597e154, 0.0], [0.0, 1.0]])])
 
@@ -74,7 +73,7 @@ def test_trace_preservation_defect_matches_whole_stack_gram(chunk_bytes, rng, mo
     if chunk_bytes is not None:
         monkeypatch.setattr(channels, "CHUNK_BYTES", chunk_bytes)
     for ks in (random_channel(3, 4, rng, d_out=2).kraus, 0.9 * np.array(depolarizing_loop(3))):
-        t = Channel(ks, require_tp=False)
+        t = Channel._derived(ks)  # the scaled stack is not trace preserving
         flat = ks.reshape(-1, 3)
         want = la.max_norm(flat.conj().T @ flat - np.eye(3))
         assert abs(t.trace_preservation_defect() - want) <= 1e-15

@@ -504,6 +504,20 @@ def _covariance_bound(sc, t_prime, recovery_defect):
     return d_t, bound, cov
 
 
+def _trace_preservation_bound(sc, t_prime):
+    """``(||sum K'^dag K' - 1||, bound)`` in the operator norm: T''s
+    trace-preservation defect, summed densely one Kraus operator at a time,
+    and the bound of `catalytic_channel`'s docstring on it, from U's
+    unitarity defect and the recovery's trace-preservation defect."""
+    def defect(ks):
+        return np.linalg.norm(sum(k.conj().T @ k for k in ks) - np.eye(ks.shape[2]), 2)
+
+    u = sc.unitary
+    bound = (np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2)
+             + np.linalg.norm(u, 2) ** 2 * defect(recovery_channel(sc).kraus))
+    return defect(t_prime.kraus), bound
+
+
 @pytest.mark.parametrize("case", list(CHAIN_CASES))
 def test_recovered_dynamics_against_the_slow_oracles(case):
     # check (b) runs on the recovery; T' itself stays covariant, its defect
@@ -516,6 +530,12 @@ def test_recovered_dynamics_against_the_slow_oracles(case):
     assert cov.covariant and cov.worst_violation <= 1e-9
     # both sides are round-off here, so the bound holds up to that round-off
     assert d_t <= bound + 1e-13
+    # T' and the induced system channel are built unchecked; both are trace
+    # preserving, and the defect of T' obeys the bound read from the recovery's
+    assert t_prime.trace_preservation_defect() <= CHANNEL_TOL
+    assert sc.induced_system_channel().trace_preservation_defect() <= CHANNEL_TOL
+    tp_defect, tp_bound = _trace_preservation_bound(sc, t_prime)
+    assert tp_defect <= tp_bound + 1e-14
     d_s, d_c, d_f = sc.d_s, sc.d_c, sc.d_c * sc.d_e
     kraus = recovery_channel(sc).kraus
     on_sce = (kraus[:, None] @ sc.unitary.reshape(d_s, d_f, -1)).reshape(-1, d_s * d_f, d_s * d_f)
@@ -543,6 +563,23 @@ def test_recovery_covariance_bounds_that_of_the_recovered_dynamics(dilated):
     assert report.covariance_defect >= 1e-11
     d_t, bound, _ = _covariance_bound(sc, t_prime, report.covariance_defect)
     assert 1e-11 <= d_t <= bound
+
+
+@pytest.mark.parametrize("dilated", [False, True])
+def test_recovery_trace_preservation_bounds_that_of_the_recovered_dynamics(dilated):
+    # dynamics kicked off unitarity within the admission tolerance, so that
+    # both defects of the bound are far above round-off
+    rng = np.random.default_rng(12)
+    base = dilated_frame_scenario(omega=np.diag([0.7, 0.3])) if dilated \
+        else phase_reference_scenario(4, np.pi / 2)
+    kick = rng.standard_normal(base.unitary.shape) + 1j * rng.standard_normal(base.unitary.shape)
+    sc = FrameScenario(unitary=base.unitary + 1e-11 * kick, sigma_c=base.sigma_c,
+                       target=base.target, gens_s=base.gens_s, gens_c=base.gens_c,
+                       gens_e=base.gens_e, omega_e=base.omega_e)
+    t_prime, _ = catalytic_channel(sc)
+    assert recovery_channel(sc).trace_preservation_defect() >= 1e-12
+    tp_defect, tp_bound = _trace_preservation_bound(sc, t_prime)
+    assert 1e-12 <= tp_defect <= tp_bound
 
 
 @pytest.mark.parametrize("case", [c for c in CHAIN_CASES if c != "qutrit"])

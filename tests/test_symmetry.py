@@ -6,6 +6,7 @@ import pytest
 
 from covcat import linalg as la
 from covcat import symmetry as sym
+from covcat.refframe import phase_ladder_unitary
 
 from conftest import s3_standard_images
 
@@ -37,6 +38,48 @@ def test_symmetric_state_judged_relative_to_the_generators(scale):
     plus = np.ones((2, 2)) / 2
     ok, dev = sym.is_symmetric_state(plus, [scale * SZ], 1e-9)
     assert not ok and abs(dev - min(scale, 1.0)) <= 1e-12 * min(scale, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# conservation residuals
+# ---------------------------------------------------------------------------
+
+def _unfolded_residuals(u, legs_in, legs_out=None):
+    """`conservation_residuals` with every leg tensored, those of dimension 1 too."""
+    legs_out = legs_in if legs_out is None else legs_out
+    residuals = []
+    for gens_in, gens_out in zip(zip(*legs_in), zip(*legs_out)):
+        centres = [np.trace(g).real / len(g) for g in gens_in]
+        x, y = (sum(la.tensor(*[g - t * np.eye(len(g)) if j == leg else np.eye(len(h))
+                                for j, h in enumerate(gens)])
+                    for leg, (g, t) in enumerate(zip(gens, centres)))
+                for gens in (gens_in, gens_out))
+        residuals.append(la.max_norm(u @ x - y @ u) / max(1.0, la.max_norm(x), la.max_norm(y)))
+    return residuals
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_one_dimensional_legs_drop_out_bit_identically(n):
+    # the ladder of a frame without an environment, kicked so that its
+    # residual is far above round-off, with a 1 x 1 leg last, in the middle
+    # and first; a 1 x 1 generator is 0 once centred, whatever it holds
+    u = phase_ladder_unitary(n, 1.1) + 1e-8 * la.random_hermitian(2 * n, np.random.default_rng(n))
+    s, c = [np.diag([0.0, 1.0])], [np.diag(np.arange(n, dtype=float))]
+    for e in ([np.zeros((1, 1))], [np.full((1, 1), 2.5)]):
+        for legs in ([s, c, e], [s, e, c], [e, s, c]):
+            got = sym.conservation_residuals(u, legs)
+            assert got == _unfolded_residuals(u, legs) and got[0] > 1e-10
+
+
+def test_moved_one_dimensional_leg_still_counts():
+    # Y = X + 1 on a 1 x 1 system leg: U X - Y U = -U, relative to ||Y||_max = 2
+    u = np.eye(3, dtype=complex)
+    c = [np.diag([0.0, 1.0, 2.0])]
+    legs_in, legs_out = [[np.zeros((1, 1))], c], [[np.ones((1, 1))], c]
+    got = sym.conservation_residuals(u, legs_in, legs_out)
+    assert got == _unfolded_residuals(u, legs_in, legs_out) == [0.5]
+    # every leg one-dimensional
+    assert sym.conservation_residuals(np.ones((1, 1)), [[np.zeros((1, 1))], [np.eye(1)]]) == [0.0]
 
 
 # ---------------------------------------------------------------------------
