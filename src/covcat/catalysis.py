@@ -44,7 +44,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .serialize import (check_keys, generators_from_json, int_from_json, matrix_from_json,
-                        matrix_to_json, tolerance_from_json)
+                        matrix_to_json, record_to_json, tolerance_from_json)
 from .symmetry import FiniteGroupRep, conservation_residuals, generator_scale
 from .words import UnitaryMatchResult, find_simultaneous_unitary
 
@@ -158,9 +158,7 @@ class ScenarioReport:
     admissible: bool
 
     def to_json(self) -> dict:
-        return {"state_residual": self.state_residual,
-                "generator_residuals": list(self.generator_residuals),
-                "admissible": self.admissible}
+        return record_to_json(self)
 
 
 def verify_scenario(sc: CatalysisScenario) -> ScenarioReport:
@@ -343,13 +341,7 @@ class CorrelationReport:
     rank_after: int
 
     def to_json(self) -> dict:
-        return {"mutual_information": self.mutual_information,
-                "entropy_change": self.entropy_change,
-                "identity_residual": self.identity_residual,
-                "catalyst_preserved": self.catalyst_preserved,
-                "catalyst_residual": self.catalyst_residual,
-                "rank_before": self.rank_before,
-                "rank_after": self.rank_after}
+        return record_to_json(self)
 
 
 def correlation_balance(u: np.ndarray, rho_se: np.ndarray,

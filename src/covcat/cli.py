@@ -53,6 +53,7 @@ from .serialize import (
     load_json,
     matrices_from_json,
     matrix_from_json,
+    record_to_json,
     rep_from_json,
     tolerance_from_json,
     write_json_atomic,
@@ -91,9 +92,7 @@ def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
     rep_in = _rep_from_spec(obj["rep_in"], "rep_in")
     rep_out = _rep_from_spec(obj["rep_out"], "rep_out")
     report = is_covariant(channel, rep_in, rep_out, tol=args.tol)
-    result = {"covariant": report.covariant, "conclusive": report.conclusive,
-              "worst_violation": report.worst_violation, "tol": args.tol}
-    return result, report.covariant, report.conclusive
+    return {**record_to_json(report), "tol": args.tol}, report.covariant, report.conclusive
 
 
 # Config keys of the former bounded word enumeration, with their least values.

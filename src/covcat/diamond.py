@@ -65,6 +65,7 @@ import numpy as np
 from .channels import Channel
 from .linalg import (DimensionError, DomainError, max_norm, partial_trace, require_hermitian,
                      require_unitary)
+from .serialize import record_to_json
 
 DEFAULT_GAP_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
@@ -85,8 +86,7 @@ class DiamondResult:
     iterations: int
 
     def to_json(self) -> dict:
-        return {"value": self.value, "status": self.status, "lower": self.lower,
-                "upper": self.upper, "iterations": self.iterations}
+        return record_to_json(self)
 
 
 def _psd_part(m: np.ndarray) -> np.ndarray:

@@ -67,6 +67,7 @@ from .linalg import (
     tensor,
     trace_distance,
 )
+from .serialize import record_to_json
 from .symmetry import conservation_residuals, is_symmetric_state
 
 COVARIANCE_TOL = 1e-9
@@ -268,27 +269,10 @@ class RecoveryReport:
         return "inconclusive" if self.inconclusive else "ok"
 
     def to_json(self) -> dict:
-        return {"epsilon": self.epsilon,
-                "epsilon_result": self.epsilon_result.to_json(),
-                "bound": self.bound,
-                "bound_lower": self.bound_lower,
-                "bound_upper": self.bound_upper,
-                "sup_deviation_sq": self.sup_deviation_sq,
-                "worst_distance": self.worst_distance,
-                "witness_distance": self.witness_distance,
-                "min_fidelity": self.min_fidelity,
-                "worst_output_drift_distance": self.worst_output_drift_distance,
-                "recovery_pullback_distance": self.recovery_pullback_distance,
-                "induced_identity_defect": self.induced_identity_defect,
-                "covariance_defect": self.covariance_defect,
-                "passed": self.passed,
-                "verdict": self.verdict,
-                "failures": list(self.failures),
-                "inconclusive": list(self.inconclusive)}
+        return {**record_to_json(self, ("drift_state", "witness_input")), "verdict": self.verdict}
 
 
-def catalytic_channel(sc: FrameScenario, samples: int = 100,
-                      seed: int = 7) -> tuple[Channel, RecoveryReport]:
+def catalytic_channel(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
     """Recovery-corrected dynamics with certified back-action bound.
 
     Returns the covariant channel T' on S (x) C together with the
@@ -297,8 +281,7 @@ def catalytic_channel(sc: FrameScenario, samples: int = 100,
     system channel is identical to the original; the report certifies the
     frame disturbance over every system input and checks the full inequality
     chain on the purified frame. Each check against eps is judged at both
-    ends of the certified bracket (see the module docstring). ``samples`` and
-    ``seed`` are accepted and ignored: no distance is sampled.
+    ends of the certified bracket (see the module docstring).
 
     Covariance is checked on the recovery R, and ``covariance_defect`` is R's.
     It bounds the defect of T'. Take composite generators X on S (x) C,

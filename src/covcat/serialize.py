@@ -8,6 +8,7 @@ catches schema drift early); callers that need a square matrix check its shape.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -155,76 +156,46 @@ def channel_from_json(obj: Mapping[str, Any]):
     return channel
 
 
-def _float_text(x: float) -> str:
-    if x != x or x in (math.inf, -math.inf):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
+def record_to_json(record, drop: Sequence[str] = ()) -> dict:
+    """A dataclass record's fields, less ``drop``, as a JSON object: a tuple
+    becomes a list and a nested record its ``to_json()``. Nothing is copied."""
+    out = {}
+    for field in dataclasses.fields(record):
+        if field.name not in drop:
+            value = getattr(record, field.name)
+            out[field.name] = (list(value) if isinstance(value, tuple)
+                               else value.to_json() if hasattr(value, "to_json") else value)
+    return out
 
 
-_CONSTANTS = {None: "null", True: "true", False: "false"}
+_stdlib_text = json.JSONEncoder(allow_nan=False).encode
 
 
-def _key_text(key: Any) -> str:
-    """A non-string dict key as the stdlib encoder spells it."""
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is None or key is True or key is False:
-        return _CONSTANTS[key]
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _encode(obj: Any, out: list, indent: str) -> None:
-    """Append ``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``
-    to ``out``, each line after the first starting with ``indent`` (a newline
-    and spaces). A list of finite ``[float, float]`` pairs, the matrix
-    payload, is written by one format operation."""
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append(_CONSTANTS[obj])
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
-            flat = tuple(itertools.chain.from_iterable(obj))
-            # a non-finite sum means a NaN, an infinity or an overflow: the
-            # general path below then raises or writes it
-            if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
-                pair = f"[{inner}  %r,{inner}  %r{inner}]"
-                body = f",{inner}".join([pair] * len(obj)) % flat
-                out.append(f"[{inner}{body}{indent}]")
-                return
-        out.append("[")
-        sep = inner
-        for item in obj:
-            out.append(sep)
-            _encode(item, out, inner)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        out.append("{")
-        sep = inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                key = _key_text(key)
-            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-            _encode(value, out, inner)
-            sep = "," + inner
-        out.append(indent + "}")
-    else:
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+def _text(obj: Any, indent: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, each
+    line after the first starting with ``indent`` (a newline and spaces).
+    Only non-empty containers are walked here; the stdlib spells every other
+    value and every non-string key, and raises where it would. A list of
+    finite ``[float, float]`` pairs, the matrix payload, is written by one
+    format operation."""
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return _stdlib_text(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        # the one-entry object {key: 0} spells a non-string key as the stdlib does
+        items = ((encode_basestring_ascii(key) if isinstance(key, str)
+                  else _stdlib_text({key: 0})[1:-4]) + ": " + _text(value, inner)
+                 for key, value in sorted(obj.items()))
+        return f"{{{inner}{sep.join(items)}{indent}}}"
+    if set(map(type, obj)) == {list} and set(map(len, obj)) == {2}:
+        flat = tuple(itertools.chain.from_iterable(obj))
+        # a non-finite sum means a NaN, an infinity or an overflow: the
+        # general path below then raises or writes it
+        if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+            body = sep.join([f"[{inner}  %r,{inner}  %r{inner}]"] * len(obj)) % flat
+            return f"[{inner}{body}{indent}]"
+    return f"[{inner}{sep.join(_text(item, inner) for item in obj)}{indent}]"
 
 
 def dump_json(payload: Any) -> str:
@@ -232,10 +203,7 @@ def dump_json(payload: Any) -> str:
     allow_nan=False) + "\\n"``: sorted keys, 2-space indent, ASCII escapes and
     a trailing newline. The stdlib's indenting encoder is pure Python; this
     one writes each matrix payload in one step."""
-    out: list = []
-    _encode(payload, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    return _text(payload, "\n") + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -261,7 +229,7 @@ def write_json_atomic(path: str, payload: Any) -> None:
 
 
 def load_json(path: str) -> Any:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # json.load detects UTF-8, -16 or -32, whatever the locale
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting

@@ -38,7 +38,7 @@ from .linalg import (
     require_hermitian,
     support_projector,
 )
-from .serialize import matrix_to_json
+from .serialize import matrix_to_json, record_to_json
 
 
 class WordSyntaxError(ValueError):
@@ -198,7 +198,7 @@ class EquivalenceConfig:
     tol: float = 1e-9
 
     def to_json(self) -> dict:
-        return {"seed": self.seed, "tol": self.tol}
+        return record_to_json(self)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
     gens = np.array([(a / s, b / s) for a, b, s in zip(mats_a, mats_b, scale)])
     empty = np.array([np.eye(d, dtype=complex)] * 2)
     # rows [:span] hold the orthonormal basis, at most 2 d^2 vectors of C^(2 d^2)
-    basis = np.empty((2 * d * d, 2 * d * d), dtype=complex)
+    basis = np.empty((1, 2 * d * d), dtype=complex)
     basis[0] = empty.reshape(-1) / np.sqrt(2 * d)
     span = 1
     queue = deque([((), empty)])
@@ -311,6 +311,9 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
                 r = r - (filled @ r.conj()).conj() @ filled
             norm = np.linalg.norm(r)
             if norm > SPAN_TOL:
+                if span == len(basis):  # the new rows stay untouched until written
+                    basis, full = np.empty((2 * span, 2 * d * d), dtype=complex), basis
+                    basis[:span] = full
                 basis[span] = r / norm
                 span += 1
                 queue.append((word, ext))

@@ -147,7 +147,7 @@ def test_criterion_4_back_action_suite():
     eps_values = []
     for n in (2, 4, 8, 16):
         sc = phase_reference_scenario(n, np.pi / 2)
-        _, report = catalytic_channel(sc, samples=100, seed=100 + n)
+        _, report = catalytic_channel(sc)
         eps_values.append(report.epsilon)
         ok &= report.epsilon_result.status == "converged"
         ok &= report.passed

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,7 +19,7 @@ from covcat.cli import main
 from covcat.diamond import diamond_distance
 
 from covcat.refframe import phase_reference_scenario
-from covcat.symmetry import standard_representation
+from covcat.symmetry import FiniteGroup, FiniteGroupRep, standard_representation
 
 from conftest import (OTHER_GROUPS, dilated_frame_scenario, other_group_qubit_rep,
                       rotated_environment, scale_generators, shifted_superposition_mixture)
@@ -122,6 +125,26 @@ def test_check_covariance_lie(tmp_path, rng):
     report = read_report(out)
     assert report["result"]["covariant"]
     assert report["config"] == {"input": str(inp), "seed": 0, "tol": 1e-9}
+
+
+def test_input_files_are_utf8_under_the_c_locale(tmp_path):
+    # an ASCII locale with Python's UTF-8 mode and locale coercion off: the
+    # file is still read as UTF-8, so its non-ASCII group label loads
+    rep = {"type": "finite", **ser.rep_to_json(FiniteGroupRep(
+        FiniteGroup.cyclic(2), [np.eye(2), np.diag([1.0, -1.0])]))}
+    rep["group"]["labels"] = ["é0", "é1"]
+    problem = {"channel": {"d_in": 2, "d_out": 2, "kraus": [ser.matrix_to_json(np.eye(2))]},
+               "rep_in": rep, "rep_out": rep}
+    inp = tmp_path / "cov.json"
+    inp.write_bytes(json.dumps(problem, ensure_ascii=False).encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "covcat.cli", "check-covariance",
+                          "--input", str(inp), "--output", str(tmp_path / "r.json")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert read_report(tmp_path / "r.json")["result"]["covariant"]
 
 
 def test_check_covariance_failure_exit_code(tmp_path):

@@ -171,6 +171,14 @@ def test_directory_input_exits_2(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"tuple_a": "\xff"}')  # 0xff never occurs in UTF-8
+    for command in COMMANDS:
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["recovery-verify", "--samples", "0"],
     ["recovery-verify", "--N", "0"],

@@ -147,11 +147,16 @@ matrix_payloads = st.builds(
     st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32))
 
 
+# one key type per dict, so that its keys sort
+dict_keys = (st.text(), st.integers(), finite_floats, st.booleans(), st.none())
+
+
 def json_trees(extra_leaves=st.nothing()):
     leaves = (st.none() | st.booleans() | numbers | st.text() | st.just([]) | st.just({})
               | pair_lists | matrix_payloads | extra_leaves)
-    return st.recursive(leaves, lambda kids: st.lists(kids, max_size=4)
-                        | st.dictionaries(st.text(), kids, max_size=4), max_leaves=12)
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), *(st.dictionaries(k, kids, max_size=4) for k in dict_keys)),
+        max_leaves=12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,6 +176,8 @@ def test_dump_json_raises_as_the_stdlib_does(payload):
     [[1.0, 2.0], [3, 4.0]], [[1.0, 2.0], (3.0, 4.0)], [[1.0, 2.0], [3.0]], ([1.5, -0.0],),
     {"data": [[0.5, np.float64(0.25)]]}, {1: "int key", 2.5: "float key", -3: None},
     {False: 0, True: 1}, {None: 0},
+    {1: [[0.5, 0.25]], 2: {"k": [[1.0, -0.0]]}}, {None: [[0.5, 0.25]]},
+    {-1.5: [[0.5, 0.25], [1e300, -5e-324]], 2.5: []}, {False: {}, True: [[1.0, 2.0]]},
     {"é☃\U0001f600": "é☃\U0001f600\n\"\\"},
 ])
 def test_dump_json_edge_cases(payload):

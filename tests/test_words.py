@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ def test_span_walk_fills_the_whole_pair_space_at_d16():
     assert verdict.verdict == "equivalent" and verdict.witness is None
     assert (verdict.words_checked, verdict.span) == (768, 256)
     assert verdict.certificate.residual <= 1e-8
+
+
+def test_span_walk_decided_by_its_first_word_stays_small_at_d128():
+    # the whole basis at d = 128 would be 2 d^2 x 2 d^2 complex, 16 GiB;
+    # one trace decides this pair, so the walk holds one basis row
+    rng = np.random.default_rng(128)
+    a = [la.random_hermitian(128, rng), la.random_hermitian(128, rng)]
+    b = [a[0] + 1e-3 * np.eye(128), a[1]]
+    tracemalloc.start()
+    try:
+        verdict = wiegmann_equivalent(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.verdict == "distinguished" and str(verdict.witness) == "x0"
+    assert (verdict.words_checked, verdict.span) == (1, 1)
+    assert peak < 32 * 2 ** 20
 
 
 def test_near_tolerance_pair_is_distinguished_though_a_unitary_fits_within_tol():
