@@ -63,8 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .linalg import (DimensionError, DomainError, max_norm, partial_trace, require_hermitian,
-                     require_unitary)
+from .linalg import DimensionError, DomainError, max_norm, require_hermitian, require_unitary
 from .serialize import record_to_json
 
 DEFAULT_GAP_TOL = 1e-6
@@ -169,7 +168,7 @@ def _solve(j: np.ndarray, d: int, cap: float) -> DiamondResult:
     j = require_hermitian(j, tol=1e-8)
     if j.shape[0] != d * d:
         raise DimensionError(f"Choi matrix dim {j.shape[0]} != d^2 = {d * d}")
-    if max_norm(partial_trace(j, [d, d], keep=[1])) > 1e-8 * max(1.0, max_norm(j)):
+    if max_norm(_trace_out_first(j, d)) > 1e-8 * max(1.0, max_norm(j)):
         raise DomainError("Choi difference does not trace to zero; not a difference of channels")
     prog = _DiamondProgram(j, d)
     j_op = np.linalg.norm(j, 2)

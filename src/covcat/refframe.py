@@ -15,23 +15,23 @@ The verification chain mirrors the underlying argument: the drifted frame
 needs no more of W than this state). The drift supremum and the least
 fidelity ``F(frame output, W|phi>)`` are quadratic forms in the input, exact
 as one operator norm and one smallest eigenvalue. The chain runs on a pure
-frame: the frame state sigma_C (x) omega_E, mixed or pure, is purified on a
-copy C' of its support (one dimension for a pure frame), and the dynamics
-``U (x) 1_C'`` enters only as the isometry ``U(. (x) phi)``. By data
+frame: sigma_C and omega_E, mixed or pure, are each purified on a copy of
+their support, so ``phi = phi_C (x) phi_E`` on C (x) E (x) C' with
+``C' = C'_C (x) C'_E`` (one dimension for a pure frame), and the dynamics
+``U (x) 1_C'`` enters only as the isometry ``M = U(. (x) phi)``. By data
 processing the bound on C (x) E (x) C' gives the bound on the physical legs
-C (x) E, on which the recovery acts. Every frame output is linear in the
-system input rho, so the purified chain tabulates ``Tr_S M |b><c| M^dag`` once
-on the d_s^2 matrix units of S; no global ``U (rho (x) sigma) U^dag`` is
-formed, and no channel on all of S (x) C (x) E.
+C (x) E, on which the recovery acts. Every check reads M or its recovered
+image; no global ``U (rho (x) sigma) U^dag`` is formed, no channel on all of
+S (x) C (x) E, and T' is built only to be returned.
 
 The two trace distances of the chain are certified for every density input
 on S, in closed form, by the Fuchs-van de Graaf inequality for a pure target,
 ``1/2 || rho - |w><w| ||_1 <= sqrt(1 - <w|rho|w>)``. The drift distance is at
 most ``sqrt(1 - min_fidelity^2)``. For the frame distance, T' is run on
-``rho (x) phi_C``, with phi_C the purification of sigma_C on C (x) C'; its
-overlap with phi_C is ``Tr rho Y^dag Y`` for a d_s-column matrix Y read from
-the Kraus operators of T', and tracing out C' cannot increase the distance,
-so the frame distance is at most ``sqrt(1 - lambda_min(Y^dag Y))``. Each
+``rho (x) phi_C``; its overlap with phi_C is ``Tr rho Y^dag Y`` for a
+d_s-column matrix Y read from the recovered isometry by contracting phi_C on
+C (x) C'_C alone, and tracing out C'_C cannot increase the distance, so the
+frame distance is at most ``sqrt(1 - lambda_min(Y^dag Y))``. Each
 certificate has a lower end attained at one input: the frame distance at the
 bottom eigenvector of ``Y^dag Y`` (the witness), and ``1 - min_fidelity^2``
 for the drift. The frame marginal depends on the input only through its
@@ -84,9 +84,9 @@ class FrameScenario:
     scenario then takes the one-dimensional environment ``omega_e = [[1]]``,
     and, if ``gens_e`` is empty, one generator ``[[0]]`` per system generator,
     so ``omega_e`` and ``gens_e`` are never None or short after construction.
-    Generator lists must have one entry per conserved quantity on every leg.
-    Covariance of the dynamics and symmetry of the environment state are
-    validated at construction.
+    Generator lists must have one entry per conserved quantity on every leg,
+    each entry as wide as its leg. Covariance of the dynamics and symmetry of
+    the environment state are validated at construction.
     """
 
     unitary: np.ndarray
@@ -105,9 +105,11 @@ class FrameScenario:
         object.__setattr__(self, "unitary", require_unitary(self.unitary))
         object.__setattr__(self, "sigma_c", require_density(self.sigma_c))
         object.__setattr__(self, "target", require_unitary(self.target))
-        for leg in ("gens_s", "gens_c", "gens_e"):
-            object.__setattr__(self, leg, tuple(require_hermitian(g) for g in getattr(self, leg)))
         object.__setattr__(self, "omega_e", require_density(self.omega_e))
+        for leg, d in (("gens_s", self.d_s), ("gens_c", self.d_c), ("gens_e", self.d_e)):
+            object.__setattr__(self, leg, tuple(require_hermitian(g) for g in getattr(self, leg)))
+            if any(len(g) != d for g in getattr(self, leg)):
+                raise DimensionError(f"every entry of {leg} must be {d} x {d}")
         if len(self.gens_e) != len(self.gens_s):
             raise DimensionError("environment generators required for dilated dynamics")
         sym, dev = is_symmetric_state(self.omega_e, self.gens_e, COVARIANCE_TOL)
@@ -132,29 +134,30 @@ class FrameScenario:
     def d_e(self) -> int:
         return self.omega_e.shape[0]
 
-    @property
-    def frame_state(self) -> np.ndarray:
-        """State of the full frame legs C (x) E."""
-        return tensor(self.sigma_c, self.omega_e)
+    @cached_property
+    def frame_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, chi)`` with ``A A^dag = sigma_C`` and ``chi chi^dag = omega_E``,
+        each from one eigendecomposition (see `support_factor`)."""
+        return support_factor(self.sigma_c), support_factor(self.omega_e)
 
     @cached_property
     def isometry(self) -> tuple[np.ndarray, np.ndarray]:
         """The dynamics on a pure frame, as ``(m, phi)``.
 
-        The frame state sigma_C (x) omega_E is purified on a copy C' of its
-        support by one eigendecomposition, ``phi = sum_i sqrt(p_i) |v_i> (x) |i>``
-        on F (x) C' with F = C (x) E, so ``d_cp = rank``, which is 1 for a pure
-        frame. The dynamics ``U (x) 1_C'`` never touches C'; it enters only
-        through the isometry ``M = (U (x) 1_C')(. (x) phi)``, returned as
-        ``m[a, (f, i), b]``: output S index a, frame index (f, i), input S index b.
+        The frame state is purified as a product ``phi = phi_C (x) phi_E``, by
+        the factors ``A (x) chi`` of `frame_factors`, on F (x) C' with
+        F = C (x) E and C' = C'_C (x) C'_E, so ``d_cp`` is 1 for a pure frame.
+        ``U (x) 1_C'`` never touches C'; it enters only through the isometry
+        ``M = (U (x) 1_C')(. (x) phi)``, returned as ``m[a, (c, e, j, k), b]``:
+        output S index a, frame index on C (x) E (x) C', input S index b.
         """
-        amps = support_factor(self.frame_state)  # phi as a (d_f, d_cp) matrix
+        amps = np.kron(*self.frame_factors)  # phi as a (d_f, d_cp) matrix
         d_s, d_f, d_cp = self.d_s, len(amps), amps.shape[1]
         m = (self.unitary.reshape(d_s * d_f, d_s, d_f) @ amps).reshape(d_s, d_f, d_s, d_cp)
         return m.transpose(0, 1, 3, 2).reshape(d_s, d_f * d_cp, d_s), amps.reshape(-1)
 
     def induced_system_channel(self) -> Channel:
-        """``rho -> Tr_F U(rho (x) frame_state)U^dag``: each slice ``m[:, v, :]``
+        """``rho -> Tr_F U(rho (x) sigma_C (x) omega_E)U^dag``: each slice ``m[:, v, :]``
         of the isometry is one Kraus operator. Held unchecked: U is unitary
         and phi is normalised, so the slices sum to ``M^dag M``, which is 1
         up to U's admitted unitarity defect."""
@@ -166,13 +169,13 @@ def implementation_error(sc: FrameScenario) -> DiamondResult:
     return diamond_distance(sc.induced_system_channel(), Channel.from_unitary(sc.target))
 
 
-def _drift(m: np.ndarray, out_units: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+def _drift(m: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     """``(W phi, sup_deviation_sq)`` (see `RecoveryReport`) from the isometry
-    ``m`` of `FrameScenario.isometry` and its frame outputs
-    ``out_units[b, c] = Tr_S M |b><c| M^dag``."""
+    ``m`` of `FrameScenario.isometry`."""
     d_s, d_v = m.shape[:2]
-    # average frame output Tr_S M (1/d_s) M^dag
-    top = np.linalg.eigh(np.trace(out_units) / d_s)[1][:, -1]
+    # the average frame output Tr_S M (1/d_s) M^dag is F F^dag / d_s for
+    # F[v, (a, b)] = m[a, v, b]: its top eigenvector is F's top left singular vector
+    top = np.linalg.svd(m.transpose(1, 0, 2).reshape(d_v, -1), full_matrices=False)[0][:, 0]
     # phase from the image M|0> of a fixed reference input
     overlap = np.vdot(np.kron(target[:, 0], top), m[:, :, 0].reshape(-1))
     if abs(overlap) > 1e-12:
@@ -341,15 +344,6 @@ def catalytic_channel(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
     d_f = d_c * d_e
     recovery = recovery_channel(sc)  # on C (x) E
 
-    # T' on SC: inject omega_E = chi chi^dag, run U, recover on CE, trace out
-    # E; one Kraus operator (1 (x) <e|)(1_S (x) K_r) U (1 (x) chi_k) at [r, k, e].
-    # U (1 (x) chi), a copy of U, is left unnamed so that it is freed at once.
-    chi = support_factor(sc.omega_e)
-    ks = recovery.kraus[:, None] @ (sc.unitary.reshape(-1, d_e) @ chi).reshape(d_s, d_f, -1)
-    ks = ks.reshape(-1, d_s, d_c, d_e, d_s * d_c, chi.shape[1])
-    # held unchecked: R and U are already checked (see the docstring's bound)
-    t_prime = Channel._derived(ks.transpose(0, 5, 3, 1, 2, 4).reshape(-1, d_s * d_c, d_s * d_c))
-
     # (a) induced dynamics on S unchanged: T' on S has the Kraus operators
     # (<f, i| (x) 1_S)(1_S (x) K_r (x) 1_C') M at [f, r, i], with f on C (x) E;
     # held unchecked, since only its Choi matrix is read
@@ -371,12 +365,8 @@ def catalytic_channel(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
             f"recovery not covariant (defect {cov.worst_violation:.3e})")
 
     # (c) inequality chain on the purified frame C (x) E (x) C'; by data
-    # processing its bound gives the bound on C (x) E. Every frame output is
-    # linear in the system input rho, so it is tabulated once on the matrix
-    # units |b><c| of S: Tr_S M rho M^dag = sum_bc rho_bc out_units[b, c].
-    flat = m.transpose(2, 1, 0).reshape(d_s * d_v, d_s)
-    out_units = (flat @ flat.conj().T).reshape(d_s, d_v, d_s, d_v).transpose(0, 2, 1, 3)
-    wphi, sup_deviation_sq = _drift(m, out_units, sc.target)
+    # processing its bound gives the bound on C (x) E
+    wphi, sup_deviation_sq = _drift(m, sc.target)
     phi_rho = np.outer(phi, phi.conj())
     # recovery pullback Tr_S[U^dag (1 (x) |W phi><W phi|) U] / d_s, the
     # recovery acting on C (x) E and leaving C' alone
@@ -386,10 +376,11 @@ def catalytic_channel(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
           recovery_pullback_distance, lambda e: root(e) + METRIC_SLACK)
 
     # F(out(rho), W phi)^2 = Tr rho O^T for the Hermitian O[b, c] =
-    # <W phi| out_units[b, c] |W phi>, least at the smallest eigenvalue of O;
-    # the drift distance lies in [1 - F^2, sqrt(1 - F^2)] at the least F
-    overlaps = (out_units @ wphi) @ wphi.conj()
-    min_fid_sq = float(np.clip(np.linalg.eigvalsh(overlaps)[0], 0.0, 1.0))
+    # <W phi| Tr_S M |b><c| M^dag |W phi> = sum_a g[a, b] conj(g[a, c]) with
+    # g = (1_S (x) <W phi|) M, least at the smallest eigenvalue of O; the
+    # drift distance lies in [1 - F^2, sqrt(1 - F^2)] at the least F
+    g = np.einsum("v,avb->ab", wphi.conj(), m)
+    min_fid_sq = float(np.clip(np.linalg.eigvalsh(g.T @ g.conj())[0], 0.0, 1.0))
     min_fid = float(np.sqrt(min_fid_sq))
     worst_drift_dist = float(np.sqrt(1.0 - min_fid_sq))
     check(f"drift fidelity {min_fid:.6f} below 1 - eps", 1.0 - min_fid, 1.0 - min_fid,
@@ -397,20 +388,29 @@ def catalytic_channel(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
     check("output drift distance exceeds sqrt(2 eps)", 1.0 - min_fid_sq, worst_drift_dist,
           lambda e: root(e) + METRIC_SLACK)
 
-    # (c') frame distance on the physical frame C, read from T' itself: Y psi
-    # holds the overlaps <s, phi_C| (K_n (x) 1_C') |psi, phi_C> of T' with the
-    # purification phi_C of sigma_C, contracted through sigma_C[c, x] (M
-    # purifies sigma_C (x) omega_E jointly, so it would certify C (x) E)
-    k = t_prime.kraus.reshape(-1, d_s, d_c, d_s, d_c)
-    y = np.einsum("nsxbc,cx->nsb", k, sc.sigma_c).reshape(-1, d_s)
+    # (c') frame distance on the physical frame C: Y psi holds the overlaps
+    # <s, phi_C| (K'_n (x) 1_C'_C) |psi, phi_C> of T' (n = (r, k, e) as below)
+    # with phi_C = sum_j A_j (x) |j>. phi is a product, so contracting phi_C
+    # alone against the recovered isometry of (a) certifies C, not C (x) E.
+    a, chi = sc.frame_factors
+    y = np.einsum("xj,xerjksb->rkesb", a.conj(), recovered.reshape(
+        d_c, d_e, -1, a.shape[1], chi.shape[1], d_s, d_s)).reshape(-1, d_s)
     lam, vecs = np.linalg.eigh(y.conj().T @ y)
     worst = float(np.sqrt(1.0 - np.clip(lam[0], 0.0, 1.0)))
-    # the witness input x: its frame output Tr_S T'(|x><x| (x) sigma_C) from
-    # the recovered isometry of (a), whose first index f = (c, e) leads with C
+    # the witness input x: its frame output Tr_S T'(|x><x| (x) sigma_C)
     cols = (recovered @ vecs[:, 0]).reshape(d_c, -1)
     witness = trace_distance(cols @ cols.conj().T, sc.sigma_c)
     check(f"worst frame distance {worst:.6f} exceeds bound 2 sqrt(2 eps)", witness, worst,
           lambda e: 2.0 * root(e) + DIAMOND_SLACK)
+
+    # T' on SC, built after the last check, only to be returned: inject
+    # omega_E = chi chi^dag, run U, recover on CE, trace out E; one Kraus
+    # operator (1 (x) <e|)(1_S (x) K_r) U (1 (x) chi_k) at [r, k, e].
+    # U (1 (x) chi), a copy of U, is left unnamed so that it is freed at once.
+    ks = recovery.kraus[:, None] @ (sc.unitary.reshape(-1, d_e) @ chi).reshape(d_s, d_f, -1)
+    ks = ks.reshape(-1, d_s, d_c, d_e, d_s * d_c, chi.shape[1])
+    # held unchecked: R and U are already checked (see the docstring's bound)
+    t_prime = Channel._derived(ks.transpose(0, 5, 3, 1, 2, 4).reshape(-1, d_s * d_c, d_s * d_c))
 
     report = RecoveryReport(
         epsilon=eps, epsilon_result=eps_result, bound=2.0 * root(eps),

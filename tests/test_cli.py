@@ -664,6 +664,24 @@ def test_recovery_verify_accepts_empty_generator_lists(tmp_path):
     assert read_report(out)["passed"]
 
 
+@pytest.mark.parametrize("kind", ["ladder-4x4-generators", "identity-1x1-frame-generator"])
+def test_recovery_verify_rejects_generators_of_the_wrong_width(kind, tmp_path, capsys):
+    # each leg's generators must be as wide as the leg, not only their product
+    # as wide as the global unitary
+    if kind == "ladder-4x4-generators":
+        payload = json.loads(frame_json(phase_reference_scenario(8, np.pi / 2)))
+        payload["gens_s"] = payload["gens_c"] = [ser.matrix_to_json(np.zeros((4, 4)))]
+    else:
+        m = ser.matrix_to_json
+        payload = {"unitary": m(np.eye(4)), "sigma_c": m(np.eye(2) / 2), "target": m(np.eye(2)),
+                   "gens_s": [m(np.eye(4))], "gens_c": [m(np.eye(1))]}
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps(payload))
+    assert run_cli(["recovery-verify", "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: every entry of gens_s") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("gens_e", [False, 0, "", {}], ids=["false", "zero", "empty-string",
                                                             "empty-object"])
 def test_recovery_verify_rejects_non_list_environment_generators(gens_e, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,7 +254,7 @@ def test_purifier_left_untouched(rng):
     assert len(phi) == 8 * 2
     np.testing.assert_allclose(m, _isometry_oracle(dilated, phi)[1], rtol=0, atol=1e-14)
     np.testing.assert_allclose(la.partial_trace(np.outer(phi, phi.conj()), [8, 2], [0]),
-                               dilated.frame_state, rtol=0, atol=1e-14)
+                               la.tensor(dilated.sigma_c, dilated.omega_e), rtol=0, atol=1e-14)
     # a pure frame is purified on a one-dimensional copy: the isometry is U(. (x) phi)
     pure = phase_reference_scenario(4, np.pi / 2)
     m, phi = pure.isometry
@@ -319,7 +321,7 @@ def _per_sample_oracle(sc, seed):
     """
     d_s, d_c, d_e = sc.d_s, sc.d_c, sc.d_e
     d_f = d_c * d_e
-    w, v = np.linalg.eigh(sc.frame_state)
+    w, v = np.linalg.eigh(la.tensor(sc.sigma_c, sc.omega_e))
     phi = sum(np.sqrt(max(w[i], 0.0)) * np.kron(v[:, i], np.eye(d_f)[i]) for i in range(d_f))
     d_v = d_f * d_f
     u = la.tensor(sc.unitary, np.eye(d_f))
@@ -376,7 +378,7 @@ def _per_sample_oracle(sc, seed):
     recovery = recovery_channel(sc)
 
     def frame(rho):
-        big = sc.unitary @ la.tensor(rho, sc.frame_state) @ sc.unitary.conj().T
+        big = sc.unitary @ la.tensor(rho, la.tensor(sc.sigma_c, sc.omega_e)) @ sc.unitary.conj().T
         recovered = recovery.apply(la.partial_trace(big, [d_s, d_f], [1]))
         return la.trace_distance(la.partial_trace(recovered, [d_c, d_e], [0]), sc.sigma_c)
 
@@ -402,7 +404,8 @@ def test_induced_channel_from_isometry_matches_the_global_unitary(case):
     # unitary channel on all of S (x) C (x) E
     sc = CHAIN_CASES[case]()
     d_f = sc.d_c * sc.d_e
-    want = induced_channel(Channel.from_unitary(sc.unitary), sc.frame_state, sc.d_s, d_f)
+    want = induced_channel(Channel.from_unitary(sc.unitary), la.tensor(sc.sigma_c, sc.omega_e),
+                           sc.d_s, d_f)
     np.testing.assert_allclose(sc.induced_system_channel().choi(), want.choi(),
                                rtol=0, atol=1e-14)
 
@@ -447,8 +450,8 @@ def test_tabulated_chain_matches_per_sample_oracle(case, monkeypatch):
     for module in (refframe, channels):
         monkeypatch.setattr(module, "support_factor", counted)
     t_prime, report = catalytic_channel(sc)
-    # the frame state is factored once, omega_E once more to trace out E
-    assert factored == [sc.d_c * sc.d_e, sc.d_e]
+    # sigma_C and omega_E are each factored once
+    assert factored == [sc.d_c, sc.d_e]
     monkeypatch.undo()
     # T' on S from the recovered isometry against the reduced dynamics of T'
     # on S (x) C, which factors sigma_C a second time
@@ -476,6 +479,64 @@ def test_tabulated_chain_matches_per_sample_oracle(case, monkeypatch):
     assert abs(frame(np.outer(x, x.conj())) - report.witness_distance) <= 1e-12
     assert report.witness_distance <= report.worst_distance
     assert report.passed, report.failures
+
+
+class _Proxy:
+    """``inner`` with the attributes ``over`` replaced."""
+
+    def __init__(self, inner, **over):
+        self.__dict__.update(over)
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_frame_gram_and_overlaps_match_slow_oracles(case, monkeypatch):
+    # slow oracles for the matrices the chain diagonalises: Y from the whole
+    # Kraus stack of T' contracted with sigma_C, and the overlap matrix from
+    # the frame outputs tabulated on the d_s^2 matrix units of S; the drifted
+    # frame is the top eigenvector of their average
+    sc = CHAIN_CASES[case]()
+    seen = {"eigh": [], "eigvalsh": []}
+
+    def recorded(name):
+        def solve(a):
+            seen[name].append(a)
+            return getattr(np.linalg, name)(a)
+        return solve
+
+    linalg = _Proxy(np.linalg, eigh=recorded("eigh"), eigvalsh=recorded("eigvalsh"))
+    monkeypatch.setattr(refframe, "np", _Proxy(np, linalg=linalg))
+    t_prime, report = catalytic_channel(sc)
+    monkeypatch.undo()
+    (gram,), (overlaps,) = seen["eigh"], seen["eigvalsh"]
+    d_s, d_c = sc.d_s, sc.d_c
+    k = t_prime.kraus.reshape(-1, d_s, d_c, d_s, d_c)
+    y = np.einsum("nsxbc,cx->nsb", k, sc.sigma_c).reshape(-1, d_s)
+    np.testing.assert_allclose(gram, y.conj().T @ y, rtol=0, atol=1e-14)
+    m, phi = sc.isometry
+    d_v = len(phi)
+    flat = m.transpose(2, 1, 0).reshape(d_s * d_v, d_s)
+    out_units = (flat @ flat.conj().T).reshape(d_s, d_v, d_s, d_v).transpose(0, 2, 1, 3)
+    wphi = report.drift_state
+    np.testing.assert_allclose(overlaps, (out_units @ wphi) @ wphi.conj(), rtol=0, atol=1e-14)
+    top = np.linalg.eigh(np.trace(out_units) / d_s)[1][:, -1]
+    assert abs(abs(np.vdot(top, wphi)) - 1) <= 1e-12
+
+
+def test_recovery_chain_peak_stays_below_twice_the_returned_stack():
+    # T' is built after the last check, so no check runs beside its Kraus stack
+    sc = phase_reference_scenario(256, np.pi / 2)
+    tracemalloc.start()
+    try:
+        t_prime, report = catalytic_channel(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 * t_prime.kraus.nbytes
 
 
 def _covariance_bound(sc, t_prime, recovery_defect):
