@@ -58,6 +58,7 @@ from .refframe import (
     degradation_sweep,
     phase_reference_scenario,
     recovery_channel,
+    verify_recovery,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,9 +7,9 @@ JSON (or CSV) report and exits with a meaningful status:
 * 1: the verification ran and failed,
 * 2: malformed input (unknown keys, bad matrices, missing files),
 * 3: a solver stopped before certifying, a check is neither passed nor
-  refuted at the ends of its certified brackets, or a covariance defect lies
-  within the rounding of the generators (a bounded result is still emitted),
-  or the problem did not fit in memory (an error report, as for 2).
+  refuted (a bracket that straddles its bound, a covariance bound above the
+  tolerance, a defect within the generators' rounding; a bounded result is
+  still emitted), or the problem did not fit in memory (an error report, as for 2).
 
 Reports are deterministic for a fixed config and seed: timestamps live in a
 separate ``metadata`` field, everything else is byte-stable. Files are
@@ -38,10 +38,10 @@ from .channels import Channel, is_covariant
 from .linalg import DimensionError, DomainError, max_norm, random_density, tensor
 from .refframe import (
     FrameScenario,
-    catalytic_channel,
     degradation_sweep,
     phase_reference_scenario,
     sweep_to_csv,
+    verify_recovery,
 )
 from .serialize import (
     FormatError,
@@ -169,7 +169,7 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
         config = {"N": 8 if args.levels is None else args.levels,
                   "theta": np.pi / 2 if args.theta is None else args.theta}
         sc = phase_reference_scenario(config["N"], config["theta"])
-    _, report = catalytic_channel(sc)
+    report = verify_recovery(sc)
     payload = {"scenario": config, "report": report.to_json()}
     return payload, report.passed, report.status in ("ok", "FAILED")
 

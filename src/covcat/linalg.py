@@ -1,8 +1,8 @@
 """Dense complex linear algebra core.
 
 Everything in this package runs on plain numpy arrays at desk scale
-(dimensions up to a few hundred; the covariance check and the recovery
-pipeline reach d = 512). Hermitian eigendecomposition is the single
+(dimensions up to a few hundred; the covariance check reaches d = 512, the
+recovery pipeline d = 2048). Hermitian eigendecomposition is the single
 spectral primitive: matrix functions, fractional powers, state metrics and
 entropies all route through `numpy.linalg.eigh`. All comparisons are
 tolerance-parameterized; nothing uses exact floating equality.

@@ -50,25 +50,24 @@ def generator_scale(x: np.ndarray, y: np.ndarray) -> float:
     return max(1.0, max_norm(x - t * np.eye(x.shape[0])), max_norm(y - t * np.eye(y.shape[0])))
 
 
-def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]],
-                           legs_out: Sequence[Sequence[np.ndarray]] | None = None) -> list[float]:
-    """``||U X_i - Y_i U||_max / max(1, ||X_i - t 1||_max, ||Y_i - t 1||_max)``
-    with ``t = tr(X_i) / d`` for every conserved quantity i, so the residual
-    does not grow with the scale of X_i. Shifting X_i and Y_i by the same
+def conservation_defects(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]],
+                         legs_out: Sequence[Sequence[np.ndarray]]):
+    """Yield ``(U X_i - Y_i U, max(1, ||X_i - t 1||_max, ||Y_i - t 1||_max))``
+    with ``t = tr(X_i) / d``, one conserved quantity i at a time: the defect
+    and the scale by which it is judged. Shifting X_i and Y_i by the same
     ``t 1`` leaves ``U X_i - Y_i U`` unchanged, so an identity offset in the
-    generators changes neither the residual nor its denominator; the shift is
-    taken leg by leg, before the legs are summed, so the offset adds no
-    rounding error either.
+    generators changes neither the defect nor its scale; the shift is taken
+    leg by leg, before the legs are summed, so the offset adds no rounding
+    error either.
 
     ``legs_in`` holds one generator list per tensor leg of U, in leg order;
     ``X_i = sum_leg 1 (x) ... (x) x_leg[i] (x) ... (x) 1``, and ``Y_i`` is
-    built the same way from ``legs_out`` (default: ``legs_in``). A leg of
-    dimension 1 whose centred generator is 0, which it is unless
-    ``legs_out`` moves it, is left out of the sum and of the products.
+    built the same way from ``legs_out`` (it is ``X_i`` if ``legs_out`` is
+    ``legs_in``). A leg of dimension 1 whose centred generator is 0, which it
+    is unless ``legs_out`` moves it, is left out of the sum and the products.
     Raises ``DimensionError`` when the legs hold different numbers of
     generators or their dimensions do not multiply to U's.
     """
-    legs_out = legs_in if legs_out is None else legs_out
     if len({len(leg) for leg in [*legs_in, *legs_out]}) > 1:
         raise DimensionError("legs hold different numbers of generators")
 
@@ -83,13 +82,19 @@ def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]
         return sum(tensor(*[shifted[j] if j == leg else np.eye(dims[j]) for j in kept])
                    for leg in kept)
 
-    residuals = []
     for gens_in, gens_out in zip(zip(*legs_in), zip(*legs_out)):
         centres = [np.trace(g).real / g.shape[0] for g in gens_in]
         x = total(gens_in, centres)
         y = x if legs_out is legs_in else total(gens_out, centres)
-        residuals.append(max_norm(u @ x - y @ u) / max(1.0, max_norm(x), max_norm(y)))
-    return residuals
+        yield u @ x - y @ u, max(1.0, max_norm(x), max_norm(y))
+
+
+def conservation_residuals(u: np.ndarray, legs_in: Sequence[Sequence[np.ndarray]],
+                           legs_out: Sequence[Sequence[np.ndarray]] | None = None) -> list[float]:
+    """``||U X_i - Y_i U||_max`` over its scale for every quantity i of
+    `conservation_defects`, with ``legs_out`` defaulting to ``legs_in``."""
+    pairs = conservation_defects(u, legs_in, legs_in if legs_out is None else legs_out)
+    return [max_norm(delta) / scale for delta, scale in pairs]
 
 
 # ---------------------------------------------------------------------------

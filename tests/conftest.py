@@ -62,6 +62,19 @@ def dilated_frame_scenario(theta=np.pi / 2, n=4, d_e=2, mix=0.6, omega=None) -> 
         omega_e=omega)
 
 
+def kicked_frame(sc: FrameScenario, kappa: float, omega_kick: float = 0.0) -> FrameScenario:
+    """``sc`` with its dynamics kicked to ``U exp(-i kappa H)``, H from
+    ``la.random_hermitian(d, default_rng(11))``, and its environment state
+    moved by ``omega_kick`` times sigma_x (a qubit environment). Within the
+    admission tolerance this keeps the frame admitted while its conservation
+    residual and the environment's commutator are far above round-off."""
+    w, v = np.linalg.eigh(la.random_hermitian(len(sc.unitary), np.random.default_rng(11)))
+    omega = sc.omega_e + omega_kick * np.array([[0, 1], [1, 0]]) if omega_kick else sc.omega_e
+    return FrameScenario(unitary=sc.unitary @ (v * np.exp(-1j * kappa * w)) @ v.conj().T,
+                         sigma_c=sc.sigma_c, target=sc.target, gens_s=sc.gens_s,
+                         gens_c=sc.gens_c, gens_e=sc.gens_e, omega_e=omega)
+
+
 def rotated_environment(sc: FrameScenario, q: np.ndarray) -> FrameScenario:
     """``sc`` with its environment leg turned by the unitary ``q``: the
     environment state, its generators and the dynamics' E leg all move with it,
