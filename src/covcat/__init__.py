@@ -34,7 +34,6 @@ from .channels import (
 )
 from .diamond import DiamondResult, diamond_distance, unitary_diamond_distance
 from .words import (
-    EquivalenceConfig,
     Word,
     find_simultaneous_unitary,
     fractional_word_trace,

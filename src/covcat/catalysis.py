@@ -226,7 +226,7 @@ class IntertwinerResult:
     ``max(1, ||X_i - t 1||_max, ||Y_i - t 1||_max)`` (``t = tr(X_i) / d``,
     largest over i), the scale rule of `conservation_residuals`. For an
     admissible scenario a failure is a solver diagnostic, not a valid
-    outcome; the offending scenario is attached for reproduction.
+    outcome.
     """
 
     unitary: np.ndarray | None
@@ -234,7 +234,6 @@ class IntertwinerResult:
     intertwining_residual: float | None
     solver: UnitaryMatchResult
     success: bool
-    diagnostic: dict | None = None
 
     def to_json(self) -> dict:
         out = {"success": self.success,
@@ -244,8 +243,6 @@ class IntertwinerResult:
                "solver": replace(self.solver, unitary=None).to_json()}
         if self.unitary is not None:
             out["unitary"] = matrix_to_json(self.unitary)
-        if self.diagnostic is not None:
-            out["diagnostic_scenario"] = self.diagnostic
         return out
 
 
@@ -263,15 +260,14 @@ def find_intertwiner(sc: CatalysisScenario, seed: int = 0) -> IntertwinerResult:
     match = find_simultaneous_unitary([sc.rho_s, *sc.gens_s_in], [sc.rho_s_out, *sc.gens_s_out],
                                       seed=seed, tol=min(sc.intertwiner_tol, 1e-8) * scale)
     if match.unitary is None:
-        return IntertwinerResult(None, None, None, match, False, sc.to_json())
+        return IntertwinerResult(None, None, None, match, False)
     v = match.unitary
     state_res = max_norm(v @ sc.rho_s @ v.conj().T - sc.rho_s_out)
     inter_res = 0.0
     for x_in, x_out in zip(sc.gens_s_in, sc.gens_s_out):
         inter_res = max(inter_res, max_norm(v @ x_in - x_out @ v))
     ok = state_res <= sc.intertwiner_tol and inter_res <= sc.intertwiner_tol * scale
-    return IntertwinerResult(v, state_res, inter_res, match, ok,
-                             None if ok else sc.to_json())
+    return IntertwinerResult(v, state_res, inter_res, match, ok)
 
 
 def generate_admissible_scenario(d_s: int, d_c: int, m: int, seed: int,

@@ -11,9 +11,11 @@ JSON (or CSV) report and exits with a meaningful status:
   tolerance, a defect within the generators' rounding; a bounded result is
   still emitted), or the problem did not fit in memory (an error report, as for 2).
 
-Reports are deterministic for a fixed config and seed: timestamps live in a
-separate ``metadata`` field, everything else is byte-stable. Files are
-written atomically (temp file plus rename).
+A report's top-level ``config`` is the one record of the run's inputs
+(``input``, ``seed`` and ``tol``, as far as the command takes them); its
+``result`` does not repeat them. Reports are deterministic for a fixed
+config: timestamps live in a separate ``metadata`` field, everything else is
+byte-stable. Files are written atomically (temp file plus rename).
 """
 
 from __future__ import annotations
@@ -61,11 +63,7 @@ from .serialize import (
 )
 from .symmetry import (FiniteGroup, FiniteGroupRep, left_regular_representation,
                        standard_representation, tensor_rep)
-from .words import (
-    EquivalenceConfig,
-    find_simultaneous_unitary,
-    wiegmann_equivalent,
-)
+from .words import find_simultaneous_unitary, wiegmann_equivalent
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -92,10 +90,11 @@ def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
     rep_in = _rep_from_spec(obj["rep_in"], "rep_in")
     rep_out = _rep_from_spec(obj["rep_out"], "rep_out")
     report = is_covariant(channel, rep_in, rep_out, tol=args.tol)
-    return {**record_to_json(report), "tol": args.tol}, report.covariant, report.conclusive
+    return record_to_json(report), report.covariant, report.conclusive
 
 
-# Config keys of the former bounded word enumeration, with their least values.
+# Config keys of the former bounded word enumeration, with their least values:
+# the only keys a file's config may hold, type-checked and then ignored.
 OBSOLETE_WORD_KEYS = {"max_length": 0, "max_exponent": 1, "num_random_words": 0}
 
 
@@ -105,15 +104,11 @@ def _cmd_wiegmann_equiv(args) -> tuple[dict, bool, bool]:
     tuple_a = matrices_from_json(obj["tuple_a"], "tuple_a")
     tuple_b = matrices_from_json(obj["tuple_b"], "tuple_b")
     cfg_obj = obj.get("config", {})
-    check_keys(cfg_obj, [], optional=[*OBSOLETE_WORD_KEYS, "seed", "tol"], where="config")
-    for key, minimum in OBSOLETE_WORD_KEYS.items():  # still type-checked, values ignored
+    check_keys(cfg_obj, [], optional=OBSOLETE_WORD_KEYS, where="config")
+    for key, minimum in OBSOLETE_WORD_KEYS.items():
         if key in cfg_obj:
             int_from_json(cfg_obj[key], f"config.{key}", minimum)
-    config = EquivalenceConfig(
-        seed=int_from_json(cfg_obj.get("seed", args.seed), "config.seed", 0),
-        tol=tolerance_from_json(cfg_obj.get("tol", args.tol), "config.tol"),
-    )
-    verdict = wiegmann_equivalent(tuple_a, tuple_b, config)
+    verdict = wiegmann_equivalent(tuple_a, tuple_b, seed=args.seed, tol=args.tol)
     conclusive = verdict.verdict != "inconclusive"
     return verdict.to_json(), conclusive, conclusive
 
@@ -164,13 +159,14 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
             raise FormatError("--N and --theta shape the built-in ladder; "
                               "they cannot be combined with --input")
         sc = _frame_scenario_from_json(load_json(args.input))
-        config = {"source": args.input}
+        payload = {}
     else:
-        config = {"N": 8 if args.levels is None else args.levels,
+        ladder = {"N": 8 if args.levels is None else args.levels,
                   "theta": np.pi / 2 if args.theta is None else args.theta}
-        sc = phase_reference_scenario(config["N"], config["theta"])
+        sc = phase_reference_scenario(ladder["N"], ladder["theta"])
+        payload = {"scenario": ladder}
     report = verify_recovery(sc)
-    payload = {"scenario": config, "report": report.to_json()}
+    payload["report"] = report.to_json()
     return payload, report.passed, report.status in ("ok", "FAILED")
 
 
@@ -178,11 +174,9 @@ def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
     if not args.levels_list:
         raise FormatError("--Ns must list at least one ladder size")
     rows = degradation_sweep(args.levels_list, args.theta)
-    csv_text = sweep_to_csv(rows)
     if args.output:
-        write_text_atomic(args.output, csv_text)
-    payload = {"rows": [r.to_csv_row() for r in rows], "csv": csv_text,
-               "output": args.output}
+        write_text_atomic(args.output, sweep_to_csv(rows))
+    payload = {"rows": [r.to_csv_row() for r in rows]}
     passed = all(r.status != "FAILED" for r in rows)
     # a certified failure decides the exit code whatever the other rows say
     return payload, passed, not passed or all(r.status == "ok" for r in rows)
@@ -192,7 +186,7 @@ def _cmd_demo_appendix(args) -> tuple[dict, bool, bool]:
     fx = rank_condition_counterexample()
     expected_gap = 2.0 * np.sqrt(3.0)
     gap_ok = abs(fx.gap - expected_gap) <= 1e-9
-    verdict = wiegmann_equivalent(list(fx.a), list(fx.b))
+    verdict = wiegmann_equivalent(list(fx.a), list(fx.b), seed=args.seed)
     triple_distinguished = verdict.verdict == "distinguished" and str(verdict.witness) == "x0 x1 x2"
     pair_results = {}
     pairs_ok = True

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
@@ -207,16 +206,14 @@ def dump_json(payload: Any) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write text via a temp file in the same directory, then rename. The
-    file gets mode ``0o666 & ~umask``, as a plain ``open`` would give it."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write text via a temp file under a random name in the same directory,
+    then rename. The temp file is created with mode ``0o666``, which the
+    kernel masks with the umask, as for a plain ``open``."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

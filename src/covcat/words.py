@@ -38,7 +38,7 @@ from .linalg import (
     require_hermitian,
     support_projector,
 )
-from .serialize import matrix_to_json, record_to_json
+from .serialize import matrix_to_json
 
 
 class WordSyntaxError(ValueError):
@@ -193,15 +193,6 @@ SPAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class EquivalenceConfig:
-    seed: int = 0
-    tol: float = 1e-9
-
-    def to_json(self) -> dict:
-        return record_to_json(self)
-
-
-@dataclass(frozen=True)
 class EquivalenceVerdict:
     """Outcome of the span walk over word traces.
 
@@ -222,13 +213,11 @@ class EquivalenceVerdict:
     span: int
     scale: tuple[float, ...]
     certificate: UnitaryMatchResult | None
-    config: EquivalenceConfig
 
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "words_checked": self.words_checked,
                "span": self.span,
-               "scale": [s if np.isfinite(s) else None for s in self.scale],
-               "config": self.config.to_json()}
+               "scale": [s if np.isfinite(s) else None for s in self.scale]}
         if self.witness is not None:
             out["word"] = str(self.witness)
         if self.trace_a is not None:
@@ -254,13 +243,13 @@ def _spectral_norm(m: np.ndarray) -> float:
 
 
 def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndarray],
-                        config: EquivalenceConfig = EquivalenceConfig()) -> EquivalenceVerdict:
+                        seed: int = 0, tol: float = 1e-9) -> EquivalenceVerdict:
     """Decide whether two Hermitian tuples have the same trace for every word.
 
     Variable i of both tuples is divided by ``s_i = max(||A_i||_2, ||B_i||_2)``
     (1 for two zero matrices). That preserves equivalence and bounds every
-    word by norm 1, so no trace overflows and ``config.tol * d`` is an
-    absolute tolerance on the traces. Words in single letters are walked
+    word by norm 1, so no trace overflows and ``tol * d`` is an absolute
+    tolerance on the traces. Words in single letters are walked
     breadth-first in length-lex order from the empty word, which starts the
     basis of the span of word pairs in C^(2 d^2). Each extension's traces are
     compared; the first pair differing by more than the tolerance is the
@@ -270,8 +259,8 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
     (by more than `SPAN_TOL`) are extended, so the walk ends after at most
     ``2 d^2`` basis words. Exhausting it proves equal traces for all words,
     hence unitary equivalence (Specht's criterion); the verdict is then
-    ``equivalent`` if `find_simultaneous_unitary` on the normalised tuples
-    supplies the unitary, and ``inconclusive`` otherwise. A non-finite
+    ``equivalent`` if `find_simultaneous_unitary` on the normalised tuples,
+    with ``seed``, supplies the unitary, and ``inconclusive`` otherwise. A non-finite
     ``s_i`` or trace is ``inconclusive`` as well.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries give a non-finite scale
@@ -280,7 +269,7 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
                       for a, b in zip(mats_a, mats_b))
     n_vars, d = len(mats_a), mats_a[0].shape[0]
     if not np.isfinite(scale).all():
-        return EquivalenceVerdict("inconclusive", None, None, None, 0, 0, scale, None, config)
+        return EquivalenceVerdict("inconclusive", None, None, None, 0, 0, scale, None)
     gens = np.array([(a / s, b / s) for a, b, s in zip(mats_a, mats_b, scale)])
     empty = np.array([np.eye(d, dtype=complex)] * 2)
     # rows [:span] hold the orthonormal basis, at most 2 d^2 vectors of C^(2 d^2)
@@ -293,8 +282,7 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
     def verdict(kind, letters=None, traces=(None, None), certificate=None):
         witness = None if letters is None else Word.from_letters(
             [(var, 1) for var in letters], n_vars)
-        return EquivalenceVerdict(kind, witness, *traces, checked, span, scale,
-                                  certificate, config)
+        return EquivalenceVerdict(kind, witness, *traces, checked, span, scale, certificate)
 
     while queue:
         letters, pair = queue.popleft()
@@ -304,7 +292,7 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
             ta, tb = (complex(t) for t in np.trace(ext, axis1=1, axis2=2))
             if not (np.isfinite(ta) and np.isfinite(tb)):
                 return verdict("inconclusive", word)
-            if abs(ta - tb) > config.tol * d:
+            if abs(ta - tb) > tol * d:
                 return verdict("distinguished", word, (ta, tb))
             r, filled = ext.reshape(-1), basis[:span]
             for _ in range(2):
@@ -317,7 +305,7 @@ def wiegmann_equivalent(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[np.ndar
                 basis[span] = r / norm
                 span += 1
                 queue.append((word, ext))
-    match = find_simultaneous_unitary(list(gens[:, 0]), list(gens[:, 1]), seed=config.seed)
+    match = find_simultaneous_unitary(list(gens[:, 0]), list(gens[:, 1]), seed=seed)
     return verdict("equivalent" if match.success else "inconclusive", certificate=match)
 
 

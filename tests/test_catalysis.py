@@ -209,24 +209,6 @@ def test_intertwiner_rejects_inadmissible(rng):
         find_intertwiner(sc)
 
 
-def test_intertwiner_failure_carries_diagnostic(rng):
-    # force failure by corrupting the output state of an otherwise good scenario
-    sc = product_scenario(rng, m=0)
-    hacked = CatalysisScenario(
-        unitary=sc.unitary, rho_s=sc.rho_s, rho_s_out=sc.rho_s_out, sigma_c=sc.sigma_c,
-        gens_s_in=[], gens_s_out=[], gens_c=[],
-        admissibility_tol=10.0)  # let the broken data through to the solver
-    out_state = la.random_density(2, rng)
-    hacked = CatalysisScenario(
-        unitary=sc.unitary, rho_s=sc.rho_s, rho_s_out=out_state, sigma_c=sc.sigma_c,
-        gens_s_in=[], gens_s_out=[], gens_c=[], admissibility_tol=10.0)
-    result = find_intertwiner(hacked)
-    assert not result.success
-    assert result.solver.verdict == "inequivalent"
-    assert result.diagnostic is not None
-    assert "rho_s" in result.diagnostic
-
-
 # ---------------------------------------------------------------------------
 # correlation balance
 # ---------------------------------------------------------------------------

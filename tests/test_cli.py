@@ -59,6 +59,7 @@ def test_demo_appendix_passes(tmp_path, capsys):
     assert report["config"] == {"seed": 0}  # the demo takes no --input or --tol
     assert abs(report["result"]["gap"] - 2 * np.sqrt(3)) < 1e-9
     assert report["result"]["triple_verdict"]["word"] == "x0 x1 x2"
+    assert "config" not in report["result"]["triple_verdict"]
     for pair in report["result"]["pairwise"].values():
         assert pair["success"] and pair["residual"] < 1e-6
     assert report["result"]["tensored_9x9"]["residual"] < 1e-6
@@ -89,7 +90,30 @@ def test_wiegmann_equiv_identical_tuples(tmp_path, rng):
     assert result["verdict"] == "equivalent"
     assert result["certificate"]["verdict"] == "equivalent"
     assert result["words_checked"] == 2 * result["span"]
-    assert result["config"] == {"seed": 0, "tol": 1e-9}
+    assert report["config"] == {"input": str(inp), "seed": 0, "tol": 1e-9}
+    assert "config" not in result
+
+
+def test_wiegmann_equiv_inputs_come_from_the_flags_alone(tmp_path, capsys, rng):
+    mats = [la.random_hermitian(3, rng) for _ in range(2)]
+    problem = {"tuple_a": [ser.matrix_to_json(m) for m in mats],
+               "tuple_b": [ser.matrix_to_json(m) for m in mats]}
+    inp, out = tmp_path / "problem.json", str(tmp_path / "report.json")
+    inp.write_text(json.dumps(problem))
+    argv = ["wiegmann-equiv", "--input", str(inp), "--output", out]
+    assert run_cli([*argv, "--seed", "3", "--tol", "1e-6"]) == 0
+    report = read_report(out)
+    assert report["config"] == {"input": str(inp), "seed": 3, "tol": 1e-6}
+    assert report["result"]["verdict"] == "equivalent" and "config" not in report["result"]
+    # a file's config holds none of the run's inputs: seed and tol are flags
+    for key, value in (("seed", 5), ("tol", 1e-3)):
+        problem["config"] = {key: value}
+        inp.write_text(json.dumps(problem))
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and repr(key) in err
+        assert "Traceback" not in err
+        assert read_report(out).keys() == {"command", "error", "passed"}
 
 
 def test_wiegmann_equiv_obsolete_config_keys(tmp_path, capsys, rng):
@@ -174,7 +198,8 @@ def test_check_covariance_within_the_generators_rounding_exits_3(tmp_path):
     assert run_cli(["check-covariance", "--input", str(inp), "--output", out]) == 3
     result = read_report(out)["result"]
     assert not result["covariant"] and not result["conclusive"]
-    assert result["worst_violation"] > result["tol"]
+    assert "tol" not in result  # the run's tolerance is recorded once, in config
+    assert result["worst_violation"] > read_report(out)["config"]["tol"]
 
 
 @pytest.mark.parametrize("kraus, d_in, d_out", [
@@ -390,7 +415,10 @@ def test_solver_failure_exit_code(tmp_path, rng):
     assert run_cli(["find-intertwiner", "--input", str(inp), "--output", out]) == 3
     report = read_report(out)
     assert not report["result"]["intertwiner"]["success"]
-    assert "diagnostic_scenario" in report["result"]["intertwiner"]
+    # the report does not copy the input file: its config names it
+    assert report["result"]["intertwiner"].keys() == {
+        "success", "state_residual", "intertwining_residual", "solver"}
+    assert report["config"] == {"input": str(inp), "seed": 0}
 
 
 def test_wiegmann_equiv_overflow_exits_inconclusive(tmp_path):
@@ -432,6 +460,7 @@ def test_recovery_verify_builtin(tmp_path):
     assert code == 0
     report = read_report(out)
     assert report["passed"]
+    assert report["result"]["scenario"] == {"N": 4, "theta": np.pi / 2}
     res = report["result"]["report"]
     assert res["worst_distance"] <= res["bound"] + 1e-5
 
@@ -454,7 +483,10 @@ def test_recovery_verify_mixed_environment_input(tmp_path):
     inp.write_text(frame_json(dilated_frame_scenario(omega=np.diag([0.7, 0.3]))))
     argv = ["recovery-verify", "--input", str(inp), "--samples", "20", "--output", out]
     assert run_cli(argv) == 0
-    res = read_report(out)["result"]["report"]
+    report = read_report(out)
+    assert report["config"] == {"input": str(inp), "seed": 0}
+    assert report["result"].keys() == {"report"}  # the file is named in config alone
+    res = report["result"]["report"]
     assert res["passed"] and res["worst_distance"] <= res["bound"] + 1e-5
 
 
@@ -601,13 +633,17 @@ def test_recovery_verify_large_ladder(tmp_path):
     assert res["passed"] and res["covariance_defect"] == 0.0
 
 
-def test_refframe_sweep_csv(tmp_path):
+def test_refframe_sweep_csv(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     code = run_cli(["refframe-sweep", "--Ns", "2,4", "--theta", "1.5707963",
                     "--samples", "10", "--output", out])
     assert code == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "N,theta,epsilon,bound,worst_distance,witness_distance,status"
+    assert capsys.readouterr().out == ""  # --output names the CSV, not the report
+    # without --output the report goes to stdout and holds the same rows once
+    assert run_cli(["refframe-sweep", "--Ns", "2,4", "--theta", "1.5707963"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"rows": lines[1:]}
     assert len(lines) == 3
     for line in lines[1:]:
         fields = line.split(",")

@@ -43,13 +43,13 @@ TEMPLATES = {
         "gens_s": [ser.matrix_to_json(g) for g in FRAME.gens_s],
         "gens_c": [ser.matrix_to_json(g) for g in FRAME.gens_c],
     },
-    # The former word-enumeration keys stay in the template: they are still
-    # type-checked, so their mutations must exit 2 or be ignored.
+    # The former word-enumeration keys, the only keys a file's config may
+    # hold, stay in the template: they are still type-checked, so their
+    # mutations must exit 2 or be ignored.
     "wiegmann-equiv": {
         "tuple_a": [ser.matrix_to_json(SZ), ser.matrix_to_json(SX)],
         "tuple_b": [ser.matrix_to_json(SZ + np.eye(2)), ser.matrix_to_json(SX)],
-        "config": {"max_length": 2, "max_exponent": 2, "num_random_words": 3,
-                   "seed": 0, "tol": 1e-9},
+        "config": {"max_length": 2, "max_exponent": 2, "num_random_words": 3},
     },
 }
 COMMANDS = ["check-covariance", "catalysis-verify", "wiegmann-equiv", "recovery-verify"]

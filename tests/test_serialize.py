@@ -213,10 +213,16 @@ def test_matrix_round_trip_is_bit_exact(m):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
 @pytest.mark.parametrize("existing", [False, True])
-def test_atomic_writes_take_their_mode_from_the_umask(tmp_path, umask, existing):
+def test_atomic_writes_take_their_mode_from_the_umask(tmp_path, monkeypatch, umask, existing):
     writers = {"report.json": lambda p: ser.write_json_atomic(p, {"k": 1}),
                "sweep.csv": lambda p: ser.write_text_atomic(p, "N,eps\n")}
-    previous = os.umask(umask)
+    set_umask = os.umask
+    previous = set_umask(umask)
+
+    def changed_umask(mask):  # the writer leaves the process umask alone
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", changed_umask)
     try:
         for name, write in writers.items():
             path = tmp_path / name
@@ -226,4 +232,4 @@ def test_atomic_writes_take_their_mode_from_the_umask(tmp_path, umask, existing)
             write(str(path))
             assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, name
     finally:
-        os.umask(previous)
+        set_umask(previous)

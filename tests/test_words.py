@@ -11,7 +11,6 @@ from covcat import words
 from covcat.words import (
     CLUSTER_TOL,
     RANK_TOL,
-    EquivalenceConfig,
     Word,
     WordSyntaxError,
     conjugation_residual,
@@ -340,12 +339,12 @@ def test_near_tolerance_pair_is_distinguished_though_a_unitary_fits_within_tol()
     h = la.random_hermitian(2, rng)
     h -= np.trace(h) / 2 * np.eye(2)
     b[0] = b[0] + 1e-9 * h / np.abs(h).max()
-    config = EquivalenceConfig()
-    verdict = wiegmann_equivalent(a, b, config)
+    tol = 1e-9  # the default of wiegmann_equivalent
+    verdict = wiegmann_equivalent(a, b)
     assert verdict.verdict == "distinguished" and str(verdict.witness) == "x0^2"
-    assert 2 * config.tol < abs(verdict.trace_a - verdict.trace_b) < 2.2 * config.tol
-    match = find_simultaneous_unitary(*_normalised(a, b), seed=config.seed, tol=config.tol)
-    assert match.verdict == "equivalent" and match.residual <= config.tol
+    assert 2 * tol < abs(verdict.trace_a - verdict.trace_b) < 2.2 * tol
+    match = find_simultaneous_unitary(*_normalised(a, b), tol=tol)
+    assert match.verdict == "equivalent" and match.residual <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -592,4 +591,4 @@ def test_solver_success_implies_fingerprint_agreement(rng):
     rotated = [u @ m @ u.conj().T for m in mats]
     match = find_simultaneous_unitary(mats, rotated)
     assert match.success
-    assert wiegmann_equivalent(mats, rotated, EquivalenceConfig(seed=3)).verdict == "equivalent"
+    assert wiegmann_equivalent(mats, rotated, seed=3).verdict == "equivalent"
