@@ -185,13 +185,15 @@ def is_covariant(t: Channel, rep_in, rep_out, tol: float = STRUCT_TOL) -> Covari
         for x_in, x_out in zip(gens_in, gens_out):
             if x_in.shape[0] != t.d_in or x_out.shape[0] != t.d_out:
                 raise DimensionError("generator dims do not match channel dims")
+            # the defect is linear in the generators: scaled first, no product overflows
+            scale = generator_scale(x_in, x_out)
+            x_in, x_out = x_in / scale, x_out / scale
             # [G, J] = (GV) V^dag - V (GV)^dag, G Hermitian
             a, b = _folded_r(x_out @ ks - ks @ x_in, ks)
             m = a @ b.conj().T
-            scale = generator_scale(x_in, x_out)
-            defect = float(np.linalg.norm(m - m.conj().T)) / scale
+            defect = float(np.linalg.norm(m - m.conj().T))
             rounding = float(4 * max(t.d_in, t.d_out) * np.finfo(float).eps * np.vdot(ks, ks).real
-                             * max(max_norm(x_in), max_norm(x_out)) / scale)
+                             * max(max_norm(x_in), max_norm(x_out)))
             worst = max(worst, defect)
             refuted |= defect > max(tol, rounding)
     return CovarianceReport(covariant=worst <= tol, worst_violation=worst,

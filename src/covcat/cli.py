@@ -1,15 +1,20 @@
 """Batch command-line front door.
 
-Each command ingests JSON problem files, dispatches to the library, writes a
-JSON (or CSV) report and exits with a meaningful status:
+Each command ingests JSON problem files, dispatches to the library and
+returns one outcome. The exit status is its `EXIT_STATUS`, and the report's
+``passed`` is true for ``"passed"`` alone:
 
-* 0: all assertions of the dispatched verification passed,
-* 1: the verification ran and failed,
-* 2: malformed input (unknown keys, bad matrices, missing files),
-* 3: a solver stopped before certifying, a check is neither passed nor
-  refuted (a bracket that straddles its bound, a covariance bound above the
-  tolerance, a defect within the generators' rounding; a bounded result is
-  still emitted), or the problem did not fit in memory (an error report, as for 2).
+* passed, 0: all assertions of the dispatched verification passed,
+* failed, 1: the verification ran and failed,
+* malformed, 2: malformed input (unknown keys, bad matrices, missing files),
+* inconclusive, 3: a solver stopped before certifying, a check is neither
+  passed nor refuted (an open bracket or one that straddles its bound, a
+  covariance bound above the tolerance, a defect within the generators'
+  rounding; the bounded result is still reported), or the problem did not
+  fit in memory (an error report, as for 2).
+
+A report goes to ``--output``, or to stdout if none is given or for
+``refframe-sweep``, whose ``--output`` names its CSV.
 
 A report's top-level ``config`` is the one record of the run's inputs
 (``input``, ``seed`` and ``tol``, as far as the command takes them); its
@@ -65,10 +70,7 @@ from .symmetry import (FiniteGroup, FiniteGroupRep, left_regular_representation,
                        standard_representation, tensor_rep)
 from .words import find_simultaneous_unitary, wiegmann_equivalent
 
-EXIT_OK = 0
-EXIT_VERIFICATION_FAILED = 1
-EXIT_MALFORMED_INPUT = 2
-EXIT_SOLVER = 3
+EXIT_STATUS = {"passed": 0, "failed": 1, "malformed": 2, "inconclusive": 3}
 
 
 def _rep_from_spec(obj, where: str):
@@ -83,14 +85,16 @@ def _rep_from_spec(obj, where: str):
     raise FormatError(f"{where}: type must be 'finite' or 'lie', got {kind!r}")
 
 
-def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
+def _cmd_check_covariance(args) -> tuple[dict, str]:
     obj = load_json(args.input)
     check_keys(obj, ["channel", "rep_in", "rep_out"], where="input")
     channel = channel_from_json(obj["channel"])
     rep_in = _rep_from_spec(obj["rep_in"], "rep_in")
     rep_out = _rep_from_spec(obj["rep_out"], "rep_out")
     report = is_covariant(channel, rep_in, rep_out, tol=args.tol)
-    return record_to_json(report), report.covariant, report.conclusive
+    if report.covariant:
+        return record_to_json(report), "passed"
+    return record_to_json(report), "failed" if report.conclusive else "inconclusive"
 
 
 # Config keys of the former bounded word enumeration, with their least values:
@@ -98,7 +102,7 @@ def _cmd_check_covariance(args) -> tuple[dict, bool, bool]:
 OBSOLETE_WORD_KEYS = {"max_length": 0, "max_exponent": 1, "num_random_words": 0}
 
 
-def _cmd_wiegmann_equiv(args) -> tuple[dict, bool, bool]:
+def _cmd_wiegmann_equiv(args) -> tuple[dict, str]:
     obj = load_json(args.input)
     check_keys(obj, ["tuple_a", "tuple_b"], optional=["config"], where="input")
     tuple_a = matrices_from_json(obj["tuple_a"], "tuple_a")
@@ -109,32 +113,32 @@ def _cmd_wiegmann_equiv(args) -> tuple[dict, bool, bool]:
         if key in cfg_obj:
             int_from_json(cfg_obj[key], f"config.{key}", minimum)
     verdict = wiegmann_equivalent(tuple_a, tuple_b, seed=args.seed, tol=args.tol)
-    conclusive = verdict.verdict != "inconclusive"
-    return verdict.to_json(), conclusive, conclusive
+    return verdict.to_json(), "inconclusive" if verdict.verdict == "inconclusive" else "passed"
 
 
-def _cmd_find_intertwiner(args) -> tuple[dict, bool, bool]:
+def _cmd_find_intertwiner(args) -> tuple[dict, str]:
     sc = CatalysisScenario.from_json(load_json(args.input))
     if not sc.report.admissible:
-        return ({"scenario": sc.report.to_json()}, False, True)
+        return {"scenario": sc.report.to_json()}, "failed"
     result = find_intertwiner(sc, seed=args.seed)
     payload = {"scenario": sc.report.to_json(), "intertwiner": result.to_json()}
-    return payload, result.success, result.success
+    return payload, "passed" if result.success else "inconclusive"
 
 
-def _cmd_catalysis_verify(args) -> tuple[dict, bool, bool]:
+def _cmd_catalysis_verify(args) -> tuple[dict, str]:
     sc = CatalysisScenario.from_json(load_json(args.input))
     payload: dict = {"scenario": sc.report.to_json()}
     if not sc.report.admissible:
-        return payload, False, True
+        return payload, "failed"
     result = find_intertwiner(sc, seed=args.seed)
     payload["intertwiner"] = result.to_json()
     balance = correlation_balance(sc.unitary, sc.rho_s, sc.sigma_c)
     payload["correlation"] = balance.to_json()
-    passed = (result.success and balance.catalyst_preserved
-              and balance.identity_residual <= 1e-8
+    if not result.success:
+        return payload, "inconclusive"
+    passed = (balance.catalyst_preserved and balance.identity_residual <= 1e-8
               and balance.rank_after >= balance.rank_before)
-    return payload, passed, result.success
+    return payload, "passed" if passed else "failed"
 
 
 def _frame_scenario_from_json(obj) -> FrameScenario:
@@ -153,7 +157,7 @@ def _frame_scenario_from_json(obj) -> FrameScenario:
     )
 
 
-def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
+def _cmd_recovery_verify(args) -> tuple[dict, str]:
     if args.input:
         if args.levels is not None or args.theta is not None:
             raise FormatError("--N and --theta shape the built-in ladder; "
@@ -167,22 +171,24 @@ def _cmd_recovery_verify(args) -> tuple[dict, bool, bool]:
         payload = {"scenario": ladder}
     report = verify_recovery(sc)
     payload["report"] = report.to_json()
-    return payload, report.passed, report.status in ("ok", "FAILED")
+    return payload, report.verdict
 
 
-def _cmd_refframe_sweep(args) -> tuple[dict, bool, bool]:
+def _cmd_refframe_sweep(args) -> tuple[dict, str]:
     if not args.levels_list:
         raise FormatError("--Ns must list at least one ladder size")
     rows = degradation_sweep(args.levels_list, args.theta)
     if args.output:
         write_text_atomic(args.output, sweep_to_csv(rows))
     payload = {"rows": [r.to_csv_row() for r in rows]}
-    passed = all(r.status != "FAILED" for r in rows)
-    # a certified failure decides the exit code whatever the other rows say
-    return payload, passed, not passed or all(r.status == "ok" for r in rows)
+    # a certified failure decides the outcome whatever the other rows say
+    statuses = {r.status for r in rows}
+    if "FAILED" in statuses:
+        return payload, "failed"
+    return payload, "passed" if statuses == {"ok"} else "inconclusive"
 
 
-def _cmd_demo_appendix(args) -> tuple[dict, bool, bool]:
+def _cmd_demo_appendix(args) -> tuple[dict, str]:
     fx = rank_condition_counterexample()
     expected_gap = 2.0 * np.sqrt(3.0)
     gap_ok = abs(fx.gap - expected_gap) <= 1e-9
@@ -209,18 +215,10 @@ def _cmd_demo_appendix(args) -> tuple[dict, bool, bool]:
         "tensored_9x9": {"success": big.success, "residual": big.residual,
                          "verdict": big.verdict},
     }
-    print(f"trace gap |Tr[b1 b2 b3] - Tr[a1 a2 a3]| = {fx.gap:.10f} "
-          f"(expected {expected_gap:.10f})")
-    print(f"triple distinguished by word: {verdict.witness}")
-    for name, res in pair_results.items():
-        print(f"{name}: {'SUCCESS' if res['success'] else 'FAILURE'} "
-              f"residual {res['residual']:.2e}")
-    print(f"tensored 9x9 instance: {'SUCCESS' if big_ok else 'FAILURE'} "
-          f"residual {big.residual:.2e}")
-    return payload, passed, True
+    return payload, "passed" if passed else "failed"
 
 
-def _cmd_demo_finite_group(args) -> tuple[dict, bool, bool]:
+def _cmd_demo_finite_group(args) -> tuple[dict, str]:
     rng = np.random.default_rng(args.seed)
     payload = {}
     passed = True
@@ -260,10 +258,7 @@ def _cmd_demo_finite_group(args) -> tuple[dict, bool, bool]:
             ok = ok and swap_defect <= 1e-10 and swap_cov.covariant
         payload[label] = entry
         passed = passed and ok
-        print(f"{label}: covariant={cov.covariant} "
-              f"(violation {cov.worst_violation:.2e}), "
-              f"pointer action defect {action_defect:.2e}")
-    return payload, passed, True
+    return payload, "passed" if passed else "failed"
 
 
 def _int_at_least(minimum: int):
@@ -349,36 +344,32 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result, passed, solver_ok = args.handler(args)
+        result, outcome = args.handler(args)
     except (FormatError, DomainError, DimensionError, OSError, MemoryError) as exc:
         oom = isinstance(exc, MemoryError)  # undecided at this size, not malformed
         message = f"out of memory: {exc}" if oom else str(exc)
         sys.stderr.write(f"error: {message}\n")
-        report = {"command": args.command, "error": message, "passed": False}
-        status = EXIT_SOLVER if oom else EXIT_MALFORMED_INPUT
+        report = {"command": args.command, "error": message}
+        outcome = "inconclusive" if oom else "malformed"
     else:
         report = {
             "command": args.command,
             "config": {key: getattr(args, key) for key in ("input", "seed", "tol")
                        if hasattr(args, key)},
             "result": result,
-            "passed": passed,
             "metadata": {"timestamp_utc": datetime.now(timezone.utc).isoformat(),
                          "version": __version__},
         }
-        if not solver_ok:
-            status = EXIT_SOLVER  # bounded/uncertified result is still emitted
-        else:
-            status = EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+    report["passed"] = outcome == "passed"
     try:
-        if args.output and args.command != "refframe-sweep":
+        if args.output and args.command != "refframe-sweep":  # a sweep's --output names its CSV
             write_json_atomic(args.output, report)
-        elif bool(args.output) == ("error" in report):  # a sweep's --output names its CSV
+        else:
             sys.stdout.write(dump_json(report))
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_MALFORMED_INPUT
-    return status
+        return EXIT_STATUS["malformed"]
+    return EXIT_STATUS[outcome]
 
 
 if __name__ == "__main__":

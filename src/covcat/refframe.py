@@ -43,7 +43,8 @@ The diamond solver certifies eps only up to a bracket ``[lower, upper]``, and
 every check of the chain weakens as eps grows. So a check is passed when the
 upper end of its quantity holds at ``lower``, failed when the lower end of its
 quantity fails at ``upper``, and inconclusive otherwise; an inconclusive check
-fails the report without asserting a violation.
+fails the report without asserting a violation. So does a bracket that did
+not close (status ``"bounds"``): eps itself is then not certified.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class FrameScenario:
         u, legs = self.unitary, [self.gens_s, self.gens_c, self.gens_e]
         for delta, scale in conservation_defects(u, legs, legs):
             dev = max(dev, max_norm(delta) / scale)
-            bound = max(bound, 2.0 * np.linalg.norm(u) * np.linalg.norm(delta) / (self.d_s * scale))
+            bound = max(bound, 2.0 * np.linalg.norm(u) * np.linalg.norm(delta / scale) / self.d_s)
         if dev > COVARIANCE_TOL:
             raise DomainError(f"global dynamics is not covariant (defect {dev:.3e})")
         object.__setattr__(self, "covariance_bound", float(bound))
@@ -291,6 +292,8 @@ def _verified_recovery(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
 
     failures: list[str] = []
     inconclusive: list[str] = []
+    if eps_result.status != "converged":
+        inconclusive.append(f"eps bracket [{eps_result.lower:.3e}, {eps_result.upper:.3e}] open")
 
     def check(what: str, low: float, high: float, bound) -> None:
         """The checked quantity lies in ``[low, high]`` and must stay at most

@@ -165,3 +165,27 @@ def stinespring_unitary_loop(t: Channel) -> np.ndarray:
             full[:, col] = complement[:, fill]
             fill += 1
     return full
+
+
+def qutrit_frame(v, n):
+    """Charge-conserving qutrit-on-ladder frame: ``v`` acts in every total-charge
+    sector that holds all three system levels, the frame is the uniform
+    superposition of the n levels."""
+    u = np.eye(3 * n, dtype=complex)
+    for q in range(2, n):
+        idx = [s * n + (q - s) for s in range(3)]
+        u[np.ix_(idx, idx)] = v
+    amp = np.ones(n) / np.sqrt(n)
+    return FrameScenario(unitary=u, sigma_c=np.outer(amp, amp).astype(complex), target=v,
+                         gens_s=[np.diag(np.arange(3.0))], gens_c=[np.diag(np.arange(float(n)))])
+
+
+def certify_targets():
+    """The four Haar qutrit frames (ladders 8, 8, 8, 12) drawn from seed 2301."""
+    rng = np.random.default_rng(2301)
+    frames = []
+    for n in (8, 8, 8, 12):
+        z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        frames.append(qutrit_frame(q * (np.diag(r) / np.abs(np.diag(r))), n))
+    return frames

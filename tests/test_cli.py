@@ -21,8 +21,9 @@ from covcat.diamond import diamond_distance
 from covcat.refframe import COVARIANCE_TOL, phase_reference_scenario
 from covcat.symmetry import FiniteGroup, FiniteGroupRep, standard_representation
 
-from conftest import (OTHER_GROUPS, dilated_frame_scenario, kicked_frame, other_group_qubit_rep,
-                      rotated_environment, scale_generators, shifted_superposition_mixture)
+from conftest import (OTHER_GROUPS, certify_targets, dilated_frame_scenario, kicked_frame,
+                      other_group_qubit_rep, rotated_environment, scale_generators,
+                      shifted_superposition_mixture)
 
 
 @pytest.fixture(autouse=True)
@@ -63,8 +64,12 @@ def test_demo_appendix_passes(tmp_path, capsys):
     for pair in report["result"]["pairwise"].values():
         assert pair["success"] and pair["residual"] < 1e-6
     assert report["result"]["tensored_9x9"]["residual"] < 1e-6
-    shown = capsys.readouterr().out
-    assert "trace gap" in shown and "SUCCESS" in shown
+    assert capsys.readouterr().out == ""  # the report holds every number; nothing is printed
+    # without --output, stdout is that report and nothing else
+    assert run_cli(["demo-appendix"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert shown.pop("metadata") and report.pop("metadata")
+    assert shown == report
 
 
 def test_demo_finite_group_passes(tmp_path):
@@ -283,18 +288,20 @@ def test_out_of_memory_exits_3_with_an_error_report(command, target, message, tm
     mats = [ser.matrix_to_json(np.eye(2))]
     inp.write_text(json.dumps({"tuple_a": mats, "tuple_b": mats}))
     argv = [command] + (["--input", str(inp)] if command == "wiegmann-equiv" else [])
+    want = {"command": command, "passed": False, "error": f"out of memory: {message}"}
+    # without --output the error report goes to stdout, the error line to stderr
     assert run_cli(argv) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == f"error: out of memory: {message}\n"
+    assert json.loads(out) == want and err == f"error: out of memory: {message}\n"
     report = tmp_path / "r.json"
     assert run_cli(argv + ["--output", str(report)]) == 3
-    want = {"command": command, "passed": False, "error": f"out of memory: {message}"}
+    out, err = capsys.readouterr()
+    assert err == f"error: out of memory: {message}\n"
     if command == "refframe-sweep":  # its --output takes the CSV, so the report goes to stdout
         assert not report.exists()
-        out, err = capsys.readouterr()
-        assert json.loads(out) == want and err == f"error: out of memory: {message}\n"
+        assert json.loads(out) == want
     else:
-        assert read_report(report) == want
+        assert out == "" and read_report(report) == want
 
 
 def test_find_intertwiner_and_catalysis_verify(tmp_path):
@@ -534,6 +541,42 @@ def test_recovery_verify_large_generators(k, tmp_path):
         assert res["passed"] and res["covariance_defect"] <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+@pytest.mark.parametrize("kraus, code, violation", [
+    # phased amplitude damping, covariant: each Kraus operator shifts the charge
+    # Z by a fixed amount; its phases keep the unscaled defect from cancelling
+    # exactly, so its round-off would square to inf
+    pytest.param([np.diag([np.exp(0.4j), np.sqrt(0.7) * np.exp(1.1j)]),
+                  np.sqrt(0.3) * np.exp(2.3j) * np.array([[0.0, 1.0], [0.0, 0.0]])], 0, 0.0,
+                 id="damping"),
+    # Hadamard: turns Z into X
+    pytest.param([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)], 1, 4.0, id="hadamard"),
+])
+def test_check_covariance_at_huge_generators(scale, kraus, code, violation, tmp_path, capsys):
+    # the defect is formed from the generators over their scale, so no
+    # product overflows to inf and flips or breaks the verdict
+    rep = {"type": "lie", "generators": [ser.matrix_to_json(scale * np.diag([1.0, -1.0]))]}
+    inp, out = tmp_path / "cc.json", str(tmp_path / "r.json")
+    inp.write_text(json.dumps({"channel": {"d_in": 2, "d_out": 2,
+                                           "kraus": [ser.matrix_to_json(k) for k in kraus]},
+                               "rep_in": rep, "rep_out": rep}))
+    assert run_cli(["check-covariance", "--input", str(inp), "--output", out]) == code
+    res = read_report(out)["result"]
+    assert res["conclusive"] and abs(res["worst_violation"] - violation) <= 1e-12
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e307])
+def test_recovery_verify_at_huge_generators(scale, tmp_path):
+    # the residual's Frobenius norm is taken over its scale: squared at
+    # 1e306 its entries would overflow, and check (b) would read inconclusive
+    inp, out = tmp_path / "frame.json", str(tmp_path / "r.json")
+    inp.write_text(frame_json(phase_reference_scenario(4, np.pi / 2), scale))
+    assert run_cli(["recovery-verify", "--input", str(inp), "--output", out]) == 0
+    res = read_report(out)["result"]["report"]
+    assert res["passed"] and res["covariance_defect"] <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # scaled generators: no verdict flips
 # ---------------------------------------------------------------------------
@@ -640,8 +683,10 @@ def test_refframe_sweep_csv(tmp_path, capsys):
     assert code == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "N,theta,epsilon,bound,worst_distance,witness_distance,status"
-    assert capsys.readouterr().out == ""  # --output names the CSV, not the report
-    # without --output the report goes to stdout and holds the same rows once
+    # --output names the CSV; the report goes to stdout and holds the same rows once
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["result"] == {"rows": lines[1:]}
+    # without --output only the report is written, with the same rows
     assert run_cli(["refframe-sweep", "--Ns", "2,4", "--theta", "1.5707963"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == {"rows": lines[1:]}
     assert len(lines) == 3
@@ -859,6 +904,23 @@ def test_check_covariance_malformed_rep_out_alone_is_refused(fault, tmp_path, ca
     assert err.startswith(expected) and "Traceback" not in err
 
 
+def test_open_bracket_is_inconclusive(tmp_path, monkeypatch):
+    # the first certify qutrit frame needs hundreds of iterations; capped at
+    # 50 its bracket stays open, so eps itself is not certified
+    from covcat import diamond
+
+    monkeypatch.setattr(diamond, "DEFAULT_MAX_ITER", 50)
+    inp, out = tmp_path / "qutrit.json", str(tmp_path / "r.json")
+    inp.write_text(frame_json(certify_targets()[0]))
+    assert run_cli(["recovery-verify", "--input", str(inp), "--output", out]) == 3
+    report = read_report(out)
+    res = report["result"]["report"]
+    assert not report["passed"] and not res["passed"] and res["failures"] == []
+    assert res["verdict"] == "inconclusive" and res["epsilon_result"]["status"] == "bounds"
+    lower, upper = res["epsilon_result"]["lower"], res["epsilon_result"]["upper"]
+    assert res["inconclusive"][0] == f"eps bracket [{lower:.3e}, {upper:.3e}] open"
+
+
 class ReadRecorder(argparse.Namespace):
     """Namespace that records the name of every attribute read from it."""
 
@@ -915,6 +977,19 @@ def test_every_declared_flag_is_read(command, tmp_path):
         declared |= set(vars(args)) - {"_read"}
         read |= args._read
     assert declared - exempt <= read
+
+
+@pytest.mark.parametrize("command", [
+    "check-covariance", "wiegmann-equiv", "find-intertwiner", "catalysis-verify",
+    "recovery-verify", "refframe-sweep", "demo-appendix", "demo-finite-group"])
+def test_passed_holds_exactly_on_exit_0(command, tmp_path, capsys):
+    # one outcome per run: the report's passed and the exit code both follow
+    # from it; none of these argv lists names a report file, so stdout holds
+    # exactly the report
+    for argv in flag_policy_argvs(command, tmp_path):
+        code = run_cli(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] == (code == 0), (argv, code)
 
 
 def test_cached_parser_is_reused_without_leaks(tmp_path, rng):

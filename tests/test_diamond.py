@@ -14,9 +14,10 @@ from covcat.diamond import (
     diamond_norm_of_difference,
     unitary_diamond_distance,
 )
-from covcat.refframe import FrameScenario, implementation_error, phase_reference_scenario
+from covcat.refframe import implementation_error, phase_reference_scenario
 
 from conftest import (
+    certify_targets,
     depolarizing_loop,
     random_channel,
     shifted_superposition_mixture,
@@ -288,30 +289,6 @@ def test_scaled_choi_difference_scales_value_not_iterations(scale):
     assert abs(scaled.iterations - base.iterations) <= CHECK_EVERY
 
 
-def _qutrit_frame(v, n):
-    """Charge-conserving qutrit-on-ladder frame: ``v`` acts in every total-charge
-    sector that holds all three system levels, the frame is the uniform
-    superposition of the n levels."""
-    u = np.eye(3 * n, dtype=complex)
-    for q in range(2, n):
-        idx = [s * n + (q - s) for s in range(3)]
-        u[np.ix_(idx, idx)] = v
-    amp = np.ones(n) / np.sqrt(n)
-    return FrameScenario(unitary=u, sigma_c=np.outer(amp, amp).astype(complex), target=v,
-                         gens_s=[np.diag(np.arange(3.0))], gens_c=[np.diag(np.arange(float(n)))])
-
-
-def _certify_targets():
-    """The four Haar qutrit frames (ladders 8, 8, 8, 12) drawn from seed 2301."""
-    rng = np.random.default_rng(2301)
-    frames = []
-    for n in (8, 8, 8, 12):
-        z = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        frames.append(_qutrit_frame(q * (np.diag(r) / np.abs(np.diag(r))), n))
-    return frames
-
-
 # brackets the earlier four-block iteration certified for the targets above,
 # in 1 317, 1 067, 252 and 567 iterations
 CERTIFY_BRACKETS = [
@@ -330,7 +307,7 @@ CERTIFY_VALUES = [0.9498207468432414, 0.9520036282201487, 0.8022506810917818,
 
 @pytest.mark.parametrize("k", range(4))
 def test_certify_targets_overlap_earlier_brackets(k):
-    res = implementation_error(_certify_targets()[k])
+    res = implementation_error(certify_targets()[k])
     low, up = CERTIFY_BRACKETS[k]
     assert res.status == "converged" and res.upper - res.lower <= DEFAULT_GAP_TOL
     assert res.lower <= up and low <= res.upper
@@ -342,7 +319,7 @@ def test_iterations_eigendecompose_no_d_by_d_matrix(monkeypatch):
     """rho's cone is implied by ``W, Q >= 0`` and ``W + Q = 1 (x) rho``, so an
     iteration makes one ``eigh`` of the (2, d^2, d^2) stack, and a d x d
     ``eigh`` or ``eigvalsh`` runs only inside the bracket checks."""
-    sc = _certify_targets()[0]
+    sc = certify_targets()[0]
     j = sc.induced_system_channel().choi() - Channel.from_unitary(sc.target).choi()
     d, in_check = 3, []
     calls = {"outside": 0, "inside": 0, "stack": 0}
@@ -378,7 +355,7 @@ def test_iterations_eigendecompose_no_d_by_d_matrix(monkeypatch):
 def test_a_priori_cap_applies_to_channels_only():
     # 4 J is Hermitian with Tr_out 4J = 0 but no difference of channels: its
     # value exceeds 2, so the cap of the channel path must not reach it
-    sc = _certify_targets()[0]
+    sc = certify_targets()[0]
     j = sc.induced_system_channel().choi() - Channel.from_unitary(sc.target).choi()
     base = diamond_norm_of_difference(j, 3)
     res = diamond_norm_of_difference(4.0 * j, 3)
