@@ -47,7 +47,6 @@ from .refframe import (
     FrameScenario,
     degradation_sweep,
     phase_reference_scenario,
-    sweep_to_csv,
     verify_recovery,
 )
 from .serialize import (
@@ -174,18 +173,23 @@ def _cmd_recovery_verify(args) -> tuple[dict, str]:
     return payload, report.verdict
 
 
+SWEEP_CSV_HEADER = "N,theta,epsilon,bound,worst_distance,witness_distance,status"
+
+
 def _cmd_refframe_sweep(args) -> tuple[dict, str]:
     if not args.levels_list:
         raise FormatError("--Ns must list at least one ladder size")
-    rows = degradation_sweep(args.levels_list, args.theta)
+    reports = degradation_sweep(args.levels_list, args.theta)
+    rows = [",".join([str(n), *(repr(float(x)) for x in (args.theta, r.epsilon, r.bound,
+                                                        r.worst_distance, r.witness_distance)),
+                      r.status]) for n, r in zip(args.levels_list, reports)]
     if args.output:
-        write_text_atomic(args.output, sweep_to_csv(rows))
-    payload = {"rows": [r.to_csv_row() for r in rows]}
-    # a certified failure decides the outcome whatever the other rows say
-    statuses = {r.status for r in rows}
-    if "FAILED" in statuses:
-        return payload, "failed"
-    return payload, "passed" if statuses == {"ok"} else "inconclusive"
+        write_text_atomic(args.output, "\n".join([SWEEP_CSV_HEADER, *rows]) + "\n")
+    # a certified failure decides the outcome whatever the other reports say
+    verdicts = {r.verdict for r in reports}
+    if "failed" in verdicts:
+        return {"rows": rows}, "failed"
+    return {"rows": rows}, "passed" if verdicts == {"passed"} else "inconclusive"
 
 
 def _cmd_demo_appendix(args) -> tuple[dict, str]:

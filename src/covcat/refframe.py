@@ -254,7 +254,6 @@ class RecoveryReport:
     recovery_pullback_distance: float
     induced_identity_defect: float
     covariance_defect: float
-    passed: bool
     failures: tuple[str, ...]
     inconclusive: tuple[str, ...]
 
@@ -266,11 +265,16 @@ class RecoveryReport:
         return "inconclusive" if self.inconclusive else "passed"
 
     @property
+    def passed(self) -> bool:
+        """``verdict == "passed"``; `to_json` writes both."""
+        return self.verdict == "passed"
+
+    @property
     def status(self) -> str:
-        """Sweep status: ``"FAILED"`` (any failure, certified at the upper end
-        of the bracket even when it did not close), ``"bounds"`` (the bracket
-        did not close), ``"inconclusive"`` or ``"ok"``. Only ``"ok"`` and
-        ``"FAILED"`` are conclusive."""
+        """Status column of the sweep CSV: ``"FAILED"`` (any failure,
+        certified at the upper end of the bracket even when it did not
+        close), ``"bounds"`` (the bracket did not close), ``"inconclusive"``
+        or ``"ok"``. Only ``"ok"`` and ``"FAILED"`` are conclusive."""
         if self.failures:
             return "FAILED"
         if self.epsilon_result.status != "converged":
@@ -278,13 +282,13 @@ class RecoveryReport:
         return "inconclusive" if self.inconclusive else "ok"
 
     def to_json(self) -> dict:
-        return {**record_to_json(self, ("drift_state", "witness_input")), "verdict": self.verdict}
+        return {**record_to_json(self, ("drift_state", "witness_input")),
+                "passed": self.passed, "verdict": self.verdict}
 
 
 def _verified_recovery(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
     """The recovery R and the report of `verify_recovery`."""
-    t_orig = sc.induced_system_channel()
-    eps_result = diamond_distance(t_orig, Channel.from_unitary(sc.target))
+    eps_result = implementation_error(sc)
     eps = eps_result.value
 
     def root(e: float) -> float:  # sqrt(2 eps)
@@ -313,7 +317,7 @@ def _verified_recovery(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
     d_v = len(phi)
     recovered = np.einsum("rgf,afib->griab", recovery.kraus, m.reshape(d_s, d_f, -1, d_s))
     induced_defect = max_norm(Channel._derived(recovered.reshape(-1, d_s, d_s)).choi()
-                              - t_orig.choi())
+                              - sc.induced_system_channel().choi())
     if induced_defect > 1e-8:
         failures.append(f"induced channel changed by {induced_defect:.3e}")
 
@@ -368,8 +372,7 @@ def _verified_recovery(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
         min_fidelity=min_fid, worst_output_drift_distance=worst_drift_dist,
         recovery_pullback_distance=recovery_pullback_distance,
         induced_identity_defect=induced_defect,
-        covariance_defect=sc.covariance_bound,
-        passed=not failures and not inconclusive, failures=tuple(failures),
+        covariance_defect=sc.covariance_bound, failures=tuple(failures),
         inconclusive=tuple(inconclusive))
 
 
@@ -469,35 +472,6 @@ def phase_reference_scenario(n_levels: int, theta: float,
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    n_levels: int
-    theta: float
-    epsilon: float
-    bound: float
-    worst_distance: float
-    witness_distance: float
-    status: str
-
-    def to_csv_row(self) -> str:
-        nums = [self.theta, self.epsilon, self.bound, self.worst_distance, self.witness_distance]
-        return ",".join([str(self.n_levels)] + [repr(float(x)) for x in nums] + [self.status])
-
-
-SWEEP_CSV_HEADER = "N,theta,epsilon,bound,worst_distance,witness_distance,status"
-
-
-def degradation_sweep(n_values: Sequence[int], theta: float) -> list[SweepRow]:
-    """Run the catalytic pipeline across ladder sizes and tabulate the bound."""
-    rows = []
-    for n in n_values:
-        sc = phase_reference_scenario(n, theta)
-        report = verify_recovery(sc)
-        rows.append(SweepRow(n_levels=n, theta=theta, epsilon=report.epsilon,
-                             bound=report.bound, worst_distance=report.worst_distance,
-                             witness_distance=report.witness_distance, status=report.status))
-    return rows
-
-
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    return "\n".join([SWEEP_CSV_HEADER] + [r.to_csv_row() for r in rows]) + "\n"
+def degradation_sweep(n_values: Sequence[int], theta: float) -> list[RecoveryReport]:
+    """The recovery report of the phase-reference ladder at each size in ``n_values``."""
+    return [verify_recovery(phase_reference_scenario(n, theta)) for n in n_values]

@@ -384,8 +384,9 @@ def find_simultaneous_unitary(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[n
     a combination that is a multiple of the identity, leaves all d^2.
 
     Every singular value is at most the Frobenius norm of the constraint
-    matrix C, which costs O(k n d) for n unknowns. When ``||C||_F``, divided
-    by the scale of the thresholds below, is at most `RANK_TOL`, as for
+    matrix C, which costs O(k n d) for n unknowns. When ``||C||_F``, taken on
+    the tuples divided by the scale of the thresholds below (so no entry is
+    squared unscaled), is at most `RANK_TOL`, as for
     tuples of commuting matrices, every singular value counts as zero: the
     nullity is n, the QR and SVD are skipped, and ``gap[0]`` is that bound.
     """
@@ -408,7 +409,7 @@ def find_simultaneous_unitary(tuple_a: Sequence[np.ndarray], tuple_b: Sequence[n
     if not n:  # no eigenvalue of the combination for A matches one for B
         return UnitaryMatchResult("inequivalent", None, None, 0, (None, None))
     rep_a, rep_b = qa.conj().T @ mats_a @ qa, qb.conj().T @ mats_b @ qb
-    bound = _constraint_norm(rep_a, rep_b, rows, cols) / unit
+    bound = _constraint_norm(rep_a / unit, rep_b / unit, rows, cols)
     if bound <= RANK_TOL:  # sigma_max <= ||C||_F: the identity is a nullspace basis
         nullity, gap, null = n, (bound, None), None
     else:

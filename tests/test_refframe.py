@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,14 +13,13 @@ from covcat.diamond import DiamondResult
 from covcat.symmetry import conservation_defects, generator_scale
 from covcat.refframe import (
     FrameScenario,
-    SWEEP_CSV_HEADER,
+    RecoveryReport,
     catalytic_channel,
     degradation_sweep,
     implementation_error,
     phase_ladder_unitary,
     phase_reference_scenario,
     recovery_channel,
-    sweep_to_csv,
     verify_recovery,
 )
 
@@ -743,6 +743,14 @@ def test_phase_ladder_extrema_sit_at_basis_inputs(n, theta):
     assert abs(report.min_fidelity - fid) <= 1e-12
 
 
+def assert_passed_follows_verdict(report):
+    """``passed`` is no stored field: it is read from, and written beside, the verdict."""
+    assert "passed" not in {f.name for f in dataclasses.fields(RecoveryReport)}
+    js = report.to_json()
+    assert js["passed"] is report.passed is (report.verdict == "passed")
+    assert js["verdict"] == report.verdict
+
+
 def _with_bracket(monkeypatch, lower, upper):
     """Let the pipeline see the diamond bracket [lower, upper]."""
     def bracket(t1, t2):
@@ -756,6 +764,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     eps = implementation_error(sc).value
     _, exact = catalytic_channel(sc)
     assert exact.verdict == "passed" and exact.passed and not exact.inconclusive
+    assert_passed_follows_verdict(exact)
     # the frame distance check straddles: it holds at the upper end only
     worst, witness = exact.worst_distance, exact.witness_distance
 
@@ -766,6 +775,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     _, report = catalytic_channel(sc)
     assert report.worst_distance == exact.worst_distance
     assert report.verdict == "inconclusive" and not report.passed and not report.failures
+    assert_passed_follows_verdict(report)
     assert any("worst frame distance" in c for c in report.inconclusive)
     assert report.bound_lower < worst < report.bound_upper
     assert report.bound_lower <= report.bound <= report.bound_upper
@@ -782,6 +792,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     _with_bracket(monkeypatch, eps_at(witness) * 0.45, eps_at(witness) * 0.9)
     _, report = catalytic_channel(sc)
     assert report.verdict == "failed" and any("worst frame distance" in f for f in report.failures)
+    assert_passed_follows_verdict(report)
     # the drift distance likewise lies in [1 - F^2, sqrt(1 - F^2)]
     drift_low, drift_cert = 1 - exact.min_fidelity ** 2, exact.worst_output_drift_distance
     mid = ((drift_low + drift_cert) / 2 - refframe.METRIC_SLACK) ** 2 / 2
@@ -797,6 +808,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     _with_bracket(monkeypatch, eps, 1.0)
     _, report = catalytic_channel(sc)
     assert report.verdict == "passed" and report.passed
+    assert_passed_follows_verdict(report)
 
 
 @pytest.mark.parametrize("case", list(CHAIN_CASES))
@@ -815,29 +827,18 @@ def test_recovery_kraus_match_dual_of_per_eigenvector_loop(case):
 # ---------------------------------------------------------------------------
 
 def test_sweep_single_row_matches_scenario():
-    rows = degradation_sweep([4], np.pi / 2)
-    assert len(rows) == 1
-    row = rows[0]
+    reports = degradation_sweep([4], np.pi / 2)
+    assert len(reports) == 1
+    report = reports[0]
+    assert isinstance(report, RecoveryReport)
     eps = implementation_error(phase_reference_scenario(4, np.pi / 2)).value
-    assert abs(row.epsilon - eps) < 2e-6
-    assert abs(row.bound - 2 * np.sqrt(2 * row.epsilon)) < 1e-12
-    assert row.worst_distance <= row.bound
-    assert row.status == "ok"
-
-
-def test_sweep_csv_format():
-    rows = degradation_sweep([2, 4], np.pi / 2)
-    text = sweep_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == SWEEP_CSV_HEADER == "N,theta,epsilon,bound,worst_distance,witness_distance,status"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert len(fields) == 7
-        assert float(fields[5]) <= float(fields[4]) <= float(fields[3])  # witness <= worst <= bound
+    assert abs(report.epsilon - eps) < 2e-6
+    assert abs(report.bound - 2 * np.sqrt(2 * report.epsilon)) < 1e-12
+    assert report.worst_distance <= report.bound
+    assert report.status == "ok" and report.verdict == "passed"
 
 
 def test_sweep_epsilon_monotone():
-    rows = degradation_sweep([2, 4, 8], np.pi / 2)
-    eps = [r.epsilon for r in rows]
+    reports = degradation_sweep([2, 4, 8], np.pi / 2)
+    eps = [r.epsilon for r in reports]
     assert all(eps[i + 1] <= eps[i] + 1e-9 for i in range(len(eps) - 1))
