@@ -49,6 +49,7 @@ from .catalysis import (
     rank_condition_counterexample,
     regular_rep_channel,
     state_swap_channel,
+    verify_catalysis,
     verify_scenario,
 )
 from .refframe import (

@@ -14,10 +14,11 @@ ambiguous. `reduce_to_tuples` keeps the reduction of the argument, the
 positive tuples ``(rho, exp(-X_i))`` on the system and catalyst; it is not
 on the solving path, so no exponential of a generator can overflow there.
 
-The module also ships the finite-group constructions showing why
-connectedness of the symmetry group matters (a pointer-state catalyst on the
-regular representation unlocks arbitrary state swaps), and a fixture of three
-Hermitian pairs that are pairwise unitarily equivalent but not jointly so.
+`verify_catalysis` returns a run's record, `CatalysisReport`, and its outcome.
+The module also ships the finite-group constructions showing why connectedness
+of the symmetry group matters (a pointer-state catalyst on the regular
+representation unlocks arbitrary state swaps), a fixture of three Hermitian
+pairs that are pairwise unitarily equivalent but not jointly so, and two demos.
 """
 
 from __future__ import annotations
@@ -27,14 +28,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, is_covariant
 from .linalg import (
+    STRUCT_TOL,
     DimensionError,
     DomainError,
     func_calc,
     max_norm,
     partial_trace,
     psd_rank,
+    random_density,
     random_unitary,
     require_density,
     require_hermitian,
@@ -45,12 +48,15 @@ from .linalg import (
 )
 from .serialize import (check_keys, generators_from_json, int_from_json, matrix_from_json,
                         matrix_to_json, record_to_json, tolerance_from_json)
-from .symmetry import FiniteGroupRep, conservation_residuals, generator_scale
-from .words import UnitaryMatchResult, find_simultaneous_unitary
+from .symmetry import (FiniteGroup, FiniteGroupRep, conservation_residuals, generator_scale,
+                       left_regular_representation, standard_representation, tensor_rep)
+from .words import UnitaryMatchResult, find_simultaneous_unitary, wiegmann_equivalent
 
 ADMISSIBILITY_TOL = 1e-9   # structural equalities of a scenario
 INTERTWINER_TOL = 1e-7     # accepted residual of the constructed intertwiner
 CATALYST_TOL = 1e-8        # max-norm return of the catalyst marginal
+LEDGER_TOL = 1e-8          # |I(C : SE) - Delta H(SE)| of the correlation ledger, in nats
+GAP_TOL = 1e-9             # |gap - 2 sqrt(3)| of the bundled fixture's trace gap
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +383,43 @@ def correlation_balance(u: np.ndarray, rho_se: np.ndarray,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class CatalysisReport:
+    """Admissibility of a scenario and, for an admissible one, its
+    intertwiner and correlation ledger (None where not computed)."""
+
+    scenario: ScenarioReport
+    intertwiner: IntertwinerResult | None
+    correlation: CorrelationReport | None
+
+    @property
+    def outcome(self) -> str:
+        """``"failed"`` for a scenario that is not admissible, else
+        ``"inconclusive"`` for an unsuccessful intertwiner search, else
+        ``"passed"`` if there is no ledger or the catalyst returns, ``I = Delta H``
+        holds within `LEDGER_TOL` and the rank does not drop."""
+        if not self.scenario.admissible:
+            return "failed"
+        if not self.intertwiner.success:
+            return "inconclusive"
+        c = self.correlation
+        return "passed" if c is None or (c.catalyst_preserved and c.rank_after >= c.rank_before
+                                         and c.identity_residual <= LEDGER_TOL) else "failed"
+
+    def to_json(self) -> dict:
+        return {key: value for key, value in record_to_json(self).items() if value is not None}
+
+
+def verify_catalysis(sc: CatalysisScenario, seed: int, ledger: bool) -> CatalysisReport:
+    """The record of ``sc``: for an admissible scenario, `find_intertwiner`
+    with ``seed`` and, if ``ledger``, `correlation_balance` of its states."""
+    if not sc.report.admissible:
+        return CatalysisReport(sc.report, None, None)
+    intertwiner = find_intertwiner(sc, seed=seed)
+    balance = correlation_balance(sc.unitary, sc.rho_s, sc.sigma_c) if ledger else None
+    return CatalysisReport(sc.report, intertwiner, balance)
+
+
 # ---------------------------------------------------------------------------
 # finite-group constructions
 # ---------------------------------------------------------------------------
@@ -430,7 +473,7 @@ def state_swap_channel(rep_s: FiniteGroupRep, rho: np.ndarray, sigma: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# bundled counterexample fixture
+# bundled counterexample fixture and demos
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -474,3 +517,74 @@ def rank_condition_counterexample() -> RankCounterexample:
               for pattern in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]))
     gap = abs(np.trace(a1 @ a2 @ b3) - np.trace(a1 @ a2 @ a3))
     return RankCounterexample(a=(a1, a2, a3), b=(a1, a2, b3), c=c, v=v, w=w, gap=float(gap))
+
+
+@dataclass(frozen=True, eq=False)
+class DemoReport:
+    """A bundled demo's numbers, ``result``, and whether each named check held."""
+
+    result: dict
+    checks: dict[str, bool]
+
+    @property
+    def outcome(self) -> str:
+        return "passed" if all(self.checks.values()) else "failed"
+
+    def to_json(self) -> dict:
+        return self.result
+
+
+def demo_appendix(seed: int) -> DemoReport:
+    """The fixture of `rank_condition_counterexample`: its gap is ``2 sqrt(3)``
+    within `GAP_TOL`, the triples are distinguished by ``x0 x1 x2``, and each
+    pair and the 9x9 tensored tuples are equivalent (each solver takes ``seed``)."""
+    fx = rank_condition_counterexample()
+    expected_gap = 2.0 * np.sqrt(3.0)
+    verdict = wiegmann_equivalent(list(fx.a), list(fx.b), seed=seed)
+    pairs = {name: find_simultaneous_unitary([fx.a[i] for i in idx], [fx.b[i] for i in idx],
+                                             seed=seed)
+             for name, idx in (("pair_12", (0, 1)), ("pair_23", (1, 2)), ("pair_31", (2, 0)))}
+    big = find_simultaneous_unitary(list(fx.tensored_a()), list(fx.tensored_b()), seed=seed)
+    row = lambda m: {"success": m.success, "residual": m.residual, "verdict": m.verdict}
+    return DemoReport(
+        {"gap": fx.gap, "expected_gap": expected_gap, "triple_verdict": verdict.to_json(),
+         "pairwise": {name: row(m) for name, m in pairs.items()}, "tensored_9x9": row(big)},
+        {"gap": abs(fx.gap - expected_gap) <= GAP_TOL,
+         "triple": verdict.verdict == "distinguished" and str(verdict.witness) == "x0 x1 x2",
+         **{name: m.success for name, m in pairs.items()}, "tensored_9x9": big.success})
+
+
+def demo_finite_group(seed: int) -> DemoReport:
+    """The lift of `regular_rep_channel` for Z2 and for the standard
+    representation of S3, each of a target with a Haar isometry drawn from
+    ``seed``: covariant, and acting as the target at the identity pointer
+    within `STRUCT_TOL` (max-norm). For Z2 `state_swap_channel` also takes
+    ``|0><0|`` to ``|1><1|`` at pointer 1 within `STRUCT_TOL`, covariantly."""
+    rng = np.random.default_rng(seed)
+    result, checks = {}, {}
+    for label, rep_s in (
+        ("Z2", FiniteGroupRep(FiniteGroup.cyclic(2), [np.eye(2), np.diag([1.0, -1.0])])),
+        ("S3", standard_representation(3)),
+    ):
+        group, d = rep_s.group, rep_s.dim
+        comp = tensor_rep(rep_s, left_regular_representation(group))
+        q, _ = np.linalg.qr(rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d)))
+        target = Channel([q[:d], q[d:]])
+        lifted = regular_rep_channel(rep_s, target)
+        cov = is_covariant(lifted, comp, comp)
+        rho = random_density(d, rng)
+        pointer = np.zeros((group.order, group.order), dtype=complex)
+        pointer[group.identity, group.identity] = 1.0
+        entry = result[label] = {
+            "covariant": cov.covariant, "covariance_violation": cov.worst_violation,
+            "pointer_action_defect": max_norm(lifted.apply(tensor(rho, pointer))
+                                              - tensor(target.apply(rho), pointer))}
+        if label == "Z2":
+            zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])  # |1><1| is also the pointer
+            swap = state_swap_channel(rep_s, zero, one, x=1)
+            entry["state_swap_defect"] = max_norm(swap.apply(tensor(zero, one)) - tensor(one, one))
+            entry["state_swap_covariant"] = is_covariant(swap, comp, comp).covariant
+        # every flag must hold and every defect stay within STRUCT_TOL
+        checks.update((f"{label} {key}", value <= STRUCT_TOL if key.endswith("defect") else value)
+                      for key, value in entry.items() if key != "covariance_violation")
+    return DemoReport(result, checks)

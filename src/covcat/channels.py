@@ -18,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -136,6 +136,14 @@ class CovarianceReport:
     covariant: bool
     worst_violation: float
     conclusive: bool = True
+
+    @property
+    def outcome(self) -> str:
+        """``"passed"`` if covariant, ``"failed"`` if refuted, else ``"inconclusive"``."""
+        return "passed" if self.covariant else "failed" if self.conclusive else "inconclusive"
+
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 def _folded_r(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Batch command-line front door.
 
-Each command ingests JSON problem files, dispatches to the library and
-returns one outcome. The exit status is its `EXIT_STATUS`, and the report's
-``passed`` is true for ``"passed"`` alone:
+Each command loads its JSON problem, makes one library call and routes the
+record it gets back: the record's ``outcome`` decides the run, and the CLI
+holds no verdict rule of its own. The exit status is `EXIT_STATUS` of the
+outcome, and the report's ``passed`` is true for ``"passed"`` alone:
 
 * passed, 0: all assertions of the dispatched verification passed,
 * failed, 1: the verification ran and failed,
@@ -35,15 +36,14 @@ import numpy as np
 from . import __version__
 from .catalysis import (
     CatalysisScenario,
-    correlation_balance,
-    find_intertwiner,
-    rank_condition_counterexample,
-    regular_rep_channel,
-    state_swap_channel,
+    demo_appendix,
+    demo_finite_group,
+    verify_catalysis,
 )
-from .channels import Channel, is_covariant
-from .linalg import DimensionError, DomainError, max_norm, random_density, tensor
+from .channels import is_covariant
+from .linalg import DimensionError, DomainError
 from .refframe import (
+    SWEEP_CSV_HEADER,
     FrameScenario,
     degradation_sweep,
     phase_reference_scenario,
@@ -59,15 +59,12 @@ from .serialize import (
     load_json,
     matrices_from_json,
     matrix_from_json,
-    record_to_json,
     rep_from_json,
     tolerance_from_json,
     write_json_atomic,
     write_text_atomic,
 )
-from .symmetry import (FiniteGroup, FiniteGroupRep, left_regular_representation,
-                       standard_representation, tensor_rep)
-from .words import find_simultaneous_unitary, wiegmann_equivalent
+from .words import wiegmann_equivalent
 
 EXIT_STATUS = {"passed": 0, "failed": 1, "malformed": 2, "inconclusive": 3}
 
@@ -91,9 +88,7 @@ def _cmd_check_covariance(args) -> tuple[dict, str]:
     rep_in = _rep_from_spec(obj["rep_in"], "rep_in")
     rep_out = _rep_from_spec(obj["rep_out"], "rep_out")
     report = is_covariant(channel, rep_in, rep_out, tol=args.tol)
-    if report.covariant:
-        return record_to_json(report), "passed"
-    return record_to_json(report), "failed" if report.conclusive else "inconclusive"
+    return report.to_json(), report.outcome
 
 
 # Config keys of the former bounded word enumeration, with their least values:
@@ -112,32 +107,14 @@ def _cmd_wiegmann_equiv(args) -> tuple[dict, str]:
         if key in cfg_obj:
             int_from_json(cfg_obj[key], f"config.{key}", minimum)
     verdict = wiegmann_equivalent(tuple_a, tuple_b, seed=args.seed, tol=args.tol)
-    return verdict.to_json(), "inconclusive" if verdict.verdict == "inconclusive" else "passed"
+    return verdict.to_json(), verdict.outcome
 
 
-def _cmd_find_intertwiner(args) -> tuple[dict, str]:
+def _cmd_catalysis(args) -> tuple[dict, str]:
+    """``find-intertwiner``, and ``catalysis-verify``, which adds the correlation ledger."""
     sc = CatalysisScenario.from_json(load_json(args.input))
-    if not sc.report.admissible:
-        return {"scenario": sc.report.to_json()}, "failed"
-    result = find_intertwiner(sc, seed=args.seed)
-    payload = {"scenario": sc.report.to_json(), "intertwiner": result.to_json()}
-    return payload, "passed" if result.success else "inconclusive"
-
-
-def _cmd_catalysis_verify(args) -> tuple[dict, str]:
-    sc = CatalysisScenario.from_json(load_json(args.input))
-    payload: dict = {"scenario": sc.report.to_json()}
-    if not sc.report.admissible:
-        return payload, "failed"
-    result = find_intertwiner(sc, seed=args.seed)
-    payload["intertwiner"] = result.to_json()
-    balance = correlation_balance(sc.unitary, sc.rho_s, sc.sigma_c)
-    payload["correlation"] = balance.to_json()
-    if not result.success:
-        return payload, "inconclusive"
-    passed = (balance.catalyst_preserved and balance.identity_residual <= 1e-8
-              and balance.rank_after >= balance.rank_before)
-    return payload, "passed" if passed else "failed"
+    report = verify_catalysis(sc, args.seed, ledger=args.command == "catalysis-verify")
+    return report.to_json(), report.outcome
 
 
 def _frame_scenario_from_json(obj) -> FrameScenario:
@@ -170,99 +147,21 @@ def _cmd_recovery_verify(args) -> tuple[dict, str]:
         payload = {"scenario": ladder}
     report = verify_recovery(sc)
     payload["report"] = report.to_json()
-    return payload, report.verdict
-
-
-SWEEP_CSV_HEADER = "N,theta,epsilon,bound,worst_distance,witness_distance,status"
+    return payload, report.outcome
 
 
 def _cmd_refframe_sweep(args) -> tuple[dict, str]:
     if not args.levels_list:
         raise FormatError("--Ns must list at least one ladder size")
-    reports = degradation_sweep(args.levels_list, args.theta)
-    rows = [",".join([str(n), *(repr(float(x)) for x in (args.theta, r.epsilon, r.bound,
-                                                        r.worst_distance, r.witness_distance)),
-                      r.status]) for n, r in zip(args.levels_list, reports)]
+    sweep = degradation_sweep(args.levels_list, args.theta)
     if args.output:
-        write_text_atomic(args.output, "\n".join([SWEEP_CSV_HEADER, *rows]) + "\n")
-    # a certified failure decides the outcome whatever the other reports say
-    verdicts = {r.verdict for r in reports}
-    if "failed" in verdicts:
-        return {"rows": rows}, "failed"
-    return {"rows": rows}, "passed" if verdicts == {"passed"} else "inconclusive"
+        write_text_atomic(args.output, "\n".join([SWEEP_CSV_HEADER, *sweep.rows]) + "\n")
+    return sweep.to_json(), sweep.outcome
 
 
-def _cmd_demo_appendix(args) -> tuple[dict, str]:
-    fx = rank_condition_counterexample()
-    expected_gap = 2.0 * np.sqrt(3.0)
-    gap_ok = abs(fx.gap - expected_gap) <= 1e-9
-    verdict = wiegmann_equivalent(list(fx.a), list(fx.b), seed=args.seed)
-    triple_distinguished = verdict.verdict == "distinguished" and str(verdict.witness) == "x0 x1 x2"
-    pair_results = {}
-    pairs_ok = True
-    for name, idx in (("pair_12", (0, 1)), ("pair_23", (1, 2)), ("pair_31", (2, 0))):
-        ta = [fx.a[i] for i in idx]
-        tb = [fx.b[i] for i in idx]
-        res = find_simultaneous_unitary(ta, tb, seed=args.seed)
-        pair_results[name] = {"success": res.success, "residual": res.residual,
-                              "verdict": res.verdict}
-        pairs_ok = pairs_ok and res.success and res.residual < 1e-6
-    big = find_simultaneous_unitary(list(fx.tensored_a()), list(fx.tensored_b()),
-                                    seed=args.seed)
-    big_ok = big.success and big.residual < 1e-6
-    passed = gap_ok and triple_distinguished and pairs_ok and big_ok
-    payload = {
-        "gap": fx.gap,
-        "expected_gap": expected_gap,
-        "triple_verdict": verdict.to_json(),
-        "pairwise": pair_results,
-        "tensored_9x9": {"success": big.success, "residual": big.residual,
-                         "verdict": big.verdict},
-    }
-    return payload, "passed" if passed else "failed"
-
-
-def _cmd_demo_finite_group(args) -> tuple[dict, str]:
-    rng = np.random.default_rng(args.seed)
-    payload = {}
-    passed = True
-    for label, rep_s in (
-        ("Z2", FiniteGroupRep(FiniteGroup.cyclic(2), [np.eye(2), np.diag([1.0, -1.0])])),
-        ("S3", standard_representation(3)),
-    ):
-        group = rep_s.group
-        reg = left_regular_representation(group)
-        comp = tensor_rep(rep_s, reg)
-        # random target channel via Haar isometry
-        d = rep_s.dim
-        g = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
-        q, _ = np.linalg.qr(g)
-        target = Channel([q[:d], q[d:]])
-        lifted = regular_rep_channel(rep_s, target)
-        cov = is_covariant(lifted, comp, comp)
-        rho = random_density(d, rng)
-        pointer = np.zeros((group.order, group.order), dtype=complex)
-        pointer[group.identity, group.identity] = 1.0
-        action_defect = max_norm(lifted.apply(tensor(rho, pointer))
-                                 - tensor(target.apply(rho), pointer))
-        entry = {"covariant": cov.covariant,
-                 "covariance_violation": cov.worst_violation,
-                 "pointer_action_defect": action_defect}
-        ok = cov.covariant and action_defect <= 1e-10
-        if label == "Z2":
-            swap = state_swap_channel(rep_s, np.diag([1.0, 0.0]).astype(complex),
-                                      np.diag([0.0, 1.0]).astype(complex), x=1)
-            px = np.zeros((2, 2), dtype=complex)
-            px[1, 1] = 1.0
-            swap_defect = max_norm(swap.apply(tensor(np.diag([1.0, 0.0]), px))
-                                   - tensor(np.diag([0.0, 1.0]), px))
-            swap_cov = is_covariant(swap, comp, comp)
-            entry["state_swap_defect"] = swap_defect
-            entry["state_swap_covariant"] = swap_cov.covariant
-            ok = ok and swap_defect <= 1e-10 and swap_cov.covariant
-        payload[label] = entry
-        passed = passed and ok
-    return payload, "passed" if passed else "failed"
+def _cmd_demo(args) -> tuple[dict, str]:
+    report = (demo_appendix if args.command == "demo-appendix" else demo_finite_group)(args.seed)
+    return report.to_json(), report.outcome
 
 
 def _int_at_least(minimum: int):
@@ -319,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
             "test a channel against representations", "--input", "--tol")
     command("wiegmann-equiv", _cmd_wiegmann_equiv,
             "trace-fingerprint tuple comparison", "--input", "--tol")
-    command("find-intertwiner", _cmd_find_intertwiner,
+    command("find-intertwiner", _cmd_catalysis,
             "construct the intertwining unitary", "--input")
-    command("catalysis-verify", _cmd_catalysis_verify,
+    command("catalysis-verify", _cmd_catalysis,
             "full catalysis scenario verification", "--input")
     # kept for existing scripts: every distance is certified, none is sampled
     samples_help = "accepted and ignored (at least 1): the distances are certified over all inputs"
@@ -339,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated ladder sizes")
     p.add_argument("--theta", type=_finite_float, default=np.pi / 2)
     p.add_argument("--samples", type=_int_at_least(1), default=100, help=samples_help)
-    command("demo-appendix", _cmd_demo_appendix, "run the bundled counterexample fixture")
-    command("demo-finite-group", _cmd_demo_finite_group, "regular-representation constructions")
+    command("demo-appendix", _cmd_demo, "run the bundled counterexample fixture")
+    command("demo-finite-group", _cmd_demo, "regular-representation constructions")
     return parser
 
 

@@ -258,7 +258,7 @@ class RecoveryReport:
     inconclusive: tuple[str, ...]
 
     @property
-    def verdict(self) -> str:
+    def outcome(self) -> str:
         """One of ``"failed"`` (any failure), ``"inconclusive"`` or ``"passed"``."""
         if self.failures:
             return "failed"
@@ -266,8 +266,8 @@ class RecoveryReport:
 
     @property
     def passed(self) -> bool:
-        """``verdict == "passed"``; `to_json` writes both."""
-        return self.verdict == "passed"
+        """``outcome == "passed"``; `to_json` writes both, the outcome as ``verdict``."""
+        return self.outcome == "passed"
 
     @property
     def status(self) -> str:
@@ -283,7 +283,7 @@ class RecoveryReport:
 
     def to_json(self) -> dict:
         return {**record_to_json(self, ("drift_state", "witness_input")),
-                "passed": self.passed, "verdict": self.verdict}
+                "passed": self.passed, "verdict": self.outcome}
 
 
 def _verified_recovery(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
@@ -472,6 +472,39 @@ def phase_reference_scenario(n_levels: int, theta: float,
     )
 
 
-def degradation_sweep(n_values: Sequence[int], theta: float) -> list[RecoveryReport]:
-    """The recovery report of the phase-reference ladder at each size in ``n_values``."""
-    return [verify_recovery(phase_reference_scenario(n, theta)) for n in n_values]
+SWEEP_CSV_HEADER = "N,theta,epsilon,bound,worst_distance,witness_distance,status"
+
+
+@dataclass(frozen=True, eq=False)
+class SweepReport:
+    """The recovery report of the phase-reference ladder at each size in
+    ``n_values``, all at ``theta``."""
+
+    n_values: tuple[int, ...]
+    theta: float
+    reports: tuple[RecoveryReport, ...]
+
+    @property
+    def outcome(self) -> str:
+        """``"failed"`` if any report failed, whatever the others say, else
+        ``"passed"`` if every one passed, else ``"inconclusive"``."""
+        outcomes = {r.outcome for r in self.reports}
+        if "failed" in outcomes:
+            return "failed"
+        return "passed" if outcomes == {"passed"} else "inconclusive"
+
+    @property
+    def rows(self) -> list[str]:
+        """One line of the sweep CSV per report, under `SWEEP_CSV_HEADER`."""
+        return [",".join([str(n), *(repr(float(x)) for x in (self.theta, r.epsilon, r.bound,
+                                                            r.worst_distance, r.witness_distance)),
+                          r.status]) for n, r in zip(self.n_values, self.reports)]
+
+    def to_json(self) -> dict:
+        return {"rows": self.rows}
+
+
+def degradation_sweep(n_values: Sequence[int], theta: float) -> SweepReport:
+    """The sweep of the phase-reference ladder over the sizes ``n_values``."""
+    return SweepReport(tuple(n_values), theta, tuple(
+        verify_recovery(phase_reference_scenario(n, theta)) for n in n_values))

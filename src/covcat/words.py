@@ -214,6 +214,11 @@ class EquivalenceVerdict:
     scale: tuple[float, ...]
     certificate: UnitaryMatchResult | None
 
+    @property
+    def outcome(self) -> str:
+        """``"inconclusive"`` with the verdict, else ``"passed"``: either decision passes."""
+        return "inconclusive" if self.verdict == "inconclusive" else "passed"
+
     def to_json(self) -> dict:
         out = {"verdict": self.verdict, "words_checked": self.words_checked,
                "span": self.span,

@@ -1,22 +1,41 @@
 """Exit-code contract of the CLI: any input file exits 0, 1, 2 or 3 and never
 escapes with an exception (which would print a traceback)."""
 
+import ast
 import json
 import os
+import pathlib
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from covcat import serialize as ser
-from covcat.catalysis import generate_admissible_scenario
-from covcat.cli import main
-from covcat.refframe import phase_reference_scenario
+from covcat import cli, linalg as la, serialize as ser
+from covcat.catalysis import (CatalysisScenario, demo_appendix, demo_finite_group,
+                              generate_admissible_scenario, rank_condition_counterexample,
+                              verify_catalysis)
+from covcat.channels import is_covariant
+from covcat.cli import EXIT_STATUS, main
+from covcat.refframe import degradation_sweep, phase_reference_scenario, verify_recovery
+from covcat.words import wiegmann_equivalent
+
+from conftest import dilated_frame_scenario, kicked_frame
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-FRAME = phase_reference_scenario(2, np.pi / 2)
+
+
+def frame_problem(sc):
+    """Frame-scenario input of ``sc``."""
+    problem = {key: ser.matrix_to_json(getattr(sc, key))
+               for key in ("unitary", "sigma_c", "target")}
+    legs = ("gens_s", "gens_c") + (("gens_e",) if sc.d_e > 1 else ())
+    problem.update({leg: [ser.matrix_to_json(g) for g in getattr(sc, leg)] for leg in legs})
+    if sc.d_e > 1:
+        problem["omega_e"] = ser.matrix_to_json(sc.omega_e)
+    return problem
+
 
 # One well-formed problem per command; the fuzz replaces one subtree of it.
 TEMPLATES = {
@@ -36,13 +55,8 @@ TEMPLATES = {
                     "images": [ser.matrix_to_json(np.eye(2)), ser.matrix_to_json(SZ)]},
     },
     "catalysis-verify": generate_admissible_scenario(2, 2, 1, seed=3).to_json(),
-    "recovery-verify": {
-        "unitary": ser.matrix_to_json(FRAME.unitary),
-        "sigma_c": ser.matrix_to_json(FRAME.sigma_c),
-        "target": ser.matrix_to_json(FRAME.target),
-        "gens_s": [ser.matrix_to_json(g) for g in FRAME.gens_s],
-        "gens_c": [ser.matrix_to_json(g) for g in FRAME.gens_c],
-    },
+    "find-intertwiner": generate_admissible_scenario(2, 2, 1, seed=3).to_json(),
+    "recovery-verify": frame_problem(phase_reference_scenario(2, np.pi / 2)),
     # The former word-enumeration keys, the only keys a file's config may
     # hold, stay in the template: they are still type-checked, so their
     # mutations must exit 2 or be ignored.
@@ -52,7 +66,8 @@ TEMPLATES = {
         "config": {"max_length": 2, "max_exponent": 2, "num_random_words": 3},
     },
 }
-COMMANDS = ["check-covariance", "catalysis-verify", "wiegmann-equiv", "recovery-verify"]
+COMMANDS = ["check-covariance", "catalysis-verify", "find-intertwiner", "wiegmann-equiv",
+            "recovery-verify"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -126,6 +141,7 @@ def test_mutated_problem_keeps_exit_contract(data, value, capsys):
 # first matrix payload of each command's template
 MATRIX_SLOTS = {"check-covariance": ("channel", "kraus", 0),
                 "catalysis-verify": ("unitary",),
+                "find-intertwiner": ("unitary",),
                 "recovery-verify": ("target",),
                 "wiegmann-equiv": ("tuple_a", 0)}
 MALFORMED_MATRICES = {
@@ -145,7 +161,8 @@ def test_malformed_matrix_exits_2(command, name, capsys):
     assert _run(command, json.dumps(problem), capsys) == 2
 
 
-@pytest.mark.parametrize("command", ["catalysis-verify", "recovery-verify", "wiegmann-equiv"])
+@pytest.mark.parametrize("command", ["catalysis-verify", "find-intertwiner", "recovery-verify",
+                                     "wiegmann-equiv"])
 def test_rectangular_matrix_in_square_slot_exits_2(command, capsys):
     rect = ser.matrix_to_json(np.ones((2, 3)))
     problem = _replace(TEMPLATES[command], MATRIX_SLOTS[command], rect)
@@ -208,3 +225,92 @@ def test_bad_ladder_list_rejected_by_parser(levels):
 def test_empty_ladder_list_exits_2(capsys):
     assert main(["refframe-sweep", "--Ns", ",", "--samples", "2"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the library decides every verdict; the CLI only routes it
+# ---------------------------------------------------------------------------
+
+def _lie(*gens):
+    return {"type": "lie", "generators": [ser.matrix_to_json(g) for g in gens]}
+
+
+def _broken_scenario(m, seed, admissibility=None):
+    """A generated scenario whose rho' is replaced by a random state; with a
+    loose admissibility tolerance it reaches the intertwiner search, which fails."""
+    problem = generate_admissible_scenario(2, 2, m, seed=seed).to_json()
+    problem["rho_s_out"] = ser.matrix_to_json(la.random_density(2, np.random.default_rng(0)))
+    if admissibility is not None:
+        problem["tolerances"]["admissibility"] = admissibility
+    return problem
+
+
+def _scaled_fixture(scale):
+    fx = rank_condition_counterexample()
+    return {"tuple_a": [ser.matrix_to_json(scale * m) for m in fx.a],
+            "tuple_b": [ser.matrix_to_json(scale * m) for m in fx.b]}
+
+
+# the record the library returns for a problem file, with the CLI's defaults
+# (seed 0, tolerance 1e-9)
+LIBRARY = {
+    "check-covariance": lambda p: is_covariant(
+        ser.channel_from_json(p["channel"]), cli._rep_from_spec(p["rep_in"], "rep_in"),
+        cli._rep_from_spec(p["rep_out"], "rep_out"), tol=1e-9),
+    "wiegmann-equiv": lambda p: wiegmann_equivalent(
+        ser.matrices_from_json(p["tuple_a"]), ser.matrices_from_json(p["tuple_b"]), seed=0),
+    "find-intertwiner": lambda p: verify_catalysis(CatalysisScenario.from_json(p), 0, ledger=False),
+    "catalysis-verify": lambda p: verify_catalysis(CatalysisScenario.from_json(p), 0, ledger=True),
+    "recovery-verify": lambda p: verify_recovery(cli._frame_scenario_from_json(p)),
+}
+# the identity in a Haar basis, x1e9: its round-off refutes nothing
+_Q = la.random_unitary(2, np.random.default_rng(3))
+ROUNDED_SCALAR = 1e9 * (_Q @ _Q.conj().T)
+KICKED = kicked_frame(dilated_frame_scenario(omega=np.diag([0.7, 0.3])), 1e-10, 1e-10)
+# (command, problem, exit code): every template, and the failing and
+# inconclusive inputs of test_cli.py
+FILE_CASES = {
+    **{name: (name.replace("-finite", ""), problem, 0) for name, problem in TEMPLATES.items()},
+    "check-covariance-refuted": ("check-covariance", {
+        "channel": {"d_in": 2, "d_out": 2,
+                    "kraus": [ser.matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))]},
+        "rep_in": _lie(SZ), "rep_out": _lie(SZ)}, 1),
+    "check-covariance-rounding": ("check-covariance", {
+        "channel": {"d_in": 2, "d_out": 2, "kraus": [ser.matrix_to_json(SX)]},
+        "rep_in": _lie(ROUNDED_SCALAR), "rep_out": _lie(ROUNDED_SCALAR)}, 3),
+    "wiegmann-equiv-overflow": ("wiegmann-equiv", _scaled_fixture(1e308), 3),
+    "wiegmann-equiv-distinguished": ("wiegmann-equiv", _scaled_fixture(1e110), 0),
+    "find-intertwiner-inadmissible": ("find-intertwiner", _broken_scenario(1, 3), 1),
+    "find-intertwiner-unsolved": ("find-intertwiner", _broken_scenario(0, 1, 10.0), 3),
+    "catalysis-verify-inadmissible": ("catalysis-verify", _broken_scenario(1, 3), 1),
+    "catalysis-verify-unsolved": ("catalysis-verify", _broken_scenario(0, 1, 10.0), 3),
+    "recovery-verify-kicked": ("recovery-verify", frame_problem(KICKED), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_library_outcome_is_the_exit_code(case, capsys):
+    command, problem, code = FILE_CASES[case]
+    record = LIBRARY[command](problem)
+    assert EXIT_STATUS[record.outcome] == _run(command, json.dumps(problem), capsys) == code
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["recovery-verify", "--N", "4"],
+     lambda: verify_recovery(phase_reference_scenario(4, np.pi / 2))),
+    (["refframe-sweep", "--Ns", "2,4"], lambda: degradation_sweep([2, 4], np.pi / 2)),
+    (["demo-appendix"], lambda: demo_appendix(0)),
+    (["demo-finite-group"], lambda: demo_finite_group(0)),
+], ids=["recovery-verify-builtin", "refframe-sweep", "demo-appendix", "demo-finite-group"])
+def test_library_outcome_is_the_exit_code_of_built_in_runs(argv, call, capsys):
+    assert EXIT_STATUS[call().outcome] == main(argv) == 0
+    capsys.readouterr()
+
+
+def test_cli_holds_no_threshold():
+    # every verdict threshold lives in the module that builds the record:
+    # the one float literal of cli.py is the default of --tol
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    floats = [node.value for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+    assert floats == [1e-9]

@@ -681,7 +681,7 @@ def test_recovery_covariance_bounds_that_of_the_recovered_dynamics(dilated):
     t_prime, report = catalytic_channel(sc)
     assert report.covariance_defect >= 1e-11
     # the bound refutes nothing: above the tolerance, check (b) is open
-    assert report.verdict == "inconclusive" and not report.failures
+    assert report.outcome == "inconclusive" and not report.failures
     assert any("recovery covariance" in c for c in report.inconclusive)
     d_t, bound, _ = _covariance_bound(sc, t_prime)
     assert 1e-11 <= d_t <= bound
@@ -744,11 +744,12 @@ def test_phase_ladder_extrema_sit_at_basis_inputs(n, theta):
 
 
 def assert_passed_follows_verdict(report):
-    """``passed`` is no stored field: it is read from, and written beside, the verdict."""
+    """``passed`` is no stored field: it is read from the outcome, and written
+    beside it, under ``verdict``."""
     assert "passed" not in {f.name for f in dataclasses.fields(RecoveryReport)}
     js = report.to_json()
-    assert js["passed"] is report.passed is (report.verdict == "passed")
-    assert js["verdict"] == report.verdict
+    assert js["passed"] is report.passed is (report.outcome == "passed")
+    assert js["verdict"] == report.outcome
 
 
 def _with_bracket(monkeypatch, lower, upper):
@@ -763,7 +764,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     sc = phase_reference_scenario(8, np.pi / 2)
     eps = implementation_error(sc).value
     _, exact = catalytic_channel(sc)
-    assert exact.verdict == "passed" and exact.passed and not exact.inconclusive
+    assert exact.outcome == "passed" and exact.passed and not exact.inconclusive
     assert_passed_follows_verdict(exact)
     # the frame distance check straddles: it holds at the upper end only
     worst, witness = exact.worst_distance, exact.witness_distance
@@ -774,7 +775,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     _with_bracket(monkeypatch, eps_at(worst) * 0.9, eps)
     _, report = catalytic_channel(sc)
     assert report.worst_distance == exact.worst_distance
-    assert report.verdict == "inconclusive" and not report.passed and not report.failures
+    assert report.outcome == "inconclusive" and not report.passed and not report.failures
     assert_passed_follows_verdict(report)
     assert any("worst frame distance" in c for c in report.inconclusive)
     assert report.bound_lower < worst < report.bound_upper
@@ -791,7 +792,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     # a bracket wholly below the witness refutes the check
     _with_bracket(monkeypatch, eps_at(witness) * 0.45, eps_at(witness) * 0.9)
     _, report = catalytic_channel(sc)
-    assert report.verdict == "failed" and any("worst frame distance" in f for f in report.failures)
+    assert report.outcome == "failed" and any("worst frame distance" in f for f in report.failures)
     assert_passed_follows_verdict(report)
     # the drift distance likewise lies in [1 - F^2, sqrt(1 - F^2)]
     drift_low, drift_cert = 1 - exact.min_fidelity ** 2, exact.worst_output_drift_distance
@@ -807,7 +808,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     # a wide bracket whose lower end passes every check is a pass
     _with_bracket(monkeypatch, eps, 1.0)
     _, report = catalytic_channel(sc)
-    assert report.verdict == "passed" and report.passed
+    assert report.outcome == "passed" and report.passed
     assert_passed_follows_verdict(report)
 
 
@@ -827,7 +828,7 @@ def test_recovery_kraus_match_dual_of_per_eigenvector_loop(case):
 # ---------------------------------------------------------------------------
 
 def test_sweep_single_row_matches_scenario():
-    reports = degradation_sweep([4], np.pi / 2)
+    reports = degradation_sweep([4], np.pi / 2).reports
     assert len(reports) == 1
     report = reports[0]
     assert isinstance(report, RecoveryReport)
@@ -835,10 +836,10 @@ def test_sweep_single_row_matches_scenario():
     assert abs(report.epsilon - eps) < 2e-6
     assert abs(report.bound - 2 * np.sqrt(2 * report.epsilon)) < 1e-12
     assert report.worst_distance <= report.bound
-    assert report.status == "ok" and report.verdict == "passed"
+    assert report.status == "ok" and report.outcome == "passed"
 
 
 def test_sweep_epsilon_monotone():
-    reports = degradation_sweep([2, 4, 8], np.pi / 2)
+    reports = degradation_sweep([2, 4, 8], np.pi / 2).reports
     eps = [r.epsilon for r in reports]
     assert all(eps[i + 1] <= eps[i] + 1e-9 for i in range(len(eps) - 1))
