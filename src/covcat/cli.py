@@ -14,8 +14,7 @@ outcome, and the report's ``passed`` is true for ``"passed"`` alone:
   rounding; the bounded result is still reported), or the problem did not
   fit in memory (an error report, as for 2).
 
-A report goes to ``--output``, or to stdout if none is given or for
-``refframe-sweep``, whose ``--output`` names its CSV.
+A report goes to ``--output``, or to stdout if none is given.
 
 A report's top-level ``config`` is the one record of the run's inputs
 (``input``, ``seed`` and ``tol``, as far as the command takes them); its
@@ -43,7 +42,6 @@ from .catalysis import (
 from .channels import is_covariant
 from .linalg import DimensionError, DomainError
 from .refframe import (
-    SWEEP_CSV_HEADER,
     FrameScenario,
     degradation_sweep,
     phase_reference_scenario,
@@ -62,7 +60,6 @@ from .serialize import (
     rep_from_json,
     tolerance_from_json,
     write_json_atomic,
-    write_text_atomic,
 )
 from .words import wiegmann_equivalent
 
@@ -154,8 +151,6 @@ def _cmd_refframe_sweep(args) -> tuple[dict, str]:
     if not args.levels_list:
         raise FormatError("--Ns must list at least one ladder size")
     sweep = degradation_sweep(args.levels_list, args.theta)
-    if args.output:
-        write_text_atomic(args.output, "\n".join([SWEEP_CSV_HEADER, *sweep.rows]) + "\n")
     return sweep.to_json(), sweep.outcome
 
 
@@ -265,7 +260,7 @@ def main(argv=None) -> int:
         }
     report["passed"] = outcome == "passed"
     try:
-        if args.output and args.command != "refframe-sweep":  # a sweep's --output names its CSV
+        if args.output:
             write_json_atomic(args.output, report)
         else:
             sys.stdout.write(dump_json(report))

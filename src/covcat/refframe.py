@@ -71,6 +71,7 @@ from .serialize import record_to_json
 from .symmetry import conservation_defects, is_symmetric_state
 
 COVARIANCE_TOL = 1e-9
+INDUCED_TOL = 1e-8     # max-norm change of the induced system channel's Choi matrix
 DIAMOND_SLACK = 1e-5   # slack on assertions involving the diamond-norm value
 METRIC_SLACK = 1e-6    # slack on state-metric assertions
 
@@ -271,10 +272,11 @@ class RecoveryReport:
 
     @property
     def status(self) -> str:
-        """Status column of the sweep CSV: ``"FAILED"`` (any failure,
-        certified at the upper end of the bracket even when it did not
-        close), ``"bounds"`` (the bracket did not close), ``"inconclusive"``
-        or ``"ok"``. Only ``"ok"`` and ``"FAILED"`` are conclusive."""
+        """Last column of a sweep row (`SweepReport.rows`): ``"FAILED"``
+        (any failure, certified at the upper end of the bracket even when it
+        did not close), ``"bounds"`` (the bracket did not close),
+        ``"inconclusive"`` or ``"ok"``. Only ``"ok"`` and ``"FAILED"`` are
+        conclusive."""
         if self.failures:
             return "FAILED"
         if self.epsilon_result.status != "converged":
@@ -318,7 +320,7 @@ def _verified_recovery(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
     recovered = np.einsum("rgf,afib->griab", recovery.kraus, m.reshape(d_s, d_f, -1, d_s))
     induced_defect = max_norm(Channel._derived(recovered.reshape(-1, d_s, d_s)).choi()
                               - sc.induced_system_channel().choi())
-    if induced_defect > 1e-8:
+    if induced_defect > INDUCED_TOL:
         failures.append(f"induced channel changed by {induced_defect:.3e}")
 
     # (b) covariance of R, bounded by the admitted residual (see verify_recovery)
@@ -472,9 +474,6 @@ def phase_reference_scenario(n_levels: int, theta: float,
     )
 
 
-SWEEP_CSV_HEADER = "N,theta,epsilon,bound,worst_distance,witness_distance,status"
-
-
 @dataclass(frozen=True, eq=False)
 class SweepReport:
     """The recovery report of the phase-reference ladder at each size in
@@ -495,7 +494,8 @@ class SweepReport:
 
     @property
     def rows(self) -> list[str]:
-        """One line of the sweep CSV per report, under `SWEEP_CSV_HEADER`."""
+        """One comma-separated line per report, of the columns ``N, theta,
+        epsilon, bound, worst_distance, witness_distance, status``."""
         return [",".join([str(n), *(repr(float(x)) for x in (self.theta, r.epsilon, r.bound,
                                                             r.worst_distance, r.witness_distance)),
                           r.status]) for n, r in zip(self.n_values, self.reports)]

@@ -205,10 +205,12 @@ def dump_json(payload: Any) -> str:
     return _text(payload, "\n") + "\n"
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text via a temp file under a random name in the same directory,
-    then rename. The temp file is created with mode ``0o666``, which the
-    kernel masks with the umask, as for a plain ``open``."""
+def write_json_atomic(path: str, payload: Any) -> None:
+    """Write the report text of `dump_json` via a temp file under a random
+    name in the same directory, then rename. The temp file is created with
+    mode ``0o666``, which the kernel masks with the umask, as for a plain
+    ``open``."""
+    text = dump_json(payload)
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -219,10 +221,6 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_json_atomic(path: str, payload: Any) -> None:
-    write_text_atomic(path, dump_json(payload))
 
 
 def load_json(path: str) -> Any:

@@ -297,11 +297,7 @@ def test_out_of_memory_exits_3_with_an_error_report(command, target, message, tm
     assert run_cli(argv + ["--output", str(report)]) == 3
     out, err = capsys.readouterr()
     assert err == f"error: out of memory: {message}\n"
-    if command == "refframe-sweep":  # its --output takes the CSV, so the report goes to stdout
-        assert not report.exists()
-        assert json.loads(out) == want
-    else:
-        assert out == "" and read_report(report) == want
+    assert out == "" and read_report(report) == want
 
 
 def test_find_intertwiner_and_catalysis_verify(tmp_path):
@@ -678,22 +674,22 @@ def test_recovery_verify_large_ladder(tmp_path):
     assert res["passed"] and res["covariance_defect"] == 0.0
 
 
-def test_refframe_sweep_csv(tmp_path, capsys):
-    out = str(tmp_path / "sweep.csv")
+def test_refframe_sweep_rows(tmp_path, capsys):
+    out = str(tmp_path / "sweep.json")
     code = run_cli(["refframe-sweep", "--Ns", "2,4", "--theta", "1.5707963",
                     "--samples", "10", "--output", out])
     assert code == 0
-    lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
-    assert lines[0] == "N,theta,epsilon,bound,worst_distance,witness_distance,status"
-    # --output names the CSV; the report goes to stdout and holds the same rows once
-    report = json.loads(capsys.readouterr().out)
-    assert report["passed"] and report["result"] == {"rows": lines[1:]}
-    # without --output only the report is written, with the same rows
+    # --output names the report, as for every command; nothing is printed
+    assert capsys.readouterr().out == ""
+    report = read_report(out)
+    assert report["passed"] and list(report["result"]) == ["rows"]
+    rows = report["result"]["rows"]
+    # without --output the report goes to stdout, with the same rows
     assert run_cli(["refframe-sweep", "--Ns", "2,4", "--theta", "1.5707963"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"] == {"rows": lines[1:]}
-    assert len(lines) == 3
-    for line in lines[1:]:
-        fields = line.split(",")
+    assert json.loads(capsys.readouterr().out)["result"] == {"rows": rows}
+    assert len(rows) == 2
+    for row in rows:
+        fields = row.split(",")
         assert len(fields) == 7
         assert float(fields[5]) <= float(fields[4]) <= float(fields[3])  # witness <= worst <= bound
         assert fields[6] == "ok"
@@ -723,9 +719,9 @@ def test_bracket_straddling_a_check_exits_inconclusive(tmp_path, monkeypatch):
     res = read_report(out)["result"]["report"]
     assert res["verdict"] == "inconclusive" and res["inconclusive"] and not res["failures"]
     assert res["bound_lower"] < res["worst_distance"] < res["bound_upper"]
-    out = str(tmp_path / "sweep.csv")
+    out = str(tmp_path / "sweep.json")
     assert run_cli(["refframe-sweep", "--Ns", "8", "--samples", "15", "--output", out]) == 3
-    assert (tmp_path / "sweep.csv").read_text().strip().split("\n")[1].endswith(",inconclusive")
+    assert read_report(out)["result"]["rows"][0].endswith(",inconclusive")
 
 
 def test_failure_at_the_upper_end_of_an_open_bracket_exits_1(tmp_path, monkeypatch):
@@ -741,9 +737,9 @@ def test_failure_at_the_upper_end_of_an_open_bracket_exits_1(tmp_path, monkeypat
     assert run_cli(["recovery-verify", "--N", "8", "--samples", "15", "--output", out]) == 1
     res = read_report(out)["result"]["report"]
     assert res["verdict"] == "failed" and res["epsilon_result"]["status"] == "bounds"
-    out = str(tmp_path / "sweep.csv")
+    out = str(tmp_path / "sweep.json")
     assert run_cli(["refframe-sweep", "--Ns", "8", "--samples", "15", "--output", out]) == 1
-    assert (tmp_path / "sweep.csv").read_text().strip().split("\n")[1].endswith(",FAILED")
+    assert read_report(out)["result"]["rows"][0].endswith(",FAILED")
     # a certified failure decides the sweep even when another row's bracket
     # is open: N = 8 fails at the upper end, N = 4 passes at its true value
     n4 = phase_reference_scenario(4, np.pi / 2)
@@ -751,7 +747,7 @@ def test_failure_at_the_upper_end_of_an_open_bracket_exits_1(tmp_path, monkeypat
     brackets = iter([open_bracket(None, None), dataclasses.replace(true_n4, status="bounds")])
     monkeypatch.setattr(refframe, "diamond_distance", lambda t1, t2: next(brackets))
     assert run_cli(["refframe-sweep", "--Ns", "8,4", "--samples", "15", "--output", out]) == 1
-    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    rows = read_report(out)["result"]["rows"]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["FAILED", "bounds"]
 
 
@@ -936,6 +932,10 @@ class ReadRecorder(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
+COMMANDS = ("check-covariance", "wiegmann-equiv", "find-intertwiner", "catalysis-verify",
+            "recovery-verify", "refframe-sweep", "demo-appendix", "demo-finite-group")
+
+
 def flag_policy_argvs(command, tmp_path):
     """argv lists that between them take every path of ``command``'s handler."""
     sz = ser.matrix_to_json(np.diag([1.0, -1.0]))
@@ -953,16 +953,13 @@ def flag_policy_argvs(command, tmp_path):
         problem.write_text(frame_json(phase_reference_scenario(2, np.pi / 2)))
         return [[command, "--samples", "2"], [command, "--input", str(problem), "--samples", "2"]]
     return {
-        "refframe-sweep": [[command, "--Ns", "2", "--samples", "2",
-                            "--output", str(tmp_path / "sweep.csv")]],
+        "refframe-sweep": [[command, "--Ns", "2", "--samples", "2"]],
         "demo-appendix": [[command]],
         "demo-finite-group": [[command]],
     }.get(command, [[command, "--input", str(problem)]])
 
 
-@pytest.mark.parametrize("command", [
-    "check-covariance", "wiegmann-equiv", "find-intertwiner", "catalysis-verify",
-    "recovery-verify", "refframe-sweep", "demo-appendix", "demo-finite-group"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_every_declared_flag_is_read(command, tmp_path):
     # --output is read by main; check-covariance, recovery-verify and
     # refframe-sweep keep --seed, which the benchmark passes to every command,
@@ -982,9 +979,7 @@ def test_every_declared_flag_is_read(command, tmp_path):
     assert declared - exempt <= read
 
 
-@pytest.mark.parametrize("command", [
-    "check-covariance", "wiegmann-equiv", "find-intertwiner", "catalysis-verify",
-    "recovery-verify", "refframe-sweep", "demo-appendix", "demo-finite-group"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_passed_holds_exactly_on_exit_0(command, tmp_path, capsys):
     # one outcome per run: the report's passed and the exit code both follow
     # from it; none of these argv lists names a report file, so stdout holds
@@ -993,6 +988,22 @@ def test_passed_holds_exactly_on_exit_0(command, tmp_path, capsys):
         code = run_cli(argv)
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] == (code == 0), (argv, code)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_routes_its_report_by_one_rule(command, tmp_path, capsys):
+    # --output names the report file of every command, and nothing is printed;
+    # without it stdout holds exactly that report
+    for i, argv in enumerate(flag_policy_argvs(command, tmp_path)):
+        out = tmp_path / f"report{i}.json"
+        code = run_cli([*argv, "--output", str(out)])
+        assert capsys.readouterr().out == "", argv
+        written = read_report(out)
+        assert written["passed"] == (code == 0), (argv, code)
+        assert run_cli(argv) == code
+        shown = json.loads(capsys.readouterr().out)
+        assert shown.pop("metadata") and written.pop("metadata")
+        assert shown == written, argv
 
 
 def test_cached_parser_is_reused_without_leaks(tmp_path, rng):

@@ -125,6 +125,21 @@ def test_atomic_write(tmp_path):
     assert not leftovers
 
 
+def test_failed_atomic_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    ser.write_json_atomic(str(path), {"k": 1})
+    before = path.read_bytes()
+
+    def refused(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refused)
+    with pytest.raises(OSError, match="rename refused"):
+        ser.write_json_atomic(str(path), {"k": 2})
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("tmp*.tmp"))
+
+
 def stdlib_report(payload):
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -214,8 +229,6 @@ def test_matrix_round_trip_is_bit_exact(m):
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
 @pytest.mark.parametrize("existing", [False, True])
 def test_atomic_writes_take_their_mode_from_the_umask(tmp_path, monkeypatch, umask, existing):
-    writers = {"report.json": lambda p: ser.write_json_atomic(p, {"k": 1}),
-               "sweep.csv": lambda p: ser.write_text_atomic(p, "N,eps\n")}
     set_umask = os.umask
     previous = set_umask(umask)
 
@@ -224,12 +237,11 @@ def test_atomic_writes_take_their_mode_from_the_umask(tmp_path, monkeypatch, uma
 
     monkeypatch.setattr(os, "umask", changed_umask)
     try:
-        for name, write in writers.items():
-            path = tmp_path / name
-            if existing:
-                path.write_text("old")
-                path.chmod(0o640)
-            write(str(path))
-            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, name
+        path = tmp_path / "report.json"
+        if existing:
+            path.write_text("old")
+            path.chmod(0o640)
+        ser.write_json_atomic(str(path), {"k": 1})
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
     finally:
         set_umask(previous)
