@@ -14,13 +14,14 @@ is left free. The solver runs over-relaxed Douglas-Rachford on the primal
 program alone: the proximal step is one batched PSD projection of
 ``(W + 2 gamma J, Q)``, the other step the orthogonal projection onto the two
 affine constraints (``_DiamondProgram.project_affine``, closed form from one
-partial trace and one scalar). The step is ``gamma = 4 / ||J||_op``, so
-``gamma J`` and every iterate are unchanged when J is scaled. The dual is
-never iterated: ``u(P)`` below is a feasible dual value for every Hermitian
-P, and it is taken at ``P = Z - 2J`` for the Douglas-Rachford multiplier
-``Z = (x_Q - z_Q) / gamma`` of the affine constraint (x the PSD point, z the
-iterate it came from), which tends to a dual optimum. Progress is certified
-every ``CHECK_EVERY`` iterations:
+partial trace and one scalar; its two ``1 (x) .`` terms are subtracted in
+place from the d diagonal blocks, so no dense ``1 (x) rho`` is formed). The
+step is ``gamma = 4 / ||J||_op``, so ``gamma J`` and every iterate are
+unchanged when J is scaled. The dual is never iterated: ``u(P)`` below is a
+feasible dual value for every Hermitian P, and it is taken at ``P = Z - 2J``
+for the Douglas-Rachford multiplier ``Z = (x_Q - z_Q) / gamma`` of the
+affine constraint (x the PSD point, z the iterate it came from), which tends
+to a dual optimum. Progress is certified every ``CHECK_EVERY`` iterations:
 
 * any Hermitian rho, through ``s = rho_+ / Tr rho_+``, gives the feasible
   primal value ``l(s) = || (1 (x) sqrt(s)) J (1 (x) sqrt(s)) ||_1``,
@@ -100,28 +101,27 @@ def _trace_out_first(m: np.ndarray, d: int) -> np.ndarray:
 
 
 class _DiamondProgram:
-    """Constraint data for one Choi difference: J, its dimension and the embedding."""
+    """Constraint data for one Choi difference: J and its dimension."""
 
     def __init__(self, j: np.ndarray, d: int):
         self.j = j
         self.d = d
         self.eye = np.eye(d)
 
-    def embed(self, r: np.ndarray) -> np.ndarray:
-        """1 (x) r, by broadcasting."""
-        d = self.d
-        return (self.eye[:, None, :, None] * r[None, :, None, :]).reshape(d * d, d * d)
-
     def project_affine(self, wq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """Multipliers ``(R, t)`` of the orthogonal projection of ``wq = [W, Q]``
         and ``rho`` onto ``W + Q = 1 (x) rho``, ``Tr rho = 1``: the projection
-        is ``W - R``, ``Q - R`` and ``rho + Tr_1 R - t 1``, with ``R`` built
-        from ``r1 = W + Q - 1 (x) rho``."""
+        is ``W - R``, ``Q - R`` and ``rho + Tr_1 R - t 1``, with
+        ``R = (r1 - 1 (x) (p - t 1)) / 2`` built from ``r1 = W + Q - 1 (x) rho``."""
         d = self.d
-        r1 = wq[0] + wq[1] - self.embed(rho)
-        t = (np.trace(r1).real + (d + 2.0) * (np.trace(rho).real - 1.0)) / (2.0 * d)
-        p = (_trace_out_first(r1, d) + t * d * self.eye) / (d + 2.0)
-        return (r1 - self.embed(p - t * self.eye)) / 2.0, t
+        r = wq[0] + wq[1]
+        blocks = np.einsum("ijik->ijk", r.reshape(d, d, d, d))  # writable view: blocks[i] = r_ii
+        blocks -= rho
+        t = (np.trace(r).real + (d + 2.0) * (np.trace(rho).real - 1.0)) / (2.0 * d)
+        p = (_trace_out_first(r, d) + t * d * self.eye) / (d + 2.0)
+        blocks -= p - t * self.eye
+        r /= 2.0
+        return r, t
 
     # -- certified bracket ---------------------------------------------------
 

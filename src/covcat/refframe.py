@@ -123,9 +123,10 @@ class FrameScenario:
             raise DimensionError("global unitary does not act on S (x) C (x) E")
         dev = bound = 0.0
         u, legs = self.unitary, [self.gens_s, self.gens_c, self.gens_e]
+        u_norm = np.linalg.norm(u)
         for delta, scale in conservation_defects(u, legs, legs):
             dev = max(dev, max_norm(delta) / scale)
-            bound = max(bound, 2.0 * np.linalg.norm(u) * np.linalg.norm(delta / scale) / self.d_s)
+            bound = max(bound, 2.0 * u_norm * np.linalg.norm(delta / scale) / self.d_s)
         if dev > COVARIANCE_TOL:
             raise DomainError(f"global dynamics is not covariant (defect {dev:.3e})")
         object.__setattr__(self, "covariance_bound", float(bound))
@@ -265,27 +266,9 @@ class RecoveryReport:
             return "failed"
         return "inconclusive" if self.inconclusive else "passed"
 
-    @property
-    def passed(self) -> bool:
-        """``outcome == "passed"``; `to_json` writes both, the outcome as ``verdict``."""
-        return self.outcome == "passed"
-
-    @property
-    def status(self) -> str:
-        """Last column of a sweep row (`SweepReport.rows`): ``"FAILED"``
-        (any failure, certified at the upper end of the bracket even when it
-        did not close), ``"bounds"`` (the bracket did not close),
-        ``"inconclusive"`` or ``"ok"``. Only ``"ok"`` and ``"FAILED"`` are
-        conclusive."""
-        if self.failures:
-            return "FAILED"
-        if self.epsilon_result.status != "converged":
-            return "bounds"
-        return "inconclusive" if self.inconclusive else "ok"
-
     def to_json(self) -> dict:
         return {**record_to_json(self, ("drift_state", "witness_input")),
-                "passed": self.passed, "verdict": self.outcome}
+                "passed": self.outcome == "passed", "verdict": self.outcome}
 
 
 def _verified_recovery(sc: FrameScenario) -> tuple[Channel, RecoveryReport]:
@@ -495,10 +478,21 @@ class SweepReport:
     @property
     def rows(self) -> list[str]:
         """One comma-separated line per report, of the columns ``N, theta,
-        epsilon, bound, worst_distance, witness_distance, status``."""
+        epsilon, bound, worst_distance, witness_distance, status``. The status
+        is ``"FAILED"`` (any failure, certified at the upper end of the
+        bracket even when it did not close), ``"bounds"`` (the bracket did not
+        close), ``"inconclusive"`` or ``"ok"``, checked in that order; only
+        ``"ok"`` and ``"FAILED"`` are conclusive."""
+        def status(r: RecoveryReport) -> str:
+            if r.failures:
+                return "FAILED"
+            if r.epsilon_result.status != "converged":
+                return "bounds"
+            return "inconclusive" if r.inconclusive else "ok"
+
         return [",".join([str(n), *(repr(float(x)) for x in (self.theta, r.epsilon, r.bound,
                                                             r.worst_distance, r.witness_distance)),
-                          r.status]) for n, r in zip(self.n_values, self.reports)]
+                          status(r)]) for n, r in zip(self.n_values, self.reports)]
 
     def to_json(self) -> dict:
         return {"rows": self.rows}

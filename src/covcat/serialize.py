@@ -14,8 +14,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 

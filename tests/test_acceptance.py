@@ -150,7 +150,7 @@ def test_criterion_4_back_action_suite():
         _, report = catalytic_channel(sc)
         eps_values.append(report.epsilon)
         ok &= report.epsilon_result.status == "converged"
-        ok &= report.passed
+        ok &= report.outcome == "passed"
         ok &= report.worst_distance <= report.bound + 1e-5
         ok &= report.min_fidelity >= 1 - report.epsilon - 1e-6
         root = np.sqrt(2 * report.epsilon)

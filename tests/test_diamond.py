@@ -134,6 +134,24 @@ def test_affine_projection_is_a_projection(d, rng):
     np.testing.assert_allclose(project(p), p, atol=1e-10)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_affine_multipliers_match_dense_formula(d, rng):
+    """The in-place step against its slow oracle, which forms ``1 (x) rho``
+    and ``1 (x) (p - t 1)`` densely: the same bits, and no input modified."""
+    n = d * d
+    wq = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    wq_in, rho_in = wq.copy(), rho.copy()
+    r, t = _DiamondProgram(np.zeros((n, n)), d).project_affine(wq, rho)
+    eye = np.eye(d)
+    r1 = wq[0] + wq[1] - np.kron(eye, rho)
+    t_dense = (np.trace(r1).real + (d + 2.0) * (np.trace(rho).real - 1.0)) / (2.0 * d)
+    p = (np.trace(r1.reshape(d, d, d, d), axis1=0, axis2=2) + t_dense * d * eye) / (d + 2.0)
+    assert t == t_dense
+    assert np.array_equal(r, (r1 - np.kron(eye, p - t_dense * eye)) / 2.0)
+    assert np.array_equal(wq, wq_in) and np.array_equal(rho, rho_in)
+
+
 def test_unitary_oracle_special_cases():
     assert unitary_diamond_distance(np.eye(2), np.eye(2) * np.exp(0.3j)) < 1e-12
     assert abs(unitary_diamond_distance(np.eye(2),

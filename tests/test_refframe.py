@@ -14,6 +14,7 @@ from covcat.symmetry import conservation_defects, generator_scale
 from covcat.refframe import (
     FrameScenario,
     RecoveryReport,
+    SweepReport,
     catalytic_channel,
     degradation_sweep,
     implementation_error,
@@ -187,7 +188,7 @@ def test_recovery_dual_pairing_fidelity(rng):
 def test_exact_scenario_gives_zero_distances(rng):
     sc = product_frame_scenario(rng)
     _, report = catalytic_channel(sc)
-    assert report.passed, report.failures
+    assert report.outcome == "passed", report.failures
     assert report.epsilon <= 1e-6
     assert report.worst_distance <= 1e-6
     assert report.bound <= 2 * np.sqrt(2e-6) + 1e-12
@@ -196,7 +197,7 @@ def test_exact_scenario_gives_zero_distances(rng):
 def test_phase_reference_pipeline_n16():
     sc = phase_reference_scenario(16, np.pi / 2)
     t_prime, report = catalytic_channel(sc)
-    assert report.passed, report.failures
+    assert report.outcome == "passed", report.failures
     assert report.worst_distance <= report.bound + 1e-5
     assert report.min_fidelity >= 1 - report.epsilon - 1e-6
     assert report.induced_identity_defect <= 1e-8
@@ -208,13 +209,13 @@ def test_mixed_frame_state_pipeline():
     sigma = shifted_superposition_mixture(8, 0.2)
     sc = phase_reference_scenario(8, np.pi / 2, sigma_c=sigma)
     _, report = catalytic_channel(sc)
-    assert report.passed, report.failures
+    assert report.outcome == "passed", report.failures
 
 
 def test_dilated_dynamics_pipeline(rng):
     sc = dilated_frame_scenario()
     t_prime, report = catalytic_channel(sc)
-    assert report.passed, report.failures
+    assert report.outcome == "passed", report.failures
     assert t_prime.d_in == 8  # acts on S (x) C only, environment traced out
     # apply oracle: T'[x] = Tr_E sum_R (1 (x) R) U (x (x) omega_E) U^dag (1 (x) R)^dag
     lifted = [la.tensor(np.eye(2), k) for k in recovery_channel(sc).kraus]
@@ -480,7 +481,7 @@ def test_tabulated_chain_matches_per_sample_oracle(case, monkeypatch):
     assert abs(overlap(x) - (1 - report.worst_distance ** 2)) <= 1e-12
     assert abs(frame(np.outer(x, x.conj())) - report.witness_distance) <= 1e-12
     assert report.witness_distance <= report.worst_distance
-    assert report.passed, report.failures
+    assert report.outcome == "passed", report.failures
 
 
 class _Proxy:
@@ -537,7 +538,7 @@ def test_recovery_chain_peak_stays_below_twice_the_returned_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed
+    assert report.outcome == "passed"
     assert peak < 2 * t_prime.kraus.nbytes
 
 
@@ -747,8 +748,9 @@ def assert_passed_follows_verdict(report):
     """``passed`` is no stored field: it is read from the outcome, and written
     beside it, under ``verdict``."""
     assert "passed" not in {f.name for f in dataclasses.fields(RecoveryReport)}
+    assert not hasattr(report, "passed")
     js = report.to_json()
-    assert js["passed"] is report.passed is (report.outcome == "passed")
+    assert js["passed"] is (report.outcome == "passed")
     assert js["verdict"] == report.outcome
 
 
@@ -764,7 +766,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     sc = phase_reference_scenario(8, np.pi / 2)
     eps = implementation_error(sc).value
     _, exact = catalytic_channel(sc)
-    assert exact.outcome == "passed" and exact.passed and not exact.inconclusive
+    assert exact.outcome == "passed" and not exact.inconclusive
     assert_passed_follows_verdict(exact)
     # the frame distance check straddles: it holds at the upper end only
     worst, witness = exact.worst_distance, exact.witness_distance
@@ -775,7 +777,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     _with_bracket(monkeypatch, eps_at(worst) * 0.9, eps)
     _, report = catalytic_channel(sc)
     assert report.worst_distance == exact.worst_distance
-    assert report.outcome == "inconclusive" and not report.passed and not report.failures
+    assert report.outcome == "inconclusive" and not report.failures
     assert_passed_follows_verdict(report)
     assert any("worst frame distance" in c for c in report.inconclusive)
     assert report.bound_lower < worst < report.bound_upper
@@ -808,7 +810,7 @@ def test_checks_are_judged_at_both_ends_of_the_bracket(monkeypatch):
     # a wide bracket whose lower end passes every check is a pass
     _with_bracket(monkeypatch, eps, 1.0)
     _, report = catalytic_channel(sc)
-    assert report.outcome == "passed" and report.passed
+    assert report.outcome == "passed"
     assert_passed_follows_verdict(report)
 
 
@@ -828,7 +830,8 @@ def test_recovery_kraus_match_dual_of_per_eigenvector_loop(case):
 # ---------------------------------------------------------------------------
 
 def test_sweep_single_row_matches_scenario():
-    reports = degradation_sweep([4], np.pi / 2).reports
+    sweep = degradation_sweep([4], np.pi / 2)
+    reports = sweep.reports
     assert len(reports) == 1
     report = reports[0]
     assert isinstance(report, RecoveryReport)
@@ -836,7 +839,34 @@ def test_sweep_single_row_matches_scenario():
     assert abs(report.epsilon - eps) < 2e-6
     assert abs(report.bound - 2 * np.sqrt(2 * report.epsilon)) < 1e-12
     assert report.worst_distance <= report.bound
-    assert report.status == "ok" and report.outcome == "passed"
+    assert sweep.rows[0].endswith(",ok") and report.outcome == "passed"
+
+
+@pytest.fixture(scope="module")
+def ladder_report():
+    return verify_recovery(phase_reference_scenario(4, np.pi / 2))
+
+
+@pytest.mark.parametrize("bracket, failures, inconclusive, status, verdict", [
+    ("converged", (), (), "ok", "passed"),
+    ("converged", ("frame distance",), (), "FAILED", "failed"),
+    ("bounds", ("frame distance",), ("eps bracket open",), "FAILED", "failed"),
+    ("bounds", (), ("eps bracket open",), "bounds", "inconclusive"),
+    ("converged", (), ("frame distance: undecided",), "inconclusive", "inconclusive"),
+])
+def test_sweep_status_column_and_json_verdict(ladder_report, bracket, failures, inconclusive,
+                                              status, verdict):
+    """The row's status is derived in `SweepReport.rows` from failures, the
+    bracket and inconclusive checks, in that order; ``passed`` and ``verdict``
+    in the JSON from the outcome."""
+    report = dataclasses.replace(
+        ladder_report, failures=failures, inconclusive=inconclusive,
+        epsilon_result=dataclasses.replace(ladder_report.epsilon_result, status=bracket))
+    row = SweepReport((4,), np.pi / 2, (report,)).rows[0]
+    assert row.split(",")[6] == status
+    js = report.to_json()
+    assert js["verdict"] == verdict == report.outcome
+    assert js["passed"] is (verdict == "passed")
 
 
 def test_sweep_epsilon_monotone():
